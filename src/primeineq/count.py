@@ -7,6 +7,9 @@ reported as boundary-ambiguous.  The naive counter enumerates all ordered
 4-tuples; the fast counter sorts the Y^2 pair sums and sweeps windows, but
 re-tests every candidate with the identical predicate, so the two agree
 exactly, ambiguity flags included.
+
+The sorted-sum index (``sorted_sums``) and the window search over it
+(``window_hits``) are shared with the triple and sextuple solvers.
 """
 
 from __future__ import annotations
@@ -16,10 +19,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sums import LONG
+from .sums import LONG, GuardError
 
 _NAIVE_GUARD = 10 ** 9     # Y^4 at most this many tuples
 _FAST_GUARD = 10 ** 5      # Y at most this (Y^2 pair sums in memory)
+_HARMONIC_NAIVE_GUARD = 10 ** 8   # Y^4 at most this many Python-level terms
+_BLOCK = 1 << 16           # targets per block of window_hits
+_SLACK_ULPS = 8            # long-double ulps added to every window's reach
+
+
+def sorted_sums(powers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n^k sums powers[i_1] + ... + powers[i_k] (formed left to right),
+    ascending, with their stable sort order: np.unravel_index(order[m],
+    (n,) * k) gives the indices of the m-th smallest sum."""
+    sums = powers
+    for _ in range(k - 1):
+        sums = (sums[:, None] + powers[None, :]).ravel()
+    order = np.argsort(sums, kind="stable")
+    return sums[order], order
+
+
+def window_hits(values: np.ndarray, targets: np.ndarray, width: float):
+    """Yield candidate index arrays (t, pos), one block of targets at a time.
+
+    ``values`` must be ascending.  Pairs come in (t, pos) order and cover
+    every pair with |values[pos] - targets[t]| < width: the search reaches
+    _SLACK_ULPS long-double ulps of max|values| + width past the width, so
+    rounding never drops a pair.  Near misses come along, so every caller
+    re-tests its candidates with its own exact predicate.
+    """
+    if len(values) == 0:
+        return
+    width = LONG(width)
+    scale = max(abs(LONG(values[0])), abs(LONG(values[-1]))) + width
+    reach = width + _SLACK_ULPS * np.finfo(LONG).eps * scale
+    for start in range(0, len(targets), _BLOCK):
+        block = targets[start:start + _BLOCK]
+        lo = np.searchsorted(values, block - reach, side="left")
+        lengths = np.searchsorted(values, block + reach, side="right") - lo
+        total = int(lengths.sum())
+        if total == 0:
+            continue
+        t = np.repeat(np.arange(start, start + len(block)), lengths)
+        run_starts = np.cumsum(lengths) - lengths
+        yield t, np.arange(total) + np.repeat(lo - run_starts, lengths)
 
 
 @dataclass(frozen=True)
@@ -43,15 +86,15 @@ class CountResult:
 
 
 def _pair_sums(Y: int, c: float) -> np.ndarray:
-    """All Y^2 values n1^c + n2^c for n1, n2 in (Y, 2Y], long double."""
+    """All Y^2 values n1^c + n2^c for n1, n2 in (Y, 2Y], long double, sorted."""
     powers = np.arange(Y + 1, 2 * Y + 1, dtype=np.int64).astype(LONG) ** LONG(c)
-    return (powers[:, None] + powers[None, :]).ravel()
+    return sorted_sums(powers, 2)[0]
 
 
 def count_tuples_naive(s: CountSpec) -> CountResult:
     """Exhaustive count over ordered 4-tuples (broadcast over all pairs)."""
     if s.Y ** 4 > _NAIVE_GUARD:
-        raise ValueError(f"Y^4 = {s.Y ** 4} exceeds naive guard {_NAIVE_GUARD}")
+        raise GuardError("naive", _NAIVE_GUARD, f"Y^4 = {s.Y ** 4} tuples")
     ps = _pair_sums(s.Y, s.c)
     count = 0
     ambiguous = 0
@@ -69,32 +112,19 @@ def count_tuples_naive(s: CountSpec) -> CountResult:
 def count_tuples_fast(s: CountSpec) -> CountResult:
     """Sort the Y^2 pair sums and sweep; same predicate as the naive count.
 
-    searchsorted locates a candidate window with margin gamma + 2*delta;
-    candidates are then re-tested with the exact comparison the naive
-    counter uses, so results match it tuple-for-tuple.
+    window_hits gathers every pair within gamma + delta, the outer edge of
+    the ambiguity band; candidates are then re-tested with the exact
+    comparison the naive counter uses, so results match it tuple-for-tuple.
     """
     if s.Y > _FAST_GUARD:
-        raise ValueError(f"Y = {s.Y} exceeds fast guard {_FAST_GUARD}")
-    ps = np.sort(_pair_sums(s.Y, s.c))
+        raise GuardError("fast", _FAST_GUARD, f"Y = {s.Y}")
+    ps = _pair_sums(s.Y, s.c)
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
-    margin = float(gamma + 2 * delta)
-    lo = np.searchsorted(ps, ps - margin, side="left")
-    hi = np.searchsorted(ps, ps + margin, side="right")
     count = 0
     ambiguous = 0
-    block = 1 << 16
-    for start in range(0, len(ps), block):
-        stop = min(start + block, len(ps))
-        lengths = hi[start:stop] - lo[start:stop]
-        total = int(lengths.sum())
-        if total == 0:
-            continue
-        flat_i = np.repeat(np.arange(start, stop), lengths)
-        run_starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        flat_j = (np.arange(total) - np.repeat(run_starts, lengths)
-                  + np.repeat(lo[start:stop], lengths))
-        d = np.abs(ps[flat_j] - ps[flat_i])
+    for i, j in window_hits(ps, ps, gamma + delta):
+        d = np.abs(ps[j] - ps[i])
         count += int(np.count_nonzero(d < gamma))
         ambiguous += int(np.count_nonzero(np.abs(d - gamma) < delta))
     return CountResult(count, ambiguous)
@@ -138,10 +168,10 @@ def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
     bucket split mirrors the dyadic decomposition used to bound it.
     """
     if s.Y > _FAST_GUARD:
-        raise ValueError(f"Y = {s.Y} exceeds guard {_FAST_GUARD}")
+        raise GuardError("fast", _FAST_GUARD, f"Y = {s.Y}")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    ps = np.sort(_pair_sums(s.Y, s.c))
+    ps = _pair_sums(s.Y, s.c)
     cut = LONG(1.0) / LONG(tau)
     max_d = float(ps[-1] - ps[0])
     if max_d <= float(cut):
@@ -163,8 +193,9 @@ def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
 
 def harmonic_V_naive(s: CountSpec, tau: float) -> float:
     """O(Y^4) direct summation; oracle for harmonic_V."""
-    if s.Y ** 4 > 10 ** 8:
-        raise ValueError("naive harmonic sum guarded at Y^4 <= 1e8")
+    if s.Y ** 4 > _HARMONIC_NAIVE_GUARD:
+        raise GuardError("harmonic-naive", _HARMONIC_NAIVE_GUARD,
+                         f"Y^4 = {s.Y ** 4} terms")
     powers = [ (n ** s.c) for n in range(s.Y + 1, 2 * s.Y + 1) ]
     cut = 1.0 / tau
     terms = []

@@ -18,9 +18,9 @@ import numpy as np
 
 from ._parallel import det_map
 from .count import CountSpec, count_tuples_fast, count_tuples_naive
-from .solver import (count_B, find_sextuple, find_triple,
-                     instance_for_theorem1, instance_for_theorem2,
-                     instance_config, main_term_H, weighted_B1)
+from .solver import (count_B, find_sextuple, instance_for_theorem1,
+                     instance_for_theorem2, instance_config, main_term_H,
+                     triple_solvable, weighted_B1)
 from .sums import ProblemInstance, integral_I, moment4, sieve_primes, sum_S
 
 
@@ -150,7 +150,7 @@ def _triple_item(R: float, inst: ProblemInstance) -> dict:
     _, unweighted, _ = count_B(inst, R)
     b1 = weighted_B1(inst, R)
     h = main_term_H(inst, R)
-    solvable = unweighted > 0 or find_triple(inst, R) is not None
+    solvable = triple_solvable(inst, R, unweighted)
     return {"R": R, "count": unweighted, "solvable": solvable, "B1": b1, "H": h,
             "B1_over_H": b1 / h if h != 0 else float("inf")}
 
@@ -165,8 +165,9 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
     ``count``, ``B1`` and ``H`` are taken over the dyadic range (X, 2X] of
     the counting argument.  ``solvable`` asks whether the inequality has a
     solution in primes at all (the exceptional set of the statement has no
-    range restriction): a row with a dyadic solution is solvable, and a row
-    without one is decided by find_triple over all primes.
+    range restriction), as decided by solver.triple_solvable: a row with a
+    dyadic solution is solvable, and a row without one is decided by
+    find_triple over all primes.
     ``zero_fraction`` is the share of unsolvable R and must stay below
     zero_cap; ``dyadic_zero_fraction`` is the share with count 0.  The
     smoothed count must track the main term in aggregate: the band applies

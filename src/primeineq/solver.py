@@ -19,17 +19,19 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
-from functools import partial
+from collections import Counter
+from dataclasses import asdict, dataclass
+from functools import lru_cache, partial
 from typing import Optional
 
 import mpmath
 import numpy as np
 
 from ._parallel import det_map
+from .count import sorted_sums, window_hits
 from .kernel import KernelParams, kernel_from_instance, phi_eval, phi_fourier
-from .sums import (LONG, PrimeTable, ProblemInstance, integral_I, sieve_primes,
-                   sieve_range)
+from .sums import (_CACHE_SIZE, LONG, GuardError, PrimeTable, ProblemInstance,
+                   integral_I, sieve_primes, sieve_range)
 
 _PAIR_GUARD = 10 ** 8
 
@@ -86,36 +88,25 @@ def sextuple_feasible(inst: ProblemInstance, N: float) -> bool:
     return 6 * pmin - inst.eps < N < 6 * pmax + inst.eps
 
 
-@dataclass(frozen=True, eq=False)
-class _PairIndex:
-    """Sorted pair sums p_i^c + p_j^c over ordered prime pairs, with the
-    matching log-weight products and index pairs."""
-
-    sums: np.ndarray       # long double, sorted ascending
-    weights: np.ndarray    # float, (log p_i)(log p_j) in the same order
-    idx_i: np.ndarray
-    idx_j: np.ndarray
-
-
-_pair_index_cache: dict[tuple[float, float], _PairIndex] = {}
-
-
-def _pair_index(table: PrimeTable, c: float) -> _PairIndex:
-    key = (table.X, c)
-    got = _pair_index_cache.get(key)
-    if got is not None:
-        return got
+@lru_cache(maxsize=_CACHE_SIZE)
+def _pair_index(table: PrimeTable, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted pair sums p_i^c + p_j^c over ordered prime pairs of one table
+    object, with their flat order (see count.sorted_sums)."""
     n = len(table)
     if n * n > _PAIR_GUARD:
-        raise ValueError(f"{n}^2 prime pairs exceed guard {_PAIR_GUARD}")
-    powers = table.powers(c)
-    sums = (powers[:, None] + powers[None, :]).ravel()
-    weights = (table.logs[:, None] * table.logs[None, :]).ravel()
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    order = np.argsort(sums, kind="stable")
-    out = _PairIndex(sums[order], weights[order], ii.ravel()[order], jj.ravel()[order])
-    _pair_index_cache[key] = out
-    return out
+        raise GuardError("pair", _PAIR_GUARD, f"{n}^2 prime pairs")
+    return sorted_sums(table.powers(c), 2)
+
+
+def _triples_near(tbl: PrimeTable, c: float, R: float, width):
+    """Candidate ordered triples for |(p_i^c + p_j^c) - (R - p_l^c)| < width,
+    a block at a time (see count.window_hits): index arrays i, j, l and the
+    long-double pair sums p_i^c + p_j^c."""
+    sums, order = _pair_index(tbl, c)
+    n = len(tbl)
+    for l, pos in window_hits(sums, LONG(R) - tbl.powers(c), width):
+        i, j = np.unravel_index(order[pos], (n, n))
+        yield i, j, l, sums[pos]
 
 
 def count_B(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = None,
@@ -123,50 +114,39 @@ def count_B(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = None,
             ) -> tuple[float, int, Optional[list[SolutionRecord]]]:
     """Sharp-window triple count: (weighted, unweighted, records).
 
-    Ordered triples; binary search over sorted pair sums per third prime,
-    with every candidate re-tested by the strict predicate |value - R| < eps.
+    Ordered triples; one window search looks up all third primes in the
+    sorted pair sums, and every candidate is re-tested by the strict
+    predicate |value - R| < eps.  Records follow third-prime order.
     """
     if inst.k != 3:
         raise ValueError("count_B needs a k=3 instance")
     tbl = table if table is not None else sieve_primes(inst.X)
-    index = _pair_index(tbl, inst.c)
     powers = tbl.powers(inst.c)
     eps = LONG(inst.eps)
     weighted = 0.0
     unweighted = 0
     records: Optional[list[SolutionRecord]] = [] if want_records else None
-    for t3 in range(len(tbl)):
-        target = LONG(R) - powers[t3]
-        lo = int(np.searchsorted(index.sums, float(target - eps) - 1e-9, side="left"))
-        hi = int(np.searchsorted(index.sums, float(target + eps) + 1e-9, side="right"))
-        if hi <= lo:
-            continue
-        dev = np.abs(index.sums[lo:hi] - target)
-        mask = dev < eps
-        m = int(np.count_nonzero(mask))
-        if m == 0:
-            continue
-        unweighted += m
-        weighted += float(np.sum(index.weights[lo:hi][mask])) * float(tbl.logs[t3])
+    for i, j, l, pair in _triples_near(tbl, inst.c, R, eps):
+        hit = np.abs(pair - (LONG(R) - powers[l])) < eps
+        i, j, l, pair = i[hit], j[hit], l[hit], pair[hit]
+        unweighted += len(pair)
+        weighted += float(np.sum(tbl.logs[i] * tbl.logs[j] * tbl.logs[l]))
         if records is not None:
-            for off in np.nonzero(mask)[0]:
-                pos = lo + off
-                primes = (int(tbl.primes[index.idx_i[pos]]),
-                          int(tbl.primes[index.idx_j[pos]]),
-                          int(tbl.primes[t3]))
-                value = float(index.sums[pos] + powers[t3])
-                records.append(_validated_record(primes, value, R, inst.eps, inst.c))
+            for a, b, d, v in zip(i, j, l, pair + powers[l]):
+                primes = (int(tbl.primes[a]), int(tbl.primes[b]), int(tbl.primes[d]))
+                records.append(_validated_record(primes, float(v), R, inst.eps, inst.c))
     return weighted, unweighted, records
 
 
 def _validated_record(primes: tuple[int, ...], value: float, R: float,
                       eps: float, c: float) -> SolutionRecord:
     """Recompute the power sum at twice the working precision; flag the
-    record if the window test flips there."""
+    record if the window test flips there.  R, eps and c enter as their
+    exact binary values, the ones the long-double search used."""
+    R, eps, c = float(R), float(eps), float(c)
     with mpmath.workdps(40):
-        hv = mpmath.fsum(mpmath.mpf(p) ** mpmath.mpf(repr(c)) for p in primes)
-        hd = abs(hv - mpmath.mpf(repr(R)))
-        ambiguous = not hd < mpmath.mpf(repr(eps))
+        hv = mpmath.fsum(mpmath.mpf(p) ** mpmath.mpf(c) for p in primes)
+        ambiguous = not abs(hv - mpmath.mpf(R)) < mpmath.mpf(eps)
     return SolutionRecord(primes, value, abs(value - R), ambiguous)
 
 
@@ -178,20 +158,12 @@ def weighted_B1(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = N
         raise ValueError("weighted_B1 needs a k=3 instance")
     tbl = table if table is not None else sieve_primes(inst.X)
     p = params if params is not None else kernel_from_instance(inst.eps, inst.X)
-    index = _pair_index(tbl, inst.c)
     powers = tbl.powers(inst.c)
-    width = LONG(p.a + p.b)
     total = 0.0
-    for t3 in range(len(tbl)):
-        target = LONG(R) - powers[t3]
-        lo = int(np.searchsorted(index.sums, float(target - width) - 1e-9, side="left"))
-        hi = int(np.searchsorted(index.sums, float(target + width) + 1e-9, side="right"))
-        if hi <= lo:
-            continue
-        devs = (index.sums[lo:hi] - target).astype(float)
-        w = index.weights[lo:hi]
+    for i, j, l, pair in _triples_near(tbl, inst.c, R, LONG(p.a + p.b)):
+        devs = (pair - (LONG(R) - powers[l])).astype(float)
         phi = np.array([phi_eval(p, d) for d in devs])
-        total += float(np.sum(w * phi)) * float(tbl.logs[t3])
+        total += float(np.sum(tbl.logs[i] * tbl.logs[j] * phi * tbl.logs[l]))
     return total
 
 
@@ -247,28 +219,22 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
                  ) -> Optional[SolutionRecord]:
     """Meet-in-the-middle over sorted triple sums; first hit in table order.
 
-    Triple-sum table is sorted ascending (ties broken by flat index), the
-    scan walks it in that order, and within a window the lowest position
-    wins, so the returned record is deterministic.
+    Triple-sum table is sorted ascending (ties broken by flat index); the
+    smallest position t with a solution in its window wins, then the
+    smallest position u in that window, so the record is deterministic.
     """
     n = len(tbl)
     if n ** 3 > _PAIR_GUARD:
-        raise ValueError(f"{n}^3 triple sums exceed guard {_PAIR_GUARD}")
-    powers = tbl.powers(c)
-    sums3 = (powers[:, None, None] + powers[None, :, None]
-             + powers[None, None, :]).ravel()
-    order = np.argsort(sums3, kind="stable")
-    sums3 = sums3[order]
-    eps = LONG(eps_f)
-    lo = np.searchsorted(sums3, LONG(N) - sums3 - eps, side="left")
-    hi = np.searchsorted(sums3, LONG(N) - sums3 + eps, side="right")
-    for pos in np.nonzero(hi > lo)[0]:
-        t = sums3[pos]
-        for upos in range(int(lo[pos]), int(hi[pos])):
-            if np.abs(sums3[upos] + t - LONG(N)) < eps:
-                primes = _triple_primes(tbl, int(order[pos]), n) + \
-                         _triple_primes(tbl, int(order[upos]), n)
-                return _validated_record(primes, float(t + sums3[upos]), N, eps_f, c)
+        raise GuardError("triple", _PAIR_GUARD, f"{n}^3 triple sums")
+    sums3, order = sorted_sums(tbl.powers(c), 3)
+    target, eps = LONG(N), LONG(eps_f)
+    for t, u in window_hits(sums3, target - sums3, eps):
+        hit = np.flatnonzero(np.abs(sums3[u] + sums3[t] - target) < eps)
+        if len(hit):
+            t, u = t[hit[0]], u[hit[0]]
+            idx = np.stack(np.unravel_index(order[[t, u]], (n, n, n)), axis=1)
+            primes = tuple(int(p) for p in tbl.primes[idx.ravel()])
+            return _validated_record(primes, float(sums3[t] + sums3[u]), N, eps_f, c)
     return None
 
 
@@ -287,34 +253,39 @@ def find_triple(inst: ProblemInstance, R: float) -> Optional[SolutionRecord]:
     Unlike count_B this has no range restriction: every prime with
     p^c <= R + eps takes part, since each term of a solution lies below
     R + eps.  Triples p1 <= p2 <= p3 are walked in lexicographic order, one
-    p1 at a time with a single searchsorted for all p2, so memory stays O(n)
-    in the table size.  Candidates in a window widened far beyond the
-    long-double ulp are decided by the 40-digit recheck, and the first one
-    it confirms is returned; None means no triple exists.
+    p1 at a time with a single window search for all p2, so memory stays
+    O(n) in the table size.  Candidates are decided by the 40-digit
+    recheck, and the first one it confirms is returned; None means no
+    triple exists.
     """
     if inst.k != 3:
         raise ValueError("find_triple needs a k=3 instance")
     tbl = full_prime_table(R + inst.eps, inst.c)
     powers = tbl.powers(inst.c)
-    n = len(tbl)
     target = LONG(R)
-    width = LONG(inst.eps) + target * LONG(2.0 ** -50)
-    for i in range(n):
-        if 3 * powers[i] > target + width:
+    eps = LONG(inst.eps)
+    for i in range(len(tbl)):
+        # p3 >= p2 needs 2 p2^c < R - p1^c + eps; the bound 2 eps clears rounding
+        m = int(np.count_nonzero(2 * powers[i:] <= target - powers[i] + 2 * eps))
+        if m == 0:
             break
-        rest = target - powers[i] - powers[i:]      # p2 = primes[i:]
-        lo = np.maximum(np.searchsorted(powers, rest - width, side="left"),
-                        np.arange(i, n))            # p3 >= p2
-        hi = np.searchsorted(powers, rest + width, side="right")
-        for off in np.nonzero(hi > lo)[0]:
-            j = i + int(off)
-            for k in range(int(lo[off]), int(hi[off])):
+        # p2 = primes[j] with j = i + t, p3 = primes[k] with k >= j
+        for t, k in window_hits(powers, target - powers[i] - powers[i:i + m], eps):
+            keep = k >= i + t
+            for j, k in zip(i + t[keep], k[keep]):
                 primes = (int(tbl.primes[i]), int(tbl.primes[j]), int(tbl.primes[k]))
                 value = float(powers[i] + powers[j] + powers[k])
                 rec = _validated_record(primes, value, R, inst.eps, inst.c)
                 if not rec.ambiguous:
                     return rec
     return None
+
+
+def triple_solvable(inst: ProblemInstance, R: float, count: int) -> bool:
+    """Whether the inequality has a solution in primes of any size at R,
+    given the dyadic count of count_B: a positive count decides it,
+    otherwise find_triple searches all primes."""
+    return count > 0 or find_triple(inst, R) is not None
 
 
 def find_sextuple(inst: ProblemInstance, N: float,
@@ -345,38 +316,27 @@ def find_sextuple(inst: ProblemInstance, N: float,
                           range_used="full")
 
 
-def _triple_primes(tbl: PrimeTable, flat: int, n: int) -> tuple[int, ...]:
-    i, rem = divmod(flat, n * n)
-    j, l = divmod(rem, n)
-    return (int(tbl.primes[i]), int(tbl.primes[j]), int(tbl.primes[l]))
-
-
 @dataclass
 class ScanReport:
     seed: int
     samples: int
     R_values: list[float]
     counts: list[int]
+    solvable: list[bool]
     zero_fraction: float
+    dyadic_zero_fraction: float
     histogram: dict[int, int]
     config: dict
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps({
-            "schema": 1,
-            "seed": self.seed,
-            "samples": self.samples,
-            "R_values": self.R_values,
-            "counts": self.counts,
-            "zero_fraction": self.zero_fraction,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "config": self.config,
-        }, indent=indent, sort_keys=True)
+        body = {"schema": 1, **asdict(self)}
+        body["histogram"] = {str(k): v for k, v in self.histogram.items()}
+        return json.dumps(body, indent=indent, sort_keys=True)
 
 
-def _count_unweighted(R: float, inst: ProblemInstance) -> int:
+def _scan_item(R: float, inst: ProblemInstance) -> tuple[int, bool]:
     _, unweighted, _ = count_B(inst, R)
-    return unweighted
+    return unweighted, triple_solvable(inst, R, unweighted)
 
 
 def instance_config(inst: ProblemInstance) -> dict:
@@ -387,21 +347,23 @@ def instance_config(inst: ProblemInstance) -> dict:
 def exceptional_scan(inst: ProblemInstance, samples: int, seed: int,
                      workers: int = 1) -> ScanReport:
     """Empirical exceptional-set scan: sample R uniformly from (N, 2N] with
-    N = 3 X^c, count triples per R, report the zero-count fraction.
+    N = 3 X^c and decide for each R whether it has a solution in primes.
 
-    Only triples in the dyadic range (X, 2X]^3 are counted (count_B), so
-    the zero-count fraction bounds the share of R with no solution in all
-    primes from above; triple_regime_report decides the latter."""
+    ``counts`` are the dyadic triple counts of count_B over (X, 2X]^3 and
+    ``dyadic_zero_fraction`` is their zero share.  ``solvable`` and
+    ``zero_fraction``, the unsolvable share, concern all primes, decided by
+    triple_solvable as in the triple-regime report."""
     if inst.k != 3:
         raise ValueError("exceptional_scan needs a k=3 instance")
     N = 3.0 * inst.X ** inst.c
     rng = random.Random(seed)
     Rs = [N + rng.random() * N for _ in range(samples)]
     sieve_primes(inst.X)  # warm the table before forking workers
-    counts = det_map(partial(_count_unweighted, inst=inst), Rs, workers)
-    hist: dict[int, int] = {}
-    for cnt in counts:
-        hist[cnt] = hist.get(cnt, 0) + 1
-    zero_fraction = sum(1 for cnt in counts if cnt == 0) / samples if samples else 0.0
-    return ScanReport(seed, samples, Rs, counts, zero_fraction, hist,
+    items = det_map(partial(_scan_item, inst=inst), Rs, workers)
+    counts = [cnt for cnt, _ in items]
+    solvable = [ok for _, ok in items]
+    zero_fraction = solvable.count(False) / samples if samples else 0.0
+    dyadic_zero_fraction = counts.count(0) / samples if samples else 0.0
+    return ScanReport(seed, samples, Rs, counts, solvable, zero_fraction,
+                      dyadic_zero_fraction, dict(Counter(counts)),
                       instance_config(inst))

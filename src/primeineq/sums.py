@@ -29,6 +29,16 @@ LONG = np.longdouble
 TWO_PI = 2.0 * np.pi
 
 _MAX_SIEVE = 2 ** 40
+_BILINEAR_GUARD = 10 ** 9
+_CACHE_SIZE = 8     # entries per module cache (prime tables, powers, pair sums)
+
+
+class GuardError(ValueError):
+    """A resource guard refused the work; names the guard and its limit."""
+
+    def __init__(self, guard: str, limit: int, detail: str):
+        super().__init__(f"{guard} guard (limit {limit}): {detail}")
+        self.guard, self.limit = guard, limit
 
 
 @dataclass(frozen=True)
@@ -105,29 +115,23 @@ class PrimeTable:
         return self.primes.astype(LONG) ** LONG(c)
 
 
-_prime_table_cache: dict[float, PrimeTable] = {}
-
-
-def sieve_primes(X: float, verify: bool = True, cache: bool = True) -> PrimeTable:
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def sieve_primes(X: float, verify: bool = True) -> PrimeTable:
     """Exactly the primes in (X, 2X], by a segmented sieve.
 
     Each entry is cross-checked against deterministic Miller-Rabin on
-    construction (disable with verify=False for very large tables).
+    construction (disable with verify=False for very large tables).  The
+    last few tables are cached, so equal arguments return the same object.
     """
-    if cache and X in _prime_table_cache:
-        return _prime_table_cache[X]
     primes = sieve_range(int(math.floor(X)) + 1, int(math.floor(2 * X)), verify)
-    table = PrimeTable(X, primes, np.log(primes.astype(float)))
-    if cache:
-        _prime_table_cache[X] = table
-    return table
+    return PrimeTable(X, primes, np.log(primes.astype(float)))
 
 
 def sieve_range(lo: int, hi: int, verify: bool = True) -> np.ndarray:
     """Exactly the primes p with lo <= p <= hi (int64, ascending), by a
     segmented sieve; verify as in sieve_primes."""
     if hi > _MAX_SIEVE:
-        raise OverflowError(f"{hi} exceeds supported sieve range {_MAX_SIEVE}")
+        raise GuardError("sieve-range", _MAX_SIEVE, f"upper end {hi}")
     lo = max(lo, 2)
     if hi < lo:
         return np.array([], dtype=np.int64)
@@ -166,15 +170,10 @@ def _phase_sum(values_c: np.ndarray, weights: Optional[np.ndarray], x: float) ->
     return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
 
 
-_nc_cache: dict[tuple[float, float], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _integer_powers(X: float, c: float) -> np.ndarray:
-    key = (X, c)
-    if key not in _nc_cache:
-        n = np.arange(int(math.floor(X)) + 1, int(math.floor(2 * X)) + 1, dtype=np.int64)
-        _nc_cache[key] = n.astype(LONG) ** LONG(c)
-    return _nc_cache[key]
+    n = np.arange(int(math.floor(X)) + 1, int(math.floor(2 * X)) + 1, dtype=np.int64)
+    return n.astype(LONG) ** LONG(c)
 
 
 def sum_T(inst: ProblemInstance, x: float) -> complex:
@@ -323,8 +322,8 @@ def bilinear_sum(M: int, L: int, a: Sequence[float], b: Optional[Sequence[float]
     b = None means the smooth (Type-I style) case b == 1.  Desk scale only;
     guarded at 1e9 terms.
     """
-    if M * L > 10 ** 9:
-        raise ValueError(f"refusing {M * L} > 1e9 terms")
+    if M * L > _BILINEAR_GUARD:
+        raise GuardError("bilinear", _BILINEAR_GUARD, f"M * L = {M * L} terms")
     a = np.asarray(a, dtype=float)
     if len(a) != M:
         raise ValueError(f"coefficient vector a must have length M={M}")

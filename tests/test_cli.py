@@ -145,6 +145,33 @@ def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 
 
+def test_resource_guard_has_its_own_exit_code(capsys):
+    # Y^2 pair sums beyond the fast counter's guard; the guard fires before
+    # any allocation
+    code = run(["count", "rs", "--Y", "200000"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "fast guard" in err and "100000" in err
+    # X = (1e30 / 3)^(2/3) lies beyond the sieve's range
+    code = run(["solve", "triple", "--N", "1e30", "--c", "1.5"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "sieve-range guard" in err
+
+
+def test_scan_json_reports_solvability(capsys):
+    code, out = run_cli(capsys, "scan", "--N", "1e5", "--c", "1.5",
+                        "--samples", "50", "--seed", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["zero_fraction"] == 1.0 - sum(payload["solvable"]) / 50
+    assert payload["dyadic_zero_fraction"] == payload["counts"].count(0) / 50
+    # every sampled R has a solution in primes, though 29 of the 50 have
+    # none in the dyadic range
+    assert payload["zero_fraction"] == 0.0
+    assert payload["dyadic_zero_fraction"] == 0.58
+
+
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\nc = 1.5\ngamma = 0.1\nY = 2\n")

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primeineq import reports
 from primeineq.kernel import kernel_from_instance, phi_eval
@@ -13,7 +14,7 @@ from primeineq.solver import (QuadratureError, count_B, exceptional_scan,
                               find_sextuple, find_triple, full_prime_table,
                               instance_for_theorem1, instance_for_theorem2,
                               main_term_H, sextuple_feasible, weighted_B1)
-from primeineq.sums import PrimeTable, ProblemInstance, sieve_primes
+from primeineq.sums import LONG, PrimeTable, ProblemInstance, sieve_primes
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,70 @@ def test_records_validate_cleanly(inst_1e5):
         assert not rec.ambiguous
         assert rec.value == pytest.approx(
             sum(p ** inst_1e5.c for p in rec.primes), rel=1e-12)
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def _check_against_brute_force(inst: ProblemInstance, tbl: PrimeTable, R: float):
+    # long-double deviations (p_i^c + p_j^c) - (R - p_l^c) of every ordered
+    # triple, indexed [i, j, l]: the arithmetic count_B re-tests with
+    P = tbl.powers(inst.c)
+    dev = (P[:, None] + P[None, :])[:, :, None] - (LONG(R) - P)[None, None, :]
+    i, j, l = np.nonzero(np.abs(dev) < LONG(inst.eps))
+    logs = tbl.logs
+    weighted, unweighted, recs = count_B(inst, R, table=tbl, want_records=True)
+    assert unweighted == len(i), R
+    assert weighted == pytest.approx(float(np.sum(logs[i] * logs[j] * logs[l])),
+                                     rel=1e-12)
+    assert sorted(r.primes for r in recs) == sorted(
+        (int(tbl.primes[a]), int(tbl.primes[b]), int(tbl.primes[d]))
+        for a, b, d in zip(i, j, l))
+    p = kernel_from_instance(inst.eps, inst.X)
+    near = np.nonzero(np.abs(dev) < LONG(p.a + p.b))
+    b1 = math.fsum(logs[a] * logs[b] * logs[d] * phi_eval(p, float(dev[a, b, d]))
+                   for a, b, d in zip(*near))
+    assert weighted_B1(inst, R, table=tbl) == pytest.approx(b1, rel=1e-12)
+
+
+# Twelve primes from 60000 up: pair sums near 2.9e7 lie above 2^24, where the
+# float64 half-ulp (1.9e-9) of a window edge exceeds a 1e-9 margin.
+_EDGE_PRIMES = np.array([p for p in range(60000, 60200) if _is_prime(p)][:12])
+_EDGE_TABLE = PrimeTable(60000.0, _EDGE_PRIMES, np.log(_EDGE_PRIMES.astype(float)))
+_EDGE_INST = ProblemInstance(c=1.5, X=60000.0, eps=0.1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(i=st.integers(0, 11), j=st.integers(0, 11), l=st.integers(0, 11),
+       side=st.sampled_from([-1.0, 1.0]), delta=st.floats(0.0, 1e-8))
+def test_count_B_edge_of_window_matches_brute_force(i, j, l, side, delta):
+    # R is a float64 at +-(eps - delta) from a real triple sum, stepped one
+    # float64 ulp at a time until that triple lies inside the window
+    P = _EDGE_TABLE.powers(_EDGE_INST.c)
+    eps = LONG(_EDGE_INST.eps)
+    s = P[i] + P[j] + P[l]
+    R = float(s + LONG(side) * (eps - LONG(delta)))
+    while not abs((P[i] + P[j]) - (LONG(R) - P[l])) < eps:
+        R = float(np.nextafter(R, float(s)))
+    _check_against_brute_force(_EDGE_INST, _EDGE_TABLE, R)
+
+
+def test_count_B_index_follows_the_table_object(inst_1e5):
+    # two tables with the same X but different primes must not share an index
+    full = sieve_primes(inst_1e5.X)
+    half = PrimeTable(full.X, full.primes[::2], full.logs[::2])
+    for R in (1.5e5, 2.1e5):
+        for tbl in (full, half, full):
+            _check_against_brute_force(inst_1e5, tbl, R)
+
+
+def test_numpy_scalar_R_gives_the_same_records(inst_1e5):
+    R = 1.5e5
+    want = count_B(inst_1e5, R, want_records=True)
+    assert want[1] > 0
+    assert count_B(inst_1e5, np.float64(R), want_records=True) == want
+    assert find_triple(inst_1e5, np.float64(R)) == find_triple(inst_1e5, R)
 
 
 def test_B1_bounded_by_sharp_count(inst_1e5):
@@ -189,10 +254,6 @@ def test_full_prime_table():
     assert list(tbl.primes) == [2, 3, 5, 7]
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
-
-
 def _solvable_by_brute_force(N: float, c: float, eps: float, Rs: list) -> list:
     """Whether some triple of primes (any size) satisfies the inequality,
     from float64 sums over all ordered triples; no sum may sit within 1e-9
@@ -257,3 +318,20 @@ def test_scan_zero_fraction_shrinks_with_scale(inst_1e5):
     small = exceptional_scan(inst_1e5, 200, seed=9)
     large = exceptional_scan(instance_for_theorem1(4e5, 1.5), 200, seed=9)
     assert large.zero_fraction <= small.zero_fraction + 0.1
+    assert large.dyadic_zero_fraction <= small.dyadic_zero_fraction + 0.1
+
+
+@pytest.mark.parametrize("N", [1e2, 1e3])
+def test_scan_solvable_matches_brute_force(N):
+    # zero_fraction is the unsolvable share over all primes, as in the
+    # triple-regime report; the dyadic count's zero share is reported apart
+    inst = instance_for_theorem1(N, 1.5)
+    rep = exceptional_scan(inst, 40, seed=5)
+    want = _solvable_by_brute_force(N, inst.c, inst.eps, rep.R_values)
+    assert rep.solvable == want
+    assert 0 < sum(want) < len(want)
+    assert rep.zero_fraction == want.count(False) / 40
+    assert rep.dyadic_zero_fraction == rep.counts.count(0) / 40
+    payload = json.loads(rep.to_json())
+    assert payload["solvable"] == want
+    assert payload["dyadic_zero_fraction"] == rep.dyadic_zero_fraction

@@ -19,12 +19,12 @@ def inst_c1(X, eps=0.4):
 def test_sieve_small():
     t = sieve_primes(10.0)
     assert list(t.primes) == [11, 13, 17, 19]
-    assert sieve_primes(100.0, cache=False).primes.shape == (21,)
+    assert sieve_primes(100.0).primes.shape == (21,)
 
 
 def test_sieve_large_count():
     # pi(2e6) - pi(1e6)
-    assert len(sieve_primes(1e6, verify=False, cache=False)) == 70435
+    assert len(sieve_primes(1e6, verify=False)) == 70435
 
 
 def test_instance_defaults():
