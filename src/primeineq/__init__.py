@@ -12,8 +12,8 @@ from .exppair import (ExponentPair, TRIVIAL_PAIR, a_process, apply_word,
                       search_pairs)
 from .kernel import KernelParams, kernel_from_instance, phi_eval, phi_fourier, \
     phi_fourier_bound
-from .sums import GuardError, ProblemInstance, PrimeTable, integral_I, moment4, \
-    sieve_primes, sum_S, sum_T
+from .sums import ConvergenceError, GuardError, ProblemInstance, PrimeTable, \
+    integral_I, moment4, sieve_primes, sum_S, sum_T
 from .count import CountSpec, CountResult, count_tuples_fast, count_tuples_naive
 from .solver import (ScanReport, SolutionRecord, count_B, exceptional_scan,
                      find_sextuple, find_triple, instance_for_theorem1,

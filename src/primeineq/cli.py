@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a check failed, 2 usage error, 3 a resource guard
-refused the work (the message names the guard and its limit).  Output is JSON
-(schema 1) or CSV with a header row.  A flat ``key = value`` config file can
+refused the work (the message names the guard and its limit), 4 a numerical
+routine did not converge (the message names it and its last error).  Output is
+JSON (schema 1) or CSV with a header row.  A flat ``key = value`` config file can
 supply defaults; explicit flags win.  Rationals are always printed as p/q.
 """
 
@@ -27,7 +28,8 @@ from .kernel import KernelParams, phi_eval, phi_fourier, phi_fourier_bound, \
 from .solver import (SolutionRecord, count_B, exceptional_scan, find_sextuple,
                      instance_config, instance_for_theorem1,
                      instance_for_theorem2, main_term_H, weighted_B1)
-from .sums import GuardError, ProblemInstance, integral_I, moment4, sum_S, sum_T
+from .sums import (ConvergenceError, GuardError, ProblemInstance, integral_I,
+                   moment4, sum_S, sum_T)
 
 import numpy as np
 
@@ -410,6 +412,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except GuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
+    except ConvergenceError as exc:
+        print(f"numerical: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sums import ConvergenceError
+
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -136,7 +138,8 @@ def phi_fourier_quadrature(p: KernelParams, x: float, rel_tol: float = 1e-9) -> 
 
     Adaptive trapezoid with interval doubling on [-(a+b), a+b]; the integrand
     is real and even in y when paired with its mirror, so we integrate
-    2 * phi(y) * cos(2*pi*x*y) over [0, a+b].
+    2 * phi(y) * cos(2*pi*x*y) over [0, a+b].  ConvergenceError after 16
+    doublings without agreement.
     """
     top = p.a + p.b
     n = 256
@@ -146,8 +149,10 @@ def phi_fourier_quadrature(p: KernelParams, x: float, rel_tol: float = 1e-9) -> 
         vals = np.array([phi_eval(p, float(y)) for y in ys])
         integrand = 2.0 * vals * np.cos(2.0 * np.pi * x * ys)
         est = float(np.trapezoid(integrand, ys))
-        if prev is not None and abs(est - prev) <= rel_tol * max(1.0, abs(est)):
-            return est
+        if prev is not None:
+            error = abs(est - prev)
+            if error <= rel_tol * max(1.0, abs(est)):
+                return est
         prev = est
         n *= 2
-    return est
+    raise ConvergenceError("phi_fourier_quadrature", error)

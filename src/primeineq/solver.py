@@ -6,8 +6,10 @@ For k = 3 the weighted counting function is
             of (log p1)(log p2)(log p3),
 
 B1(R) its smoothed companion (kernel weight instead of a sharp window), and
-H(R) the singular-integral prediction int I^k(x) Phi(x) e(-Rx) dx.  For
-k = 6 a meet-in-the-middle search finds explicit sextuples.
+H(R) the singular-integral prediction int I^k(x) Phi(x) e(-Rx) dx, computed
+in physical space as int phi(y - R) g_k(y) dy with g_k the density of
+t_1^c + ... + t_k^c over [X, 2X]^k.  For k = 6 a meet-in-the-middle search
+finds explicit sextuples.
 
 Regime note: triple experiments run at c < 2 (densities are desk-visible
 there), sextuple experiments at 2 < c < 26088036/12301745; for c > 2 prime
@@ -29,15 +31,11 @@ import numpy as np
 
 from ._parallel import det_map
 from .count import sorted_sums, window_hits
-from .kernel import KernelParams, kernel_from_instance, phi_eval, phi_fourier
-from .sums import (_CACHE_SIZE, LONG, GuardError, PrimeTable, ProblemInstance,
-                   integral_I, sieve_primes, sieve_range)
+from .kernel import KernelParams, kernel_from_instance, phi_eval
+from .sums import (_CACHE_SIZE, LONG, ConvergenceError, GuardError, PrimeTable,
+                   ProblemInstance, sieve_primes, sieve_range)
 
 _PAIR_GUARD = 10 ** 8
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the main-term tail criterion cannot be met."""
 
 
 @dataclass(frozen=True)
@@ -167,52 +165,138 @@ def weighted_B1(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = N
     return total
 
 
-def main_term_H(inst: ProblemInstance, R: float, k: Optional[int] = None,
-                tail_fraction: float = 1e-3) -> float:
-    """Singular integral int I^k(x) Phi(x) e(-Rx) dx, truncated adaptively.
+# Gauss-Legendre nodes per panel of g_2, g_3 and g_6 at the first of the two
+# levels main_term_H compares; the second doubles every node count.
+_NODES = 20
+_H_REL_TOL = 1e-10
 
-    The integrand is conjugate-symmetric, so this is 2 Re of the [0, T]
-    integral.  T doubles until the analytic tail bound
-    2a * X^{-k(c-1)} * T^{1-k} / (k-1), from |I| <= 1/(|x| X^{c-1}) and
-    |Phi| <= 2a, is below tail_fraction of the computed value.  The x-grid
-    step resolves the combined oscillation scale 1/(R + k (2X)^c) and is
-    independent of R's exact value, so integral values are shared between
-    nearby experiments.
+
+def _gauss(lo, hi, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre nodes and weights on each panel [lo, hi],
+    along a new trailing axis."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    lo, hi = np.asarray(lo, float)[..., None], np.asarray(hi, float)[..., None]
+    half = 0.5 * (hi - lo)
+    return lo + half * (1.0 + x), half * w
+
+
+class _Densities:
+    """g_k for k = 2, 3, 6, the density of t_1^c + ... + t_k^c over
+    [X, 2X]^k, at distance d from one end of its support [kA, kB]: from kA,
+    or from kB when ``upper``.
+
+    g_1 is f(s) = s^(1/c - 1) / c on [A, B] = [X^c, (2X)^c], the image of dt
+    under s = t^c, and g_k is the k-fold convolution of f.  In d, g_k
+    vanishes outside [0, kD], D = B - A, and is analytic between its kinks
+    at d = iD.  Each convolution is a Gauss-Legendre sum with m nodes per
+    panel, exact limits, and panels split at the kinks of its integrand.
+    Measuring d from the nearer end keeps panel widths exact where g_k is
+    small.
+    """
+
+    def __init__(self, X: float, c: float, m: int, upper: bool):
+        A, B = X ** c, (2 * X) ** c
+        self.end, self.sign = (B, -1.0) if upper else (A, 1.0)
+        self.D, self.c, self.m = B - A, c, m
+        self.alpha = 1.0 / c - 1.0
+
+    def g2(self, v):
+        # f(s) f(s') with s, s' at distances r, v - r from the end is
+        # symmetric about r = v/2 on its range [max(0, v - D), min(D, v)],
+        # so r = v/2 +- t, 0 <= t <= w
+        h = 0.5 * np.asarray(v, float)
+        t, wt = _gauss(0.0, np.clip(np.minimum(self.D - h, h), 0.0, None), self.m)
+        h = h[..., None]
+        end, sign = self.end, self.sign
+        prod = (end + sign * (h - t)) * (end + sign * (h + t))
+        return 2.0 / self.c ** 2 * np.sum(wt * prod ** self.alpha, axis=-1)
+
+    def g3(self, d):
+        # s at distance r from the end, r in [max(0, d - 2D), min(D, d)],
+        # split where g_2's argument d - r crosses its kink D
+        d = np.asarray(d, float)[..., None]
+        lo = np.maximum(0.0, d - 2 * self.D)
+        hi = np.maximum(np.minimum(self.D, d), lo)
+        mid = np.clip(d - self.D, lo, hi)
+        r, wr = _gauss(np.concatenate([lo, mid], -1), np.concatenate([mid, hi], -1),
+                       self.m)
+        f = (self.end + self.sign * r) ** self.alpha / self.c
+        return np.sum(wr * f * self.g2(d[..., None] - r), axis=(-2, -1))
+
+    def g6(self, d: float) -> float:
+        # g_3(r) g_3(d - r) is symmetric about r = d/2 on its range
+        # [max(0, d - 3D), min(3D, d)]; the lower half is split at the kinks
+        # of both factors
+        lo, top = max(0.0, d - 3 * self.D), 0.5 * d
+        if top <= lo:
+            return 0.0
+        kinks = [q for i in range(4) for q in (i * self.D, d - i * self.D)]
+        cuts = sorted({lo, top, *(q for q in kinks if lo < q < top)})
+        r, wr = _gauss(cuts[:-1], cuts[1:], self.m)
+        return 2.0 * float(np.sum(wr * self.g3(r) * self.g3(d - r)))
+
+    def smoothed(self, k: int, p: KernelParams, R: float) -> float:
+        """int phi(t) g_k(R + t) dt over the kernel's support |t| <= a + b;
+        phi is even, so in the offset from either end this is
+        int phi(t) g_k(offset + t) dt.
+
+        The support is split at the kinks of g_k.  On each piece g_k, which
+        varies on the scale X^c against a support of width 2 eps, is replaced
+        by its Legendre interpolant at m/2 Gauss nodes (near the ends of its
+        support g_k behaves like a polynomial of degree k - 1).  The kernel
+        is a polynomial of degree n between the points +-(a - b + 2hj), and
+        the Gauss-Legendre rule on those pieces integrates it against the
+        interpolant exactly.
+        """
+        offset = self.sign * (R - k * self.end)   # R's distance from the end
+        e = p.a + p.b
+        lo, hi = max(-e, -offset), min(e, k * self.D - offset)
+        if hi <= lo:
+            return 0.0
+        inner = [i * self.D - offset for i in range(1, k)]
+        cuts = [lo, *(q for q in inner if lo < q < hi), hi]
+        steps = p.a - p.b + 2.0 * p.h * np.arange(p.n_boxes + 1)
+        phi_knots = np.concatenate([-steps[::-1], steps])
+        m = self.m // 2
+        x, w = np.polynomial.legendre.leggauss(m)
+        scale = np.arange(m) + 0.5
+        total = 0.0
+        for jlo, jhi in zip(cuts, cuts[1:]):
+            mid, half = 0.5 * (jlo + jhi), 0.5 * (jhi - jlo)
+            d = offset + mid + half * x
+            g = self.g3(d) if k == 3 else np.array([self.g6(v) for v in d])
+            coef = scale * (np.polynomial.legendre.legvander(x, m - 1).T @ (w * g))
+            edges = [jlo, *phi_knots[(phi_knots > jlo) & (phi_knots < jhi)], jhi]
+            t, wt = _gauss(edges[:-1], edges[1:], (p.n_boxes + m) // 2 + 1)
+            t, wt = t.ravel(), wt.ravel()
+            phi = np.array([phi_eval(p, float(v)) for v in t])
+            total += float(np.sum(wt * phi
+                                  * np.polynomial.legendre.legval((t - mid) / half, coef)))
+        return total
+
+
+def main_term_H(inst: ProblemInstance, R: float, k: Optional[int] = None) -> float:
+    """Singular integral H(R) = int I^k(x) Phi(x) e(-Rx) dx, in physical space.
+
+    By Plancherel H(R) = int phi(y - R) g_k(y) dy, where g_k is the density
+    of t_1^c + ... + t_k^c over [X, 2X]^k (whose Fourier transform is I^k).
+    g_3 = f * f * f and g_6 = g_3 * g_3 are evaluated by Gauss-Legendre
+    with exact limits, split at every kink, and the kernel's support is
+    split at the kinks of g_k and of phi (see _Densities).  The whole
+    computation is repeated with twice the nodes; ConvergenceError if the
+    two differ by more than 1e-10 relative, else the finer value.
     """
     kk = k if k is not None else inst.k
     if kk not in (3, 6):
         raise ValueError("k must be 3 or 6")
     params = kernel_from_instance(inst.eps, inst.X)
-    X, c = inst.X, inst.c
-    # Near the edge of the sum's support H itself tends to zero, so a purely
-    # relative criterion would never be met; the typical magnitude
-    # eps * X^(k-c) supplies an absolute floor there.
-    scale_floor = 0.1 * inst.eps * X ** (kk - c)
-    n_scale = kk * (2 * X) ** c
-    step = 1.0 / (16.0 * (n_scale + 2.0 * n_scale))  # R <= 2N ~ 2k(2X)^c/2^c
-    T = max(64 * step, 4.0 * X ** (-c))
-
-    def simpson(upper: float) -> float:
-        # Nodes are exact multiples of step so the integral cache is shared
-        # across nearby R and across truncation doublings.
-        n = int(math.ceil(upper / step))
-        n += n % 2  # Simpson needs an even panel count
-        xs = np.arange(n + 1) * step
-        ivals = np.array([integral_I(inst, float(x)) for x in xs])
-        integrand = (ivals ** kk) * phi_fourier(params, xs) * np.exp(-2j * np.pi * R * xs)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return 2.0 * float(np.real(np.sum(w * integrand))) * step / 3.0
-
-    for _ in range(24):
-        value = simpson(T)
-        tail = 2 * params.a * X ** (-kk * (c - 1)) * T ** (1 - kk) / (kk - 1)
-        if tail < tail_fraction * max(abs(value), scale_floor):
-            return value
-        T *= 2.0
-    raise QuadratureError(
-        f"tail criterion unreachable: T={T}, value={value}, tail bound={tail}")
+    upper = 2 * R > kk * (inst.X ** inst.c + (2 * inst.X) ** inst.c)
+    coarse, fine = (_Densities(inst.X, inst.c, m, upper).smoothed(kk, params, R)
+                    for m in (_NODES, 2 * _NODES))
+    error = abs(fine - coarse)
+    if error > _H_REL_TOL * abs(fine):
+        raise ConvergenceError("main_term_H", error / abs(fine) if fine else error)
+    return fine
 
 
 def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float

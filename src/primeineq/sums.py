@@ -41,6 +41,14 @@ class GuardError(ValueError):
         self.guard, self.limit = guard, limit
 
 
+class ConvergenceError(ArithmeticError):
+    """A numerical routine did not converge; names it and its last error."""
+
+    def __init__(self, routine: str, error: float):
+        super().__init__(f"{routine} did not converge (last error {error:.3g})")
+        self.routine, self.error = routine, error
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """One Diophantine experiment: |p_1^c + ... + p_k^c - R| < eps near scale X."""
@@ -192,13 +200,13 @@ def sum_S(inst: ProblemInstance, x: float, table: Optional[PrimeTable] = None) -
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-@functools.lru_cache(maxsize=200_000)
 def integral_I(inst: ProblemInstance, x: float, abs_tol_factor: float = 1e-9) -> complex:
     """I(x) = integral over [X, 2X] of e(t^c x) dt.
 
     Composite 10-point Gauss-Legendre panels, one per local oscillation
     period 1/(c t^{c-1} |x|), accepted by comparison against a doubled panel
-    count (tolerance 1e-9 * X absolute).  Phases are formed in float64 while
+    count (tolerance 1e-9 * X absolute); ConvergenceError after six
+    doublings without agreement.  Phases are formed in float64 while
     the total phase (2X)^c |x| stays below 1e6 (mod-1 reduction then loses
     under 1e-10 absolute) and in long double beyond that.
     """
@@ -228,10 +236,11 @@ def integral_I(inst: ProblemInstance, x: float, abs_tol_factor: float = 1e-9) ->
     tol = abs_tol_factor * X
     for _ in range(6):
         est2 = estimate(2 * panels)
-        if abs(est2 - est) <= tol:
+        error = abs(est2 - est)
+        if error <= tol:
             return est2
         est, panels = est2, 2 * panels
-    return est
+    raise ConvergenceError("integral_I", error)
 
 
 def moment_grid(inst: ProblemInstance, points_per_octave: int = 32) -> np.ndarray:
@@ -256,22 +265,22 @@ def moment4(inst: ProblemInstance, which: str = "S",
     """integral_{-tau}^{tau} |S(x)|^4 dx (or |I|^4), with an error estimate.
 
     The integrand is even (conjugate symmetry), so 2x the [0, tau] integral.
-    The returned error estimate is the change under grid refinement.
+    The returned error estimate is the change under grid refinement.  Each
+    point of the two grids is evaluated once; halving a linspace step is
+    exact, so the coarse grid lies inside the fine one.
     """
     if which not in ("S", "I"):
         raise ValueError("which must be 'S' or 'I'")
-
-    def value(ppo: int) -> float:
-        xs = moment_grid(inst, ppo)
-        if which == "S":
-            tbl = table if table is not None else sieve_primes(inst.X)
-            vals = np.array([abs(sum_S(inst, float(x), tbl)) for x in xs])
-        else:
-            vals = np.array([abs(integral_I(inst, float(x))) for x in xs])
-        return 2.0 * float(np.trapezoid(vals ** 4, xs))
-
-    coarse = value(points_per_octave)
-    fine = value(2 * points_per_octave)
+    grids = [moment_grid(inst, ppo)
+             for ppo in (points_per_octave, 2 * points_per_octave)]
+    xs = np.array(sorted(set(grids[0]).union(grids[1])))
+    if which == "S":
+        tbl = table if table is not None else sieve_primes(inst.X)
+        vals = np.array([abs(sum_S(inst, float(x), tbl)) for x in xs])
+    else:
+        vals = np.array([abs(integral_I(inst, float(x))) for x in xs])
+    coarse, fine = (2.0 * float(np.trapezoid(vals[np.searchsorted(xs, g)] ** 4, g))
+                    for g in grids)
     return fine, abs(fine - coarse)
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from primeineq import solver
 from primeineq.cli import run
 
 
@@ -157,6 +158,15 @@ def test_resource_guard_has_its_own_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "sieve-range guard" in err
+
+
+def test_numerical_failure_has_its_own_exit_code(capsys, monkeypatch):
+    # four and then eight nodes per panel leave the main term unconverged
+    monkeypatch.setattr(solver, "_NODES", 4)
+    code = run(["mainterm", "--N", "1e4", "--c", "1.5", "--R", "1.5e4"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("numerical: main_term_H did not converge")
 
 
 def test_scan_json_reports_solvability(capsys):

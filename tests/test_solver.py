@@ -4,17 +4,19 @@ import json
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeineq import reports
-from primeineq.kernel import kernel_from_instance, phi_eval
-from primeineq.solver import (QuadratureError, count_B, exceptional_scan,
-                              find_sextuple, find_triple, full_prime_table,
+from primeineq import reports, solver
+from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
+from primeineq.solver import (count_B, exceptional_scan, find_sextuple,
+                              find_triple, full_prime_table,
                               instance_for_theorem1, instance_for_theorem2,
                               main_term_H, sextuple_feasible, weighted_B1)
-from primeineq.sums import LONG, PrimeTable, ProblemInstance, sieve_primes
+from primeineq.sums import (LONG, ConvergenceError, PrimeTable, ProblemInstance,
+                            integral_I, sieve_primes)
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +220,107 @@ def test_main_term_k6_floor():
     assert h >= 4e-3 * inst.eps * inst.X ** (6 - inst.c)
 
 
+_I_MEMO: dict = {}
+
+
+def _memo_I(inst: ProblemInstance, x: float) -> complex:
+    if (inst, x) not in _I_MEMO:
+        _I_MEMO[inst, x] = integral_I(inst, x)
+    return _I_MEMO[inst, x]
+
+
+def _fourier_main_term_H(inst: ProblemInstance, R: float, k: int) -> float:
+    """Oracle: the singular integral int I^k(x) Phi(x) e(-Rx) dx in Fourier
+    space, as 2 Re of a Simpson sum over [0, T].  T doubles until the
+    analytic tail bound 2a * X^{-k(c-1)} * T^{1-k} / (k-1), from
+    |I| <= 1/(|x| X^{c-1}) and |Phi| <= 2a, is below 1e-3 of the
+    value (or of the typical magnitude eps * X^(k-c) near the support's
+    edge).  Nodes are multiples of a step fixed by the instance, so the
+    memo of integral_I values is shared across R and doublings."""
+    params = kernel_from_instance(inst.eps, inst.X)
+    X, c = inst.X, inst.c
+    scale_floor = 0.1 * inst.eps * X ** (k - c)
+    n_scale = k * (2 * X) ** c
+    step = 1.0 / (16.0 * (n_scale + 2.0 * n_scale))
+    T = max(64 * step, 4.0 * X ** (-c))
+
+    def simpson(upper: float) -> float:
+        n = int(math.ceil(upper / step))
+        n += n % 2
+        xs = np.arange(n + 1) * step
+        ivals = np.array([_memo_I(inst, float(x)) for x in xs])
+        integrand = (ivals ** k) * phi_fourier(params, xs) * np.exp(-2j * np.pi * R * xs)
+        w = np.ones(n + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return 2.0 * float(np.real(np.sum(w * integrand))) * step / 3.0
+
+    for _ in range(24):
+        value = simpson(T)
+        tail = 2 * params.a * X ** (-k * (c - 1)) * T ** (1 - k) / (k - 1)
+        if tail < 1e-3 * max(abs(value), scale_floor):
+            return value
+        T *= 2.0
+    raise AssertionError("Fourier oracle: tail criterion unreachable")
+
+
+def test_main_term_matches_fourier_oracle_k3():
+    # mid-range R and both sides of the kink 2A + B of g_3, half a kernel
+    # support away, so the support is split there
+    N = 1e4
+    inst = instance_for_theorem1(N, 1.5)
+    p = kernel_from_instance(inst.eps, inst.X)
+    kink = 2 * inst.X ** 1.5 + (2 * inst.X) ** 1.5
+    for R in (1.2 * N, 1.5 * N, 1.9 * N,
+              kink - (p.a + p.b) / 2, kink + (p.a + p.b) / 2):
+        assert main_term_H(inst, R) == pytest.approx(
+            _fourier_main_term_H(inst, R, 3), rel=1e-6), R
+
+
+def test_main_term_matches_fourier_oracle_k6():
+    inst = instance_for_theorem2(1e6, 2.05)
+    assert main_term_H(inst, 1e6) == pytest.approx(
+        _fourier_main_term_H(inst, 1e6, 6), rel=1e-6)
+
+
+def _irwin_hall3(u):
+    """Density of the sum of three uniforms on [0, 1]."""
+    if u <= 0 or u >= 3:
+        return 0
+    if u <= 1:
+        return u ** 2 / 2
+    if u <= 2:
+        return (-2 * u ** 2 + 6 * u - 3) / 2
+    return (3 - u) ** 2 / 2
+
+
+@pytest.mark.parametrize("X", [30.0, 3e6])
+def test_main_term_c1_irwin_hall_closed_form(X):
+    # c = 1: g_3(y) = X^2 IH_3((y - 3X) / X); mpmath integrates
+    # phi(y - R) g_3(y) between every breakpoint of both factors, at both
+    # ends of the support, on both sides of the kink 4X and inside a piece.
+    # At X = 3e6 a float64 ulp of 6X is 1e-7 of the kernel's support.
+    inst = ProblemInstance(c=1.0, X=X, eps=0.3, k=3)
+    p = kernel_from_instance(inst.eps, X)
+    e = p.a + p.b
+    steps = [p.a - p.b + 2 * p.h * j for j in range(p.n_boxes + 1)]
+    for R in (3 * X, 4 * X - e / 2, 4 * X + e / 2, 4.5 * X, 6 * X - e / 2):
+        points = sorted({R + sign * v for v in steps for sign in (-1, 1)}
+                        | {q * X for q in (3, 4, 5, 6) if abs(q * X - R) < e})
+        with mpmath.workdps(30):
+            want = mpmath.quad(lambda y: phi_eval(p, float(y - R))
+                               * X ** 2 * _irwin_hall3((y - 3 * X) / X), points)
+        assert main_term_H(inst, R) == pytest.approx(float(want), rel=1e-9), R
+
+
+def test_main_term_raises_when_levels_disagree(inst_1e5, monkeypatch):
+    # four nodes per panel, then eight: g_2's quadrature has not converged
+    monkeypatch.setattr(solver, "_NODES", 4)
+    with pytest.raises(ConvergenceError, match="main_term_H") as info:
+        main_term_H(inst_1e5, 1.5e5)
+    assert info.value.routine == "main_term_H" and info.value.error > 1e-10
+
+
 def test_sextuple_degenerate_c1():
     inst = instance_for_theorem2(42.0, 1.0)
     assert inst.X == pytest.approx(4.2)
@@ -289,10 +392,8 @@ def test_find_triple_matches_brute_force(N):
 
 
 @pytest.mark.parametrize("N", [1e2, 1e3])
-def test_triple_report_solvable_matches_brute_force(N, monkeypatch):
-    # dyadic count first, find_triple on a miss; the main term plays no part
-    # in solvability, so a constant stands in for its cold quadrature
-    monkeypatch.setattr(reports, "main_term_H", lambda inst, R: 1.0)
+def test_triple_report_solvable_matches_brute_force(N):
+    # dyadic count first, find_triple on a miss
     payload = json.loads(reports.triple_regime_report(N=N, samples=40, seed=5))
     rows = payload["rows"]
     want = _solvable_by_brute_force(N, 1.5, payload["config"]["eps"],

@@ -7,9 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from primeineq.sums import (ProblemInstance, bilinear_sum, integral_I,
-                            moment4, s_minus_i_profile, sieve_primes, sum_S,
-                            sum_T, weyl_differencing_check)
+from primeineq.sums import (ConvergenceError, ProblemInstance, bilinear_sum,
+                            integral_I, moment4, s_minus_i_profile,
+                            sieve_primes, sum_S, sum_T, weyl_differencing_check)
 
 
 def inst_c1(X, eps=0.4):
@@ -101,6 +101,14 @@ def test_integral_closed_form_c1():
         want = (cmath.exp(2j * math.pi * 100 * x) - cmath.exp(2j * math.pi * 50 * x)) \
             / (2j * math.pi * x)
         assert integral_I(inst, x) == pytest.approx(want, abs=1e-10)
+
+
+def test_integral_raises_when_unconverged():
+    # a zero tolerance is never met, so the six doublings run out
+    inst = ProblemInstance(c=1.5, X=100.0, eps=0.1)
+    with pytest.raises(ConvergenceError, match="integral_I") as info:
+        integral_I(inst, 0.01, abs_tol_factor=0.0)
+    assert info.value.routine == "integral_I" and info.value.error > 0
 
 
 def test_integral_first_derivative_bound():
