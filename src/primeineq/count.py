@@ -8,8 +8,12 @@ reported as boundary-ambiguous.  The naive counter enumerates all ordered
 re-tests every candidate with the identical predicate, so the two agree
 exactly, ambiguity flags included.
 
-The sorted-sum index (``sorted_sums``) and the window search over it
-(``window_hits``) are shared with the triple and sextuple solvers.
+The sorted-sum index (``sorted_sums``) also serves the triple solvers'
+pair sums.  The window search over a sorted index (``window_hits``) is
+shared with the triple and sextuple solvers; the sextuple search runs it
+over its own index of unordered triple sums (``solver._mitm_search``),
+widened so that it reaches every ordering of each triple, and re-tests
+each ordering with the exact predicate.
 """
 
 from __future__ import annotations

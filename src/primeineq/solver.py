@@ -299,27 +299,101 @@ def main_term_H(inst: ProblemInstance, R: float, k: Optional[int] = None) -> flo
     return fine
 
 
+# _mitm_search's slack in long-double ulps of max|sum| + eps: an ordering's
+# sum lies within 2 of its triple's canonical sum, and the exact test's own
+# rounding adds 1 to a pair of triples' 4
+_PERM_ULPS = 8
+_PERM_CHUNK = 1 << 14   # candidate pairs of triples expanded at once
+_PERMS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+
+
+def _unordered_triple_sums(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n(n+1)(n+2)/6 sums (P_i + P_j) + P_l over i <= j <= l, formed
+    left to right, ascending, with the int32 flat index i n^2 + j n + l of
+    each (stable order, so ties follow the flat index)."""
+    n = len(powers)
+    i, j = np.triu_indices(n)
+    runs = n - j                      # l = j, ..., n - 1 for the pair (i, j)
+    starts = np.cumsum(runs) - runs
+    flat = (np.arange(int(runs.sum()), dtype=np.int32)
+            + np.repeat(((i * n + j) * n + j - starts).astype(np.int32), runs))
+    sums = np.repeat(powers[i] + powers[j], runs)
+    sums += powers[flat % n]
+    # sorting float64 keys is 2-3x faster than sorting long doubles, and
+    # rounding to float64 is monotone, so only runs of equal keys need
+    # ordering by (sum, flat index)
+    key = sums.astype(float)
+    order = np.argsort(key)
+    key = key[order]
+    tie = np.flatnonzero(key[1:] == key[:-1])
+    if len(tie):
+        pos = np.union1d(tie, tie + 1)
+        sub = order[pos]
+        order[pos] = sub[np.lexsort((flat[sub], sums[sub], key[pos]))]
+    del key   # 29 MiB of process peak at N = 5e6
+    return sums[order], flat[order]
+
+
+def _orderings(flat: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The six orderings (a, b, d) of each triple, along a new trailing
+    axis: their sums (P_a + P_b) + P_d, formed as sorted_sums(powers, 3)
+    forms them, and their flat indices a n^2 + b n + d."""
+    n = len(powers)
+    idx = np.stack(np.unravel_index(flat, (n, n, n)), axis=-1)[:, _PERMS]
+    a, b, d = idx[..., 0], idx[..., 1], idx[..., 2]
+    return (powers[a] + powers[b]) + powers[d], (a * n + b) * n + d
+
+
 def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
                  ) -> Optional[SolutionRecord]:
-    """Meet-in-the-middle over sorted triple sums; first hit in table order.
+    """Meet-in-the-middle over sorted unordered triple sums.
 
-    Triple-sum table is sorted ascending (ties broken by flat index); the
-    smallest position t with a solution in its window wins, then the
-    smallest position u in that window, so the record is deterministic.
+    The record is the one a search over all n^3 ordered triples t, u would
+    pick: sort the ordered sums v by (v, flat index) and take the smallest
+    t that takes part in any solution |v_u + v_t - N| < eps, then the
+    smallest u, with every sum formed left to right.  Only the
+    n(n+1)(n+2)/6 triples i <= j <= l are stored, at their canonical sums
+    (P_i + P_j) + P_l, with one int32 flat index (n^3 <= 1e8 < 2^31).
+    An ordering's sum differs from its canonical one by a few rounding
+    errors, within ``slack``, so a window search of width eps + slack over
+    the canonical sums finds every pair of triples with a solution among
+    their orderings.  Candidates are expanded into their 6 x 6 ordered
+    pairs and re-tested with the exact predicate; unconfirmed candidates
+    are skipped.  Canonical t come in ascending order, so once a solution
+    with ordered sum v_t is confirmed, triples with canonical sum above
+    v_t + slack cannot beat it and the sweep stops.
     """
     n = len(tbl)
     if n ** 3 > _PAIR_GUARD:
         raise GuardError("triple", _PAIR_GUARD, f"{n}^3 triple sums")
-    sums3, order = sorted_sums(tbl.powers(c), 3)
+    powers = tbl.powers(c)
+    sums, flat = _unordered_triple_sums(powers)
+    if len(sums) == 0:
+        return None
     target, eps = LONG(N), LONG(eps_f)
-    for t, u in window_hits(sums3, target - sums3, eps):
-        hit = np.flatnonzero(np.abs(sums3[u] + sums3[t] - target) < eps)
-        if len(hit):
-            t, u = t[hit[0]], u[hit[0]]
-            idx = np.stack(np.unravel_index(order[[t, u]], (n, n, n)), axis=1)
-            primes = tuple(int(p) for p in tbl.primes[idx.ravel()])
-            return _validated_record(primes, float(sums3[t] + sums3[u]), N, eps_f, c)
-    return None
+    slack = _PERM_ULPS * np.finfo(LONG).eps * (max(abs(sums[0]), abs(sums[-1])) + eps)
+    chunks = ((t[lo:lo + _PERM_CHUNK], u[lo:lo + _PERM_CHUNK])
+              for t, u in window_hits(sums, target - sums, eps + slack)
+              for lo in range(0, len(t), _PERM_CHUNK))
+    best = None   # (v_t, flat_t, v_u, flat_u) of the best confirmed solution
+    for t, u in chunks:
+        if best is not None and sums[t[0]] > best[0] + slack:
+            break
+        vt, ft = _orderings(flat[t], powers)
+        vu, fu = _orderings(flat[u], powers)
+        m, p, q = np.nonzero(np.abs(vu[:, None, :] + vt[:, :, None] - target) < eps)
+        if len(m) == 0:
+            continue
+        keys = [vt[m, p], ft[m, p], vu[m, q], fu[m, q]]
+        if best is not None:
+            keys = [np.append(k, b) for k, b in zip(keys, best)]
+        first = np.lexsort(keys[::-1])[0]
+        best = tuple(k[first] for k in keys)
+    if best is None:
+        return None
+    idx = np.unravel_index(np.array([best[1], best[3]]), (n, n, n))
+    primes = tuple(int(p) for p in tbl.primes[np.stack(idx, axis=1).ravel()])
+    return _validated_record(primes, float(best[0] + best[2]), N, eps_f, c)
 
 
 def full_prime_table(N: float, c: float) -> PrimeTable:
@@ -382,6 +456,12 @@ def find_sextuple(inst: ProblemInstance, N: float,
     the inequality is solvable in unrestricted primes (the statement being
     modeled has no range restriction), so with ``widen=True`` a miss falls
     back to the full table of primes with p^c <= N.
+
+    Both searches store the n(n+1)(n+2)/6 unordered prime triples and
+    return the record a search over all ordered triples would: the first
+    triple and then the second in (sum, flat index) order, each sum formed
+    left to right, so a triple need not be in ascending order (see
+    _mitm_search).
     """
     if inst.k != 6:
         raise ValueError("find_sextuple needs a k=6 instance")

@@ -158,6 +158,11 @@ def test_resource_guard_has_its_own_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "sieve-range guard" in err
+    # the dyadic table at N = 1e9 has 618 primes, so 618^3 triple sums
+    code = run(["solve", "sextuple", "--N", "1e9", "--c", "2.05"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "triple guard" in err and "618^3" in err
 
 
 def test_numerical_failure_has_its_own_exit_code(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the triple/sextuple solvers, the main term, and the scan."""
 
+import itertools
 import json
 import math
 import random
@@ -10,13 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from primeineq import reports, solver
+from primeineq.count import sorted_sums, window_hits
 from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
 from primeineq.solver import (count_B, exceptional_scan, find_sextuple,
                               find_triple, full_prime_table,
                               instance_for_theorem1, instance_for_theorem2,
                               main_term_H, sextuple_feasible, weighted_B1)
-from primeineq.sums import (LONG, ConvergenceError, PrimeTable, ProblemInstance,
-                            integral_I, sieve_primes)
+from primeineq.sums import (LONG, ConvergenceError, GuardError, PrimeTable,
+                            ProblemInstance, integral_I, sieve_primes)
 
 
 @pytest.fixture(scope="module")
@@ -341,15 +343,121 @@ def test_sextuple_infeasible_without_widening():
 
 
 def test_sextuple_widens_at_desk_scale():
-    # the dyadic sum set near 1e6 is too sparse; the full-table fallback
-    # finds a deterministic representative
-    inst = instance_for_theorem2(1e6, 2.05)
-    res = find_sextuple(inst, 1e6)
-    assert res.found and res.feasible
-    assert res.range_used == "full"
-    assert res.record.primes == (3, 3, 7, 263, 541, 607)
-    assert res.record.deviation < inst.eps
-    assert not res.record.ambiguous
+    # the dyadic sum set near N is too sparse; the full-table fallback
+    # finds a deterministic representative.  At 2e6 the first triple is
+    # not in ascending order: (3^c + 3^c) + 2^c rounds one long-double ulp
+    # below (2^c + 3^c) + 3^c
+    for N, primes in ((1e6, (3, 3, 7, 263, 541, 607)),
+                      (2e6, (3, 3, 2, 199, 1031, 569)),
+                      (5e6, (2, 3, 5, 23, 1181, 1447))):
+        inst = instance_for_theorem2(N, 2.05)
+        res = find_sextuple(inst, N)
+        assert res.found and res.feasible
+        assert res.range_used == "full"
+        assert res.record.primes == primes, N
+        assert res.record.deviation < inst.eps
+        assert not res.record.ambiguous
+
+
+def _ordered_mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float):
+    """Oracle for solver._mitm_search: the search over all n^3 ordered
+    triple sums, sorted by (sum, flat index); the smallest position t that
+    takes part in a solution wins, then the smallest position u."""
+    n = len(tbl)
+    sums3, order = sorted_sums(tbl.powers(c), 3)
+    target, eps = LONG(N), LONG(eps_f)
+    for t, u in window_hits(sums3, target - sums3, eps):
+        hit = np.flatnonzero(np.abs(sums3[u] + sums3[t] - target) < eps)
+        if len(hit):
+            t, u = t[hit[0]], u[hit[0]]
+            idx = np.stack(np.unravel_index(order[[t, u]], (n, n, n)), axis=1)
+            primes = tuple(int(p) for p in tbl.primes[idx.ravel()])
+            return solver._validated_record(primes, float(sums3[t] + sums3[u]),
+                                            N, eps_f, c)
+    return None
+
+
+def _assert_same_record(tbl: PrimeTable, c: float, N: float, eps: float):
+    want = _ordered_mitm_search(tbl, c, N, eps)
+    got = solver._mitm_search(tbl, c, N, eps)
+    assert (got is None) == (want is None), (c, N, eps)
+    if want is not None:
+        assert (got.primes, got.value, got.ambiguous) == \
+            (want.primes, want.value, want.ambiguous), (c, N, eps)
+    return want
+
+
+@pytest.mark.parametrize("c, lo, hi", [(2.05, 1e4, 4e5), (2.5, 1e4, 2e6),
+                                       (1.5, 1e3, 1.5e4)])
+def test_mitm_search_matches_ordered_oracle(c, lo, hi):
+    # seeded N over all primes with p^c <= N, at eps = 1/log N and smaller
+    # eps, where most N have no solution
+    rng = random.Random(41)
+    records = []
+    for _ in range(24):
+        N = 10 ** rng.uniform(math.log10(lo), math.log10(hi))
+        eps = rng.choice([1.0, 1e-2, 1e-4]) / math.log(N)
+        records.append(_assert_same_record(full_prime_table(N, c), c, N, eps))
+    assert any(r is None for r in records)
+    assert any(r is not None for r in records)
+
+
+def test_mitm_search_keeps_unsorted_record():
+    # the pinned 2e6 record's first triple is not in ascending order
+    inst = instance_for_theorem2(2e6, 2.05)
+    rec = _assert_same_record(full_prime_table(2e6, 2.05), 2.05, 2e6, inst.eps)
+    assert rec.primes[:3] == (3, 3, 2)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 1 << 14])
+@pytest.mark.parametrize("start, count, c, N, eps", [
+    (4_000_000_000, 12, 2.0, 9.6000000224e19, 8192.0),
+    (4_000_000_000, 12, 2.0, 9.600000019999993e19, 1e5),
+    (4_200_000_000, 8, 2.05, 3.2048838649363313e20, 1e5),
+    (3_100_000_000, 7, 1.5, 1035604173860394.5, 1e5),
+])
+def test_mitm_search_near_ties_match_ordered_oracle(monkeypatch, chunk, start,
+                                                    count, c, N, eps):
+    # consecutive integers from 3e9 up: sums round at pair and triple level
+    # and many distinct triples tie or nearly tie, so the record comes from
+    # a later candidate than the first confirmed one, in the last two cases
+    # from a triple whose canonical sum exceeds the first record's ordered
+    # sum; chunk = 1 expands one candidate pair at a time, so the stopping
+    # rule decides
+    monkeypatch.setattr(solver, "_PERM_CHUNK", chunk)
+    primes = np.arange(start, start + count, dtype=np.int64)
+    tbl = PrimeTable(1.0, primes, np.log(primes.astype(float)))
+    assert _assert_same_record(tbl, c, N, eps) is not None
+
+
+@pytest.mark.parametrize("c, dense", [(2.05, False), (2.0, True)])
+def test_unordered_triple_sums_in_stable_long_double_order(c, dense):
+    # dense: squares near 1.6e19, where many sums share a float64 key but
+    # not a long-double value, and distinct triples tie exactly
+    primes = (np.arange(4_000_000_000, 4_000_000_040, dtype=np.int64) if dense
+              else full_prime_table(2e5, c).primes)
+    P = primes.astype(LONG) ** LONG(c)
+    flat, sums = [], []
+    for i, j, l in itertools.combinations_with_replacement(range(len(P)), 3):
+        flat.append((i * len(P) + j) * len(P) + l)
+        sums.append((P[i] + P[j]) + P[l])
+    sums = np.array(sums, dtype=LONG)
+    order = np.argsort(sums, kind="stable")
+    got_sums, got_flat = solver._unordered_triple_sums(P)
+    assert got_flat.dtype == np.int32
+    assert np.array_equal(got_sums, sums[order])
+    assert np.array_equal(got_flat, np.array(flat)[order])
+
+
+def test_mitm_search_triple_guard(monkeypatch):
+    # 465^3 > 1e8 triple sums: refused before the triple sums are built
+    monkeypatch.setattr(solver, "_unordered_triple_sums", None)
+    tbl = full_prime_table(3310.0, 1.0)
+    assert len(tbl) == 465
+    with pytest.raises(GuardError) as info:
+        solver._mitm_search(tbl, 2.05, 1e9, 0.05)
+    assert info.value.guard == "triple"
+    assert info.value.limit == 10 ** 8
 
 
 def test_full_prime_table():
