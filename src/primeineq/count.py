@@ -27,6 +27,7 @@ from .sums import LONG, GuardError
 
 _NAIVE_GUARD = 10 ** 9     # Y^4 at most this many tuples
 _FAST_GUARD = 10 ** 5      # Y at most this (Y^2 pair sums in memory)
+_HARMONIC_GUARD = 10 ** 9  # Y^4 at most this many pair-sum differences
 _HARMONIC_NAIVE_GUARD = 10 ** 8   # Y^4 at most this many Python-level terms
 _BLOCK = 1 << 16           # targets per block of window_hits
 _SLACK_ULPS = 8            # long-double ulps added to every window's reach
@@ -169,10 +170,11 @@ def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
     difference, accumulated per dyadic bucket (2^k/tau, 2^{k+1}/tau].
 
     Returns (total, per-bucket vector).  Exact up to float rounding; the
-    bucket split mirrors the dyadic decomposition used to bound it.
+    bucket split mirrors the dyadic decomposition used to bound it.  The
+    work is the full Y^4 difference matrix, in chunks.
     """
-    if s.Y > _FAST_GUARD:
-        raise GuardError("fast", _FAST_GUARD, f"Y = {s.Y}")
+    if s.Y ** 4 > _HARMONIC_GUARD:
+        raise GuardError("harmonic", _HARMONIC_GUARD, f"Y^4 = {s.Y ** 4} differences")
     if tau <= 0:
         raise ValueError("tau must be positive")
     ps = _pair_sums(s.Y, s.c)

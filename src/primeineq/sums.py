@@ -12,6 +12,11 @@ and window comparisons care about absolute offsets well below 1.  All
 reductions use compensated or pairwise summation in a fixed order, so results
 are identical regardless of how work is distributed.
 
+I(x) is computed in s = t^c, where its amplitude s^(1/c-1)/c has no
+stationary point: by Levin's collocation method (D. Levin, Math. Comp. 38
+(1982) 531-538) where it oscillates, by Gauss-Legendre where it barely does,
+for a whole array of x in one call (see integral_I).
+
 c = 1 is accepted everywhere as a degenerate test mode (closed forms exist
 and make good oracles) even though the estimates themselves exclude integer c.
 """
@@ -196,51 +201,101 @@ def sum_S(inst: ProblemInstance, x: float, table: Optional[PrimeTable] = None) -
     return _phase_sum(table.powers(inst.c), table.logs, x)
 
 
-# 10-point Gauss-Legendre rule on [-1, 1].
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_LEVELS = (32, 48)          # node counts of integral_I's two estimates
+_SOLVE_BYTES = 1 << 21      # collocation matrices per batched solve, in bytes
 
 
-def integral_I(inst: ProblemInstance, x: float, abs_tol_factor: float = 1e-9) -> complex:
-    """I(x) = integral over [X, 2X] of e(t^c x) dt.
+@functools.cache
+def _rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Chebyshev-Lobatto nodes u_j = cos(pi j / (n-1)) on [-1, 1] with their
+    differentiation matrix, and the n-point Gauss-Legendre rule."""
+    j = np.arange(n)
+    u = np.cos(np.pi * j / (n - 1))
+    w = np.where(j % 2 == 0, 1.0, -1.0)
+    w[[0, -1]] *= 2.0
+    # u_i - u_j by the product formula, exact where the nodes cluster
+    diff = 2.0 * np.sin(np.pi * (j[:, None] + j[None, :]) / (2 * (n - 1))) \
+        * np.sin(np.pi * (j[None, :] - j[:, None]) / (2 * (n - 1)))
+    D = np.outer(w, 1.0 / w) / (diff + np.eye(n))
+    D -= np.diag(D.sum(axis=1))
+    return (u, D, *np.polynomial.legendre.leggauss(n))
 
-    Composite 10-point Gauss-Legendre panels, one per local oscillation
-    period 1/(c t^{c-1} |x|), accepted by comparison against a doubled panel
-    count (tolerance 1e-9 * X absolute); ConvergenceError after six
-    doublings without agreement.  Phases are formed in float64 while
-    the total phase (2X)^c |x| stays below 1e6 (mod-1 reduction then loses
-    under 1e-10 absolute) and in long double beyond that.
+
+def _e(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """e(v x) with the phase v x reduced mod 1 in long double."""
+    return np.exp(2j * np.pi * np.mod(values * x, LONG(1)).astype(float))
+
+
+def _integral_s(x: np.ndarray, A, B, c: float, n: int) -> np.ndarray:
+    """One n-node estimate of int_A^B f(s) e(sx) ds, f(s) = s^(1/c-1)/c,
+    at every nonzero x (float64 array)."""
+    u, D, g, w = _rules(n)
+    half, mid = (B - A) / 2, (A + B) / 2
+
+    def f(s: np.ndarray) -> np.ndarray:
+        return s ** (1.0 / c - 1.0) / c
+
+    xl = x.astype(LONG)
+    out = np.empty(len(x), dtype=complex)
+
+    # Levin: p' + 2 pi i x p = f at the Chebyshev nodes (so in u:
+    # (D + i kappa) p = half * f with kappa = 2 pi x half); then
+    # I = p(B) e(Bx) - p(A) e(Ax).  D is nilpotent, so every kappa != 0
+    # gives a nonsingular system.
+    kappa = 2.0 * np.pi * x * float(half)
+    levin = np.abs(kappa) >= n / 4       # 2 pi |x| (B - A) >= n / 2
+    idx = np.nonzero(levin)[0]
+    rhs = (float(half) * f((mid + half * u.astype(LONG)).astype(float)))[:, None]
+    step = max(1, _SOLVE_BYTES // (16 * n * n))
+    for lo in range(0, len(idx), step):
+        k = idx[lo:lo + step]
+        M = np.empty((len(k), n, n), dtype=complex)
+        M[:] = D
+        M.reshape(len(k), n * n)[:, ::n + 1] += 1j * kappa[k, None]
+        p = np.linalg.solve(M, rhs)[..., 0]
+        out[k] = p[:, 0] * _e(B, xl[k]) - p[:, -1] * _e(A, xl[k])
+
+    # small |x|: plain Gauss-Legendre in s, summed node by node in a fixed
+    # order so that a value does not depend on the batch it came in
+    idx = np.nonzero(~levin)[0]
+    s = mid + half * g.astype(LONG)
+    amp = float(half) * w * f(s.astype(float))
+    total = np.zeros(len(idx), dtype=complex)
+    for sj, aj in zip(s, amp):
+        total += aj * _e(sj, xl[idx])
+    out[idx] = total
+    return out
+
+
+def integral_I(inst: ProblemInstance, x: float | np.ndarray,
+               abs_tol_factor: float = 1e-9) -> complex | np.ndarray:
+    """I(x) = integral over [X, 2X] of e(t^c x) dt, at a scalar x (complex)
+    or at every entry of an array of x (complex array of the same shape).
+
+    In s = t^c, I(x) = int_A^B f(s) e(sx) ds with A = X^c, B = (2X)^c and
+    the smooth amplitude f(s) = s^(1/c-1)/c.  Where 2 pi |x| (B - A) >= n/2,
+    Levin's collocation method on n Chebyshev-Lobatto nodes solves
+    p' + 2 pi i x p = f and takes p(B) e(Bx) - p(A) e(Ax); below that, plain
+    n-point Gauss-Legendre in s.  Phases are reduced mod 1 in long double.
+    Each x is computed with n = 32 and n = 48 nodes; ConvergenceError if
+    the two differ anywhere by more than abs_tol_factor * X, else the
+    48-node values.  x = 0 gives exactly X.  A value is bitwise the same
+    whichever batch of x it is computed in.
     """
     X, c = inst.X, inst.c
-    if x == 0.0:
-        return complex(X, 0.0)
-    # Shortest period occurs at t = 2X for c > 1.
-    freq = abs(x) * c * (2 * X) ** (c - 1)
-    panels = int(math.ceil(freq * X)) + 4
-    fast = (2 * X) ** c * abs(x) < 1e6
-
-    def estimate(num: int) -> complex:
-        edges = np.linspace(X, 2 * X, num + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        # t-nodes as a (panels, 10) matrix, phases reduced mod 1
-        if fast:
-            t = mid[:, None] + half * _GL_NODES[None, :]
-            phase = np.mod(t ** c * x, 1.0)
-        else:
-            t = mid.astype(LONG)[:, None] + LONG(half) * _GL_NODES[None, :].astype(LONG)
-            phase = np.mod(t ** LONG(c) * LONG(x), LONG(1)).astype(float)
-        vals = np.exp(2j * np.pi * phase)
-        return complex(half * np.sum(vals @ _GL_WEIGHTS))
-
-    est = estimate(panels)
-    tol = abs_tol_factor * X
-    for _ in range(6):
-        est2 = estimate(2 * panels)
-        error = abs(est2 - est)
-        if error <= tol:
-            return est2
-        est, panels = est2, 2 * panels
-    raise ConvergenceError("integral_I", error)
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x must be finite")
+    flat = xs.reshape(-1)
+    nonzero = flat != 0.0
+    A, B = LONG(X) ** LONG(c), LONG(2 * X) ** LONG(c)
+    coarse, fine = (_integral_s(flat[nonzero], A, B, c, n) for n in _LEVELS)
+    error = float(np.max(np.abs(fine - coarse), initial=0.0))
+    if error > abs_tol_factor * X:
+        raise ConvergenceError("integral_I", error)
+    out = np.full(len(flat), complex(X, 0.0))
+    out[nonzero] = fine
+    return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def moment_grid(inst: ProblemInstance, points_per_octave: int = 32) -> np.ndarray:
@@ -276,26 +331,13 @@ def moment4(inst: ProblemInstance, which: str = "S",
     xs = np.array(sorted(set(grids[0]).union(grids[1])))
     if which == "S":
         tbl = table if table is not None else sieve_primes(inst.X)
-        vals = np.array([abs(sum_S(inst, float(x), tbl)) for x in xs])
+        powers = tbl.powers(inst.c)
+        vals = np.array([abs(_phase_sum(powers, tbl.logs, float(x))) for x in xs])
     else:
-        vals = np.array([abs(integral_I(inst, float(x))) for x in xs])
+        vals = np.abs(integral_I(inst, xs))
     coarse, fine = (2.0 * float(np.trapezoid(vals[np.searchsorted(xs, g)] ** 4, g))
                     for g in grids)
     return fine, abs(fine - coarse)
-
-
-def s_minus_i_profile(inst: ProblemInstance, xs: Sequence[float],
-                      table: Optional[PrimeTable] = None
-                      ) -> tuple[list[tuple[float, float]], float]:
-    """Pointwise |S(x) - I(x)| at the given x in [-tau, tau], plus the max."""
-    rows: list[tuple[float, float]] = []
-    tbl = table if table is not None else sieve_primes(inst.X)
-    for x in xs:
-        if abs(x) > inst.tau * (1 + 1e-12):
-            raise ValueError(f"|x| = {abs(x)} exceeds tau = {inst.tau}")
-        d = abs(sum_S(inst, float(x), tbl) - integral_I(inst, float(x)))
-        rows.append((float(x), d))
-    return rows, max((d for _, d in rows), default=0.0)
 
 
 def weyl_differencing_check(z: Sequence[complex], Q: int) -> tuple[float, float]:

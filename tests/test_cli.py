@@ -153,6 +153,11 @@ def test_resource_guard_has_its_own_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "fast guard" in err and "100000" in err
+    # the harmonic sum does Y^4 work: 1024^4 differences
+    code = run(["count", "V", "--Y", "1024", "--tau", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "harmonic guard" in err and "1099511627776" in err
     # X = (1e30 / 3)^(2/3) lies beyond the sieve's range
     code = run(["solve", "triple", "--N", "1e30", "--c", "1.5"])
     err = capsys.readouterr().err

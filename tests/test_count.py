@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from primeineq.count import (CountSpec, count_U, count_tuples_fast,
                              count_tuples_naive, harmonic_V, harmonic_V_naive,
                              rs_scaling_report)
+from primeineq.sums import GuardError
 
 
 def test_anchor_instance():
@@ -52,6 +53,12 @@ def test_guards():
         count_tuples_naive(CountSpec(500, 1.5, 0.1))
     with pytest.raises(ValueError):
         count_tuples_fast(CountSpec(2 * 10 ** 5, 1.5, 0.1))
+    # harmonic_V does Y^4 work, so Y = 178 is refused, well inside the fast
+    # counter's Y guard, and Y = 177 is not
+    with pytest.raises(GuardError, match="harmonic guard"):
+        harmonic_V(CountSpec(178, 1.5, 0.1), 10.0)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        harmonic_V(CountSpec(177, 1.5, 0.1), 0.0)
 
 
 def test_scaling_report_shape():

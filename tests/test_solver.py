@@ -222,46 +222,37 @@ def test_main_term_k6_floor():
     assert h >= 4e-3 * inst.eps * inst.X ** (6 - inst.c)
 
 
-_I_MEMO: dict = {}
-
-
-def _memo_I(inst: ProblemInstance, x: float) -> complex:
-    if (inst, x) not in _I_MEMO:
-        _I_MEMO[inst, x] = integral_I(inst, x)
-    return _I_MEMO[inst, x]
-
-
-def _fourier_main_term_H(inst: ProblemInstance, R: float, k: int) -> float:
-    """Oracle: the singular integral int I^k(x) Phi(x) e(-Rx) dx in Fourier
-    space, as 2 Re of a Simpson sum over [0, T].  T doubles until the
-    analytic tail bound 2a * X^{-k(c-1)} * T^{1-k} / (k-1), from
-    |I| <= 1/(|x| X^{c-1}) and |Phi| <= 2a, is below 1e-3 of the
+def _fourier_main_term_H(inst: ProblemInstance, Rs: list[float], k: int) -> np.ndarray:
+    """Oracle: the singular integral int I^k(x) Phi(x) e(-Rx) dx at each R in
+    Fourier space, as 2 Re of a Simpson sum over [0, T].  T doubles until,
+    at every R, the analytic tail bound 2a * X^{-k(c-1)} * T^{1-k} / (k-1),
+    from |I| <= 1/(|x| X^{c-1}) and |Phi| <= 2a, is below 1e-3 of the
     value (or of the typical magnitude eps * X^(k-c) near the support's
-    edge).  Nodes are multiples of a step fixed by the instance, so the
-    memo of integral_I values is shared across R and doublings."""
+    edge).  Nodes are multiples of a step fixed by the instance, so each
+    doubling keeps the I values of the last level and evaluates I at its
+    new nodes in one array call."""
     params = kernel_from_instance(inst.eps, inst.X)
     X, c = inst.X, inst.c
     scale_floor = 0.1 * inst.eps * X ** (k - c)
     n_scale = k * (2 * X) ** c
     step = 1.0 / (16.0 * (n_scale + 2.0 * n_scale))
     T = max(64 * step, 4.0 * X ** (-c))
+    ivals = np.zeros(0, dtype=complex)
 
-    def simpson(upper: float) -> float:
-        n = int(math.ceil(upper / step))
+    for _ in range(24):
+        n = int(math.ceil(T / step))
         n += n % 2
+        ivals = np.concatenate([ivals, integral_I(inst, np.arange(len(ivals), n + 1) * step)])
         xs = np.arange(n + 1) * step
-        ivals = np.array([_memo_I(inst, float(x)) for x in xs])
-        integrand = (ivals ** k) * phi_fourier(params, xs) * np.exp(-2j * np.pi * R * xs)
         w = np.ones(n + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        return 2.0 * float(np.real(np.sum(w * integrand))) * step / 3.0
-
-    for _ in range(24):
-        value = simpson(T)
+        weighted = w * (ivals ** k) * phi_fourier(params, xs)
+        values = np.array([2.0 * float(np.real(np.sum(weighted * np.exp(-2j * np.pi * R * xs))))
+                           * step / 3.0 for R in Rs])
         tail = 2 * params.a * X ** (-k * (c - 1)) * T ** (1 - k) / (k - 1)
-        if tail < 1e-3 * max(abs(value), scale_floor):
-            return value
+        if np.all(tail < 1e-3 * np.maximum(np.abs(values), scale_floor)):
+            return values
         T *= 2.0
     raise AssertionError("Fourier oracle: tail criterion unreachable")
 
@@ -273,16 +264,15 @@ def test_main_term_matches_fourier_oracle_k3():
     inst = instance_for_theorem1(N, 1.5)
     p = kernel_from_instance(inst.eps, inst.X)
     kink = 2 * inst.X ** 1.5 + (2 * inst.X) ** 1.5
-    for R in (1.2 * N, 1.5 * N, 1.9 * N,
-              kink - (p.a + p.b) / 2, kink + (p.a + p.b) / 2):
-        assert main_term_H(inst, R) == pytest.approx(
-            _fourier_main_term_H(inst, R, 3), rel=1e-6), R
+    Rs = [1.2 * N, 1.5 * N, 1.9 * N, kink - (p.a + p.b) / 2, kink + (p.a + p.b) / 2]
+    for R, want in zip(Rs, _fourier_main_term_H(inst, Rs, 3)):
+        assert main_term_H(inst, R) == pytest.approx(want, rel=1e-6), R
 
 
 def test_main_term_matches_fourier_oracle_k6():
     inst = instance_for_theorem2(1e6, 2.05)
     assert main_term_H(inst, 1e6) == pytest.approx(
-        _fourier_main_term_H(inst, 1e6, 6), rel=1e-6)
+        _fourier_main_term_H(inst, [1e6], 6)[0], rel=1e-6)
 
 
 def _irwin_hall3(u):

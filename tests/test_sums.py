@@ -1,14 +1,16 @@
 """Tests for exponential sums, the comparison integral, and moments."""
 
 import cmath
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from primeineq.sums import (ConvergenceError, ProblemInstance, bilinear_sum,
-                            integral_I, moment4, s_minus_i_profile,
+from primeineq import reports
+from primeineq.sums import (LONG, ConvergenceError, ProblemInstance,
+                            bilinear_sum, integral_I, moment4, moment_grid,
                             sieve_primes, sum_S, sum_T, weyl_differencing_check)
 
 
@@ -93,6 +95,9 @@ def test_conjugate_symmetry():
 def test_integral_at_zero_is_length():
     inst = ProblemInstance(c=2.05, X=777.0, eps=0.1)
     assert integral_I(inst, 0.0) == complex(777.0, 0.0)
+    assert integral_I(inst, np.array([1e-6, 0.0]))[1] == complex(777.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        integral_I(inst, np.array([1e-6, math.nan]))
 
 
 def test_integral_closed_form_c1():
@@ -104,7 +109,8 @@ def test_integral_closed_form_c1():
 
 
 def test_integral_raises_when_unconverged():
-    # a zero tolerance is never met, so the six doublings run out
+    # a zero tolerance is never met: the 32- and 48-node estimates differ
+    # at least by rounding
     inst = ProblemInstance(c=1.5, X=100.0, eps=0.1)
     with pytest.raises(ConvergenceError, match="integral_I") as info:
         integral_I(inst, 0.01, abs_tol_factor=0.0)
@@ -127,6 +133,84 @@ def test_integral_against_mpmath():
     assert abs(got - complex(want)) < 1e-6 * 256
 
 
+def _panel_integral_I(inst, x, abs_tol_factor=1e-9):
+    """Oracle: I(x) by composite 10-point Gauss-Legendre panels in t, one per
+    local oscillation period, doubled until two estimates agree within
+    abs_tol_factor * X (the method integral_I used before Levin)."""
+    X, c = inst.X, inst.c
+    if x == 0.0:
+        return complex(X, 0.0)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(10)
+    panels = int(math.ceil(abs(x) * c * (2 * X) ** (c - 1) * X)) + 4
+    fast = (2 * X) ** c * abs(x) < 1e6
+
+    def estimate(num):
+        edges = np.linspace(X, 2 * X, num + 1)
+        half = 0.5 * (edges[1] - edges[0])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        if fast:
+            t = mid[:, None] + half * gl_nodes[None, :]
+            phase = np.mod(t ** c * x, 1.0)
+        else:
+            t = mid.astype(LONG)[:, None] + LONG(half) * gl_nodes[None, :].astype(LONG)
+            phase = np.mod(t ** LONG(c) * LONG(x), LONG(1)).astype(float)
+        return complex(half * np.sum(np.exp(2j * np.pi * phase) @ gl_weights))
+
+    est = estimate(panels)
+    for _ in range(6):
+        est2 = estimate(2 * panels)
+        if abs(est2 - est) <= abs_tol_factor * X:
+            return est2
+        est, panels = est2, 2 * panels
+    raise AssertionError("panel oracle did not converge")
+
+
+@pytest.mark.parametrize("X,c", [(256.0, 2.05), (512.0, 2.05), (1024.0, 2.05),
+                                 (4096.0, 2.05), (1000.0, 1.5)])
+def test_integral_matches_panel_oracle_on_moment_grids(X, c):
+    # the fine moment grid on [0, tau], tau itself included, and random x in
+    # [-tau, tau]; mpmath at 64 panels is itself off by 3e-3 * X at x = tau,
+    # X = 4096, so the panel method is the oracle here
+    inst = ProblemInstance(c=c, X=X, eps=0.1)
+    rng = np.random.default_rng(int(X))
+    xs = np.concatenate([moment_grid(inst, 64), rng.uniform(-inst.tau, inst.tau, 20)])
+    want = np.array([_panel_integral_I(inst, float(x)) for x in xs])
+    assert np.max(np.abs(integral_I(inst, xs) - want)) <= 1e-12 * X
+
+
+def test_integral_is_independent_of_the_batch():
+    inst = ProblemInstance(c=2.05, X=1024.0, eps=0.1)
+    grid = moment_grid(inst, 16)
+    xs = np.concatenate([grid, -grid[1:]])
+    full = integral_I(inst, xs)
+    assert full.dtype == complex and full.shape == xs.shape
+    single = [integral_I(inst, float(x)) for x in xs]
+    assert all(type(v) is complex for v in single)
+    assert np.array_equal(full, np.array(single))
+    perm = np.random.default_rng(5).permutation(len(xs))
+    assert np.array_equal(integral_I(inst, xs[perm]), full[perm])
+    assert np.array_equal(integral_I(inst, xs[3:40:2]), full[3:40:2])
+    assert np.array_equal(integral_I(inst, xs.reshape(-1, 1))[:, 0], full)
+
+
+@pytest.mark.parametrize("X,c", [(256.0, 2.05), (1000.0, 1.5)])
+def test_integral_against_mpmath_at_the_levin_switch(X, c):
+    # the Levin / Gauss-Legendre switch 2 pi |x| (B - A) = n / 2, for both
+    # node counts, approached from either side
+    inst = ProblemInstance(c=c, X=X, eps=0.1)
+    span = (2 * X) ** c - X ** c
+    xs = [n / (4 * math.pi * span) * (1 + side * 1e-9)
+          for n in (32, 48) for side in (-1, 1)]
+    got = integral_I(inst, np.array(xs))
+    with mpmath.workdps(30):
+        cc = mpmath.mpf(repr(c))
+        for x, value in zip(xs, got):
+            xm = mpmath.mpf(repr(x))
+            want = mpmath.quad(lambda t: mpmath.expjpi(2 * t ** cc * xm),
+                               mpmath.linspace(X, 2 * X, 9))
+            assert abs(value - complex(want)) <= 1e-13 * X, x
+
+
 def test_moment4_trivial_upper():
     inst = ProblemInstance(c=2.05, X=256.0, eps=0.1)
     m, err = moment4(inst, "S")
@@ -139,15 +223,16 @@ def test_moment4_trivial_upper():
 
 
 def test_s_minus_i_profile():
+    # the S-vs-I report's pointwise |S(x) - I(x)|: |sum log p - X| at x = 0,
+    # and even in x
     inst = ProblemInstance(c=2.05, X=4096.0, eps=0.1)
     table = sieve_primes(4096.0)
-    rows, worst = s_minus_i_profile(inst, [0.0, inst.tau / 3, -inst.tau / 3])
-    at0 = abs(float(np.sum(table.logs)) - 4096.0)
-    assert rows[0][1] == pytest.approx(at0, rel=1e-9)
-    assert rows[1][1] == pytest.approx(rows[2][1], abs=1e-6)
-    assert worst == max(d for _, d in rows)
-    with pytest.raises(ValueError):
-        s_minus_i_profile(inst, [2 * inst.tau])
+    at0, plus, minus = (reports._s_minus_i(x, inst)["abs_S_minus_I"]
+                        for x in (0.0, inst.tau / 3, -inst.tau / 3))
+    assert at0 == pytest.approx(abs(float(np.sum(table.logs)) - 4096.0), rel=1e-9)
+    assert plus == pytest.approx(minus, abs=1e-6)
+    rep = json.loads(reports.s_vs_i_report(X=512.0, points=3))
+    assert rep["max_abs"] == max(r["abs_S_minus_I"] for r in rep["rows"])
 
 
 def test_weyl_constant_sequence():
