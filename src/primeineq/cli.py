@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-import time
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional
 
@@ -25,9 +25,10 @@ from . import reports
 from .exppair import apply_word, search_pairs
 from .kernel import KernelParams, phi_eval, phi_fourier, phi_fourier_bound, \
     phi_fourier_quadrature
-from .solver import (SolutionRecord, count_B, exceptional_scan, find_sextuple,
-                     instance_config, instance_for_theorem1,
-                     instance_for_theorem2, main_term_H, weighted_B1)
+from .reports import render_report
+from .solver import (count_B, exceptional_scan, find_sextuple, instance_config,
+                     instance_for_theorem1, instance_for_theorem2, main_term_H,
+                     weighted_B1)
 from .sums import (ConvergenceError, GuardError, ProblemInstance, integral_I,
                    moment4, sum_S, sum_T)
 
@@ -85,15 +86,6 @@ def _csv(rows: list[dict], fields: list[str]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _json(payload: dict) -> str:
-    return json.dumps({"schema": 1, **payload}, indent=2, sort_keys=True)
-
-
-def _record_dict(rec: SolutionRecord) -> dict:
-    return {"primes": list(rec.primes), "value": rec.value,
-            "deviation": rec.deviation, "ambiguous": rec.ambiguous}
-
-
 # --------------------------------------------------------------- commands
 
 def _cmd_pairs(args, cfg, out) -> int:
@@ -113,13 +105,13 @@ def _cmd_pairs(args, cfg, out) -> int:
         "minor": lambda p: float(p.kappa) * c + float(p.lam - p.kappa),
     }
     pair, word = search_pairs(objectives[name], depth)
-    _emit(_json({
+    _emit(render_report({
         "config": {"objective": name, "c": c, "depth": depth},
         "word": word,
         "kappa": _frac(pair.kappa),
         "lambda": _frac(pair.lam),
         "objective_value": objectives[name](pair),
-    }), out)
+    }, indent=2), out)
     return 0
 
 
@@ -141,7 +133,7 @@ def _cmd_ledger(args, cfg, out) -> int:
     else:
         raise UsageError(f"unknown ledger check {args.action!r}; "
                          f"choose from all, {', '.join(_LEDGER_CHECKS)}")
-    _emit("\n".join(r.to_json(indent=2) for r in reps), out)
+    _emit("\n".join(render_report(r.payload, indent=2) for r in reps), out)
     return 0 if all(r.all_pass for r in reps) else 1
 
 
@@ -180,10 +172,10 @@ def _cmd_kernel(args, cfg, out) -> int:
         closed = phi_fourier(p, x)
         quad_rel = max(quad_rel, abs(direct - closed) / max(1e-30, abs(closed)))
     ok = worst <= 1e-12 and quad_rel <= 1e-6
-    _emit(_json({"config": {"a": p.a, "b": p.b, "r": p.r,
-                            "strict_smooth": p.strict_smooth},
-                 "bound_excess": worst, "quadrature_rel_err": quad_rel,
-                 "pass": ok}), out)
+    _emit(render_report({"config": {"a": p.a, "b": p.b, "r": p.r,
+                                    "strict_smooth": p.strict_smooth},
+                         "bound_excess": worst, "quadrature_rel_err": quad_rel,
+                         "pass": ok}, indent=2), out)
     return 0 if ok else 1
 
 
@@ -204,16 +196,17 @@ def _cmd_sums(args, cfg, out) -> int:
         if x is None:
             raise UsageError("sums eval requires --x")
         t, s, i = sum_T(inst, x), sum_S(inst, x), integral_I(inst, x)
-        _emit(_json({"config": instance_config(inst), "x": x,
-                     "T": [t.real, t.imag], "S": [s.real, s.imag],
-                     "I": [i.real, i.imag],
-                     "abs": {"T": abs(t), "S": abs(s), "I": abs(i)}}), out)
+        _emit(render_report({"config": instance_config(inst), "x": x,
+                             "T": [t.real, t.imag], "S": [s.real, s.imag],
+                             "I": [i.real, i.imag],
+                             "abs": {"T": abs(t), "S": abs(s), "I": abs(i)}},
+                            indent=2), out)
         return 0
     if args.action == "moment":
         which = args.which or "S"
         value, err = moment4(inst, which)
-        _emit(_json({"config": instance_config(inst), "which": which,
-                     "moment4": value, "refine_err": err}), out)
+        _emit(render_report({"config": instance_config(inst), "which": which,
+                             "moment4": value, "refine_err": err}, indent=2), out)
         return 0
     # profile
     text = reports.s_vs_i_report(
@@ -232,17 +225,17 @@ def _cmd_count(args, cfg, out) -> int:
         Y = _resolve(args, cfg, "Y", int)
         if Y is None:
             raise UsageError("count rs requires --Y")
-        t0 = time.perf_counter()
         res = count_mod.count_tuples_fast(count_mod.CountSpec(Y, c, gamma))
-        _emit(_json({"config": {"Y": Y, "c": c, "gamma": gamma},
-                     "count": res.count, "ambiguous": res.ambiguous,
-                     "elapsed": time.perf_counter() - t0}), out)
+        _emit(render_report({"config": {"Y": Y, "c": c, "gamma": gamma},
+                             "count": res.count, "ambiguous": res.ambiguous},
+                            indent=2), out)
         return 0
     if args.action == "ladder":
         Ys = [int(y) for y in (args.Ys or "64,128,256,512,1024").split(",")]
-        rep = count_mod.rs_scaling_report(c, gamma, Ys)
+        rep = reports.rs_scaling_report(c, gamma, Ys)
         if (args.format or "csv") == "json":
-            _emit(_json({"config": {"c": c, "gamma": gamma, "Ys": Ys}, **rep}), out)
+            _emit(render_report({"config": {"c": c, "gamma": gamma, "Ys": Ys},
+                                 **rep}, indent=2), out)
         else:
             rows = [{"Y": Y, "count": n, "slope": rep["slope"],
                      "reference_slope": rep["reference_slope"]}
@@ -255,8 +248,8 @@ def _cmd_count(args, cfg, out) -> int:
     if Y is None or tau is None:
         raise UsageError("count V requires --Y and --tau")
     total, buckets = count_mod.harmonic_V(count_mod.CountSpec(Y, c, gamma), tau)
-    _emit(_json({"config": {"Y": Y, "c": c, "tau": tau},
-                 "total": total, "buckets": list(buckets)}), out)
+    _emit(render_report({"config": {"Y": Y, "c": c, "tau": tau},
+                         "total": total, "buckets": list(buckets)}, indent=2), out)
     return 0
 
 
@@ -273,16 +266,16 @@ def _cmd_solve(args, cfg, out) -> int:
         payload = {"config": {**instance_config(inst), "N": N},
                    "R": R, "count": unweighted, "weighted": weighted,
                    "B1": weighted_B1(inst, R), "H": main_term_H(inst, R),
-                   "records": [_record_dict(r) for r in (recs or [])]}
-        _emit(_json(payload), out)
+                   "records": [asdict(r) for r in (recs or [])]}
+        _emit(render_report(payload, indent=2), out)
         return 0
     inst = instance_for_theorem2(N, c, eps)
     res = find_sextuple(inst, N)
     payload = {"config": {**instance_config(inst), "N": N},
                "found": res.found, "feasible": res.feasible,
                "range_used": res.range_used,
-               "records": [] if res.record is None else [_record_dict(res.record)]}
-    _emit(_json(payload), out)
+               "records": [] if res.record is None else [asdict(res.record)]}
+    _emit(render_report(payload, indent=2), out)
     return 0 if res.found else 1
 
 
@@ -296,10 +289,10 @@ def _cmd_scan(args, cfg, out) -> int:
         seed=_resolve(args, cfg, "seed", int, 0),
         workers=_resolve(args, cfg, "workers", int, 1))
     if (args.format or "json") == "csv":
-        rows = [{"R": R, "count": n} for R, n in zip(rep.R_values, rep.counts)]
+        rows = [{"R": R, "count": n} for R, n in zip(rep["R_values"], rep["counts"])]
         _emit(_csv(rows, ["R", "count"]), out)
     else:
-        _emit(rep.to_json(indent=2), out)
+        _emit(render_report(rep, indent=2), out)
     return 0
 
 
@@ -315,8 +308,8 @@ def _cmd_mainterm(args, cfg, out) -> int:
         inst = instance_for_theorem2(N, c, _resolve(args, cfg, "eps", float))
     R = _resolve(args, cfg, "R", float, N)
     h = main_term_H(inst, R, k)
-    _emit(_json({"config": {**instance_config(inst), "N": N, "k": k},
-                 "R": R, "H": h}), out)
+    _emit(render_report({"config": {**instance_config(inst), "N": N, "k": k},
+                         "R": R, "H": h}, indent=2), out)
     return 0
 
 
@@ -422,3 +415,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -6,7 +6,8 @@ formed in extended precision and tested with the strict predicate
 reported as boundary-ambiguous.  The naive counter enumerates all ordered
 4-tuples; the fast counter sorts the Y^2 pair sums and sweeps windows, but
 re-tests every candidate with the identical predicate, so the two agree
-exactly, ambiguity flags included.
+exactly, ambiguity flags included.  The Y-ladder slope reports built on
+these counts live in ``reports``.
 
 The sorted-sum index (``sorted_sums``) also serves the triple solvers'
 pair sums.  The window search over a sorted index (``window_hits``) is
@@ -26,7 +27,7 @@ import numpy as np
 from .sums import LONG, GuardError
 
 _NAIVE_GUARD = 10 ** 9     # Y^4 at most this many tuples
-_FAST_GUARD = 10 ** 5      # Y at most this (Y^2 pair sums in memory)
+_FAST_GUARD = 10 ** 8      # Y^2 at most this many pair sums in memory
 _HARMONIC_GUARD = 10 ** 9  # Y^4 at most this many pair-sum differences
 _HARMONIC_NAIVE_GUARD = 10 ** 8   # Y^4 at most this many Python-level terms
 _BLOCK = 1 << 16           # targets per block of window_hits
@@ -121,8 +122,8 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     the ambiguity band; candidates are then re-tested with the exact
     comparison the naive counter uses, so results match it tuple-for-tuple.
     """
-    if s.Y > _FAST_GUARD:
-        raise GuardError("fast", _FAST_GUARD, f"Y = {s.Y}")
+    if s.Y ** 2 > _FAST_GUARD:
+        raise GuardError("fast", _FAST_GUARD, f"Y^2 = {s.Y ** 2} pair sums")
     ps = _pair_sums(s.Y, s.c)
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
@@ -133,36 +134,6 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
         count += int(np.count_nonzero(d < gamma))
         ambiguous += int(np.count_nonzero(np.abs(d - gamma) < delta))
     return CountResult(count, ambiguous)
-
-
-def rs_scaling_report(c: float, gamma: float, Ys: list[int],
-                      slope_allowance: float = 0.15) -> dict:
-    """Fit log(count) against log(Y) over a doubling ladder.
-
-    The reference slope is max(4 - c, 2); the eta factor in the bound is
-    absorbed into the additive allowance.  A gamma so large that the window
-    swallows everything is flagged out-of-regime (slope tends to 4).
-    """
-    if len(Ys) < 4:
-        raise ValueError("need a ladder of at least 4 Y values")
-    counts = [count_tuples_fast(CountSpec(Y, c, gamma)).count for Y in Ys]
-    logs_y = np.log(np.array(Ys, dtype=float))
-    logs_n = np.log(np.array(counts, dtype=float))
-    slope, intercept = np.polyfit(logs_y, logs_n, 1)
-    reference = max(4.0 - c, 2.0)
-    out_of_regime = all(n == Y ** 4 for n, Y in zip(counts, Ys))
-    return {
-        "c": c,
-        "gamma": gamma,
-        "Ys": list(Ys),
-        "counts": counts,
-        "slope": float(slope),
-        "intercept": float(intercept),
-        "reference_slope": reference,
-        "allowance": slope_allowance,
-        "pass": bool(slope <= reference + slope_allowance) and not out_of_regime,
-        "out_of_regime": out_of_regime,
-    }
 
 
 def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
@@ -214,7 +185,3 @@ def harmonic_V_naive(s: CountSpec, tau: float) -> float:
                         terms.append(1.0 / d)
     return math.fsum(terms)
 
-
-def count_U(s_base: CountSpec, tau: float) -> CountResult:
-    """The gamma = 1/tau special case of the tuple count."""
-    return count_tuples_fast(CountSpec(s_base.Y, s_base.c, 1.0 / tau, s_base.delta))

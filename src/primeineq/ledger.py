@@ -12,7 +12,6 @@ audit table can be printed even when something is off.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -83,16 +82,17 @@ class LedgerReport:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks if not c.informational)
 
-    def to_json(self, indent: Optional[int] = None) -> str:
+    @property
+    def payload(self) -> dict:
+        """The report's payload (see reports.render_report)."""
         payload = {
-            "schema": 1,
             "report": self.name,
             "pass": self.all_pass,
             "rows": [c.to_row() for c in self.checks],
         }
         if self.details:
             payload["details"] = self.details
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return payload
 
 
 def _frac(x: Fraction) -> str:

@@ -1,9 +1,10 @@
 """Canonical JSON reports for the numeric experiment suites.
 
-Every report here is a plain dict rendered with ``render_report`` (sorted
-keys, schema tag, embedded config), and every per-item computation is a pure
-module-level function mapped with det_map, so a fixed seed gives
-byte-identical output for any worker count.
+``render_report`` renders every JSON document the package prints (sorted
+keys, schema tag); each report here is a plain dict that names itself and
+embeds its config.  Every per-item computation is a pure module-level
+function mapped with det_map, so a fixed seed gives byte-identical output
+for any worker count.  Both Y-ladder slope reports share ``_ladder_fit``.
 """
 
 from __future__ import annotations
@@ -12,22 +13,22 @@ import json
 import math
 import random
 import statistics
+from dataclasses import asdict, fields
 from functools import partial
 
 import numpy as np
 
 from ._parallel import det_map
 from .count import CountSpec, count_tuples_fast, count_tuples_naive
-from .solver import (count_B, find_sextuple, instance_for_theorem1,
+from .solver import (SolutionRecord, find_sextuple, instance_for_theorem1,
                      instance_for_theorem2, instance_config, main_term_H,
-                     triple_solvable, weighted_B1)
+                     sample_R, scan_item, weighted_B1)
 from .sums import ProblemInstance, integral_I, moment4, sieve_primes, sum_S
 
 
-def render_report(name: str, payload: dict, indent=None) -> str:
-    body = {"schema": 1, "report": name}
-    body.update(payload)
-    return json.dumps(body, indent=indent, sort_keys=True)
+def render_report(payload: dict, indent=None) -> str:
+    """The JSON document of a payload: schema tag 1, keys sorted."""
+    return json.dumps({"schema": 1, **payload}, indent=indent, sort_keys=True)
 
 
 # ---------------------------------------------------------------- counting
@@ -55,7 +56,8 @@ def count_equivalence_report(instances: int = 100, seed: int = 7,
         specs.append((rng.choice([8, 16, 32]), c, rng.choice([0.01, 1.0])))
     rows = det_map(_count_both, specs, workers)
     anchor = _count_both((2, 1.5, 0.1))
-    return render_report("count-equivalence", {
+    return render_report({
+        "report": "count-equivalence",
         "config": {"instances": instances, "seed": seed},
         "rows": rows,
         "anchor": anchor,
@@ -68,21 +70,57 @@ def _ladder_count(Y: int, c: float, gamma: float) -> int:
     return count_tuples_fast(CountSpec(Y, c, gamma)).count
 
 
+def _ladder_fit(c: float, gamma: float, Ys, workers: int = 1
+                ) -> tuple[list[int], float, float]:
+    """The tuple counts along the Y ladder and the least-squares line
+    log(count) = slope log(Y) + intercept: (counts, slope, intercept)."""
+    counts = det_map(partial(_ladder_count, c=c, gamma=gamma), list(Ys), workers)
+    slope, intercept = np.polyfit(np.log(np.array(Ys, float)),
+                                  np.log(np.array(counts, float)), 1)
+    return counts, float(slope), float(intercept)
+
+
 def rs_slope_report(c: float = 1.5, gamma: float = 1.0,
                     Ys: tuple[int, ...] = (64, 128, 256, 512, 1024),
                     slope_cap: float = 2.65, workers: int = 1) -> str:
     """Log-log slope of the near-diagonal tuple count along a Y ladder."""
-    counts = det_map(partial(_ladder_count, c=c, gamma=gamma), list(Ys), workers)
-    slope, intercept = np.polyfit(np.log(np.array(Ys, float)),
-                                  np.log(np.array(counts, float)), 1)
-    return render_report("rs-slope", {
+    counts, slope, intercept = _ladder_fit(c, gamma, Ys, workers)
+    return render_report({
+        "report": "rs-slope",
         "config": {"c": c, "gamma": gamma, "Ys": list(Ys), "slope_cap": slope_cap},
         "counts": counts,
-        "slope": float(slope),
-        "intercept": float(intercept),
+        "slope": slope,
+        "intercept": intercept,
         "reference_slope": max(4.0 - c, 2.0),
-        "pass": bool(slope <= slope_cap),
+        "pass": slope <= slope_cap,
     })
+
+
+def rs_scaling_report(c: float, gamma: float, Ys: list[int],
+                      slope_allowance: float = 0.15) -> dict:
+    """Fit log(count) against log(Y) over a doubling ladder.
+
+    The reference slope is max(4 - c, 2); the eta factor in the bound is
+    absorbed into the additive allowance.  A gamma so large that the window
+    swallows everything is flagged out-of-regime (slope tends to 4).
+    """
+    if len(Ys) < 4:
+        raise ValueError("need a ladder of at least 4 Y values")
+    counts, slope, intercept = _ladder_fit(c, gamma, Ys)
+    reference = max(4.0 - c, 2.0)
+    out_of_regime = all(n == Y ** 4 for n, Y in zip(counts, Ys))
+    return {
+        "c": c,
+        "gamma": gamma,
+        "Ys": list(Ys),
+        "counts": counts,
+        "slope": slope,
+        "intercept": intercept,
+        "reference_slope": reference,
+        "allowance": slope_allowance,
+        "pass": slope <= reference + slope_allowance and not out_of_regime,
+        "out_of_regime": out_of_regime,
+    }
 
 
 # ----------------------------------------------------------------- moments
@@ -107,7 +145,8 @@ def moment_ladder_report(c: float = 2.05, Xs: tuple[float, ...] = (256.0, 512.0,
     for w in ("S", "I"):
         vals = [r["normalized"] for r in rows if r["which"] == w]
         verdict[w] = max(vals) / min(vals)
-    return render_report("moment-ladder", {
+    return render_report({
+        "report": "moment-ladder",
         "config": {"c": c, "Xs": list(Xs), "ratio_cap": ratio_cap},
         "rows": rows,
         "ratio_S": verdict["S"],
@@ -134,7 +173,8 @@ def s_vs_i_report(c: float = 2.05, X: float = 4096.0, points: int = 20,
     rows = det_map(partial(_s_minus_i, inst=inst), xs, workers)
     worst = max(r["abs_S_minus_I"] for r in rows)
     cap = tol_factor * X ** 0.75
-    return render_report("s-vs-i", {
+    return render_report({
+        "report": "s-vs-i",
         "config": {**instance_config(inst), "points": points, "seed": seed,
                    "tol_factor": tol_factor},
         "rows": rows,
@@ -147,11 +187,10 @@ def s_vs_i_report(c: float = 2.05, X: float = 4096.0, points: int = 20,
 # ----------------------------------------------------------------- solvers
 
 def _triple_item(R: float, inst: ProblemInstance) -> dict:
-    _, unweighted, _ = count_B(inst, R)
+    count, solvable = scan_item(R, inst)
     b1 = weighted_B1(inst, R)
     h = main_term_H(inst, R)
-    solvable = triple_solvable(inst, R, unweighted)
-    return {"R": R, "count": unweighted, "solvable": solvable, "B1": b1, "H": h,
+    return {"R": R, "count": count, "solvable": solvable, "B1": b1, "H": h,
             "B1_over_H": b1 / h if h != 0 else float("inf")}
 
 
@@ -167,7 +206,8 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
     solution in primes at all (the exceptional set of the statement has no
     range restriction), as decided by solver.triple_solvable: a row with a
     dyadic solution is solvable, and a row without one is decided by
-    find_triple over all primes.
+    find_triple over all primes; the R and the decision are those of
+    solver.exceptional_scan (sample_R, scan_item), with N from the caller.
     ``zero_fraction`` is the share of unsolvable R and must stay below
     zero_cap; ``dyadic_zero_fraction`` is the share with count 0.  The
     smoothed count must track the main term in aggregate: the band applies
@@ -177,8 +217,7 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
     per-R median of B1/H is reported alongside.
     """
     inst = instance_for_theorem1(N, c)
-    rng = random.Random(seed)
-    Rs = [N + rng.random() * N for _ in range(samples)]
+    Rs = sample_R(N, samples, seed)
     sieve_primes(inst.X)
     rows = det_map(partial(_triple_item, inst=inst), Rs, workers)
     zero_fraction = sum(1 for r in rows if not r["solvable"]) / samples
@@ -186,7 +225,8 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
     med = statistics.median(r["B1_over_H"] for r in rows)
     sum_h = math.fsum(r["H"] for r in rows)
     agg = math.fsum(r["B1"] for r in rows) / sum_h if sum_h != 0 else float("inf")
-    return render_report("triple-regime", {
+    return render_report({
+        "report": "triple-regime",
         "config": {**instance_config(inst), "N": N, "samples": samples,
                    "seed": seed, "zero_cap": zero_cap, "band": list(band),
                    "band_note": "engineering surrogate on the aggregate "
@@ -205,7 +245,8 @@ def sextuple_report(N: float = 1e6, c: float = 2.05, workers: int = 1) -> str:
     inst = instance_for_theorem2(N, c)
     results = det_map(partial(_sextuple_item, N=N), [inst], workers)
     row = results[0]
-    return render_report("sextuple", {
+    return render_report({
+        "report": "sextuple",
         "config": {**instance_config(inst), "N": N},
         **row,
         "pass": row["found"] and row["deviation"] is not None
@@ -215,11 +256,7 @@ def sextuple_report(N: float = 1e6, c: float = 2.05, workers: int = 1) -> str:
 
 def _sextuple_item(inst: ProblemInstance, N: float) -> dict:
     res = find_sextuple(inst, N)
-    if res.record is None:
-        return {"found": res.found, "feasible": res.feasible,
-                "range_used": res.range_used, "primes": None,
-                "value": None, "deviation": None, "ambiguous": None}
+    record = (dict.fromkeys(f.name for f in fields(SolutionRecord))
+              if res.record is None else asdict(res.record))
     return {"found": res.found, "feasible": res.feasible,
-            "range_used": res.range_used,
-            "primes": list(res.record.primes), "value": res.record.value,
-            "deviation": res.record.deviation, "ambiguous": res.record.ambiguous}
+            "range_used": res.range_used, **record}

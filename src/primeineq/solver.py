@@ -18,11 +18,10 @@ triples are far too sparse at desk scale for direct counting.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional
 
@@ -480,25 +479,15 @@ def find_sextuple(inst: ProblemInstance, N: float,
                           range_used="full")
 
 
-@dataclass
-class ScanReport:
-    seed: int
-    samples: int
-    R_values: list[float]
-    counts: list[int]
-    solvable: list[bool]
-    zero_fraction: float
-    dyadic_zero_fraction: float
-    histogram: dict[int, int]
-    config: dict
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        body = {"schema": 1, **asdict(self)}
-        body["histogram"] = {str(k): v for k, v in self.histogram.items()}
-        return json.dumps(body, indent=indent, sort_keys=True)
+def sample_R(N: float, samples: int, seed: int) -> list[float]:
+    """``samples`` seeded uniform draws of R from (N, 2N]."""
+    rng = random.Random(seed)
+    return [N + rng.random() * N for _ in range(samples)]
 
 
-def _scan_item(R: float, inst: ProblemInstance) -> tuple[int, bool]:
+def scan_item(R: float, inst: ProblemInstance) -> tuple[int, bool]:
+    """The dyadic triple count of count_B at R, and whether R has a solution
+    in primes of any size (triple_solvable)."""
     _, unweighted, _ = count_B(inst, R)
     return unweighted, triple_solvable(inst, R, unweighted)
 
@@ -509,25 +498,31 @@ def instance_config(inst: ProblemInstance) -> dict:
 
 
 def exceptional_scan(inst: ProblemInstance, samples: int, seed: int,
-                     workers: int = 1) -> ScanReport:
+                     workers: int = 1) -> dict:
     """Empirical exceptional-set scan: sample R uniformly from (N, 2N] with
     N = 3 X^c and decide for each R whether it has a solution in primes.
 
-    ``counts`` are the dyadic triple counts of count_B over (X, 2X]^3 and
-    ``dyadic_zero_fraction`` is their zero share.  ``solvable`` and
+    Returns the scan's payload (see reports.render_report).  ``counts`` are
+    the dyadic triple counts of count_B over (X, 2X]^3 and
+    ``dyadic_zero_fraction`` is their zero share; ``histogram`` maps each
+    count, as a string, to its frequency.  ``solvable`` and
     ``zero_fraction``, the unsolvable share, concern all primes, decided by
     triple_solvable as in the triple-regime report."""
     if inst.k != 3:
         raise ValueError("exceptional_scan needs a k=3 instance")
-    N = 3.0 * inst.X ** inst.c
-    rng = random.Random(seed)
-    Rs = [N + rng.random() * N for _ in range(samples)]
+    Rs = sample_R(3.0 * inst.X ** inst.c, samples, seed)
     sieve_primes(inst.X)  # warm the table before forking workers
-    items = det_map(partial(_scan_item, inst=inst), Rs, workers)
+    items = det_map(partial(scan_item, inst=inst), Rs, workers)
     counts = [cnt for cnt, _ in items]
     solvable = [ok for _, ok in items]
-    zero_fraction = solvable.count(False) / samples if samples else 0.0
-    dyadic_zero_fraction = counts.count(0) / samples if samples else 0.0
-    return ScanReport(seed, samples, Rs, counts, solvable, zero_fraction,
-                      dyadic_zero_fraction, dict(Counter(counts)),
-                      instance_config(inst))
+    return {
+        "seed": seed,
+        "samples": samples,
+        "R_values": Rs,
+        "counts": counts,
+        "solvable": solvable,
+        "zero_fraction": solvable.count(False) / samples if samples else 0.0,
+        "dyadic_zero_fraction": counts.count(0) / samples if samples else 0.0,
+        "histogram": {str(k): v for k, v in Counter(counts).items()},
+        "config": instance_config(inst),
+    }

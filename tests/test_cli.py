@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,8 @@ def test_count_rs_anchor(capsys):
     payload = json.loads(out)
     assert payload["count"] == 6
     assert payload["ambiguous"] == 0
+    # canonical output carries no timings
+    assert set(payload) == {"schema", "config", "count", "ambiguous"}
 
 
 def test_count_ladder_csv(capsys):
@@ -212,3 +218,19 @@ def test_out_file_and_rerun_byte_identical(capsys, tmp_path):
                           "--c", "1", "--samples", "5", "--seed", "3")
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_module_runs_as_script():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "primeineq.cli", "ledger", "all"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    decoder, text, docs = json.JSONDecoder(), proc.stdout.strip(), []
+    while text:
+        doc, end = decoder.raw_decode(text)
+        docs.append(doc)
+        text = text[end:].lstrip()
+    assert len(docs) == 6
+    assert all(d["schema"] == 1 and d["pass"] for d in docs)

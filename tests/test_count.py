@@ -5,9 +5,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeineq.count import (CountSpec, count_U, count_tuples_fast,
-                             count_tuples_naive, harmonic_V, harmonic_V_naive,
-                             rs_scaling_report)
+from primeineq.count import (CountSpec, count_tuples_fast, count_tuples_naive,
+                             harmonic_V, harmonic_V_naive)
+from primeineq.reports import rs_scaling_report
 from primeineq.sums import GuardError
 
 
@@ -53,6 +53,10 @@ def test_guards():
         count_tuples_naive(CountSpec(500, 1.5, 0.1))
     with pytest.raises(ValueError):
         count_tuples_fast(CountSpec(2 * 10 ** 5, 1.5, 0.1))
+    # the fast counter holds Y^2 long-double pair sums, so Y = 10001 is
+    # refused before anything is allocated
+    with pytest.raises(GuardError, match="fast guard"):
+        count_tuples_fast(CountSpec(10001, 1.5, 0.1))
     # harmonic_V does Y^4 work, so Y = 178 is refused, well inside the fast
     # counter's Y guard, and Y = 177 is not
     with pytest.raises(GuardError, match="harmonic guard"):
@@ -89,12 +93,6 @@ def test_harmonic_sum_empty_when_cut_high():
     total, buckets = harmonic_V(spec, 1e-9)
     assert total == 0.0
     assert buckets.size == 0
-
-
-def test_count_U_is_inverse_tau_window():
-    spec = CountSpec(8, 1.5, 123.0)
-    tau = 4.0
-    assert count_U(spec, tau) == count_tuples_fast(CountSpec(8, 1.5, 1.0 / tau))
 
 
 def test_ambiguity_flag_fires_on_boundary():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from primeineq import ledger
+from primeineq.reports import render_report
 
 
 def test_c_threshold_derivation():
@@ -77,7 +78,7 @@ def test_reports_never_raise_on_failure():
 
 def test_json_rationals_as_p_over_q():
     rep = ledger.verify_typeII_exponent()
-    payload = json.loads(rep.to_json())
+    payload = json.loads(render_report(rep.payload))
     assert payload["schema"] == 1
     for row in payload["rows"]:
         for key in ("lhs", "rhs", "slack"):

@@ -508,16 +508,17 @@ def test_scan_deterministic_across_runs_and_workers(inst_1e5):
     one = exceptional_scan(inst_1e5, 40, seed=5, workers=1)
     again = exceptional_scan(inst_1e5, 40, seed=5, workers=1)
     multi = exceptional_scan(inst_1e5, 40, seed=5, workers=2)
-    assert one.to_json() == again.to_json() == multi.to_json()
-    assert len(one.counts) == 40
-    assert sum(one.histogram.values()) == 40
+    assert (reports.render_report(one) == reports.render_report(again)
+            == reports.render_report(multi))
+    assert len(one["counts"]) == 40
+    assert sum(one["histogram"].values()) == 40
 
 
 def test_scan_zero_fraction_shrinks_with_scale(inst_1e5):
     small = exceptional_scan(inst_1e5, 200, seed=9)
     large = exceptional_scan(instance_for_theorem1(4e5, 1.5), 200, seed=9)
-    assert large.zero_fraction <= small.zero_fraction + 0.1
-    assert large.dyadic_zero_fraction <= small.dyadic_zero_fraction + 0.1
+    assert large["zero_fraction"] <= small["zero_fraction"] + 0.1
+    assert large["dyadic_zero_fraction"] <= small["dyadic_zero_fraction"] + 0.1
 
 
 @pytest.mark.parametrize("N", [1e2, 1e3])
@@ -526,11 +527,12 @@ def test_scan_solvable_matches_brute_force(N):
     # triple-regime report; the dyadic count's zero share is reported apart
     inst = instance_for_theorem1(N, 1.5)
     rep = exceptional_scan(inst, 40, seed=5)
-    want = _solvable_by_brute_force(N, inst.c, inst.eps, rep.R_values)
-    assert rep.solvable == want
+    want = _solvable_by_brute_force(N, inst.c, inst.eps, rep["R_values"])
+    assert rep["solvable"] == want
     assert 0 < sum(want) < len(want)
-    assert rep.zero_fraction == want.count(False) / 40
-    assert rep.dyadic_zero_fraction == rep.counts.count(0) / 40
-    payload = json.loads(rep.to_json())
+    assert rep["zero_fraction"] == want.count(False) / 40
+    assert rep["dyadic_zero_fraction"] == rep["counts"].count(0) / 40
+    payload = json.loads(reports.render_report(rep))
+    assert payload["schema"] == 1
     assert payload["solvable"] == want
-    assert payload["dyadic_zero_fraction"] == rep.dyadic_zero_fraction
+    assert payload["dyadic_zero_fraction"] == rep["dyadic_zero_fraction"]
