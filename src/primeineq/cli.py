@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from typing import Optional
 
 from . import count as count_mod
@@ -25,6 +24,7 @@ from . import reports
 from .exppair import apply_word, search_pairs
 from .kernel import KernelParams, phi_eval, phi_fourier, phi_fourier_bound, \
     phi_fourier_quadrature
+from .ledger import _frac
 from .reports import render_report
 from .solver import (count_B, exceptional_scan, find_sextuple, instance_config,
                      instance_for_theorem1, instance_for_theorem2, main_term_H,
@@ -63,10 +63,6 @@ def _resolve(args: argparse.Namespace, cfg: dict, key: str, cast, default=None):
     if key in cfg:
         return cast(cfg[key])
     return default
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -1,20 +1,26 @@
 """Counting near-diagonal 4-tuples: |n1^c + n2^c - n3^c - n4^c| < gamma.
 
-Two counters share one comparison policy: differences of pair sums are
-formed in extended precision and tested with the strict predicate
-|d| < gamma, and every tuple with ||d| - gamma| < delta is additionally
-reported as boundary-ambiguous.  The naive counter enumerates all ordered
-4-tuples; the fast counter sorts the Y^2 pair sums and sweeps windows, but
-re-tests every candidate with the identical predicate, so the two agree
-exactly, ambiguity flags included.  The Y-ladder slope reports built on
-these counts live in ``reports``.
+Both counters apply one comparison policy to the ordered pair sums
+n1^c + n2^c, formed in extended precision: the difference d of two pair
+sums is tested with the strict predicate |d| < gamma, and every tuple with
+||d| - gamma| < delta is additionally reported as boundary-ambiguous.
+
+The fast counter sorts the Y^2 pair sums and, for each p, takes two
+window bounds by binary search.  Every q before the inner bound is a sure
+hit and cannot be ambiguous, every q from the outer bound on is a sure
+miss, and only the few q between the bounds are re-tested with the exact
+predicate.  Rounded subtraction is antisymmetric, so only q > p is
+searched.  The naive counter is the oracle: it enumerates all Y^4 ordered
+tuples over its own unsorted pair sums and shares no code with the fast
+path.  The two agree exactly, ambiguity flags included.  The Y-ladder
+slope reports built on these counts live in ``reports``.
 
 The sorted-sum index (``sorted_sums``) also serves the triple solvers'
-pair sums.  The window search over a sorted index (``window_hits``) is
-shared with the triple and sextuple solvers; the sextuple search runs it
-over its own index of unordered triple sums (``solver._mitm_search``),
-widened so that it reaches every ordering of each triple, and re-tests
-each ordering with the exact predicate.
+pair sums.  The window search over a sorted index (``window_hits``) serves
+the triple and sextuple solvers; the sextuple search runs it over its own
+index of unordered triple sums (``solver._mitm_search``), widened so that
+it reaches every ordering of each triple, and re-tests each ordering with
+the exact predicate.
 """
 
 from __future__ import annotations
@@ -27,10 +33,11 @@ import numpy as np
 from .sums import LONG, GuardError
 
 _NAIVE_GUARD = 10 ** 9     # Y^4 at most this many tuples
+_NAIVE_CHUNK = 1 << 16     # tuples per chunk of the naive count's buffers
 _FAST_GUARD = 10 ** 8      # Y^2 at most this many pair sums in memory
 _HARMONIC_GUARD = 10 ** 9  # Y^4 at most this many pair-sum differences
 _HARMONIC_NAIVE_GUARD = 10 ** 8   # Y^4 at most this many Python-level terms
-_BLOCK = 1 << 16           # targets per block of window_hits
+_BLOCK = 1 << 16           # targets per block of a window search
 _SLACK_ULPS = 8            # long-double ulps added to every window's reach
 
 
@@ -41,6 +48,7 @@ def sorted_sums(powers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     sums = powers
     for _ in range(k - 1):
         sums = (sums[:, None] + powers[None, :]).ravel()
+    # ordered sums come in exact twins: a float64-key tie fix-up is 12x slower
     order = np.argsort(sums, kind="stable")
     return sums[order], order
 
@@ -63,12 +71,16 @@ def window_hits(values: np.ndarray, targets: np.ndarray, width: float):
         block = targets[start:start + _BLOCK]
         lo = np.searchsorted(values, block - reach, side="left")
         lengths = np.searchsorted(values, block + reach, side="right") - lo
-        total = int(lengths.sum())
-        if total == 0:
+        if not lengths.any():
             continue
-        t = np.repeat(np.arange(start, start + len(block)), lengths)
-        run_starts = np.cumsum(lengths) - lengths
-        yield t, np.arange(total) + np.repeat(lo - run_starts, lengths)
+        yield np.repeat(np.arange(start, start + len(block)), lengths), _runs(lo, lengths)
+
+
+def _runs(lo: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions lo[t], ..., lo[t] + lengths[t] - 1 of every run t,
+    concatenated in order of t.  ``lengths`` must be non-negative."""
+    run_starts = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(lo - run_starts, lengths)
 
 
 @dataclass(frozen=True)
@@ -81,8 +93,12 @@ class CountSpec:
     def __post_init__(self):
         if self.Y < 2:
             raise ValueError("Y must be >= 2")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not math.isfinite(self.c):
+            raise ValueError("c must be finite")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError("gamma must be positive and finite")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError("delta must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -98,42 +114,72 @@ def _pair_sums(Y: int, c: float) -> np.ndarray:
 
 
 def count_tuples_naive(s: CountSpec) -> CountResult:
-    """Exhaustive count over ordered 4-tuples (broadcast over all pairs)."""
+    """Exhaustive count over all Y^4 ordered 4-tuples; the fast counter's
+    oracle.
+
+    The pair sums are formed here, unsorted, and every difference of two
+    of them is tested, chunk by chunk, in one preallocated long-double
+    buffer and one mask.  Nothing is shared with count_tuples_fast.
+    """
     if s.Y ** 4 > _NAIVE_GUARD:
         raise GuardError("naive", _NAIVE_GUARD, f"Y^4 = {s.Y ** 4} tuples")
-    ps = _pair_sums(s.Y, s.c)
-    count = 0
-    ambiguous = 0
+    powers = np.arange(s.Y + 1, 2 * s.Y + 1, dtype=np.int64).astype(LONG) ** LONG(s.c)
+    ps = (powers[:, None] + powers[None, :]).ravel()
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
-    # chunk the left index so the difference matrix stays small
-    step = max(1, (2 ** 22) // max(1, len(ps)))
-    for i in range(0, len(ps), step):
-        d = np.abs(ps[i:i + step, None] - ps[None, :])
-        count += int(np.count_nonzero(d < gamma))
-        ambiguous += int(np.count_nonzero(np.abs(d - gamma) < delta))
+    rows = max(1, _NAIVE_CHUNK // len(ps))
+    d = np.empty((rows, len(ps)), dtype=LONG)
+    mask = np.empty(d.shape, dtype=bool)
+    count = 0
+    ambiguous = 0
+    for i in range(0, len(ps), rows):
+        di, mi = d[:len(ps) - i], mask[:len(ps) - i]   # the last chunk may be short
+        np.subtract(ps[i:i + rows, None], ps, out=di)
+        np.abs(di, out=di)
+        count += int(np.count_nonzero(np.less(di, gamma, out=mi)))
+        np.subtract(di, gamma, out=di)
+        np.abs(di, out=di)
+        ambiguous += int(np.count_nonzero(np.less(di, delta, out=mi)))
     return CountResult(count, ambiguous)
 
 
 def count_tuples_fast(s: CountSpec) -> CountResult:
-    """Sort the Y^2 pair sums and sweep; same predicate as the naive count.
+    """Count from two window bounds per sorted pair sum; same predicate and
+    same result as the naive count.
 
-    window_hits gathers every pair within gamma + delta, the outer edge of
-    the ambiguity band; candidates are then re-tested with the exact
-    comparison the naive counter uses, so results match it tuple-for-tuple.
+    Since fl(a - b) = -fl(b - a), the pair (q, p) has the verdicts of
+    (p, q), and the diagonal d = 0 is a hit, ambiguous when gamma < delta;
+    so only q > p is searched.  With b = delta plus _SLACK_ULPS long-double
+    ulps of the largest magnitude involved, every q before the inner bound
+    (ps[q] < ps[p] + (gamma - b)) is a hit and not ambiguous, and every q
+    past the outer bound (ps[q] > ps[p] + (gamma + b)) is neither, whatever
+    the rounding.  Only the q between the two bounds are re-tested, with
+    the exact comparison the naive counter uses.
     """
     if s.Y ** 2 > _FAST_GUARD:
         raise GuardError("fast", _FAST_GUARD, f"Y^2 = {s.Y ** 2} pair sums")
     ps = _pair_sums(s.Y, s.c)
+    n = len(ps)
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
-    count = 0
-    ambiguous = 0
-    for i, j in window_hits(ps, ps, gamma + delta):
-        d = np.abs(ps[j] - ps[i])
-        count += int(np.count_nonzero(d < gamma))
+    b = delta + _SLACK_ULPS * np.finfo(LONG).eps * (abs(ps[-1]) + gamma + delta)
+    hits = 0        # pairs p < q with |d| < gamma
+    ambiguous = 0   # pairs p < q with ||d| - gamma| < delta
+    for start in range(0, n, _BLOCK):
+        block = ps[start:start + _BLOCK]
+        after = np.arange(start + 1, start + 1 + len(block))   # p + 1
+        inner = np.searchsorted(ps, block + (gamma - b), side="left")
+        outer = np.searchsorted(ps, block + (gamma + b), side="right")
+        hits += int(np.maximum(inner - after, 0).sum())
+        lo = np.maximum(inner, after)
+        lengths = np.maximum(outer - lo, 0)
+        if not lengths.any():
+            continue
+        p = np.repeat(after - 1, lengths)
+        d = np.abs(ps[_runs(lo, lengths)] - ps[p])
+        hits += int(np.count_nonzero(d < gamma))
         ambiguous += int(np.count_nonzero(np.abs(d - gamma) < delta))
-    return CountResult(count, ambiguous)
+    return CountResult(n + 2 * hits, n * int(gamma < delta) + 2 * ambiguous)
 
 
 def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:

@@ -152,6 +152,15 @@ def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("flags", [("--gamma", "nan"), ("--gamma", "inf"),
+                                   ("--c", "nan")])
+def test_count_rs_rejects_non_finite_input(capsys, flags):
+    # unchecked, NaN would print as "gamma": NaN, which is not JSON
+    code, out = run_cli(capsys, "count", "rs", "--Y", "4", *flags)
+    assert code == 2
+    assert out == ""
+
+
 def test_resource_guard_has_its_own_exit_code(capsys):
     # Y^2 pair sums beyond the fast counter's guard; the guard fires before
     # any allocation
