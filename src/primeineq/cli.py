@@ -149,9 +149,10 @@ def _cmd_kernel(args, cfg, out) -> int:
                          _resolve(args, cfg, "x_max", float, 10.0),
                          _resolve(args, cfg, "points", int, 101))
         rows = [{"x": float(x),
-                 "phi": phi_eval(p, float(x)),
+                 "phi": float(phi),
                  "Phi": float(phi_fourier(p, float(x))),
-                 "bound": float(phi_fourier_bound(p, float(x)))} for x in xs]
+                 "bound": float(phi_fourier_bound(p, float(x)))}
+                for x, phi in zip(xs, phi_eval(p, xs))]
         _emit(_csv(rows, ["x", "phi", "Phi", "bound"]), out)
         return 0
     # check: bound holds on random x, transform matches direct quadrature

@@ -15,12 +15,14 @@ tuples over its own unsorted pair sums and shares no code with the fast
 path.  The two agree exactly, ambiguity flags included.  The Y-ladder
 slope reports built on these counts live in ``reports``.
 
-The sorted-sum index (``sorted_sums``) also serves the triple solvers'
-pair sums.  The window search over a sorted index (``window_hits``) serves
-the triple and sextuple solvers; the sextuple search runs it over its own
-index of unordered triple sums (``solver._mitm_search``), widened so that
-it reaches every ordering of each triple, and re-tests each ordering with
-the exact predicate.
+The ordered sorted-sum index (``sorted_sums``) serves these counters and
+is the tests' oracle for the solvers' indexes of unordered sums
+(``solver.unordered_sums``).  The window search over a sorted index
+(``window_hits``) serves the triple and sextuple solvers: the triple
+counters run it over the unordered prime pair sums, and the sextuple
+search over the unordered triple sums (``solver._mitm_search``), widened
+so that it reaches every ordering of each triple, and re-tests each
+ordering with the exact predicate.
 """
 
 from __future__ import annotations

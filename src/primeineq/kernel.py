@@ -60,44 +60,50 @@ def kernel_from_instance(eps: float, X: float, strict_smooth: bool = False) -> K
     return KernelParams(0.9 * eps, 0.1 * eps, int(math.floor(math.log(X))), strict_smooth)
 
 
-def _irwin_hall_cdf(x: float, n: int) -> float:
-    """CDF of a sum of n independent uniforms on [0, 1].
+_CDF_BLOCK = 1 << 16   # points per block of the Irwin-Hall recurrence
 
-    Alternating-sum closed form; compensated summation keeps it usable for
-    n <= 40, which covers every r the pointwise kernel is evaluated at.
+
+def _irwin_hall_cdf(x: np.ndarray, n: int) -> np.ndarray:
+    """CDF of a sum of n independent uniforms on [0, 1], at every point of
+    the 1-d array x.
+
+    Recurrence F_m(x) = (x F_{m-1}(x) + (m - x) F_{m-1}(x - 1)) / m from
+    F_1(x) = clip(x, 0, 1).  Where F_m(x) lies strictly between 0 and 1 its
+    weights x/m and (m - x)/m are in [0, 1], so every step is a convex
+    combination and no accuracy is lost to cancellation, at any n.  Work
+    and memory are O(n^2) and O(n) per point, a block of points at a time.
     """
-    if x <= 0.0:
-        return 0.0
-    if x >= n:
-        return 1.0
-    terms = []
-    for k in range(int(math.floor(x)) + 1):
-        terms.append((-1.0) ** k * math.comb(n, k) * (x - k) ** n)
-    return max(0.0, min(1.0, math.fsum(terms) / math.factorial(n)))
+    out = np.empty(len(x))
+    for start in range(0, len(x), _CDF_BLOCK):
+        shifted = x[start:start + _CDF_BLOCK, None] - np.arange(n)   # x - k
+        F = np.clip(shifted, 0.0, 1.0)   # F_1(x - k), k = 0, ..., n - 1
+        for m in range(2, n + 1):
+            s = shifted[:, :n - m + 1]
+            F = (s * F[:, :-1] + (m - s) * F[:, 1:]) / m   # F_m(x - k)
+        out[start:start + _CDF_BLOCK] = np.clip(F[:, 0], 0.0, 1.0)
+    return out
 
 
-def _sum_uniform_cdf(s: float, n: int, h: float) -> float:
-    # CDF of a sum of n uniforms on [-h, h]: rescale to Irwin-Hall.
-    return _irwin_hall_cdf((s / h + n) / 2.0, n)
+def phi_eval(p: KernelParams, y):
+    """Pointwise kernel value, exact up to double rounding, for a scalar y
+    (gives a float) or an array (gives an array of the same shape).
 
-
-def phi_eval(p: KernelParams, y: float) -> float:
-    """Pointwise kernel value, exact up to double rounding.
-
-    phi(y) = P(y - a <= S <= y + a) for S the n-fold uniform sum, i.e. the
-    box indicator convolved with the sum's density.
+    phi(y) = P(|y| - a <= S <= |y| + a) for S the n-fold uniform sum on
+    [-b, b], i.e. the box indicator convolved with the sum's density.  On
+    the ramp a - b < |y| < a + b the upper event always holds (b < a/4),
+    and S is symmetric, so phi(y) = P(S <= a - |y|), one Irwin-Hall CDF.
     """
     n = p.n_boxes
     if n > 40:
         raise ValueError(
             f"pointwise kernel evaluation supports at most 40 boxes, got {n}; "
             "only the Fourier side is available at this smoothing order")
-    y = abs(y)
-    if y <= p.a - p.b:
-        return 1.0
-    if y >= p.a + p.b:
-        return 0.0
-    return _sum_uniform_cdf(y + p.a, n, p.h) - _sum_uniform_cdf(y - p.a, n, p.h)
+    ay = np.abs(np.asarray(y, dtype=float))
+    out = np.where(ay <= p.a - p.b, 1.0, 0.0)
+    ramp = (ay > p.a - p.b) & (ay < p.a + p.b)
+    # S = h (2U - n) with U Irwin-Hall, so S <= s iff U <= (s / h + n) / 2
+    out[ramp] = _irwin_hall_cdf(((p.a - ay[ramp]) / p.h + n) / 2.0, n)
+    return float(out) if out.ndim == 0 else out
 
 
 def phi_fourier(p: KernelParams, x) -> float:
@@ -136,23 +142,26 @@ def phi_fourier_bound(p: KernelParams, x) -> float:
 def phi_fourier_quadrature(p: KernelParams, x: float, rel_tol: float = 1e-9) -> float:
     """Direct numeric transform of phi; independent oracle for phi_fourier.
 
-    Adaptive trapezoid with interval doubling on [-(a+b), a+b]; the integrand
+    Trapezoid rule with interval doubling on [-(a+b), a+b]; the integrand
     is real and even in y when paired with its mirror, so we integrate
-    2 * phi(y) * cos(2*pi*x*y) over [0, a+b].  ConvergenceError after 16
-    doublings without agreement.
+    2 * phi(y) * cos(2*pi*x*y) over [0, a+b], from 256 intervals up.  Each
+    doubling evaluates only the new midpoints.  ConvergenceError when 16
+    levels (up to 2^23 intervals) bring no two successive estimates within
+    rel_tol.
     """
+    def integrand(y: np.ndarray) -> np.ndarray:
+        return 2.0 * phi_eval(p, y) * np.cos(2.0 * np.pi * x * y)
+
     top = p.a + p.b
     n = 256
-    prev = None
-    for _ in range(16):
-        ys = np.linspace(0.0, top, n + 1)
-        vals = np.array([phi_eval(p, float(y)) for y in ys])
-        integrand = 2.0 * vals * np.cos(2.0 * np.pi * x * ys)
-        est = float(np.trapezoid(integrand, ys))
-        if prev is not None:
-            error = abs(est - prev)
-            if error <= rel_tol * max(1.0, abs(est)):
-                return est
-        prev = est
+    ends = 0.5 * float(np.sum(integrand(np.array([0.0, top]))))
+    inner = float(np.sum(integrand(np.linspace(0.0, top, n + 1)[1:-1])))
+    est = top / n * (ends + inner)
+    for _ in range(15):
+        inner += float(np.sum(integrand((np.arange(n) + 0.5) * (top / n))))
         n *= 2
+        prev, est = est, top / n * (ends + inner)
+        error = abs(est - prev)
+        if error <= rel_tol * max(1.0, abs(est)):
+            return est
     raise ConvergenceError("phi_fourier_quadrature", error)

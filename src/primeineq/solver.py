@@ -22,14 +22,14 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Optional
+from functools import cache, lru_cache, partial
+from typing import NamedTuple, Optional
 
 import mpmath
 import numpy as np
 
 from ._parallel import det_map
-from .count import sorted_sums, window_hits
+from .count import window_hits
 from .kernel import KernelParams, kernel_from_instance, phi_eval
 from .sums import (_CACHE_SIZE, LONG, ConvergenceError, GuardError, PrimeTable,
                    ProblemInstance, sieve_primes, sieve_range)
@@ -85,25 +85,34 @@ def sextuple_feasible(inst: ProblemInstance, N: float) -> bool:
     return 6 * pmin - inst.eps < N < 6 * pmax + inst.eps
 
 
+class PairIndex(NamedTuple):
+    """The unordered pair sums of one table at one c (see unordered_sums),
+    with the powers they were formed from."""
+
+    sums: np.ndarray     # long double, ascending
+    flat: np.ndarray     # int32 flat index i n + j, i <= j, of each sum
+    powers: np.ndarray   # p^c in long double, in table order
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _pair_index(table: PrimeTable, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted pair sums p_i^c + p_j^c over ordered prime pairs of one table
-    object, with their flat order (see count.sorted_sums)."""
+def _pair_index(table: PrimeTable, c: float) -> PairIndex:
+    """Sorted pair sums p_i^c + p_j^c over unordered prime pairs i <= j of
+    one table object.  The guard still counts all n^2 ordered pairs."""
     n = len(table)
     if n * n > _PAIR_GUARD:
         raise GuardError("pair", _PAIR_GUARD, f"{n}^2 prime pairs")
-    return sorted_sums(table.powers(c), 2)
+    powers = table.powers(c)
+    return PairIndex(*unordered_sums(powers, 2), powers)
 
 
-def _triples_near(tbl: PrimeTable, c: float, R: float, width):
-    """Candidate ordered triples for |(p_i^c + p_j^c) - (R - p_l^c)| < width,
-    a block at a time (see count.window_hits): index arrays i, j, l and the
-    long-double pair sums p_i^c + p_j^c."""
-    sums, order = _pair_index(tbl, c)
-    n = len(tbl)
-    for l, pos in window_hits(sums, LONG(R) - tbl.powers(c), width):
-        i, j = np.unravel_index(order[pos], (n, n))
-        yield i, j, l, sums[pos]
+def _triples_near(index: PairIndex, R: float, width):
+    """Candidate triples for |(p_i^c + p_j^c) - (R - p_l^c)| < width with
+    i <= j, a block at a time (see count.window_hits): index arrays i, j, l
+    and the long-double pair sums p_i^c + p_j^c."""
+    n = len(index.powers)
+    for l, pos in window_hits(index.sums, LONG(R) - index.powers, width):
+        i, j = np.divmod(index.flat[pos], n)
+        yield i, j, l, index.sums[pos]
 
 
 def count_B(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = None,
@@ -112,20 +121,28 @@ def count_B(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = None,
     """Sharp-window triple count: (weighted, unweighted, records).
 
     Ordered triples; one window search looks up all third primes in the
-    sorted pair sums, and every candidate is re-tested by the strict
-    predicate |value - R| < eps.  Records follow third-prime order.
+    sorted unordered pair sums, and every candidate is re-tested by the
+    strict predicate |value - R| < eps.  Since fl(P_i + P_j) = fl(P_j + P_i),
+    a confirmed pair with i < j stands for both of its orderings.  Records
+    follow third-prime order, then the order of the ordered pair sums:
+    (sum, i n + j).
     """
     if inst.k != 3:
         raise ValueError("count_B needs a k=3 instance")
     tbl = table if table is not None else sieve_primes(inst.X)
-    powers = tbl.powers(inst.c)
+    index = _pair_index(tbl, inst.c)
+    powers, n = index.powers, len(tbl)
     eps = LONG(inst.eps)
     weighted = 0.0
     unweighted = 0
     records: Optional[list[SolutionRecord]] = [] if want_records else None
-    for i, j, l, pair in _triples_near(tbl, inst.c, R, eps):
+    for i, j, l, pair in _triples_near(index, R, eps):
         hit = np.abs(pair - (LONG(R) - powers[l])) < eps
-        i, j, l, pair = i[hit], j[hit], l[hit], pair[hit]
+        twin = hit & (i < j)
+        i, j = np.concatenate([i[hit], j[twin]]), np.concatenate([j[hit], i[twin]])
+        l, pair = np.concatenate([l[hit], l[twin]]), np.concatenate([pair[hit], pair[twin]])
+        order = np.lexsort((i * n + j, pair, l))
+        i, j, l, pair = i[order], j[order], l[order], pair[order]
         unweighted += len(pair)
         weighted += float(np.sum(tbl.logs[i] * tbl.logs[j] * tbl.logs[l]))
         if records is not None:
@@ -155,11 +172,12 @@ def weighted_B1(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = N
         raise ValueError("weighted_B1 needs a k=3 instance")
     tbl = table if table is not None else sieve_primes(inst.X)
     p = params if params is not None else kernel_from_instance(inst.eps, inst.X)
-    powers = tbl.powers(inst.c)
+    index = _pair_index(tbl, inst.c)
     total = 0.0
-    for i, j, l, pair in _triples_near(tbl, inst.c, R, LONG(p.a + p.b)):
-        devs = (pair - (LONG(R) - powers[l])).astype(float)
-        phi = np.array([phi_eval(p, d) for d in devs])
+    for i, j, l, pair in _triples_near(index, R, LONG(p.a + p.b)):
+        phi = phi_eval(p, (pair - (LONG(R) - index.powers[l])).astype(float))
+        # a pair i < j stands for both of its orderings
+        phi[i < j] *= 2.0
         total += float(np.sum(tbl.logs[i] * tbl.logs[j] * phi * tbl.logs[l]))
     return total
 
@@ -170,10 +188,19 @@ _NODES = 20
 _H_REL_TOL = 1e-10
 
 
+@cache
+def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [-1, 1], read-only; main_term_H
+    asks for the same few m at every R."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss(lo, hi, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m-point Gauss-Legendre nodes and weights on each panel [lo, hi],
     along a new trailing axis."""
-    x, w = np.polynomial.legendre.leggauss(m)
+    x, w = _leggauss(m)
     lo, hi = np.asarray(lo, float)[..., None], np.asarray(hi, float)[..., None]
     half = 0.5 * (hi - lo)
     return lo + half * (1.0 + x), half * w
@@ -257,7 +284,7 @@ class _Densities:
         steps = p.a - p.b + 2.0 * p.h * np.arange(p.n_boxes + 1)
         phi_knots = np.concatenate([-steps[::-1], steps])
         m = self.m // 2
-        x, w = np.polynomial.legendre.leggauss(m)
+        x, w = _leggauss(m)
         scale = np.arange(m) + 0.5
         total = 0.0
         for jlo, jhi in zip(cuts, cuts[1:]):
@@ -268,7 +295,7 @@ class _Densities:
             edges = [jlo, *phi_knots[(phi_knots > jlo) & (phi_knots < jhi)], jhi]
             t, wt = _gauss(edges[:-1], edges[1:], (p.n_boxes + m) // 2 + 1)
             t, wt = t.ravel(), wt.ravel()
-            phi = np.array([phi_eval(p, float(v)) for v in t])
+            phi = phi_eval(p, t)
             total += float(np.sum(wt * phi
                                   * np.polynomial.legendre.legval((t - mid) / half, coef)))
         return total
@@ -306,18 +333,28 @@ _PERM_CHUNK = 1 << 14   # candidate pairs of triples expanded at once
 _PERMS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
 
 
-def _unordered_triple_sums(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The n(n+1)(n+2)/6 sums (P_i + P_j) + P_l over i <= j <= l, formed
-    left to right, ascending, with the int32 flat index i n^2 + j n + l of
-    each (stable order, so ties follow the flat index)."""
+def unordered_sums(powers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For k = 2, the n(n+1)/2 sums P_i + P_j over i <= j with the int32
+    flat index i n + j; for k = 3, the n(n+1)(n+2)/6 sums (P_i + P_j) + P_l
+    over i <= j <= l, formed left to right, with the int32 flat index
+    i n^2 + j n + l.  Ascending, in stable order: ties follow the flat
+    index.  The caller keeps n^k below 2^31."""
+    if k not in (2, 3):
+        raise ValueError("k must be 2 or 3")
     n = len(powers)
     i, j = np.triu_indices(n)
-    runs = n - j                      # l = j, ..., n - 1 for the pair (i, j)
-    starts = np.cumsum(runs) - runs
-    flat = (np.arange(int(runs.sum()), dtype=np.int32)
-            + np.repeat(((i * n + j) * n + j - starts).astype(np.int32), runs))
-    sums = np.repeat(powers[i] + powers[j], runs)
-    sums += powers[flat % n]
+    if k == 2:
+        flat = (i * n + j).astype(np.int32)
+        sums = powers[i]
+        sums += powers[j]
+    else:
+        runs = n - j                      # l = j, ..., n - 1 for the pair (i, j)
+        starts = np.cumsum(runs) - runs
+        flat = (np.arange(int(runs.sum()), dtype=np.int32)
+                + np.repeat(((i * n + j) * n + j - starts).astype(np.int32), runs))
+        sums = np.repeat(powers[i] + powers[j], runs)
+        sums += powers[flat % n]
+    del i, j
     # sorting float64 keys is 2-3x faster than sorting long doubles, and
     # rounding to float64 is monotone, so only runs of equal keys need
     # ordering by (sum, flat index)
@@ -366,7 +403,7 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     if n ** 3 > _PAIR_GUARD:
         raise GuardError("triple", _PAIR_GUARD, f"{n}^3 triple sums")
     powers = tbl.powers(c)
-    sums, flat = _unordered_triple_sums(powers)
+    sums, flat = unordered_sums(powers, 3)
     if len(sums) == 0:
         return None
     target, eps = LONG(N), LONG(eps_f)
@@ -395,12 +432,22 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     return _validated_record(primes, float(best[0] + best[2]), N, eps_f, c)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _primes_to(top: int) -> np.ndarray:
+    """The verified primes up to ``top``, read-only: one sieve serves every
+    full_prime_table whose bound rounds up to the same power of two."""
+    primes = sieve_range(2, top)
+    primes.flags.writeable = False
+    return primes
+
+
 def full_prime_table(N: float, c: float) -> PrimeTable:
     """All primes p with p^c <= N, as a table usable by the sextuple search."""
     P = math.floor(N ** (1.0 / c))
     while (P + 1) ** c <= N:
         P += 1
-    primes = sieve_range(2, P)
+    cached = _primes_to(1 << (max(P, 1) - 1).bit_length())
+    primes = cached[:np.searchsorted(cached, P, side="right")]
     return PrimeTable(1.0, primes, np.log(primes.astype(float)))
 
 

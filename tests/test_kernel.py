@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from primeineq.kernel import (KernelParams, kernel_from_instance, phi_eval,
                               phi_fourier, phi_fourier_bound,
                               phi_fourier_quadrature)
+from primeineq.sums import ConvergenceError
 
 
 def test_params_validation():
@@ -54,6 +56,59 @@ def test_phi_shape():
         assert phi_eval(p, y) == phi_eval(p, -y)
 
 
+def _mp_irwin_hall_cdf(x, n: int):
+    # alternating-sum closed form; at 60 digits its cancellation is harmless
+    if x <= 0:
+        return mpmath.mpf(0)
+    if x >= n:
+        return mpmath.mpf(1)
+    return mpmath.fsum((-1) ** k * mpmath.binomial(n, k) * (x - k) ** n
+                       for k in range(int(mpmath.floor(x)) + 1)) / mpmath.factorial(n)
+
+
+def _mp_phi(p: KernelParams, y: float) -> float:
+    # P(|y| - a <= S <= |y| + a) for S = h (2U - n), U Irwin-Hall, from the
+    # exact binary values of a, h and y
+    n = p.n_boxes
+    with mpmath.workdps(60):
+        a, h, y = mpmath.mpf(p.a), mpmath.mpf(p.h), abs(mpmath.mpf(y))
+        return float(_mp_irwin_hall_cdf(((y + a) / h + n) / 2, n)
+                     - _mp_irwin_hall_cdf(((y - a) / h + n) / 2, n))
+
+
+_BOXES = (1, 2, 6, 10, 20, 27, 40)
+
+
+@pytest.mark.parametrize("n", _BOXES)
+def test_phi_matches_mpmath(n):
+    # the alternating sum in double precision was off by 3.6e-7 at n = 20
+    # and by 1.0 at n = 40
+    p = KernelParams(0.9, 0.1, n)
+    ys = np.linspace(p.a - p.b - 0.01, p.a + p.b + 0.01, 221)
+    want = np.array([_mp_phi(p, y) for y in ys])
+    assert np.max(np.abs(phi_eval(p, ys) - want)) <= 1e-14
+    assert np.max(np.abs(phi_eval(p, -ys) - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", _BOXES)
+def test_phi_monotone_on_the_ramp(n):
+    p = KernelParams(0.9, 0.1, n)
+    vals = phi_eval(p, np.linspace(p.a - p.b, p.a + p.b, 100001))
+    assert vals[0] == 1.0 and vals[-1] == 0.0
+    assert np.all(np.diff(vals) <= 0.0)
+
+
+def test_phi_eval_takes_scalars_and_arrays():
+    p = KernelParams(0.9, 0.1, 7, strict_smooth=True)
+    ys = np.array([[0.0, 0.83, 0.9], [-0.95, 1.0, 2.0]])
+    vals = phi_eval(p, ys)
+    assert vals.shape == ys.shape
+    for y, v in zip(ys.ravel(), vals.ravel()):
+        got = phi_eval(p, float(y))
+        assert type(got) is float and got == v
+    assert phi_eval(p, np.array([])).shape == (0,)
+
+
 def test_phi_fourier_at_zero_and_sine_zeros():
     p = KernelParams(0.9, 0.1, 4)
     assert phi_fourier(p, 0.0) == pytest.approx(2 * p.a)
@@ -66,6 +121,15 @@ def test_phi_fourier_against_quadrature():
     p = KernelParams(0.9, 0.1, 4)
     direct = phi_fourier_quadrature(p, 1.3)
     assert phi_fourier(p, 1.3) == pytest.approx(direct, abs=1e-8)
+
+
+def test_quadrature_raises_when_the_oscillation_is_unresolved():
+    # x (a + b) = 1.4e7 periods of cos(2 pi x y) on [0, a + b]: 2^23
+    # intervals, the finest of the 16 levels, give under one node per period
+    p = KernelParams(1e7, 1e6, 4)
+    with pytest.raises(ConvergenceError) as info:
+        phi_fourier_quadrature(p, 1.3)
+    assert info.value.routine == "phi_fourier_quadrature"
 
 
 def test_fourier_bound_holds():

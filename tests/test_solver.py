@@ -18,7 +18,8 @@ from primeineq.solver import (count_B, exceptional_scan, find_sextuple,
                               instance_for_theorem1, instance_for_theorem2,
                               main_term_H, sextuple_feasible, weighted_B1)
 from primeineq.sums import (LONG, ConvergenceError, GuardError, PrimeTable,
-                            ProblemInstance, integral_I, sieve_primes)
+                            ProblemInstance, integral_I, sieve_primes,
+                            sieve_range)
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +115,8 @@ def _check_against_brute_force(inst: ProblemInstance, tbl: PrimeTable, R: float)
         for a, b, d in zip(i, j, l))
     p = kernel_from_instance(inst.eps, inst.X)
     near = np.nonzero(np.abs(dev) < LONG(p.a + p.b))
-    b1 = math.fsum(logs[a] * logs[b] * logs[d] * phi_eval(p, float(dev[a, b, d]))
-                   for a, b, d in zip(*near))
+    phi = phi_eval(p, dev[near].astype(float))
+    b1 = math.fsum(logs[near[0]] * logs[near[1]] * logs[near[2]] * phi)
     assert weighted_B1(inst, R, table=tbl) == pytest.approx(b1, rel=1e-12)
 
 
@@ -148,6 +149,80 @@ def test_count_B_index_follows_the_table_object(inst_1e5):
     for R in (1.5e5, 2.1e5):
         for tbl in (full, half, full):
             _check_against_brute_force(inst_1e5, tbl, R)
+
+
+def _ordered_count_B(inst: ProblemInstance, tbl: PrimeTable, R: float):
+    """count_B over the ordered pair index sorted_sums(powers, 2), the
+    oracle of the unordered one: (weighted, [(primes, value)]) in
+    (third prime, pair sum, i n + j) order."""
+    n = len(tbl)
+    P = tbl.powers(inst.c)
+    sums, order = sorted_sums(P, 2)
+    eps = LONG(inst.eps)
+    weighted, records = 0.0, []
+    for l, pos in window_hits(sums, LONG(R) - P, eps):
+        hit = np.abs(sums[pos] - (LONG(R) - P[l])) < eps
+        l, pos = l[hit], pos[hit]
+        i, j = np.unravel_index(order[pos], (n, n))
+        weighted += float(np.sum(tbl.logs[i] * tbl.logs[j] * tbl.logs[l]))
+        records += [((int(tbl.primes[a]), int(tbl.primes[b]), int(tbl.primes[d])),
+                     float(v)) for a, b, d, v in zip(i, j, l, sums[pos] + P[l])]
+    return weighted, records
+
+
+def _pair_test_table(kind: str) -> tuple[PrimeTable, ProblemInstance]:
+    if kind == "dense":
+        # c = 1 near 4e9: P_i + P_j = 8e9 + i + j exactly, so every sum is
+        # shared by many pairs, and R and eps put the window edge on a sum
+        primes = np.arange(4_000_000_000, 4_000_000_048, dtype=np.int64)
+        inst = ProblemInstance(c=1.0, X=4e9, eps=2.0)
+    else:
+        # seeded primes in shuffled table order
+        rng = np.random.default_rng(int(kind))
+        primes = rng.choice(sieve_range(5_000, 40_000), 160, replace=False)
+        inst = ProblemInstance(c=1.5, X=5_000.0, eps=0.5)
+    return PrimeTable(inst.X, primes, np.log(primes.astype(float))), inst
+
+
+@pytest.mark.parametrize("kind", ["0", "1", "dense"])
+def test_pair_index_against_the_ordered_index(kind):
+    tbl, inst = _pair_test_table(kind)
+    n = len(tbl)
+    P = tbl.powers(inst.c)
+    index = solver._pair_index(tbl, inst.c)
+    assert np.array_equal(index.powers, P)
+    # every pair i < j stands for two ordered pairs with the same sum
+    i, j = np.divmod(index.flat, n)
+    assert np.all(i <= j)
+    twice = np.sort(np.concatenate([index.sums, index.sums[i < j]]))
+    assert np.array_equal(twice, sorted_sums(P, 2)[0])
+    rng = random.Random(kind)
+    Rs = []
+    for _ in range(6):
+        a, b, d = (rng.randrange(n) for _ in range(3))
+        Rs.append(float(P[a] + P[b] + P[d]) + rng.choice([0.0, 0.25, -1.0, 1.75]))
+    hits = 0
+    for R in Rs:
+        weighted, count, recs = count_B(inst, R, table=tbl, want_records=True)
+        want_weighted, want = _ordered_count_B(inst, tbl, R)
+        assert count == len(want)
+        assert [(r.primes, r.value) for r in recs] == want
+        assert weighted == want_weighted   # same terms, same order
+        hits += count
+    assert hits > 0
+
+
+def test_powers_computed_once_per_table(inst_1e5, monkeypatch):
+    calls = []
+    powers = PrimeTable.powers
+    monkeypatch.setattr(PrimeTable, "powers",
+                        lambda self, c: calls.append(c) or powers(self, c))
+    full = sieve_primes(inst_1e5.X)
+    tbl = PrimeTable(full.X, full.primes, full.logs)
+    for R in (1.5e5, 2.1e5):
+        count_B(inst_1e5, R, table=tbl, want_records=True)
+        weighted_B1(inst_1e5, R, table=tbl)
+    assert calls == [inst_1e5.c]
 
 
 def test_numpy_scalar_R_gives_the_same_records(inst_1e5):
@@ -193,7 +268,7 @@ def test_main_term_degenerate_c1_volume_oracle():
     t = np.clip(s, 0, None) ** 2 - 3 * np.clip(s - 1, 0, None) ** 2 \
         + 3 * np.clip(s - 2, 0, None) ** 2
     f3 = 0.5 * t
-    phi = np.array([phi_eval(p, float(3 * 30.0 + 30.0 * v - R)) for v in s])
+    phi = phi_eval(p, 3 * 30.0 + 30.0 * s - R)
     want = 30.0 ** 3 * np.trapezoid(f3 * phi, s)
     assert got == pytest.approx(float(want), rel=1e-2)
 
@@ -420,20 +495,23 @@ def test_mitm_search_near_ties_match_ordered_oracle(monkeypatch, chunk, start,
     assert _assert_same_record(tbl, c, N, eps) is not None
 
 
-@pytest.mark.parametrize("c, dense", [(2.05, False), (2.0, True)])
-def test_unordered_triple_sums_in_stable_long_double_order(c, dense):
-    # dense: squares near 1.6e19, where many sums share a float64 key but
-    # not a long-double value, and distinct triples tie exactly
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("c, dense", [(2.05, False), (2.0, True), (1.0, True)])
+def test_unordered_triple_sums_in_stable_long_double_order(c, dense, k):
+    # dense: consecutive integers from 4e9; at c = 2 many sums share a
+    # float64 key but not a long-double value, and distinct tuples tie
+    # exactly; at c = 1 every sum is exact and shared by many tuples
     primes = (np.arange(4_000_000_000, 4_000_000_040, dtype=np.int64) if dense
               else full_prime_table(2e5, c).primes)
     P = primes.astype(LONG) ** LONG(c)
+    n = len(P)
     flat, sums = [], []
-    for i, j, l in itertools.combinations_with_replacement(range(len(P)), 3):
-        flat.append((i * len(P) + j) * len(P) + l)
-        sums.append((P[i] + P[j]) + P[l])
+    for idx in itertools.combinations_with_replacement(range(n), k):
+        flat.append(sum(q * n ** (k - 1 - m) for m, q in enumerate(idx)))
+        sums.append((P[idx[0]] + P[idx[1]]) + (P[idx[2]] if k == 3 else 0))
     sums = np.array(sums, dtype=LONG)
     order = np.argsort(sums, kind="stable")
-    got_sums, got_flat = solver._unordered_triple_sums(P)
+    got_sums, got_flat = solver.unordered_sums(P, k)
     assert got_flat.dtype == np.int32
     assert np.array_equal(got_sums, sums[order])
     assert np.array_equal(got_flat, np.array(flat)[order])
@@ -441,7 +519,7 @@ def test_unordered_triple_sums_in_stable_long_double_order(c, dense):
 
 def test_mitm_search_triple_guard(monkeypatch):
     # 465^3 > 1e8 triple sums: refused before the triple sums are built
-    monkeypatch.setattr(solver, "_unordered_triple_sums", None)
+    monkeypatch.setattr(solver, "unordered_sums", None)
     tbl = full_prime_table(3310.0, 1.0)
     assert len(tbl) == 465
     with pytest.raises(GuardError) as info:
@@ -453,6 +531,22 @@ def test_mitm_search_triple_guard(monkeypatch):
 def test_full_prime_table():
     tbl = full_prime_table(100.0, 2.0)
     assert list(tbl.primes) == [2, 3, 5, 7]
+
+
+@pytest.mark.parametrize("N, c", [(1.0, 2.0), (4.0, 2.0), (100.0, 2.0), (1e4, 1.0),
+                                  (1024.0, 1.0), (1025.0, 1.0), (2e7, 1.5),
+                                  (5e6, 2.05)])
+def test_full_prime_table_slices_one_cached_sieve(N, c):
+    P = math.floor(N ** (1.0 / c))
+    while (P + 1) ** c <= N:
+        P += 1
+    tbl = full_prime_table(N, c)
+    assert np.array_equal(tbl.primes, sieve_range(2, P))
+    assert np.array_equal(tbl.logs, np.log(tbl.primes.astype(float)))
+    # the cached sieve reaches the next power of two and is shared
+    top = 1 << (max(P, 1) - 1).bit_length()
+    assert full_prime_table(float(top) ** c, c).primes.base is tbl.primes.base
+    assert not tbl.primes.flags.writeable
 
 
 def _solvable_by_brute_force(N: float, c: float, eps: float, Rs: list) -> list:
