@@ -20,9 +20,10 @@ is the tests' oracle for the solvers' indexes of unordered sums
 (``solver.unordered_sums``).  The window search over a sorted index
 (``window_hits``) serves the triple and sextuple solvers: the triple
 counters run it over the unordered prime pair sums, and the sextuple
-search over the unordered triple sums (``solver._mitm_search``), widened
-so that it reaches every ordering of each triple, and re-tests each
-ordering with the exact predicate.
+search (``solver._mitm_search``) from each band of unordered triple sums
+into the band of the sums that can complete them to N, widened so that it
+reaches every ordering of each triple, and re-tests each ordering with the
+exact predicate.
 """
 
 from __future__ import annotations

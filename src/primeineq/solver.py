@@ -29,7 +29,7 @@ import mpmath
 import numpy as np
 
 from ._parallel import det_map
-from .count import window_hits
+from .count import _runs, window_hits
 from .kernel import KernelParams, kernel_from_instance, phi_eval
 from .sums import (_CACHE_SIZE, LONG, ConvergenceError, GuardError, PrimeTable,
                    ProblemInstance, sieve_primes, sieve_range)
@@ -327,34 +327,68 @@ def main_term_H(inst: ProblemInstance, R: float, k: Optional[int] = None) -> flo
 
 # _mitm_search's slack in long-double ulps of max|sum| + eps: an ordering's
 # sum lies within 2 of its triple's canonical sum, and the exact test's own
-# rounding adds 1 to a pair of triples' 4
+# rounding adds 1 to a pair of triples' 4.  _triple_band widens its bounds
+# by as many ulps of the largest sum.
 _PERM_ULPS = 8
 _PERM_CHUNK = 1 << 14   # candidate pairs of triples expanded at once
 _PERMS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+_FIRST_BAND = 2.0 ** -16   # _mitm_search's first band, as a share of the sums' range
 
 
-def unordered_sums(powers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n(n+1)/2 unordered pairs i <= j, row by row, and their long-double
+    sums P_i + P_j."""
+    i, j = np.triu_indices(len(powers))
+    sums = powers[i]
+    sums += powers[j]
+    return i, j, sums
+
+
+def unordered_sums(powers: np.ndarray, k: int, lo=-np.inf, hi=np.inf
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """For k = 2, the n(n+1)/2 sums P_i + P_j over i <= j with the int32
-    flat index i n + j; for k = 3, the n(n+1)(n+2)/6 sums (P_i + P_j) + P_l
-    over i <= j <= l, formed left to right, with the int32 flat index
+    flat index i n + j; for k = 3, the sums (P_i + P_j) + P_l over
+    i <= j <= l, formed left to right, that lie in [lo, hi) (all
+    n(n+1)(n+2)/6 of them by default), with the int32 flat index
     i n^2 + j n + l.  Ascending, in stable order: ties follow the flat
     index.  The caller keeps n^k below 2^31."""
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    n = len(powers)
-    i, j = np.triu_indices(n)
-    if k == 2:
-        flat = (i * n + j).astype(np.int32)
-        sums = powers[i]
-        sums += powers[j]
-    else:
-        runs = n - j                      # l = j, ..., n - 1 for the pair (i, j)
-        starts = np.cumsum(runs) - runs
-        flat = (np.arange(int(runs.sum()), dtype=np.int32)
-                + np.repeat(((i * n + j) * n + j - starts).astype(np.int32), runs))
-        sums = np.repeat(powers[i] + powers[j], runs)
-        sums += powers[flat % n]
+    if k == 3:
+        return _triple_band(powers, _unordered_pairs(powers), lo, hi)
+    if lo != -np.inf or hi != np.inf:
+        raise ValueError("only triple sums are taken in a band")
+    i, j, sums = _unordered_pairs(powers)
+    flat = (i * len(powers) + j).astype(np.int32)
     del i, j
+    return _stable_sorted(sums, flat)
+
+
+def _triple_band(powers: np.ndarray, pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """unordered_sums(powers, 3, lo, hi) from the pairs _unordered_pairs(powers).
+
+    Each pair's sums grow with l, so two searchsorted bounds on the powers,
+    widened by _PERM_ULPS long-double ulps of the largest sum, give the run
+    of l >= j to form; only the sums that lie in [lo, hi) are kept.
+    """
+    i, j, pair = pairs
+    n = len(powers)
+    widen = _PERM_ULPS * np.finfo(LONG).eps * 3 * np.abs(powers).max(initial=0)
+    first = np.maximum(np.searchsorted(powers, lo - pair - widen), j)
+    lengths = np.maximum(np.searchsorted(powers, hi - pair + widen) - first, 0)
+    run = np.repeat(np.arange(len(pair)), lengths)
+    l = _runs(first, lengths)
+    sums = pair[run] + powers[l]
+    flat = ((i * n + j) * n)[run] + l
+    del run, l
+    keep = (sums >= lo) & (sums < hi)
+    sums, flat = sums[keep], flat[keep].astype(np.int32)
+    return _stable_sorted(sums, flat)
+
+
+def _stable_sorted(sums: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sums`` ascending, ties in order of ``flat``, and ``flat`` with them."""
     # sorting float64 keys is 2-3x faster than sorting long doubles, and
     # rounding to float64 is monotone, so only runs of equal keys need
     # ordering by (sum, flat index)
@@ -366,7 +400,7 @@ def unordered_sums(powers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         pos = np.union1d(tie, tie + 1)
         sub = order[pos]
         order[pos] = sub[np.lexsort((flat[sub], sums[sub], key[pos]))]
-    del key   # 29 MiB of process peak at N = 5e6
+    del key
     return sums[order], flat[order]
 
 
@@ -382,49 +416,67 @@ def _orderings(flat: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
                  ) -> Optional[SolutionRecord]:
-    """Meet-in-the-middle over sorted unordered triple sums.
+    """Meet-in-the-middle over bands of sorted unordered triple sums.
 
     The record is the one a search over all n^3 ordered triples t, u would
     pick: sort the ordered sums v by (v, flat index) and take the smallest
     t that takes part in any solution |v_u + v_t - N| < eps, then the
-    smallest u, with every sum formed left to right.  Only the
-    n(n+1)(n+2)/6 triples i <= j <= l are stored, at their canonical sums
-    (P_i + P_j) + P_l, with one int32 flat index (n^3 <= 1e8 < 2^31).
-    An ordering's sum differs from its canonical one by a few rounding
-    errors, within ``slack``, so a window search of width eps + slack over
-    the canonical sums finds every pair of triples with a solution among
-    their orderings.  Candidates are expanded into their 6 x 6 ordered
-    pairs and re-tested with the exact predicate; unconfirmed candidates
-    are skipped.  Canonical t come in ascending order, so once a solution
-    with ordered sum v_t is confirmed, triples with canonical sum above
-    v_t + slack cannot beat it and the sweep stops.
+    smallest u, with every sum formed left to right.  Only triples
+    i <= j <= l are formed, at their canonical sums (P_i + P_j) + P_l,
+    with one int32 flat index (n^3 <= 1e8 < 2^31).  An ordering's sum
+    differs from its canonical one by a few rounding errors, within
+    ``slack``.
+
+    t sweeps ascending bands [lo, lo + w) of canonical sums, w doubling
+    from band to band, and each t-band meets the u-band
+    [N - lo - w - eps - 2 slack, N - lo + eps + 2 slack], which holds every
+    u that can solve with one of its t; both are built by _triple_band.  A
+    window search of width eps + slack finds every pair of triples with a
+    solution among their orderings; candidates are expanded into their
+    6 x 6 ordered pairs and re-tested with the exact predicate.  Once a
+    solution with ordered sum v_t is confirmed, triples with canonical sum
+    above v_t + slack cannot beat it, so the sweep stops there.  Rounded
+    addition commutes, so (u, t) solves whenever (t, u) does and the
+    record has v_t <= v_u: no band starting above (N + eps)/2 + 2 slack
+    (nor above the largest sum) can hold its t, and the sweep stops there
+    when nothing is found.
     """
     n = len(tbl)
     if n ** 3 > _PAIR_GUARD:
         raise GuardError("triple", _PAIR_GUARD, f"{n}^3 triple sums")
-    powers = tbl.powers(c)
-    sums, flat = unordered_sums(powers, 3)
-    if len(sums) == 0:
+    if n == 0:
         return None
+    powers = tbl.powers(c)
+    pairs = _unordered_pairs(powers)
     target, eps = LONG(N), LONG(eps_f)
-    slack = _PERM_ULPS * np.finfo(LONG).eps * (max(abs(sums[0]), abs(sums[-1])) + eps)
-    chunks = ((t[lo:lo + _PERM_CHUNK], u[lo:lo + _PERM_CHUNK])
-              for t, u in window_hits(sums, target - sums, eps + slack)
-              for lo in range(0, len(t), _PERM_CHUNK))
+    bottom = (powers[0] + powers[0]) + powers[0]     # the smallest canonical sum
+    top = (powers[-1] + powers[-1]) + powers[-1]     # and the largest
+    slack = _PERM_ULPS * np.finfo(LONG).eps * (max(abs(bottom), abs(top)) + eps)
+    stop = min(top, (target + eps) / 2 + 2 * slack)
+    lo, width = bottom, max(_FIRST_BAND * (top - bottom), eps + slack)
     best = None   # (v_t, flat_t, v_u, flat_u) of the best confirmed solution
-    for t, u in chunks:
-        if best is not None and sums[t[0]] > best[0] + slack:
-            break
-        vt, ft = _orderings(flat[t], powers)
-        vu, fu = _orderings(flat[u], powers)
-        m, p, q = np.nonzero(np.abs(vu[:, None, :] + vt[:, :, None] - target) < eps)
-        if len(m) == 0:
-            continue
-        keys = [vt[m, p], ft[m, p], vu[m, q], fu[m, q]]
-        if best is not None:
-            keys = [np.append(k, b) for k, b in zip(keys, best)]
-        first = np.lexsort(keys[::-1])[0]
-        best = tuple(k[first] for k in keys)
+    while lo <= stop and (best is None or lo <= best[0] + slack):
+        hi = lo + width
+        t_sums, t_flat = _triple_band(powers, pairs, lo, hi)
+        u_sums, u_flat = _triple_band(powers, pairs, target - hi - eps - 2 * slack,
+                                      target - lo + eps + 2 * slack)
+        lo, width = hi, 2 * width
+        chunks = ((t[k:k + _PERM_CHUNK], u[k:k + _PERM_CHUNK])
+                  for t, u in window_hits(u_sums, target - t_sums, eps + slack)
+                  for k in range(0, len(t), _PERM_CHUNK))
+        for t, u in chunks:
+            if best is not None and t_sums[t[0]] > best[0] + slack:
+                break
+            vt, ft = _orderings(t_flat[t], powers)
+            vu, fu = _orderings(u_flat[u], powers)
+            m, p, q = np.nonzero(np.abs(vu[:, None, :] + vt[:, :, None] - target) < eps)
+            if len(m) == 0:
+                continue
+            keys = [vt[m, p], ft[m, p], vu[m, q], fu[m, q]]
+            if best is not None:
+                keys = [np.append(k, b) for k, b in zip(keys, best)]
+            first = np.lexsort(keys[::-1])[0]
+            best = tuple(k[first] for k in keys)
     if best is None:
         return None
     idx = np.unravel_index(np.array([best[1], best[3]]), (n, n, n))
@@ -503,11 +555,15 @@ def find_sextuple(inst: ProblemInstance, N: float,
     modeled has no range restriction), so with ``widen=True`` a miss falls
     back to the full table of primes with p^c <= N.
 
-    Both searches store the n(n+1)(n+2)/6 unordered prime triples and
-    return the record a search over all ordered triples would: the first
-    triple and then the second in (sum, flat index) order, each sum formed
-    left to right, so a triple need not be in ascending order (see
-    _mitm_search).
+    Both searches sweep bands of unordered prime triple sums upward from
+    the smallest, each band against the band of sums that can complete it
+    to N, and stop once no later band can hold a better first triple: past
+    its canonical sum plus rounding slack, or past (N + eps)/2, since a
+    solution's two triples can be swapped.  They form only the triples in
+    those bands and return the record a search over all ordered triples
+    would: the first triple and then the second in (sum, flat index)
+    order, each sum formed left to right, so a triple need not be in
+    ascending order (see _mitm_search).
     """
     if inst.k != 6:
         raise ValueError("find_sextuple needs a k=6 instance")

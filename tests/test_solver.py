@@ -490,9 +490,109 @@ def test_mitm_search_near_ties_match_ordered_oracle(monkeypatch, chunk, start,
     # sum; chunk = 1 expands one candidate pair at a time, so the stopping
     # rule decides
     monkeypatch.setattr(solver, "_PERM_CHUNK", chunk)
-    primes = np.arange(start, start + count, dtype=np.int64)
-    tbl = PrimeTable(1.0, primes, np.log(primes.astype(float)))
-    assert _assert_same_record(tbl, c, N, eps) is not None
+    assert _assert_same_record(_table(range(start, start + count)), c, N, eps) is not None
+
+
+def _table(primes) -> PrimeTable:
+    """A table of the given integers, prime or not."""
+    primes = np.array(primes, dtype=np.int64)
+    return PrimeTable(1.0, primes, np.log(primes.astype(float)))
+
+
+@pytest.fixture
+def bands(monkeypatch):
+    """Every call of solver._triple_band as (lo, hi, sums, flat);
+    _mitm_search builds each t-band and then its u-band."""
+    calls = []
+    build = solver._triple_band
+
+    def recording(powers, pairs, lo, hi):
+        sums, flat = build(powers, pairs, lo, hi)
+        calls.append((lo, hi, sums, flat))
+        return sums, flat
+
+    monkeypatch.setattr(solver, "_triple_band", recording)
+    return calls
+
+
+@pytest.mark.parametrize("N", [1e5, 4e5, 1e6])
+def test_mitm_search_without_solution_matches_ordered_oracle(N, bands):
+    # at eps = 1e-9 no six primes solve, so the sweep runs to its cap
+    tbl = full_prime_table(N, 2.05)
+    assert _assert_same_record(tbl, 2.05, N, 1e-9) is None
+    assert bands[-2][0] <= LONG(N) / 2 < bands[-2][1]
+
+
+def test_mitm_search_without_solution_at_5e6():
+    # the ordered oracle's 22.7M long-double sums take about 1 GB here, so
+    # instead every pair of the 3.8M canonical triples within eps + slack of
+    # N is expanded into its orderings and tested, with no bands and no cap
+    c, N, eps = 2.05, 5e6, 1e-9
+    tbl = full_prime_table(N, c)
+    P = tbl.powers(c)
+    sums, flat = solver.unordered_sums(P, 3)
+    assert len(sums) == 3_817_670
+    slack = solver._PERM_ULPS * np.finfo(LONG).eps * (sums[-1] + LONG(eps))
+    for t, u in window_hits(sums, LONG(N) - sums, LONG(eps) + slack):
+        vt, _ = solver._orderings(flat[t], P)
+        vu, _ = solver._orderings(flat[u], P)
+        assert not np.any(np.abs(vu[:, None, :] + vt[:, :, None] - LONG(N)) < eps)
+    assert solver._mitm_search(tbl, c, N, eps) is None
+
+
+def test_mitm_search_record_in_a_later_band(monkeypatch, bands):
+    # the 2.05 near-tie table, with the first band ending at the record's
+    # first triple: a solution is confirmed in the first band, and the
+    # record's triple, whose canonical sum exceeds that solution's ordered
+    # sum, comes from the second band
+    c, N, eps = 2.05, 3.2048838649363313e20, 1e5
+    tbl = _table(range(4_200_000_000, 4_200_000_008))
+    P, n = tbl.powers(c), len(tbl)
+    sums, flat = solver.unordered_sums(P, 3)
+    want = _ordered_mitm_search(tbl, c, N, eps)
+    a, b, d = sorted(np.searchsorted(tbl.primes, want.primes[:3]))
+    record_t = (a * n + b) * n + d
+    share = (sums[flat == record_t][0] - sums[0]) / (sums[-1] - sums[0])
+    monkeypatch.setattr(solver, "_FIRST_BAND", share)
+    bands.clear()
+    _assert_same_record(tbl, c, N, eps)
+    first, second = bands[0][3], bands[2][3]
+    assert record_t not in first and record_t in second
+    vt, _ = solver._orderings(first, P)
+    vu, _ = solver._orderings(flat, P)
+    assert np.any(np.abs(vu[:, None, None, :] + vt[None, :, :, None] - LONG(N)) < eps)
+
+
+@pytest.mark.parametrize("share", [solver._FIRST_BAND, 2.0 ** -5])
+def test_mitm_search_finds_a_solution_at_the_cap(monkeypatch, bands, share):
+    # c = 1, primes 3, 17, 67: the triple sums run from 9 to 201, and the
+    # only solution of N = 102 is 17 six times, with v_t = v_u = N/2.  At
+    # share 2^-5 the first band is 6 wide and the fourth starts at 51
+    monkeypatch.setattr(solver, "_FIRST_BAND", share)
+    rec = _assert_same_record(_table([3, 17, 67]), 1.0, 102.0, 0.5)
+    assert rec.primes == (17,) * 6
+    assert bands[-2][0] <= 51 < bands[-2][1]
+
+
+@pytest.mark.parametrize("primes, N, share", [([2, 17, 23], 79.0, 2.0 ** -2),
+                                               ([3, 13, 17], 92.0, 2.0 ** -2),
+                                               ([2, 11, 37], 111.0, 2.0 ** -4)])
+def test_mitm_search_u_band_reaches_eps_below(monkeypatch, primes, N, share):
+    # c = 1, eps = 2.5: the record's t lies near the top of its band
+    # [lo, hi) and its u below N - hi, within eps
+    monkeypatch.setattr(solver, "_FIRST_BAND", share)
+    assert _assert_same_record(_table(primes), 1.0, N, 2.5) is not None
+
+
+def test_mitm_search_builds_few_triples(bands):
+    # the 5e6 ladder point's record starts with one of the smallest triple
+    # sums, so the full-range search forms under 1% of the triples
+    tbl = full_prime_table(5e6, 2.05)
+    n = len(tbl)
+    assert n * (n + 1) * (n + 2) // 6 == 3_817_670
+    rec = solver._mitm_search(tbl, 2.05, 5e6, instance_for_theorem2(5e6, 2.05).eps)
+    assert rec.primes == (2, 3, 5, 23, 1181, 1447)
+    assert sum(len(sums) for _, _, sums, _ in bands) < 0.01 * 3_817_670
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -517,9 +617,33 @@ def test_unordered_triple_sums_in_stable_long_double_order(c, dense, k):
     assert np.array_equal(got_flat, np.array(flat)[order])
 
 
+@pytest.mark.parametrize("c, dense", [(2.05, False), (2.0, True), (1.0, True)])
+def test_triple_band_is_the_full_range_masked(c, dense):
+    # the tables of the test above; band ends on sums (ties at both ends),
+    # one ulp off sums, below and above every sum, and an empty band
+    primes = (np.arange(4_000_000_000, 4_000_000_040, dtype=np.int64) if dense
+              else full_prime_table(2e5, c).primes)
+    P = primes.astype(LONG) ** LONG(c)
+    sums, flat = solver.unordered_sums(P, 3)
+    m = len(sums)
+    up, down = LONG(np.inf), LONG(-np.inf)
+    for lo, hi in [(sums[m // 5], sums[m // 2]), (sums[0], sums[-1]),
+                   (np.nextafter(sums[m // 4], up), np.nextafter(sums[3 * m // 4], down)),
+                   (-np.inf, sums[m // 3]), (sums[2 * m // 3], np.inf),
+                   (sums[0] - 1, sums[0]), (sums[m // 2], sums[m // 2])]:
+        got_sums, got_flat = solver.unordered_sums(P, 3, lo, hi)
+        keep = (sums >= lo) & (sums < hi)
+        assert got_flat.dtype == np.int32
+        assert np.array_equal(got_sums, sums[keep]), (lo, hi)
+        assert np.array_equal(got_flat, flat[keep]), (lo, hi)
+    with pytest.raises(ValueError):
+        solver.unordered_sums(P, 2, sums[0])
+
+
 def test_mitm_search_triple_guard(monkeypatch):
     # 465^3 > 1e8 triple sums: refused before the triple sums are built
-    monkeypatch.setattr(solver, "unordered_sums", None)
+    monkeypatch.setattr(solver, "_unordered_pairs", None)
+    monkeypatch.setattr(solver, "_triple_band", None)
     tbl = full_prime_table(3310.0, 1.0)
     assert len(tbl) == 465
     with pytest.raises(GuardError) as info:
