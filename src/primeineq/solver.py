@@ -29,7 +29,8 @@ import mpmath
 import numpy as np
 
 from ._parallel import det_map
-from .count import _runs, window_hits
+from .count import (run_positions, stable_sorted, unordered_pairs, unordered_sums,
+                    window_hits)
 from .kernel import KernelParams, kernel_from_instance, phi_eval
 from .sums import (_CACHE_SIZE, LONG, ConvergenceError, GuardError, PrimeTable,
                    ProblemInstance, sieve_primes, sieve_range)
@@ -86,8 +87,8 @@ def sextuple_feasible(inst: ProblemInstance, N: float) -> bool:
 
 
 class PairIndex(NamedTuple):
-    """The unordered pair sums of one table at one c (see unordered_sums),
-    with the powers they were formed from."""
+    """The unordered pair sums of one table at one c (see
+    count.unordered_sums), with the powers they were formed from."""
 
     sums: np.ndarray     # long double, ascending
     flat: np.ndarray     # int32 flat index i n + j, i <= j, of each sum
@@ -102,7 +103,7 @@ def _pair_index(table: PrimeTable, c: float) -> PairIndex:
     if n * n > _PAIR_GUARD:
         raise GuardError("pair", _PAIR_GUARD, f"{n}^2 prime pairs")
     powers = table.powers(c)
-    return PairIndex(*unordered_sums(powers, 2), powers)
+    return PairIndex(*unordered_sums(powers), powers)
 
 
 def _triples_near(index: PairIndex, R: float, width):
@@ -335,38 +336,12 @@ _PERMS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1,
 _FIRST_BAND = 2.0 ** -16   # _mitm_search's first band, as a share of the sums' range
 
 
-def _unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n(n+1)/2 unordered pairs i <= j, row by row, and their long-double
-    sums P_i + P_j."""
-    i, j = np.triu_indices(len(powers))
-    sums = powers[i]
-    sums += powers[j]
-    return i, j, sums
-
-
-def unordered_sums(powers: np.ndarray, k: int, lo=-np.inf, hi=np.inf
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """For k = 2, the n(n+1)/2 sums P_i + P_j over i <= j with the int32
-    flat index i n + j; for k = 3, the sums (P_i + P_j) + P_l over
-    i <= j <= l, formed left to right, that lie in [lo, hi) (all
-    n(n+1)(n+2)/6 of them by default), with the int32 flat index
-    i n^2 + j n + l.  Ascending, in stable order: ties follow the flat
-    index.  The caller keeps n^k below 2^31."""
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-    if k == 3:
-        return _triple_band(powers, _unordered_pairs(powers), lo, hi)
-    if lo != -np.inf or hi != np.inf:
-        raise ValueError("only triple sums are taken in a band")
-    i, j, sums = _unordered_pairs(powers)
-    flat = (i * len(powers) + j).astype(np.int32)
-    del i, j
-    return _stable_sorted(sums, flat)
-
-
 def _triple_band(powers: np.ndarray, pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
                  lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """unordered_sums(powers, 3, lo, hi) from the pairs _unordered_pairs(powers).
+    """The sums (P_i + P_j) + P_l over i <= j <= l, formed left to right,
+    that lie in [lo, hi), with the int32 flat index i n^2 + j n + l, in
+    stable order (see count.stable_sorted); ``pairs`` is
+    unordered_pairs(powers).  The caller keeps n^3 below 2^31.
 
     Each pair's sums grow with l, so two searchsorted bounds on the powers,
     widened by _PERM_ULPS long-double ulps of the largest sum, give the run
@@ -378,36 +353,19 @@ def _triple_band(powers: np.ndarray, pairs: tuple[np.ndarray, np.ndarray, np.nda
     first = np.maximum(np.searchsorted(powers, lo - pair - widen), j)
     lengths = np.maximum(np.searchsorted(powers, hi - pair + widen) - first, 0)
     run = np.repeat(np.arange(len(pair)), lengths)
-    l = _runs(first, lengths)
+    l = run_positions(first, lengths)
     sums = pair[run] + powers[l]
     flat = ((i * n + j) * n)[run] + l
     del run, l
     keep = (sums >= lo) & (sums < hi)
     sums, flat = sums[keep], flat[keep].astype(np.int32)
-    return _stable_sorted(sums, flat)
-
-
-def _stable_sorted(sums: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``sums`` ascending, ties in order of ``flat``, and ``flat`` with them."""
-    # sorting float64 keys is 2-3x faster than sorting long doubles, and
-    # rounding to float64 is monotone, so only runs of equal keys need
-    # ordering by (sum, flat index)
-    key = sums.astype(float)
-    order = np.argsort(key)
-    key = key[order]
-    tie = np.flatnonzero(key[1:] == key[:-1])
-    if len(tie):
-        pos = np.union1d(tie, tie + 1)
-        sub = order[pos]
-        order[pos] = sub[np.lexsort((flat[sub], sums[sub], key[pos]))]
-    del key
-    return sums[order], flat[order]
+    return stable_sorted(sums, flat)
 
 
 def _orderings(flat: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The six orderings (a, b, d) of each triple, along a new trailing
-    axis: their sums (P_a + P_b) + P_d, formed as sorted_sums(powers, 3)
-    forms them, and their flat indices a n^2 + b n + d."""
+    axis: their sums (P_a + P_b) + P_d, formed left to right, and their
+    flat indices a n^2 + b n + d."""
     n = len(powers)
     idx = np.stack(np.unravel_index(flat, (n, n, n)), axis=-1)[:, _PERMS]
     a, b, d = idx[..., 0], idx[..., 1], idx[..., 2]
@@ -447,7 +405,7 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     if n == 0:
         return None
     powers = tbl.powers(c)
-    pairs = _unordered_pairs(powers)
+    pairs = unordered_pairs(powers)
     target, eps = LONG(N), LONG(eps_f)
     bottom = (powers[0] + powers[0]) + powers[0]     # the smallest canonical sum
     top = (powers[-1] + powers[-1]) + powers[-1]     # and the largest

@@ -1,14 +1,15 @@
 """Tests for near-diagonal tuple counting."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeineq.count import (CountResult, CountSpec, _pair_sums, count_tuples_fast,
-                             count_tuples_naive, harmonic_V, harmonic_V_naive,
-                             window_hits)
+from oracles import sorted_sums
+from primeineq.count import (CountResult, CountSpec, count_tuples_fast, count_tuples_naive,
+                             harmonic_V, harmonic_V_naive, window_hits)
 from primeineq.reports import rs_scaling_report
 from primeineq.sums import LONG, GuardError
 
@@ -104,9 +105,10 @@ def test_fast_keeps_ambiguity_at_a_rounding_tie():
 
 
 def _window_retest_count(s: CountSpec) -> CountResult:
-    """The earlier fast counter: every pair within gamma + delta, gathered
+    """Every pair of the Y^2 ordered pair sums within gamma + delta, gathered
     by window_hits and re-tested with the exact predicate."""
-    ps = _pair_sums(s.Y, s.c)
+    powers = np.arange(s.Y + 1, 2 * s.Y + 1, dtype=np.int64).astype(LONG) ** LONG(s.c)
+    ps = sorted_sums(powers, 2)[0]
     gamma, delta = LONG(s.gamma), LONG(s.delta)
     count = ambiguous = 0
     for i, j in window_hits(ps, ps, gamma + delta):
@@ -120,6 +122,18 @@ def _window_retest_count(s: CountSpec) -> CountResult:
 def test_fast_equals_window_retest_on_rs_ladder(Y):
     spec = CountSpec(Y, 1.5, 1.0)
     assert count_tuples_fast(spec) == _window_retest_count(spec)
+
+
+@pytest.mark.parametrize("Y, c", [(256, 2.0), (64, 1.0)])
+def test_fast_equals_window_retest_on_dense_ties(Y, c):
+    # integer c: every pair sum is an exact integer, shared by many
+    # unordered pairs (at c = 1, up to Y of them), and gamma = 1 puts the
+    # differences d = +-1 on the window edge, so the sure-hit runs, the
+    # re-tested edge and the ambiguity flags all weigh multiplicities
+    spec = CountSpec(Y, c, 1.0)
+    fast = count_tuples_fast(spec)
+    assert fast == _window_retest_count(spec)
+    assert fast.ambiguous > 0
 
 
 def test_guards():
@@ -167,6 +181,30 @@ def test_harmonic_sum_empty_when_cut_high():
     total, buckets = harmonic_V(spec, 1e-9)
     assert total == 0.0
     assert buckets.size == 0
+
+
+def _harmonic_buckets_exact(Y: int, c: int) -> list[float]:
+    """Brute-force buckets of harmonic_V at integer c and tau = 1: every
+    ordered 4-tuple with integer difference d > 1 adds 1/d to the bucket k
+    with 2^k < d <= 2^(k+1)."""
+    powers = [n ** c for n in range(Y + 1, 2 * Y + 1)]
+    terms = {}
+    for a, b, u, v in itertools.product(powers, repeat=4):
+        d = abs(a + b - u - v)
+        if d > 1:
+            terms.setdefault((d - 1).bit_length() - 1, []).append(1.0 / d)
+    return [math.fsum(terms.get(k, [])) for k in range(max(terms) + 1)]
+
+
+@pytest.mark.parametrize("Y, c", [(4, 2), (6, 1), (5, 3)])
+def test_harmonic_buckets_match_brute_force_at_integer_c(Y, c):
+    # integer differences put whole runs of d on the bucket edges 2^(k+1)
+    total, buckets = harmonic_V(CountSpec(Y, float(c), 1.0), 1.0)
+    want = _harmonic_buckets_exact(Y, c)
+    assert buckets == pytest.approx(want, rel=1e-12)
+    assert total == pytest.approx(math.fsum(want), rel=1e-12)
+    if (Y, c) == (4, 2):
+        assert list(buckets[:3]) == [4.0, 2.0, 0.0]
 
 
 def test_ambiguity_flag_fires_on_boundary():

@@ -5,13 +5,13 @@ import json
 import math
 import random
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import sorted_sums
 from primeineq import reports, solver
-from primeineq.count import sorted_sums, window_hits
+from primeineq.count import unordered_pairs, unordered_sums, window_hits
 from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
 from primeineq.solver import (count_B, exceptional_scan, find_sextuple,
                               find_triple, full_prime_table,
@@ -350,33 +350,37 @@ def test_main_term_matches_fourier_oracle_k6():
         _fourier_main_term_H(inst, [1e6], 6)[0], rel=1e-6)
 
 
-def _irwin_hall3(u):
-    """Density of the sum of three uniforms on [0, 1]."""
-    if u <= 0 or u >= 3:
-        return 0
-    if u <= 1:
-        return u ** 2 / 2
-    if u <= 2:
-        return (-2 * u ** 2 + 6 * u - 3) / 2
-    return (3 - u) ** 2 / 2
+def _g3_c1(X: float, R: float, t: np.ndarray) -> np.ndarray:
+    """g_3(R + t) at c = 1: X^2 IH_3(u), u = (R + t - 3X) / X, with IH_3 the
+    density of the sum of three uniforms on [0, 1].  u and 3 - u are formed
+    from the exact offsets R - 3X and 6X - R, so each end piece keeps its
+    relative precision where it is small."""
+    u = ((R - 3 * X) + t) / X
+    w = ((6 * X - R) - t) / X   # 3 - u
+    return X ** 2 * np.select([(u <= 0) | (w <= 0), u <= 1, w <= 1],
+                              [0.0, u ** 2 / 2, w ** 2 / 2],
+                              (-2 * u ** 2 + 6 * u - 3) / 2)
 
 
 @pytest.mark.parametrize("X", [30.0, 3e6])
 def test_main_term_c1_irwin_hall_closed_form(X):
-    # c = 1: g_3(y) = X^2 IH_3((y - 3X) / X); mpmath integrates
-    # phi(y - R) g_3(y) between every breakpoint of both factors, at both
-    # ends of the support, on both sides of the kink 4X and inside a piece.
-    # At X = 3e6 a float64 ulp of 6X is 1e-7 of the kernel's support.
+    # c = 1: g_3(y) = X^2 IH_3((y - 3X) / X).  In the offset t = y - R the
+    # integrand phi(t) g_3(R + t) is a polynomial of degree n + 2 between
+    # every breakpoint of both factors, so Gauss-Legendre with n/2 + 2 nodes
+    # per piece integrates it exactly: at both ends of the support, on both
+    # sides of the kink 4X and inside a piece.  At X = 3e6 a float64 ulp of
+    # 6X is 1e-7 of the kernel's support.
     inst = ProblemInstance(c=1.0, X=X, eps=0.3, k=3)
     p = kernel_from_instance(inst.eps, X)
     e = p.a + p.b
     steps = [p.a - p.b + 2 * p.h * j for j in range(p.n_boxes + 1)]
+    x, w = np.polynomial.legendre.leggauss(p.n_boxes // 2 + 2)
     for R in (3 * X, 4 * X - e / 2, 4 * X + e / 2, 4.5 * X, 6 * X - e / 2):
-        points = sorted({R + sign * v for v in steps for sign in (-1, 1)}
-                        | {q * X for q in (3, 4, 5, 6) if abs(q * X - R) < e})
-        with mpmath.workdps(30):
-            want = mpmath.quad(lambda y: phi_eval(p, float(y - R))
-                               * X ** 2 * _irwin_hall3((y - 3 * X) / X), points)
+        cuts = sorted({sign * v for v in steps for sign in (-1, 1)}
+                      | {q * X - R for q in (3, 4, 5, 6) if abs(q * X - R) < e})
+        lo, hi = np.array(cuts[:-1])[:, None], np.array(cuts[1:])[:, None]
+        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        want = np.sum(0.5 * (hi - lo) * w * phi_eval(p, t) * _g3_c1(X, R, t))
         assert main_term_H(inst, R) == pytest.approx(float(want), rel=1e-9), R
 
 
@@ -493,6 +497,12 @@ def test_mitm_search_near_ties_match_ordered_oracle(monkeypatch, chunk, start,
     assert _assert_same_record(_table(range(start, start + count)), c, N, eps) is not None
 
 
+def _all_triples(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every canonical triple sum, sorted, with its flat index: the band
+    of all sums."""
+    return solver._triple_band(P, unordered_pairs(P), -np.inf, np.inf)
+
+
 def _table(primes) -> PrimeTable:
     """A table of the given integers, prime or not."""
     primes = np.array(primes, dtype=np.int64)
@@ -530,7 +540,7 @@ def test_mitm_search_without_solution_at_5e6():
     c, N, eps = 2.05, 5e6, 1e-9
     tbl = full_prime_table(N, c)
     P = tbl.powers(c)
-    sums, flat = solver.unordered_sums(P, 3)
+    sums, flat = _all_triples(P)
     assert len(sums) == 3_817_670
     slack = solver._PERM_ULPS * np.finfo(LONG).eps * (sums[-1] + LONG(eps))
     for t, u in window_hits(sums, LONG(N) - sums, LONG(eps) + slack):
@@ -548,7 +558,7 @@ def test_mitm_search_record_in_a_later_band(monkeypatch, bands):
     c, N, eps = 2.05, 3.2048838649363313e20, 1e5
     tbl = _table(range(4_200_000_000, 4_200_000_008))
     P, n = tbl.powers(c), len(tbl)
-    sums, flat = solver.unordered_sums(P, 3)
+    sums, flat = _all_triples(P)
     want = _ordered_mitm_search(tbl, c, N, eps)
     a, b, d = sorted(np.searchsorted(tbl.primes, want.primes[:3]))
     record_t = (a * n + b) * n + d
@@ -611,7 +621,7 @@ def test_unordered_triple_sums_in_stable_long_double_order(c, dense, k):
         sums.append((P[idx[0]] + P[idx[1]]) + (P[idx[2]] if k == 3 else 0))
     sums = np.array(sums, dtype=LONG)
     order = np.argsort(sums, kind="stable")
-    got_sums, got_flat = solver.unordered_sums(P, k)
+    got_sums, got_flat = unordered_sums(P) if k == 2 else _all_triples(P)
     assert got_flat.dtype == np.int32
     assert np.array_equal(got_sums, sums[order])
     assert np.array_equal(got_flat, np.array(flat)[order])
@@ -624,25 +634,23 @@ def test_triple_band_is_the_full_range_masked(c, dense):
     primes = (np.arange(4_000_000_000, 4_000_000_040, dtype=np.int64) if dense
               else full_prime_table(2e5, c).primes)
     P = primes.astype(LONG) ** LONG(c)
-    sums, flat = solver.unordered_sums(P, 3)
+    sums, flat = _all_triples(P)
     m = len(sums)
     up, down = LONG(np.inf), LONG(-np.inf)
     for lo, hi in [(sums[m // 5], sums[m // 2]), (sums[0], sums[-1]),
                    (np.nextafter(sums[m // 4], up), np.nextafter(sums[3 * m // 4], down)),
                    (-np.inf, sums[m // 3]), (sums[2 * m // 3], np.inf),
                    (sums[0] - 1, sums[0]), (sums[m // 2], sums[m // 2])]:
-        got_sums, got_flat = solver.unordered_sums(P, 3, lo, hi)
+        got_sums, got_flat = solver._triple_band(P, unordered_pairs(P), lo, hi)
         keep = (sums >= lo) & (sums < hi)
         assert got_flat.dtype == np.int32
         assert np.array_equal(got_sums, sums[keep]), (lo, hi)
         assert np.array_equal(got_flat, flat[keep]), (lo, hi)
-    with pytest.raises(ValueError):
-        solver.unordered_sums(P, 2, sums[0])
 
 
 def test_mitm_search_triple_guard(monkeypatch):
     # 465^3 > 1e8 triple sums: refused before the triple sums are built
-    monkeypatch.setattr(solver, "_unordered_pairs", None)
+    monkeypatch.setattr(solver, "unordered_pairs", None)
     monkeypatch.setattr(solver, "_triple_band", None)
     tbl = full_prime_table(3310.0, 1.0)
     assert len(tbl) == 465
