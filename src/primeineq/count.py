@@ -5,29 +5,34 @@ formed in extended precision: the difference d of two pair sums is tested
 with the strict predicate |d| < gamma, and every tuple with
 ||d| - gamma| < delta is additionally reported as boundary-ambiguous.
 
-The fast counter works on the sorted unordered pair sums (``unordered_sums``):
-the n(n+1)/2 sums over i <= j, each standing for m = 1 (i = j) or m = 2
-(i < j) ordered pairs, since fl(P_i + P_j) = fl(P_j + P_i).  For each p it
-takes two window bounds by binary search.  Every q before the inner bound
-is a sure hit and cannot be ambiguous, every q from the outer bound on is a
-sure miss, and only the few q between the bounds are re-tested with the
-exact predicate; a pair (p, q) stands for m_p m_q ordered 4-tuples.
+The fast counter works on the pair index (``unordered_sums``): the
+n(n+1)/2 unordered pairs i <= j, each standing for m = 1 (i = j) or m = 2
+(i < j) ordered pairs, since fl(P_i + P_j) = fl(P_j + P_i), sorted by their
+long-double sums.  The index keeps only float64 keys, the sums rounded to
+8 bytes, and the int32 flat index i n + j; a caller that needs a pair's
+long-double sum forms it again from the flat index (``pair_sums``), bitwise
+the sum the index was sorted by.  For each p the fast counter takes two
+window bounds by binary search among the keys.  Every q before the inner
+bound is a sure hit and cannot be ambiguous, every q from the outer bound
+on is a sure miss, and only the few q between the bounds are re-tested with
+the exact predicate; a pair (p, q) stands for m_p m_q ordered 4-tuples.
 Rounded subtraction is antisymmetric, so only q > p is searched.  The naive
 counter is the oracle: it enumerates all Y^4 ordered tuples over its own
 unsorted pair sums and shares no code with the fast path.  The two agree
 exactly, ambiguity flags included.  The Y-ladder slope reports built on
 these counts live in ``reports``.
 
-The same index is the triple solvers' pair index (``solver._pair_index``),
-and its pair builder and sort (``unordered_pairs``, ``stable_sorted``) also
-build the sextuple search's bands of unordered triple sums
-(``solver._triple_band``).  The window search over a sorted index
-(``window_hits``) serves the triple and sextuple solvers: the triple
-counters run it over the unordered prime pair sums, and the sextuple
-search (``solver._mitm_search``) from each band of unordered triple sums
-into the band of the sums that can complete them to N, widened so that it
-reaches every ordering of each triple, and re-tests each ordering with the
-exact predicate.
+The same index is the triple solvers' pair index (``solver._pair_index``).
+The sextuple search's bands of unordered triple sums
+(``solver._triple_band``) keep their long-double sums: they are built on
+``unordered_pairs`` and sorted by ``stable_sorted``, which shares the
+index's float64-key sort and tie fix-up.  The window search over a sorted
+array (``window_hits``) searches float64 keys, widened for their rounding,
+and serves the triple and sextuple solvers: the triple counters run it over
+the pair index, and the sextuple search (``solver._mitm_search``) from each
+band of unordered triple sums into the band of the sums that can complete
+them to N, widened so that it reaches every ordering of each triple, and
+re-tests each ordering with the exact predicate.
 """
 
 from __future__ import annotations
@@ -46,67 +51,110 @@ _HARMONIC_GUARD = 10 ** 9  # Y^4 at most this many ordered 4-tuples
 _HARMONIC_NAIVE_GUARD = 10 ** 8   # Y^4 at most this many Python-level terms
 _BLOCK = 1 << 16           # targets per block of a window search
 _SLACK_ULPS = 8            # long-double ulps added to every window's reach
+_KEY_ULPS = 4              # float64 ulps added to it for the rounding to float64
 
 
 def unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n(n+1)/2 unordered pairs i <= j, row by row, and their long-double
-    sums P_i + P_j."""
+    sums P_i + P_j; the sextuple search builds its triple bands on them."""
     i, j = np.triu_indices(len(powers))
     sums = powers[i]
     sums += powers[j]
     return i, j, sums
 
 
-def stable_sorted(sums: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``sums`` ascending, ties in order of ``flat``, and ``flat`` with them."""
+def pair_sums(powers: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The long-double sums P_i + P_j of the pairs with flat index i n + j."""
+    i, j = np.divmod(flat, len(powers))
+    return powers[i] + powers[j]
+
+
+def _stable_order(keys: np.ndarray, flat: np.ndarray, exact) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation that sorts entries by (value, flat), and ``keys`` in
+    that order.  ``keys`` are the float64 roundings of the values, and
+    exact(sub) gives the long-double values of the entries sub."""
     # sorting float64 keys is 2-3x faster than sorting long doubles, and
     # rounding to float64 is monotone, so only runs of equal keys need
-    # ordering by (sum, flat index); unordered sums share a key only where
-    # distinct pairs or triples come within a float64 ulp of each other
-    key = sums.astype(float)
-    order = np.argsort(key)
-    key = key[order]
-    tie = np.flatnonzero(key[1:] == key[:-1])
+    # ordering by (value, flat index); distinct sums share a key only where
+    # they come within a float64 ulp of each other
+    order = np.argsort(keys)
+    keys = keys[order]
+    tie = np.flatnonzero(keys[1:] == keys[:-1])
     if len(tie):
         pos = np.union1d(tie, tie + 1)
         sub = order[pos]
-        order[pos] = sub[np.lexsort((flat[sub], sums[sub], key[pos]))]
-    del key
+        order[pos] = sub[np.lexsort((flat[sub], exact(sub), keys[pos]))]
+    return order, keys
+
+
+def stable_sorted(sums: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sums`` ascending, ties in order of ``flat``, and ``flat`` with them;
+    the sort of the sextuple search's bands of long-double triple sums."""
+    order = _stable_order(sums.astype(float), flat, sums.__getitem__)[0]
     return sums[order], flat[order]
 
 
 def unordered_sums(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pair index: the n(n+1)/2 sums P_i + P_j over i <= j with the int32
-    flat index i n + j, ascending, in stable order: ties follow the flat
-    index.  The caller keeps n^2 below 2^31."""
-    i, j, sums = unordered_pairs(powers)
-    flat = (i * len(powers) + j).astype(np.int32)
-    del i, j
-    return stable_sorted(sums, flat)
+    """The pair index of the n(n+1)/2 pairs i <= j: float64 keys
+    fl(P_i + P_j), each sum formed in long double and then rounded, and the
+    int32 flat index i n + j, in stable order: ascending long-double sum,
+    ties by flat index.  The long-double sums are not kept; a caller that
+    needs one forms it again from the flat index (``pair_sums``), bitwise
+    the same.  The caller keeps n^2 below 2^31.
+
+    Keys and flat indices are written row by row into preallocated arrays,
+    then sorted by key; only runs of equal keys have their long-double sums
+    formed again, to order them.
+    """
+    n = len(powers)
+    keys = np.empty(n * (n + 1) // 2)
+    flat = np.empty(len(keys), dtype=np.int32)
+    start = 0
+    for i in range(n):   # row i: the pairs (i, j), j = i, ..., n - 1
+        stop = start + n - i
+        keys[start:stop] = powers[i:] + powers[i]
+        flat[start:stop] = np.arange(i * n + i, (i + 1) * n)
+        start = stop
+    order, keys = _stable_order(keys, flat, lambda sub: pair_sums(powers, flat[sub]))
+    return keys, flat[order]
 
 
 def window_hits(values: np.ndarray, targets: np.ndarray, width: float):
     """Yield candidate index arrays (t, pos), one block of targets at a time.
 
-    ``values`` must be ascending.  Pairs come in (t, pos) order and cover
-    every pair with |values[pos] - targets[t]| < width: the search reaches
-    _SLACK_ULPS long-double ulps of max|values| + width past the width, so
-    rounding never drops a pair.  Near misses come along, so every caller
-    re-tests its candidates with its own exact predicate.
+    ``values`` must be ascending.  Values and targets are searched as
+    float64 (``np.asarray(values, float)`` is a no-op for the pair index's
+    keys).  Pairs come in (t, pos) order and cover every pair with
+    |values[pos] - targets[t]| < width in long double: the search reaches
+    _SLACK_ULPS long-double ulps plus _KEY_ULPS float64 ulps of
+    max|values| + width past the width, so neither the callers' rounding nor
+    the float64 rounding of values, targets and bounds drops a pair.  Near
+    misses come along, so every caller re-tests its candidates with its own
+    exact predicate.
     """
     if len(values) == 0:
         return
+    keys = np.asarray(values, float)
     width = LONG(width)
     scale = max(abs(LONG(values[0])), abs(LONG(values[-1]))) + width
-    reach = width + _SLACK_ULPS * np.finfo(LONG).eps * scale
+    reach = float(width + _slack(scale))
+    targets = np.asarray(targets, float)
     for start in range(0, len(targets), _BLOCK):
         block = targets[start:start + _BLOCK]
-        lo = np.searchsorted(values, block - reach, side="left")
-        lengths = np.searchsorted(values, block + reach, side="right") - lo
+        lo = np.searchsorted(keys, block - reach, side="left")
+        lengths = np.searchsorted(keys, block + reach, side="right") - lo
         if not lengths.any():
             continue
         t = np.repeat(np.arange(start, start + len(block)), lengths)
         yield t, run_positions(lo, lengths)
+
+
+def _slack(scale):
+    """The rounding slack of a search among float64 keys of long-double
+    values of magnitude at most ``scale``: _SLACK_ULPS long-double ulps for
+    the exact predicates, plus _KEY_ULPS float64 ulps for the rounding of
+    keys, targets and bounds to float64 (under 3 such ulps in all)."""
+    return (_SLACK_ULPS * np.finfo(LONG).eps + _KEY_ULPS * LONG(np.finfo(float).eps)) * scale
 
 
 def run_positions(lo: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -140,14 +188,15 @@ class CountResult:
     ambiguous: int
 
 
-def _pair_multiset(s: CountSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The Y^2 ordered pair sums n1^c + n2^c, n1, n2 in (Y, 2Y], as the
-    sorted unordered sums (see unordered_sums) and the number m of ordered
-    pairs each stands for: 1 for n1 = n2, else 2."""
+def _pair_multiset(s: CountSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Y^2 ordered pair sums n1^c + n2^c, n1, n2 in (Y, 2Y], as the pair
+    index of the unordered ones (see unordered_sums): the powers n^c, the
+    keys and flat indices, and the number m of ordered pairs each unordered
+    sum stands for: 1 for n1 = n2, else 2."""
     powers = np.arange(s.Y + 1, 2 * s.Y + 1, dtype=np.int64).astype(LONG) ** LONG(s.c)
-    ps, flat = unordered_sums(powers)
+    keys, flat = unordered_sums(powers)
     # i n + j is a multiple of n + 1 iff i = j, since 0 <= j - i < n + 1
-    return ps, np.where(flat % (s.Y + 1) == 0, 1, 2)
+    return powers, keys, flat, np.where(flat % (s.Y + 1) == 0, 1, 2)
 
 
 def count_tuples_naive(s: CountSpec) -> CountResult:
@@ -188,29 +237,33 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     so a pair (p, q) stands for m_p m_q ordered 4-tuples with the same
     verdicts.  Since fl(a - b) = -fl(b - a), (q, p) has the verdicts of
     (p, q), and the diagonal d = 0 (sum m_p^2 tuples) is a hit, ambiguous
-    when gamma < delta; so only q > p is searched.  With b = delta plus
-    _SLACK_ULPS long-double ulps of the largest magnitude involved, every q
-    before the inner bound (ps[q] < ps[p] + (gamma - b)) is a hit and not
-    ambiguous, and every q past the outer bound (ps[q] > ps[p] + (gamma + b))
-    is neither, whatever the rounding.  The sure hits of p weigh m_p times a
-    prefix sum of m; only the q between the two bounds are re-tested, with
-    the exact comparison the naive counter uses.
+    when gamma < delta; so only q > p is searched.  The bounds are searched
+    among the float64 keys: with b = delta plus the slack of window_hits
+    (_SLACK_ULPS long-double and _KEY_ULPS float64 ulps of the largest
+    magnitude involved), every q before the inner bound
+    (key[q] < key[p] + (gamma - b)) is a hit and not ambiguous, and every q
+    past the outer bound (key[q] > key[p] + (gamma + b)) is neither,
+    whatever the rounding.  The sure hits of p weigh m_p times a prefix sum
+    of m; only the q between the two bounds are re-tested, on long-double
+    sums formed again from the flat indices, with the exact comparison the
+    naive counter uses.
     """
     if s.Y ** 2 > _FAST_GUARD:
         raise GuardError("fast", _FAST_GUARD, f"Y^2 = {s.Y ** 2} pair sums")
-    ps, m = _pair_multiset(s)
+    powers, keys, flat, m = _pair_multiset(s)
     below = np.concatenate([[0], np.cumsum(m)])   # below[q] = m_0 + ... + m_{q-1}
     diagonal = int(np.sum(m * m))
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
-    b = delta + _SLACK_ULPS * np.finfo(LONG).eps * (abs(ps[-1]) + gamma + delta)
+    b = delta + _slack(abs(LONG(keys[-1])) + gamma + delta)
+    inner_reach, outer_reach = float(gamma - b), float(gamma + b)
     hits = 0        # ordered tuples of pairs p < q with |d| < gamma
     ambiguous = 0   # ordered tuples of pairs p < q with ||d| - gamma| < delta
-    for start in range(0, len(ps), _BLOCK):
-        block = ps[start:start + _BLOCK]
+    for start in range(0, len(keys), _BLOCK):
+        block = keys[start:start + _BLOCK]
         after = np.arange(start + 1, start + 1 + len(block))   # p + 1
-        inner = np.searchsorted(ps, block + (gamma - b), side="left")
-        outer = np.searchsorted(ps, block + (gamma + b), side="right")
+        inner = np.searchsorted(keys, block + inner_reach, side="left")
+        outer = np.searchsorted(keys, block + outer_reach, side="right")
         lo = np.maximum(inner, after)
         hits += int(np.sum(m[start:start + len(block)] * (below[lo] - below[after])))
         lengths = np.maximum(outer - lo, 0)
@@ -218,7 +271,7 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
             continue
         p = np.repeat(after - 1, lengths)
         q = run_positions(lo, lengths)
-        d = np.abs(ps[q] - ps[p])
+        d = np.abs(pair_sums(powers, flat[q]) - pair_sums(powers, flat[p]))
         weight = m[p] * m[q]
         hits += int(np.sum(weight[d < gamma]))
         ambiguous += int(np.sum(weight[np.abs(d - gamma) < delta]))
@@ -232,15 +285,17 @@ def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
     Returns (total, per-bucket vector).  Exact up to float rounding; the
     bucket split mirrors the dyadic decomposition used to bound it.  The
     work is the differences d = ps[q] - ps[p] of the sorted unordered pair
-    sums over q > p, a chunk of rows p at a time; d <= 0 for q <= p, so
-    d > 1/tau picks pairs p < q only.  Each stands for m_p m_q ordered
+    sums, formed in long double from the pair index's flat indices, over
+    q > p, a chunk of rows p at a time; d <= 0 for q <= p, so d > 1/tau
+    picks pairs p < q only.  Each stands for m_p m_q ordered
     4-tuples, and (q, p) for as many more with difference -d.
     """
     if s.Y ** 4 > _HARMONIC_GUARD:
         raise GuardError("harmonic", _HARMONIC_GUARD, f"Y^4 = {s.Y ** 4} differences")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    ps, m = _pair_multiset(s)
+    powers, _, flat, m = _pair_multiset(s)
+    ps = pair_sums(powers, flat)
     cut = LONG(1.0) / LONG(tau)
     max_d = float(ps[-1] - ps[0])
     if max_d <= float(cut):

@@ -87,10 +87,12 @@ def sextuple_feasible(inst: ProblemInstance, N: float) -> bool:
 
 
 class PairIndex(NamedTuple):
-    """The unordered pair sums of one table at one c (see
-    count.unordered_sums), with the powers they were formed from."""
+    """The sorted unordered pair sums of one table at one c (see
+    count.unordered_sums), with the powers they were formed from; a pair's
+    long-double sum is powers[i] + powers[j], formed again from its flat
+    index."""
 
-    sums: np.ndarray     # long double, ascending
+    keys: np.ndarray     # float64 fl(P_i + P_j), sum formed in long double, ascending
     flat: np.ndarray     # int32 flat index i n + j, i <= j, of each sum
     powers: np.ndarray   # p^c in long double, in table order
 
@@ -111,9 +113,9 @@ def _triples_near(index: PairIndex, R: float, width):
     i <= j, a block at a time (see count.window_hits): index arrays i, j, l
     and the long-double pair sums p_i^c + p_j^c."""
     n = len(index.powers)
-    for l, pos in window_hits(index.sums, LONG(R) - index.powers, width):
+    for l, pos in window_hits(index.keys, LONG(R) - index.powers, width):
         i, j = np.divmod(index.flat[pos], n)
-        yield i, j, l, index.sums[pos]
+        yield i, j, l, index.powers[i] + index.powers[j]
 
 
 def count_B(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = None,
@@ -476,15 +478,18 @@ def find_triple(inst: ProblemInstance, R: float) -> Optional[SolutionRecord]:
         raise ValueError("find_triple needs a k=3 instance")
     tbl = full_prime_table(R + inst.eps, inst.c)
     powers = tbl.powers(inst.c)
+    keys = powers.astype(float)   # searched by every window_hits call below
     target = LONG(R)
     eps = LONG(inst.eps)
     for i in range(len(tbl)):
-        # p3 >= p2 needs 2 p2^c < R - p1^c + eps; the bound 2 eps clears rounding
-        m = int(np.count_nonzero(2 * powers[i:] <= target - powers[i] + 2 * eps))
-        if m == 0:
+        # p3 >= p2 needs 2 p2^c < R - p1^c + eps; the bound 2 eps clears
+        # rounding, and halving it is exact, so the m candidates for p2 are
+        # the powers from i up to (R - p1^c + 2 eps) / 2
+        m = int(np.searchsorted(powers, (target - powers[i] + 2 * eps) / 2, side="right")) - i
+        if m <= 0:
             break
         # p2 = primes[j] with j = i + t, p3 = primes[k] with k >= j
-        for t, k in window_hits(powers, target - powers[i] - powers[i:i + m], eps):
+        for t, k in window_hits(keys, target - powers[i] - powers[i:i + m], eps):
             keep = k >= i + t
             for j, k in zip(i + t[keep], k[keep]):
                 primes = (int(tbl.primes[i]), int(tbl.primes[j]), int(tbl.primes[k]))

@@ -88,18 +88,23 @@ class ProblemInstance:
         return math.exp(-self.log_X ** 0.2)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_VECTOR_MR_LIMIT = 2 ** 31   # below it x * x mod n cannot overflow int64
+_VECTOR_MR_CHUNK = 1 << 14   # numbers tested at once by _are_prime
+
+
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -110,6 +115,62 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _are_prime(n: np.ndarray) -> np.ndarray:
+    """_is_prime of every entry of an int64 array with entries below
+    _VECTOR_MR_LIMIT: the same trial divisions and the same 12 Miller-Rabin
+    bases, in int64 numpy arithmetic, _VECTOR_MR_CHUNK numbers at a time."""
+    n = np.asarray(n, dtype=np.int64)
+    if len(n) > _VECTOR_MR_CHUNK:
+        return np.concatenate([_are_prime(n[k:k + _VECTOR_MR_CHUNK])
+                               for k in range(0, len(n), _VECTOR_MR_CHUNK)])
+    prime = n >= 2
+    undecided = prime.copy()   # not yet decided by trial division
+    for p in _MR_BASES:
+        divides = undecided & (n % p == 0)
+        prime[divides] = n[divides] == p
+        undecided &= ~divides
+    m = n[undecided]       # odd, above 37, so n - 1 = d 2^s with s >= 1
+    if len(m) == 0:
+        return prime
+    d, s = m - 1, np.zeros(len(m), dtype=np.int64)
+    while True:
+        even = d % 2 == 0
+        if not even.any():
+            break
+        d[even] //= 2
+        s[even] += 1
+    # x = a^d mod m for every base a at once, by square and multiply
+    x = np.ones((len(_MR_BASES), len(m)), dtype=np.int64)
+    base = np.array(_MR_BASES, dtype=np.int64)[:, None] % m
+    e = d.copy()
+    while e.any():
+        odd = (e & 1) == 1
+        x = np.where(odd, x * base % m, x)
+        base = base * base % m
+        e >>= 1
+    witness_passed = (x == 1) | (x == m - 1)
+    for r in range(1, int(s.max())):   # the s - 1 squarings
+        x = x * x % m
+        witness_passed |= (x == m - 1) & (r < s)
+    prime[undecided] = witness_passed.all(axis=0)
+    return prime
+
+
+def _verify_primes(primes: np.ndarray) -> None:
+    """Check every entry with deterministic Miller-Rabin; AssertionError
+    names the first composite.  Vectorised below _VECTOR_MR_LIMIT, one
+    number at a time above it."""
+    if len(primes) == 0:
+        return
+    if primes.max() < _VECTOR_MR_LIMIT:
+        ok = _are_prime(primes)
+    else:
+        ok = np.array([_is_prime(int(p)) for p in primes], dtype=bool)
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        raise AssertionError(f"sieve produced composite {primes[bad[0]]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,9 +226,7 @@ def sieve_range(lo: int, hi: int, verify: bool = True) -> np.ndarray:
     primes = (np.nonzero(seg)[0] + lo).astype(np.int64)
 
     if verify:
-        for p in primes:
-            if not _is_prime(int(p)):
-                raise AssertionError(f"sieve produced composite {p}")
+        _verify_primes(primes)
     return primes
 
 

@@ -136,6 +136,38 @@ def test_fast_equals_window_retest_on_dense_ties(Y, c):
     assert fast.ambiguous > 0
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_window_reach_covers_float64_rounding(sign):
+    # A long-double hit |v - t| < w one float64 ulp past the unwidened
+    # reach: near 2^20 the float64 ulp is 2^-32, w lies a quarter ulp off
+    # that grid, t rounds down (by 3/8 ulp) and v = t + w - 2^-43 rounds up
+    # (by 3/8 ulp), so fl(v) - fl(t) = w + 3/4 ulp, while fl(t) + w rounds
+    # down to the grid point below fl(v).  sign = -1 mirrors the case to the
+    # lower end of the window.
+    ulp = LONG(2.0 ** -32)
+    w = LONG(0.5) + ulp / 4
+    t = LONG(2.0 ** 20) + 3 * ulp / 8
+    v = t + w - LONG(2.0 ** -43)
+    assert abs(v - t) < w
+    assert float(t) == 2.0 ** 20 and float(v) == float(LONG(2.0 ** 20 + 0.5) + ulp)
+    values = np.sort(sign * np.array([t - 1, v, t + 2], dtype=LONG))
+    hits = [(int(a), int(b)) for ts, ps in window_hits(values, np.array([sign * t]), w)
+            for a, b in zip(ts, ps)]
+    assert hits == [(0, 1)]
+
+
+def test_fast_bounds_cover_float64_rounding():
+    # n in (12, 24], c = 1.5: the pairs (14, 17) and (14, 19) differ by
+    # d = 19^c - 17^c, 3.4e-16 below gamma, a hit; their float64 keys lie
+    # one key ulp (2.8e-14) past key[p] + gamma, beyond the outer bound
+    # unless the bound reaches over the keys' rounding
+    spec = CountSpec(12, 1.5, 12.726284291772568, 0.0)
+    n = np.array([14, 17, 19], dtype=LONG) ** LONG(1.5)
+    assert (n[0] + n[2]) - (n[0] + n[1]) < LONG(spec.gamma)
+    assert float(n[0] + n[2]) > float(n[0] + n[1]) + spec.gamma
+    assert count_tuples_fast(spec) == count_tuples_naive(spec) == CountResult(4514, 0)
+
+
 def test_guards():
     with pytest.raises(ValueError):
         count_tuples_naive(CountSpec(500, 1.5, 0.1))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import sorted_sums
 from primeineq import reports, solver
-from primeineq.count import unordered_pairs, unordered_sums, window_hits
+from primeineq.count import pair_sums, unordered_pairs, unordered_sums, window_hits
 from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
 from primeineq.solver import (count_B, exceptional_scan, find_sextuple,
                               find_triple, full_prime_table,
@@ -191,11 +191,17 @@ def test_pair_index_against_the_ordered_index(kind):
     P = tbl.powers(inst.c)
     index = solver._pair_index(tbl, inst.c)
     assert np.array_equal(index.powers, P)
-    # every pair i < j stands for two ordered pairs with the same sum
+    # every pair i < j stands for two ordered pairs with the same sum, so
+    # the index is the ordered one with its pairs i > j left out
     i, j = np.divmod(index.flat, n)
     assert np.all(i <= j)
-    twice = np.sort(np.concatenate([index.sums, index.sums[i < j]]))
-    assert np.array_equal(twice, sorted_sums(P, 2)[0])
+    want_sums, order = sorted_sums(P, 2)
+    assert np.array_equal(index.flat, order[order // n <= order % n])
+    sums = pair_sums(P, index.flat)
+    twice = np.sort(np.concatenate([sums, sums[i < j]]))
+    assert np.array_equal(twice, want_sums)
+    assert index.keys.dtype == np.float64
+    assert np.array_equal(index.keys, sums.astype(float))
     rng = random.Random(kind)
     Rs = []
     for _ in range(6):
@@ -621,7 +627,15 @@ def test_unordered_triple_sums_in_stable_long_double_order(c, dense, k):
         sums.append((P[idx[0]] + P[idx[1]]) + (P[idx[2]] if k == 3 else 0))
     sums = np.array(sums, dtype=LONG)
     order = np.argsort(sums, kind="stable")
-    got_sums, got_flat = unordered_sums(P) if k == 2 else _all_triples(P)
+    if k == 2:
+        # the pair index keeps float64 keys; its long-double sums are
+        # formed again from the flat indices
+        keys, got_flat = unordered_sums(P)
+        got_sums = pair_sums(P, got_flat)
+        assert keys.dtype == np.float64
+        assert np.array_equal(keys, got_sums.astype(float))
+    else:
+        got_sums, got_flat = _all_triples(P)
     assert got_flat.dtype == np.int32
     assert np.array_equal(got_sums, sums[order])
     assert np.array_equal(got_flat, np.array(flat)[order])

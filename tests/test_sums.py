@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from primeineq import reports
+from primeineq import reports, sums
 from primeineq.sums import (LONG, ConvergenceError, ProblemInstance,
                             bilinear_sum, integral_I, moment4, moment_grid,
                             sieve_primes, sum_S, sum_T, weyl_differencing_check)
@@ -27,6 +27,24 @@ def test_sieve_small():
 def test_sieve_large_count():
     # pi(2e6) - pi(1e6)
     assert len(sieve_primes(1e6, verify=False)) == 70435
+
+
+@pytest.mark.parametrize("composite", [561, 41041, 2047, 1373653, 25326001])
+def test_sieve_check_rejects_pseudoprimes(composite):
+    # Carmichael numbers 561 and 41041, and the strong pseudoprimes 2047
+    # (base 2), 1373653 (bases 2, 3) and 25326001 (bases 2, 3, 5): the
+    # vectorised check, used below 2^31, raises on each as the scalar one does
+    assert not sums._is_prime(composite)
+    assert not sums._are_prime(np.array([composite]))[0]
+    with pytest.raises(AssertionError, match=f"composite {composite}"):
+        sums._verify_primes(np.array([101, composite, 2 ** 31 - 1], dtype=np.int64))
+
+
+def test_vectorised_check_is_the_scalar_one():
+    rng = np.random.default_rng(0)
+    n = np.concatenate([np.arange(0, 30_000), rng.integers(2 ** 30, 2 ** 31, 20_000),
+                        [1373653, 25326001, 3215031751 - 2 ** 31, 2 ** 31 - 1]])
+    assert np.array_equal(sums._are_prime(n), [sums._is_prime(int(k)) for k in n])
 
 
 def test_instance_defaults():
