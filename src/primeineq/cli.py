@@ -299,13 +299,13 @@ def _cmd_mainterm(args, cfg, out) -> int:
     if c is None or N is None:
         raise UsageError("mainterm requires --N and --c")
     k = _resolve(args, cfg, "k", int, 3)
-    if k == 3:
-        inst = instance_for_theorem1(N, c, _resolve(args, cfg, "eps", float))
-    else:
-        inst = instance_for_theorem2(N, c, _resolve(args, cfg, "eps", float))
+    if k not in (3, 6):
+        raise UsageError("k must be 3 or 6")
+    theorem = instance_for_theorem1 if k == 3 else instance_for_theorem2
+    inst = theorem(N, c, _resolve(args, cfg, "eps", float))
     R = _resolve(args, cfg, "R", float, N)
-    h = main_term_H(inst, R, k)
-    _emit(render_report({"config": {**instance_config(inst), "N": N, "k": k},
+    h = main_term_H(inst, R)
+    _emit(render_report({"config": {**instance_config(inst), "N": N},
                          "R": R, "H": h}, indent=2), out)
     return 0
 

@@ -48,7 +48,7 @@ class KernelParams:
         return self.b / self.n_boxes
 
 
-def kernel_from_instance(eps: float, X: float, strict_smooth: bool = False) -> KernelParams:
+def kernel_from_instance(eps: float, X: float) -> KernelParams:
     """Parameters used by the solvers: a = 9*eps/10, b = eps/10, r = floor(log X).
 
     b < a/4 holds automatically (eps/10 < 9*eps/40).
@@ -57,7 +57,7 @@ def kernel_from_instance(eps: float, X: float, strict_smooth: bool = False) -> K
         raise ValueError("eps must be positive")
     if X < 3:
         raise ValueError("X must be >= 3")
-    return KernelParams(0.9 * eps, 0.1 * eps, int(math.floor(math.log(X))), strict_smooth)
+    return KernelParams(0.9 * eps, 0.1 * eps, int(math.floor(math.log(X))))
 
 
 _CDF_BLOCK = 1 << 16   # points per block of the Irwin-Hall recurrence
@@ -139,7 +139,10 @@ def phi_fourier_bound(p: KernelParams, x) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def phi_fourier_quadrature(p: KernelParams, x: float, rel_tol: float = 1e-9) -> float:
+_QUAD_REL_TOL = 1e-9   # phi_fourier_quadrature's stopping criterion
+
+
+def phi_fourier_quadrature(p: KernelParams, x: float) -> float:
     """Direct numeric transform of phi; independent oracle for phi_fourier.
 
     Trapezoid rule with interval doubling on [-(a+b), a+b]; the integrand
@@ -147,7 +150,7 @@ def phi_fourier_quadrature(p: KernelParams, x: float, rel_tol: float = 1e-9) -> 
     2 * phi(y) * cos(2*pi*x*y) over [0, a+b], from 256 intervals up.  Each
     doubling evaluates only the new midpoints.  ConvergenceError when 16
     levels (up to 2^23 intervals) bring no two successive estimates within
-    rel_tol.
+    _QUAD_REL_TOL.
     """
     def integrand(y: np.ndarray) -> np.ndarray:
         return 2.0 * phi_eval(p, y) * np.cos(2.0 * np.pi * x * y)
@@ -162,6 +165,6 @@ def phi_fourier_quadrature(p: KernelParams, x: float, rel_tol: float = 1e-9) -> 
         n *= 2
         prev, est = est, top / n * (ends + inner)
         error = abs(est - prev)
-        if error <= rel_tol * max(1.0, abs(est)):
+        if error <= _QUAD_REL_TOL * max(1.0, abs(est)):
             return est
     raise ConvergenceError("phi_fourier_quadrature", error)

@@ -80,24 +80,29 @@ def _ladder_fit(c: float, gamma: float, Ys, workers: int = 1
     return counts, float(slope), float(intercept)
 
 
+_SLOPE_CAP = 2.65   # rs-slope's ceiling on the fitted slope
+
+
 def rs_slope_report(c: float = 1.5, gamma: float = 1.0,
                     Ys: tuple[int, ...] = (64, 128, 256, 512, 1024),
-                    slope_cap: float = 2.65, workers: int = 1) -> str:
+                    workers: int = 1) -> str:
     """Log-log slope of the near-diagonal tuple count along a Y ladder."""
     counts, slope, intercept = _ladder_fit(c, gamma, Ys, workers)
     return render_report({
         "report": "rs-slope",
-        "config": {"c": c, "gamma": gamma, "Ys": list(Ys), "slope_cap": slope_cap},
+        "config": {"c": c, "gamma": gamma, "Ys": list(Ys), "slope_cap": _SLOPE_CAP},
         "counts": counts,
         "slope": slope,
         "intercept": intercept,
         "reference_slope": max(4.0 - c, 2.0),
-        "pass": slope <= slope_cap,
+        "pass": slope <= _SLOPE_CAP,
     })
 
 
-def rs_scaling_report(c: float, gamma: float, Ys: list[int],
-                      slope_allowance: float = 0.15) -> dict:
+_SLOPE_ALLOWANCE = 0.15   # rs_scaling_report's allowance over the reference slope
+
+
+def rs_scaling_report(c: float, gamma: float, Ys: list[int]) -> dict:
     """Fit log(count) against log(Y) over a doubling ladder.
 
     The reference slope is max(4 - c, 2); the eta factor in the bound is
@@ -117,8 +122,8 @@ def rs_scaling_report(c: float, gamma: float, Ys: list[int],
         "slope": slope,
         "intercept": intercept,
         "reference_slope": reference,
-        "allowance": slope_allowance,
-        "pass": slope <= reference + slope_allowance and not out_of_regime,
+        "allowance": _SLOPE_ALLOWANCE,
+        "pass": slope <= reference + _SLOPE_ALLOWANCE and not out_of_regime,
         "out_of_regime": out_of_regime,
     }
 
@@ -134,8 +139,11 @@ def _moment_item(item: tuple[float, str], c: float) -> dict:
             "refine_err": err, "normalized": value / norm}
 
 
+_RATIO_CAP = 8.0   # moment-ladder's ceiling on max/min of the normalized moments
+
+
 def moment_ladder_report(c: float = 2.05, Xs: tuple[float, ...] = (256.0, 512.0, 1024.0),
-                         ratio_cap: float = 8.0, workers: int = 1) -> str:
+                         workers: int = 1) -> str:
     """Fourth moments of S and I along an X ladder, normalized by
     X^(4-c) log^5 X; the pass condition is a bounded ratio across the
     ladder (the asymptotic constant itself is not desk-recoverable)."""
@@ -147,11 +155,11 @@ def moment_ladder_report(c: float = 2.05, Xs: tuple[float, ...] = (256.0, 512.0,
         verdict[w] = max(vals) / min(vals)
     return render_report({
         "report": "moment-ladder",
-        "config": {"c": c, "Xs": list(Xs), "ratio_cap": ratio_cap},
+        "config": {"c": c, "Xs": list(Xs), "ratio_cap": _RATIO_CAP},
         "rows": rows,
         "ratio_S": verdict["S"],
         "ratio_I": verdict["I"],
-        "pass": verdict["S"] < ratio_cap and verdict["I"] < ratio_cap,
+        "pass": verdict["S"] < _RATIO_CAP and verdict["I"] < _RATIO_CAP,
     })
 
 
@@ -160,11 +168,13 @@ def _s_minus_i(x: float, inst: ProblemInstance) -> dict:
     return {"x": x, "abs_S_minus_I": float(d)}
 
 
+_TOL_FACTOR = 5.0   # s-vs-i's ceiling on |S - I|, in units of X^(3/4)
+
+
 def s_vs_i_report(c: float = 2.05, X: float = 4096.0, points: int = 20,
-                  seed: int = 11, tol_factor: float = 5.0,
-                  workers: int = 1) -> str:
+                  seed: int = 11, workers: int = 1) -> str:
     """Pointwise |S - I| at random x in [-tau, tau] against a soft ceiling
-    of tol_factor * X^(3/4); a qualitative stand-in for the asymptotic
+    of _TOL_FACTOR * X^(3/4); a qualitative stand-in for the asymptotic
     major-arc approximation, which is not desk-reproducible."""
     inst = ProblemInstance(c=c, X=X, eps=1.0 / math.log(X))
     rng = random.Random(seed)
@@ -172,11 +182,11 @@ def s_vs_i_report(c: float = 2.05, X: float = 4096.0, points: int = 20,
     sieve_primes(X)
     rows = det_map(partial(_s_minus_i, inst=inst), xs, workers)
     worst = max(r["abs_S_minus_I"] for r in rows)
-    cap = tol_factor * X ** 0.75
+    cap = _TOL_FACTOR * X ** 0.75
     return render_report({
         "report": "s-vs-i",
         "config": {**instance_config(inst), "points": points, "seed": seed,
-                   "tol_factor": tol_factor},
+                   "tol_factor": _TOL_FACTOR},
         "rows": rows,
         "max_abs": worst,
         "cap": cap,
@@ -194,10 +204,14 @@ def _triple_item(R: float, inst: ProblemInstance) -> dict:
             "B1_over_H": b1 / h if h != 0 else float("inf")}
 
 
+# triple-regime's gates: the ceiling on the unsolvable share of R, and the
+# band on the aggregate sum(B1) / sum(H)
+_ZERO_CAP = 0.4
+_BAND = (0.5, 2.0)
+
+
 def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
-                         seed: int = 3, zero_cap: float = 0.4,
-                         band: tuple[float, float] = (0.5, 2.0),
-                         workers: int = 1) -> str:
+                         seed: int = 3, workers: int = 1) -> str:
     """Density check for the three-prime inequality over seeded random R in
     (N, 2N].
 
@@ -209,7 +223,7 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
     find_triple over all primes; the R and the decision are those of
     solver.exceptional_scan (sample_R, scan_item), with N from the caller.
     ``zero_fraction`` is the share of unsolvable R and must stay below
-    zero_cap; ``dyadic_zero_fraction`` is the share with count 0.  The
+    _ZERO_CAP; ``dyadic_zero_fraction`` is the share with count 0.  The
     smoothed count must track the main term in aggregate: the band applies
     to sum(B1) / sum(H) over the sampled R, since the argument controls
     B1 - H on average over R, not at each R.  The band is an engineering
@@ -228,7 +242,7 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
     return render_report({
         "report": "triple-regime",
         "config": {**instance_config(inst), "N": N, "samples": samples,
-                   "seed": seed, "zero_cap": zero_cap, "band": list(band),
+                   "seed": seed, "zero_cap": _ZERO_CAP, "band": list(_BAND),
                    "band_note": "engineering surrogate on the aggregate "
                                 "sum(B1)/sum(H), not the asymptotic statement"},
         "rows": rows,
@@ -236,7 +250,7 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
         "dyadic_zero_fraction": dyadic_zero_fraction,
         "median_B1_over_H": med,
         "aggregate_B1_over_H": agg,
-        "pass": zero_fraction <= zero_cap and band[0] <= agg <= band[1],
+        "pass": zero_fraction <= _ZERO_CAP and _BAND[0] <= agg <= _BAND[1],
     })
 
 

@@ -54,23 +54,23 @@ class SextupleSearch:
     range_used: str = "dyadic"   # "dyadic" = (X, 2X]; "full" = all p with p^c <= N
 
 
-def instance_for_theorem1(N: float, c: float, eps: Optional[float] = None,
-                          eta: float = 0.05) -> ProblemInstance:
+def instance_for_theorem1(N: float, c: float, eps: Optional[float] = None
+                          ) -> ProblemInstance:
     """Triple experiment at scale X = (N/3)^(1/c); eps defaults to 1/log N."""
     X = (N / 3.0) ** (1.0 / c)
     inst = ProblemInstance(c=c, X=X, eps=eps if eps is not None else 1.0 / math.log(N),
-                           k=3, eta=eta)
+                           k=3)
     if len(sieve_primes(X)) < 2:
         raise ValueError(f"(X, 2X] = ({X}, {2 * X}] holds fewer than 2 primes")
     return inst
 
 
-def instance_for_theorem2(N: float, c: float, eps: Optional[float] = None,
-                          eta: float = 0.05) -> ProblemInstance:
-    """Sextuple experiment at scale X = (1/2)(N/5)^(1/c); eps = 1/log N."""
+def instance_for_theorem2(N: float, c: float, eps: Optional[float] = None
+                          ) -> ProblemInstance:
+    """Sextuple experiment at scale X = (1/2)(N/5)^(1/c); eps defaults to 1/log N."""
     X = 0.5 * (N / 5.0) ** (1.0 / c)
     inst = ProblemInstance(c=c, X=X, eps=eps if eps is not None else 1.0 / math.log(N),
-                           k=6, eta=eta)
+                           k=6)
     if len(sieve_primes(X)) < 2:
         raise ValueError(f"(X, 2X] = ({X}, {2 * X}] holds fewer than 2 primes")
     return inst
@@ -167,14 +167,14 @@ def _validated_record(primes: tuple[int, ...], value: float, R: float,
     return SolutionRecord(primes, value, abs(value - R), ambiguous)
 
 
-def weighted_B1(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = None,
-                params: Optional[KernelParams] = None) -> float:
+def weighted_B1(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = None
+                ) -> float:
     """Smoothed triple count: kernel weight phi(value - R) instead of the
     sharp window; window of support is |value - R| < a + b."""
     if inst.k != 3:
         raise ValueError("weighted_B1 needs a k=3 instance")
     tbl = table if table is not None else sieve_primes(inst.X)
-    p = params if params is not None else kernel_from_instance(inst.eps, inst.X)
+    p = kernel_from_instance(inst.eps, inst.X)
     index = _pair_index(tbl, inst.c)
     total = 0.0
     for i, j, l, pair in _triples_near(index, R, LONG(p.a + p.b)):
@@ -304,8 +304,9 @@ class _Densities:
         return total
 
 
-def main_term_H(inst: ProblemInstance, R: float, k: Optional[int] = None) -> float:
-    """Singular integral H(R) = int I^k(x) Phi(x) e(-Rx) dx, in physical space.
+def main_term_H(inst: ProblemInstance, R: float) -> float:
+    """Singular integral H(R) = int I^k(x) Phi(x) e(-Rx) dx, in physical
+    space, with k = inst.k (3 or 6, else ValueError).
 
     By Plancherel H(R) = int phi(y - R) g_k(y) dy, where g_k is the density
     of t_1^c + ... + t_k^c over [X, 2X]^k (whose Fourier transform is I^k).
@@ -315,12 +316,12 @@ def main_term_H(inst: ProblemInstance, R: float, k: Optional[int] = None) -> flo
     computation is repeated with twice the nodes; ConvergenceError if the
     two differ by more than 1e-10 relative, else the finer value.
     """
-    kk = k if k is not None else inst.k
-    if kk not in (3, 6):
+    k = inst.k
+    if k not in (3, 6):
         raise ValueError("k must be 3 or 6")
     params = kernel_from_instance(inst.eps, inst.X)
-    upper = 2 * R > kk * (inst.X ** inst.c + (2 * inst.X) ** inst.c)
-    coarse, fine = (_Densities(inst.X, inst.c, m, upper).smoothed(kk, params, R)
+    upper = 2 * R > k * (inst.X ** inst.c + (2 * inst.X) ** inst.c)
+    coarse, fine = (_Densities(inst.X, inst.c, m, upper).smoothed(k, params, R)
                     for m in (_NODES, 2 * _NODES))
     error = abs(fine - coarse)
     if error > _H_REL_TOL * abs(fine):
@@ -444,23 +445,13 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     return _validated_record(primes, float(best[0] + best[2]), N, eps_f, c)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _primes_to(top: int) -> np.ndarray:
-    """The verified primes up to ``top``, read-only: one sieve serves every
-    full_prime_table whose bound rounds up to the same power of two."""
-    primes = sieve_range(2, top)
-    primes.flags.writeable = False
-    return primes
-
-
 def full_prime_table(N: float, c: float) -> PrimeTable:
     """All primes p with p^c <= N, as a table usable by the sextuple search."""
     P = math.floor(N ** (1.0 / c))
     while (P + 1) ** c <= N:
         P += 1
-    cached = _primes_to(1 << (max(P, 1) - 1).bit_length())
-    primes = cached[:np.searchsorted(cached, P, side="right")]
-    return PrimeTable(1.0, primes, np.log(primes.astype(float)))
+    primes = sieve_range(2, P)
+    return PrimeTable(primes, np.log(primes.astype(float)))
 
 
 def find_triple(inst: ProblemInstance, R: float) -> Optional[SolutionRecord]:
@@ -507,16 +498,14 @@ def triple_solvable(inst: ProblemInstance, R: float, count: int) -> bool:
     return count > 0 or find_triple(inst, R) is not None
 
 
-def find_sextuple(inst: ProblemInstance, N: float,
-                  table: Optional[PrimeTable] = None,
-                  widen: bool = True) -> SextupleSearch:
+def find_sextuple(inst: ProblemInstance, N: float) -> SextupleSearch:
     """Search for six primes with |sum p_i^c - N| < eps.
 
     The dyadic range (X, 2X] of the counting argument is tried first.  At
     desk scale its sum set near N can be too sparse to contain N even when
     the inequality is solvable in unrestricted primes (the statement being
-    modeled has no range restriction), so with ``widen=True`` a miss falls
-    back to the full table of primes with p^c <= N.
+    modeled has no range restriction), so a miss, or an infeasible dyadic
+    range, falls back to the full table of primes with p^c <= N.
 
     Both searches sweep bands of unordered prime triple sums upward from
     the smallest, each band against the band of sums that can complete it
@@ -530,14 +519,11 @@ def find_sextuple(inst: ProblemInstance, N: float,
     """
     if inst.k != 6:
         raise ValueError("find_sextuple needs a k=6 instance")
-    tbl = table if table is not None else sieve_primes(inst.X)
     feasible = sextuple_feasible(inst, N)
     if feasible:
-        rec = _mitm_search(tbl, inst.c, N, inst.eps)
+        rec = _mitm_search(sieve_primes(inst.X), inst.c, N, inst.eps)
         if rec is not None:
             return SextupleSearch(found=True, feasible=True, record=rec)
-    if not widen:
-        return SextupleSearch(found=False, feasible=feasible)
     rec = _mitm_search(full_prime_table(N, inst.c), inst.c, N, inst.eps)
     if rec is None:
         return SextupleSearch(found=False, feasible=feasible, range_used="full")

@@ -35,7 +35,7 @@ TWO_PI = 2.0 * np.pi
 
 _MAX_SIEVE = 2 ** 40
 _BILINEAR_GUARD = 10 ** 9
-_CACHE_SIZE = 8     # entries per module cache (prime tables, powers, pair sums)
+_CACHE_SIZE = 8     # entries per module cache (dyadic prime tables, pair indexes)
 
 
 class GuardError(ValueError):
@@ -175,9 +175,9 @@ def _verify_primes(primes: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """Primes in (X, 2X] with natural logs precomputed."""
+    """Primes with natural logs precomputed: those in (X, 2X] from
+    sieve_primes, or all up to a bound from solver.full_prime_table."""
 
-    X: float
     primes: np.ndarray   # int64, strictly increasing
     logs: np.ndarray     # float64, log of each prime
 
@@ -190,20 +190,18 @@ class PrimeTable:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def sieve_primes(X: float, verify: bool = True) -> PrimeTable:
-    """Exactly the primes in (X, 2X], by a segmented sieve.
-
-    Each entry is cross-checked against deterministic Miller-Rabin on
-    construction (disable with verify=False for very large tables).  The
+def sieve_primes(X: float) -> PrimeTable:
+    """The table of exactly the primes in (X, 2X], from sieve_range.  The
     last few tables are cached, so equal arguments return the same object.
     """
-    primes = sieve_range(int(math.floor(X)) + 1, int(math.floor(2 * X)), verify)
-    return PrimeTable(X, primes, np.log(primes.astype(float)))
+    primes = sieve_range(int(math.floor(X)) + 1, int(math.floor(2 * X)))
+    return PrimeTable(primes, np.log(primes.astype(float)))
 
 
-def sieve_range(lo: int, hi: int, verify: bool = True) -> np.ndarray:
+def sieve_range(lo: int, hi: int) -> np.ndarray:
     """Exactly the primes p with lo <= p <= hi (int64, ascending), by a
-    segmented sieve; verify as in sieve_primes."""
+    segmented sieve; each entry is cross-checked against deterministic
+    Miller-Rabin."""
     if hi > _MAX_SIEVE:
         raise GuardError("sieve-range", _MAX_SIEVE, f"upper end {hi}")
     lo = max(lo, 2)
@@ -224,9 +222,7 @@ def sieve_range(lo: int, hi: int, verify: bool = True) -> np.ndarray:
         if start <= hi:
             seg[start - lo:: p] = False
     primes = (np.nonzero(seg)[0] + lo).astype(np.int64)
-
-    if verify:
-        _verify_primes(primes)
+    _verify_primes(primes)
     return primes
 
 
@@ -242,25 +238,21 @@ def _phase_sum(values_c: np.ndarray, weights: Optional[np.ndarray], x: float) ->
     return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _integer_powers(X: float, c: float) -> np.ndarray:
-    n = np.arange(int(math.floor(X)) + 1, int(math.floor(2 * X)) + 1, dtype=np.int64)
-    return n.astype(LONG) ** LONG(c)
-
-
 def sum_T(inst: ProblemInstance, x: float) -> complex:
     """T(x) = sum over integers n in (X, 2X] of e(n^c x)."""
-    return _phase_sum(_integer_powers(inst.X, inst.c), None, x)
+    n = np.arange(int(math.floor(inst.X)) + 1, int(math.floor(2 * inst.X)) + 1,
+                  dtype=np.int64)
+    return _phase_sum(n.astype(LONG) ** LONG(inst.c), None, x)
 
 
-def sum_S(inst: ProblemInstance, x: float, table: Optional[PrimeTable] = None) -> complex:
+def sum_S(inst: ProblemInstance, x: float) -> complex:
     """S(x) = sum over primes p in (X, 2X] of (log p) e(p^c x)."""
-    if table is None:
-        table = sieve_primes(inst.X)
+    table = sieve_primes(inst.X)
     return _phase_sum(table.powers(inst.c), table.logs, x)
 
 
 _LEVELS = (32, 48)          # node counts of integral_I's two estimates
+_I_ABS_TOL = 1e-9           # integral_I's largest estimate difference, as a share of X
 _SOLVE_BYTES = 1 << 21      # collocation matrices per batched solve, in bytes
 
 
@@ -326,8 +318,7 @@ def _integral_s(x: np.ndarray, A, B, c: float, n: int) -> np.ndarray:
     return out
 
 
-def integral_I(inst: ProblemInstance, x: float | np.ndarray,
-               abs_tol_factor: float = 1e-9) -> complex | np.ndarray:
+def integral_I(inst: ProblemInstance, x: float | np.ndarray) -> complex | np.ndarray:
     """I(x) = integral over [X, 2X] of e(t^c x) dt, at a scalar x (complex)
     or at every entry of an array of x (complex array of the same shape).
 
@@ -337,7 +328,7 @@ def integral_I(inst: ProblemInstance, x: float | np.ndarray,
     p' + 2 pi i x p = f and takes p(B) e(Bx) - p(A) e(Ax); below that, plain
     n-point Gauss-Legendre in s.  Phases are reduced mod 1 in long double.
     Each x is computed with n = 32 and n = 48 nodes; ConvergenceError if
-    the two differ anywhere by more than abs_tol_factor * X, else the
+    the two differ anywhere by more than _I_ABS_TOL * X, else the
     48-node values.  x = 0 gives exactly X.  A value is bitwise the same
     whichever batch of x it is computed in.
     """
@@ -350,14 +341,14 @@ def integral_I(inst: ProblemInstance, x: float | np.ndarray,
     A, B = LONG(X) ** LONG(c), LONG(2 * X) ** LONG(c)
     coarse, fine = (_integral_s(flat[nonzero], A, B, c, n) for n in _LEVELS)
     error = float(np.max(np.abs(fine - coarse), initial=0.0))
-    if error > abs_tol_factor * X:
+    if error > _I_ABS_TOL * X:
         raise ConvergenceError("integral_I", error)
     out = np.full(len(flat), complex(X, 0.0))
     out[nonzero] = fine
     return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def moment_grid(inst: ProblemInstance, points_per_octave: int = 32) -> np.ndarray:
+def moment_grid(inst: ProblemInstance, points_per_octave: int) -> np.ndarray:
     """Nonnegative x-grid for fourth-moment integration on [0, tau].
 
     Uniform with step X^-c / 8 on [0, X^-c], then geometric octaves up to
@@ -373,9 +364,10 @@ def moment_grid(inst: ProblemInstance, points_per_octave: int = 32) -> np.ndarra
     return np.array(sorted(set(grid)))
 
 
-def moment4(inst: ProblemInstance, which: str = "S",
-            table: Optional[PrimeTable] = None,
-            points_per_octave: int = 32) -> tuple[float, float]:
+_OCTAVE_POINTS = 32   # moment4's coarse grid points per octave; the fine grid doubles it
+
+
+def moment4(inst: ProblemInstance, which: str = "S") -> tuple[float, float]:
     """integral_{-tau}^{tau} |S(x)|^4 dx (or |I|^4), with an error estimate.
 
     The integrand is even (conjugate symmetry), so 2x the [0, tau] integral.
@@ -385,11 +377,10 @@ def moment4(inst: ProblemInstance, which: str = "S",
     """
     if which not in ("S", "I"):
         raise ValueError("which must be 'S' or 'I'")
-    grids = [moment_grid(inst, ppo)
-             for ppo in (points_per_octave, 2 * points_per_octave)]
+    grids = [moment_grid(inst, ppo) for ppo in (_OCTAVE_POINTS, 2 * _OCTAVE_POINTS)]
     xs = np.array(sorted(set(grids[0]).union(grids[1])))
     if which == "S":
-        tbl = table if table is not None else sieve_primes(inst.X)
+        tbl = sieve_primes(inst.X)
         powers = tbl.powers(inst.c)
         vals = np.array([abs(_phase_sum(powers, tbl.logs, float(x))) for x in xs])
     else:

@@ -148,6 +148,14 @@ def test_mainterm(capsys):
     assert json.loads(out)["H"] > 0
 
 
+def test_mainterm_rejects_k_other_than_3_or_6(capsys):
+    code = run(["mainterm", "--N", "1e5", "--c", "1.5", "--k", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "usage error: k must be 3 or 6\n"
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 

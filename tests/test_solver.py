@@ -79,7 +79,7 @@ def test_count_B_table_permutation_invariant(inst_1e5):
     tbl = sieve_primes(inst_1e5.X)
     rng = np.random.default_rng(0)
     perm = rng.permutation(len(tbl))
-    shuffled = PrimeTable(inst_1e5.X - 1e-6, tbl.primes[perm], tbl.logs[perm])
+    shuffled = PrimeTable(tbl.primes[perm], tbl.logs[perm])
     weighted, unweighted, _ = count_B(inst_1e5, R, table=shuffled)
     assert unweighted == base[1]
     assert weighted == pytest.approx(base[0], rel=1e-12)
@@ -123,7 +123,7 @@ def _check_against_brute_force(inst: ProblemInstance, tbl: PrimeTable, R: float)
 # Twelve primes from 60000 up: pair sums near 2.9e7 lie above 2^24, where the
 # float64 half-ulp (1.9e-9) of a window edge exceeds a 1e-9 margin.
 _EDGE_PRIMES = np.array([p for p in range(60000, 60200) if _is_prime(p)][:12])
-_EDGE_TABLE = PrimeTable(60000.0, _EDGE_PRIMES, np.log(_EDGE_PRIMES.astype(float)))
+_EDGE_TABLE = PrimeTable(_EDGE_PRIMES, np.log(_EDGE_PRIMES.astype(float)))
 _EDGE_INST = ProblemInstance(c=1.5, X=60000.0, eps=0.1)
 
 
@@ -143,9 +143,10 @@ def test_count_B_edge_of_window_matches_brute_force(i, j, l, side, delta):
 
 
 def test_count_B_index_follows_the_table_object(inst_1e5):
-    # two tables with the same X but different primes must not share an index
+    # two tables over the same (X, 2X] with different primes must not share
+    # an index
     full = sieve_primes(inst_1e5.X)
-    half = PrimeTable(full.X, full.primes[::2], full.logs[::2])
+    half = PrimeTable(full.primes[::2], full.logs[::2])
     for R in (1.5e5, 2.1e5):
         for tbl in (full, half, full):
             _check_against_brute_force(inst_1e5, tbl, R)
@@ -181,7 +182,7 @@ def _pair_test_table(kind: str) -> tuple[PrimeTable, ProblemInstance]:
         rng = np.random.default_rng(int(kind))
         primes = rng.choice(sieve_range(5_000, 40_000), 160, replace=False)
         inst = ProblemInstance(c=1.5, X=5_000.0, eps=0.5)
-    return PrimeTable(inst.X, primes, np.log(primes.astype(float))), inst
+    return PrimeTable(primes, np.log(primes.astype(float))), inst
 
 
 @pytest.mark.parametrize("kind", ["0", "1", "dense"])
@@ -224,7 +225,7 @@ def test_powers_computed_once_per_table(inst_1e5, monkeypatch):
     monkeypatch.setattr(PrimeTable, "powers",
                         lambda self, c: calls.append(c) or powers(self, c))
     full = sieve_primes(inst_1e5.X)
-    tbl = PrimeTable(full.X, full.primes, full.logs)
+    tbl = PrimeTable(full.primes, full.logs)
     for R in (1.5e5, 2.1e5):
         count_B(inst_1e5, R, table=tbl, want_records=True)
         weighted_B1(inst_1e5, R, table=tbl)
@@ -279,9 +280,10 @@ def test_main_term_degenerate_c1_volume_oracle():
     assert got == pytest.approx(float(want), rel=1e-2)
 
 
-def test_main_term_validates_k(inst_1e5):
-    with pytest.raises(ValueError):
-        main_term_H(inst_1e5, 1.5e5, k=4)
+def test_main_term_validates_k():
+    inst = ProblemInstance(c=1.5, X=1000.0, eps=0.1, k=4)
+    with pytest.raises(ValueError, match="k must be 3 or 6"):
+        main_term_H(inst, 1.5e5)
 
 
 def test_main_term_scaling_band(inst_1e5):
@@ -408,13 +410,14 @@ def test_sextuple_degenerate_c1():
     assert res.record.deviation == pytest.approx(0.0, abs=1e-12)
 
 
-def test_sextuple_infeasible_without_widening():
+def test_sextuple_infeasible_dyadic_range_searches_full_table():
     inst = ProblemInstance(c=2.05, X=50.0, eps=0.1, k=6)
     assert not sextuple_feasible(inst, 100.0)
-    res = find_sextuple(inst, 100.0, widen=False)
-    assert not res.found and not res.feasible
-    assert res.record is None
-    assert res.range_used == "dyadic"
+    # no six primes with p^c <= 100 sum to within 0.1 of 100
+    res = find_sextuple(inst, 100.0)
+    assert res.feasible is False
+    assert res.range_used == "full"
+    assert not res.found and res.record is None
 
 
 def test_sextuple_widens_at_desk_scale():
@@ -512,7 +515,7 @@ def _all_triples(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _table(primes) -> PrimeTable:
     """A table of the given integers, prime or not."""
     primes = np.array(primes, dtype=np.int64)
-    return PrimeTable(1.0, primes, np.log(primes.astype(float)))
+    return PrimeTable(primes, np.log(primes.astype(float)))
 
 
 @pytest.fixture
@@ -682,17 +685,13 @@ def test_full_prime_table():
 @pytest.mark.parametrize("N, c", [(1.0, 2.0), (4.0, 2.0), (100.0, 2.0), (1e4, 1.0),
                                   (1024.0, 1.0), (1025.0, 1.0), (2e7, 1.5),
                                   (5e6, 2.05)])
-def test_full_prime_table_slices_one_cached_sieve(N, c):
+def test_full_prime_table_is_the_sieve_to_P(N, c):
     P = math.floor(N ** (1.0 / c))
     while (P + 1) ** c <= N:
         P += 1
     tbl = full_prime_table(N, c)
     assert np.array_equal(tbl.primes, sieve_range(2, P))
     assert np.array_equal(tbl.logs, np.log(tbl.primes.astype(float)))
-    # the cached sieve reaches the next power of two and is shared
-    top = 1 << (max(P, 1) - 1).bit_length()
-    assert full_prime_table(float(top) ** c, c).primes.base is tbl.primes.base
-    assert not tbl.primes.flags.writeable
 
 
 def _solvable_by_brute_force(N: float, c: float, eps: float, Rs: list) -> list:

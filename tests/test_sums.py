@@ -26,7 +26,7 @@ def test_sieve_small():
 
 def test_sieve_large_count():
     # pi(2e6) - pi(1e6)
-    assert len(sieve_primes(1e6, verify=False)) == 70435
+    assert len(sieve_primes(1e6)) == 70435
 
 
 @pytest.mark.parametrize("composite", [561, 41041, 2047, 1373653, 25326001])
@@ -126,12 +126,13 @@ def test_integral_closed_form_c1():
         assert integral_I(inst, x) == pytest.approx(want, abs=1e-10)
 
 
-def test_integral_raises_when_unconverged():
+def test_integral_raises_when_unconverged(monkeypatch):
     # a zero tolerance is never met: the 32- and 48-node estimates differ
     # at least by rounding
+    monkeypatch.setattr(sums, "_I_ABS_TOL", 0.0)
     inst = ProblemInstance(c=1.5, X=100.0, eps=0.1)
     with pytest.raises(ConvergenceError, match="integral_I") as info:
-        integral_I(inst, 0.01, abs_tol_factor=0.0)
+        integral_I(inst, 0.01)
     assert info.value.routine == "integral_I" and info.value.error > 0
 
 
