@@ -17,10 +17,11 @@ bound is a sure hit and cannot be ambiguous, every q from the outer bound
 on is a sure miss, and only the few q between the bounds are re-tested with
 the exact predicate; a pair (p, q) stands for m_p m_q ordered 4-tuples.
 Rounded subtraction is antisymmetric, so only q > p is searched.  The naive
-counter is the oracle: it enumerates all Y^4 ordered tuples over its own
-unsorted pair sums and shares no code with the fast path.  The two agree
-exactly, ambiguity flags included.  The Y-ladder slope reports built on
-these counts live in ``reports``.
+counter is the oracle: exhaustive over all Y^4 ordered tuples of its own
+unsorted pair sums, screened in float64, with the long-double verdict
+within a stated margin of gamma +- delta; it shares no code with the fast
+counter.  The two agree exactly, ambiguity flags included.  The Y-ladder
+slope reports built on these counts live in ``reports``.
 
 The same index is the triple solvers' pair index (``solver._pair_index``).
 The sextuple search's bands of unordered triple sums
@@ -199,33 +200,63 @@ def _pair_multiset(s: CountSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return powers, keys, flat, np.where(flat % (s.Y + 1) == 0, 1, 2)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # inf and NaN go to the re-test
 def count_tuples_naive(s: CountSpec) -> CountResult:
-    """Exhaustive count over all Y^4 ordered 4-tuples; the fast counter's
-    oracle.
+    """Exhaustive oracle over all Y^4 ordered tuples, screened in float64,
+    long-double verdict within a stated margin of gamma +- delta; shares no
+    code with the fast counter.
 
-    The pair sums are formed here, unsorted, and every difference of two
-    of them is tested, chunk by chunk, in one preallocated long-double
-    buffer and one mask.  Nothing is shared with count_tuples_fast.
+    The Y^2 ordered pair sums are formed here in long double, unsorted, and
+    rounded once to float64.  Every tuple's |d64|, the float64 difference
+    of two rounded sums, is formed chunk by chunk in one preallocated
+    float64 buffer.  A tuple with |d64| < gamma - delta - m is a hit and not
+    ambiguous, one with |d64| > gamma + delta + m is neither, and only the
+    tuples between are re-tested on their long-double sums with
+    |d| < gamma and ||d| - gamma| < delta.
     """
     if s.Y ** 4 > _NAIVE_GUARD:
         raise GuardError("naive", _NAIVE_GUARD, f"Y^4 = {s.Y ** 4} tuples")
     powers = np.arange(s.Y + 1, 2 * s.Y + 1, dtype=np.int64).astype(LONG) ** LONG(s.c)
     ps = (powers[:, None] + powers[None, :]).ravel()
+    ps64 = ps.astype(float)
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
-    rows = max(1, _NAIVE_CHUNK // len(ps))
-    d = np.empty((rows, len(ps)), dtype=LONG)
-    mask = np.empty(d.shape, dtype=bool)
+    # the screen's margin m bounds ||d64| - |d|| for every tuple and the
+    # rounding of the screen's bounds.  With a, b long-double pair sums,
+    # M = max|ps|, u = 2^-53 and e <= u the long-double unit roundoff:
+    # |fl64(a) - a| <= u M and |fl64(b) - b| <= u M, the float64 difference
+    # of the rounded sums is within u (2M + 2uM) of their exact difference,
+    # and d = fl(a - b) in long double is within 2 e M of a - b; so
+    # |d64 - d| <= 5 u M.  The bounds gamma -+ delta -+ m are formed in
+    # float64, two roundings each, within 2 u (M + gamma + delta + m) of
+    # their exact values.  m = 2^-40 (M + gamma + delta), 8192 u of that
+    # scale, covers both many times over; a wider m only adds re-tests.  The
+    # smallest normal float64 covers the absolute error of roundings among
+    # subnormals.  M is taken in float64, so a sum past the float64 range
+    # makes m inf and every tuple is re-tested.
+    m = 2.0 ** -40 * (float(np.max(np.abs(ps))) + s.gamma + s.delta) + np.finfo(float).tiny
+    inner, outer = s.gamma - s.delta - m, s.gamma + s.delta + m
+    n = len(ps)
+    rows = max(1, _NAIVE_CHUNK // n)
+    d = np.empty((rows, n))
+    below = np.empty(d.shape, dtype=bool)
+    above = np.empty(d.shape, dtype=bool)
     count = 0
     ambiguous = 0
-    for i in range(0, len(ps), rows):
-        di, mi = d[:len(ps) - i], mask[:len(ps) - i]   # the last chunk may be short
-        np.subtract(ps[i:i + rows, None], ps, out=di)
+    for i in range(0, n, rows):
+        di = d[:n - i]   # the last chunk may be short
+        bi, ai = below[:n - i], above[:n - i]
+        np.subtract(ps64[i:i + rows, None], ps64, out=di)
         np.abs(di, out=di)
-        count += int(np.count_nonzero(np.less(di, gamma, out=mi)))
-        np.subtract(di, gamma, out=di)
-        np.abs(di, out=di)
-        ambiguous += int(np.count_nonzero(np.less(di, delta, out=mi)))
+        sure = int(np.count_nonzero(np.less(di, inner, out=bi)))
+        count += sure
+        if sure + int(np.count_nonzero(np.greater(di, outer, out=ai))) == di.size:
+            continue
+        # the tuples between the bounds (NaN included) get the exact verdict
+        r, q = np.divmod(np.flatnonzero(~(bi | ai)), n)
+        dl = np.abs(ps[i + r] - ps[q])
+        count += int(np.count_nonzero(dl < gamma))
+        ambiguous += int(np.count_nonzero(np.abs(dl - gamma) < delta))
     return CountResult(count, ambiguous)
 
 

@@ -90,6 +90,10 @@ class ProblemInstance:
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _VECTOR_MR_LIMIT = 2 ** 31   # below it x * x mod n cannot overflow int64
+# bases 2, 3, 5, 7 decide every n < 3,215,031,751, the smallest strong
+# pseudoprime to all four (G. Jaeschke, Math. Comp. 61 (1993) 915-926),
+# and so every n below _VECTOR_MR_LIMIT
+_VECTOR_MR_WITNESSES = (2, 3, 5, 7)
 _VECTOR_MR_CHUNK = 1 << 14   # numbers tested at once by _are_prime
 
 
@@ -119,8 +123,9 @@ def _is_prime(n: int) -> bool:
 
 def _are_prime(n: np.ndarray) -> np.ndarray:
     """_is_prime of every entry of an int64 array with entries below
-    _VECTOR_MR_LIMIT: the same trial divisions and the same 12 Miller-Rabin
-    bases, in int64 numpy arithmetic, _VECTOR_MR_CHUNK numbers at a time."""
+    _VECTOR_MR_LIMIT: the same trial divisions, then Miller-Rabin to the
+    bases _VECTOR_MR_WITNESSES, in int64 numpy arithmetic, _VECTOR_MR_CHUNK
+    numbers at a time."""
     n = np.asarray(n, dtype=np.int64)
     if len(n) > _VECTOR_MR_CHUNK:
         return np.concatenate([_are_prime(n[k:k + _VECTOR_MR_CHUNK])
@@ -142,8 +147,8 @@ def _are_prime(n: np.ndarray) -> np.ndarray:
         d[even] //= 2
         s[even] += 1
     # x = a^d mod m for every base a at once, by square and multiply
-    x = np.ones((len(_MR_BASES), len(m)), dtype=np.int64)
-    base = np.array(_MR_BASES, dtype=np.int64)[:, None] % m
+    x = np.ones((len(_VECTOR_MR_WITNESSES), len(m)), dtype=np.int64)
+    base = np.array(_VECTOR_MR_WITNESSES, dtype=np.int64)[:, None] % m
     e = d.copy()
     while e.any():
         odd = (e & 1) == 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sorted_sums
+from oracles import naive_long_double_count, sorted_sums
 from primeineq.count import (CountResult, CountSpec, count_tuples_fast, count_tuples_naive,
                              harmonic_V, harmonic_V_naive, window_hits)
 from primeineq.reports import rs_scaling_report
@@ -160,12 +160,54 @@ def test_fast_bounds_cover_float64_rounding():
     # n in (12, 24], c = 1.5: the pairs (14, 17) and (14, 19) differ by
     # d = 19^c - 17^c, 3.4e-16 below gamma, a hit; their float64 keys lie
     # one key ulp (2.8e-14) past key[p] + gamma, beyond the outer bound
-    # unless the bound reaches over the keys' rounding
+    # unless the bound reaches over the keys' rounding.  The same tuples
+    # pin the naive counter's float64 screen: their |d64| lies 1.8e-14 above
+    # gamma, a sure miss unless the screen's margin reaches over it
     spec = CountSpec(12, 1.5, 12.726284291772568, 0.0)
     n = np.array([14, 17, 19], dtype=LONG) ** LONG(1.5)
     assert (n[0] + n[2]) - (n[0] + n[1]) < LONG(spec.gamma)
     assert float(n[0] + n[2]) > float(n[0] + n[1]) + spec.gamma
     assert count_tuples_fast(spec) == count_tuples_naive(spec) == CountResult(4514, 0)
+
+
+# every fixed spec of this module, plus sums that straddle the float64 range
+_FIXED_SPECS = [
+    CountSpec(2, 1.5, 0.1),
+    CountSpec(6, 2.252, 302.6728741201896, 1.2656542480726786e-14),
+    CountSpec(9, 1.955, 293.209449311595, 4.3243186809149854e-14),
+    CountSpec(12, 1.5, 12.726284291772568, 0.0),
+    CountSpec(5, 2.0, 1.0, delta=1.0),
+    CountSpec(6, 1.5, 0.25, delta=0.5),
+    CountSpec(2, 1.0, 1.0, delta=1e-6),
+    *(CountSpec(Y, c, gamma, delta=1e-3) for c in (1.0, 2.0, 3.0)
+      for gamma in (1.0, 2.0, 7.0) for Y in (4, 8, 16)),
+    *(CountSpec(Y, c, gamma) for Y in (3, 5, 8) for c in (1.2, 1.5, 2.6)
+      for gamma in (0.01, 0.5, 2.0)),
+    # 2 * 4^c rounds to inf in float64 and lies within gamma of 3^c + 4^c
+    CountSpec(2, math.log(0.899e308) / math.log(4), 1e308),
+    # a hit whose |d64| lies 1.63 * 2^-53 max ps above gamma, so a screen
+    # margin of one float64 rounding of the largest sum misses it (696, not
+    # 704); found by searching the pair sums for roundings that add up
+    CountSpec(8, 1.0633271415109362, 1.247740299836096, 0.0),
+]
+
+
+@pytest.mark.parametrize("spec", _FIXED_SPECS,
+                         ids=lambda s: f"{s.Y}-{s.c!r}-{s.gamma!r}-{s.delta!r}")
+def test_naive_equals_long_double_oracle(spec):
+    # the float64 screen of count_tuples_naive decides every tuple as the
+    # all-long-double loop does, ambiguity flags included
+    assert count_tuples_naive(spec) == naive_long_double_count(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(Y=st.integers(2, 16),
+       c=st.floats(1.0, 3.0, exclude_min=True, exclude_max=True),
+       gamma=st.floats(1e-3, 3.0),
+       delta=st.sampled_from([0.0, 1e-9, 1e-3, 0.5, "2 gamma"]))
+def test_naive_equals_long_double_oracle_property(Y, c, gamma, delta):
+    spec = CountSpec(Y, c, gamma, 2 * gamma if delta == "2 gamma" else delta)
+    assert count_tuples_naive(spec) == naive_long_double_count(spec)
 
 
 def test_guards():

@@ -29,20 +29,33 @@ def test_sieve_large_count():
     assert len(sieve_primes(1e6)) == 70435
 
 
-@pytest.mark.parametrize("composite", [561, 41041, 2047, 1373653, 25326001])
+@pytest.mark.parametrize("composite", [561, 41041, 2047, 1373653, 25326001, 161304001,
+                                       960946321, 1157839381])
 def test_sieve_check_rejects_pseudoprimes(composite):
-    # Carmichael numbers 561 and 41041, and the strong pseudoprimes 2047
-    # (base 2), 1373653 (bases 2, 3) and 25326001 (bases 2, 3, 5): the
-    # vectorised check, used below 2^31, raises on each as the scalar one does
+    # Carmichael numbers 561 and 41041, the strong pseudoprimes 2047
+    # (base 2) and 1373653 (bases 2, 3), and every strong pseudoprime to
+    # bases 2, 3 and 5 below 2^31, from 25326001 on, which only base 7
+    # exposes: the vectorised check, used below 2^31, raises on each as the
+    # scalar one does
     assert not sums._is_prime(composite)
     assert not sums._are_prime(np.array([composite]))[0]
     with pytest.raises(AssertionError, match=f"composite {composite}"):
         sums._verify_primes(np.array([101, composite, 2 ** 31 - 1], dtype=np.int64))
 
 
+def test_scalar_check_rejects_the_strong_pseudoprime_to_bases_2_3_5_7():
+    # 3215031751 > 2^31 passes all four witnesses of the vectorised check,
+    # which therefore stops at 2^31; the scalar check's 12 bases reject it
+    n = 3215031751
+    d = (n - 1) // 2   # n - 1 = 2 d with d odd
+    assert all(pow(a, d, n) in (1, n - 1) for a in sums._VECTOR_MR_WITNESSES)
+    assert n > sums._VECTOR_MR_LIMIT
+    assert not sums._is_prime(n)
+
+
 def test_vectorised_check_is_the_scalar_one():
     rng = np.random.default_rng(0)
-    n = np.concatenate([np.arange(0, 30_000), rng.integers(2 ** 30, 2 ** 31, 20_000),
+    n = np.concatenate([np.arange(0, 200_000), rng.integers(2 ** 30, 2 ** 31, 20_000),
                         [1373653, 25326001, 3215031751 - 2 ** 31, 2 ** 31 - 1]])
     assert np.array_equal(sums._are_prime(n), [sums._is_prime(int(k)) for k in n])
 
