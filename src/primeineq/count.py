@@ -193,7 +193,14 @@ def _pair_multiset(s: CountSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     """The Y^2 ordered pair sums n1^c + n2^c, n1, n2 in (Y, 2Y], as the pair
     index of the unordered ones (see unordered_sums): the powers n^c, the
     keys and flat indices, and the number m of ordered pairs each unordered
-    sum stands for: 1 for n1 = n2, else 2."""
+    sum stands for: 1 for n1 = n2, else 2.  The index keys are the sums
+    rounded to float64, so ValueError if 2 (2Y)^c, the largest sum for
+    c >= 0, is not finite in float64 (for c < 0 every sum is below 2)."""
+    with np.errstate(over="ignore"):
+        top = np.float64(2 * LONG(2 * s.Y) ** LONG(s.c))
+    if not np.isfinite(top):
+        raise ValueError(f"the largest pair sum 2 * {2 * s.Y}^{s.c} exceeds the float64 "
+                         f"range (largest finite {np.finfo(float).max:.6g})")
     powers = np.arange(s.Y + 1, 2 * s.Y + 1, dtype=np.int64).astype(LONG) ** LONG(s.c)
     keys, flat = unordered_sums(powers)
     # i n + j is a multiple of n + 1 iff i = j, since 0 <= j - i < n + 1

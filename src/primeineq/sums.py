@@ -14,8 +14,10 @@ are identical regardless of how work is distributed.
 
 I(x) is computed in s = t^c, where its amplitude s^(1/c-1)/c has no
 stationary point: by Levin's collocation method (D. Levin, Math. Comp. 38
-(1982) 531-538) where it oscillates, by Gauss-Legendre where it barely does,
-for a whole array of x in one call (see integral_I).
+(1982) 531-538) where it oscillates, its system solved in Chebyshev
+coefficients by a recurrence from the top coefficient down, and by
+Gauss-Legendre where it barely does, for a whole array of x in one call
+(see integral_I).
 
 c = 1 is accepted everywhere as a degenerate test mode (closed forms exist
 and make good oracles) even though the estimates themselves exclude integer c.
@@ -258,23 +260,22 @@ def sum_S(inst: ProblemInstance, x: float) -> complex:
 
 _LEVELS = (32, 48)          # node counts of integral_I's two estimates
 _I_ABS_TOL = 1e-9           # integral_I's largest estimate difference, as a share of X
-_SOLVE_BYTES = 1 << 21      # collocation matrices per batched solve, in bytes
 
 
 @functools.cache
 def _rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Chebyshev-Lobatto nodes u_j = cos(pi j / (n-1)) on [-1, 1] with their
-    differentiation matrix, and the n-point Gauss-Legendre rule."""
+    """Chebyshev-Lobatto nodes u_j = cos(pi j / (n-1)) on [-1, 1] with the
+    matrix C that takes values at them to the Chebyshev coefficients of
+    their interpolant, and the n-point Gauss-Legendre rule."""
     j = np.arange(n)
     u = np.cos(np.pi * j / (n - 1))
-    w = np.where(j % 2 == 0, 1.0, -1.0)
-    w[[0, -1]] *= 2.0
-    # u_i - u_j by the product formula, exact where the nodes cluster
-    diff = 2.0 * np.sin(np.pi * (j[:, None] + j[None, :]) / (2 * (n - 1))) \
-        * np.sin(np.pi * (j[None, :] - j[:, None]) / (2 * (n - 1)))
-    D = np.outer(w, 1.0 / w) / (diff + np.eye(n))
-    D -= np.diag(D.sum(axis=1))
-    return (u, D, *np.polynomial.legendre.leggauss(n))
+    # a_k = 2/(n-1) sum_j v_j cos(pi j k / (n-1)), the terms j = 0, n-1
+    # and the coefficients a_0, a_{n-1} halved; j k is reduced mod 2(n-1)
+    # first, so that every cosine is taken of an angle in [0, 2 pi)
+    C = np.cos(np.pi * (np.outer(j, j) % (2 * (n - 1))) / (n - 1)) * (2.0 / (n - 1))
+    C[:, [0, -1]] /= 2
+    C[[0, -1]] /= 2
+    return (u, C, *np.polynomial.legendre.leggauss(n))
 
 
 def _e(values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -284,8 +285,9 @@ def _e(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _integral_s(x: np.ndarray, A, B, c: float, n: int) -> np.ndarray:
     """One n-node estimate of int_A^B f(s) e(sx) ds, f(s) = s^(1/c-1)/c,
-    at every nonzero x (float64 array)."""
-    u, D, g, w = _rules(n)
+    at every nonzero x (float64 array).  Every operation on the x is
+    elementwise, so a value does not depend on the batch it came in."""
+    u, C, g, w = _rules(n)
     half, mid = (B - A) / 2, (A + B) / 2
 
     def f(s: np.ndarray) -> np.ndarray:
@@ -294,32 +296,43 @@ def _integral_s(x: np.ndarray, A, B, c: float, n: int) -> np.ndarray:
     xl = x.astype(LONG)
     out = np.empty(len(x), dtype=complex)
 
-    # Levin: p' + 2 pi i x p = f at the Chebyshev nodes (so in u:
-    # (D + i kappa) p = half * f with kappa = 2 pi x half); then
-    # I = p(B) e(Bx) - p(A) e(Ax).  D is nilpotent, so every kappa != 0
-    # gives a nonsingular system.
+    # Levin: p' + 2 pi i x p = f at the Chebyshev nodes, so in u:
+    # (D + i kappa) p = half * f with kappa = 2 pi x half and D the
+    # differentiation matrix; then I = p(B) e(Bx) - p(A) e(Ax).  In the
+    # Chebyshev coefficients a of p, b of p' and r of half * f, the system
+    # reads b_k + i kappa a_k = r_k, where b_{n-1} = b_n = 0 and
+    # b_{k-1} = b_{k+1} + 2 k a_k (halved for b_0).  So it is solved from
+    # a_{n-1} down: with z = 1 / (i kappa), a_k = z t_k where t_k = r_k - b_k,
+    # and b_k = z beta_k where beta_{k-1} = beta_{k+1} + 2 k t_k; then
+    # p(B) = z sum t_k and p(A) = z sum (-1)^k t_k.  Below the switch the
+    # recurrence amplifies rounding, and Gauss-Legendre is far more accurate.
     kappa = 2.0 * np.pi * x * float(half)
-    levin = np.abs(kappa) >= n / 4       # 2 pi |x| (B - A) >= n / 2
+    levin = np.abs(kappa) >= n / 2       # 2 pi |x| (B - A) >= n
     idx = np.nonzero(levin)[0]
-    rhs = (float(half) * f((mid + half * u.astype(LONG)).astype(float)))[:, None]
-    step = max(1, _SOLVE_BYTES // (16 * n * n))
-    for lo in range(0, len(idx), step):
-        k = idx[lo:lo + step]
-        M = np.empty((len(k), n, n), dtype=complex)
-        M[:] = D
-        M.reshape(len(k), n * n)[:, ::n + 1] += 1j * kappa[k, None]
-        p = np.linalg.solve(M, rhs)[..., 0]
-        out[k] = p[:, 0] * _e(B, xl[k]) - p[:, -1] * _e(A, xl[k])
+    if len(idx):
+        r = C @ (float(half) * f((mid + half * u.astype(LONG)).astype(float)))
+        z = 1.0 / (1j * kappa[idx])
+        beta = beta_up = np.zeros(len(idx), dtype=complex)   # beta_k and beta_{k+1}
+        t_sums = [np.zeros(len(idx), dtype=complex) for _ in range(2)]   # even, odd k
+        for k in range(n - 1, 0, -1):
+            t = r[k] - z * beta
+            t_sums[k % 2] += t
+            beta, beta_up = beta_up + (2 * k) * t, beta
+        beta *= 0.5
+        even, odd = t_sums
+        even += r[0] - z * beta
+        out[idx] = z * ((even + odd) * _e(B, xl[idx]) - (even - odd) * _e(A, xl[idx]))
 
     # small |x|: plain Gauss-Legendre in s, summed node by node in a fixed
     # order so that a value does not depend on the batch it came in
     idx = np.nonzero(~levin)[0]
-    s = mid + half * g.astype(LONG)
-    amp = float(half) * w * f(s.astype(float))
-    total = np.zeros(len(idx), dtype=complex)
-    for sj, aj in zip(s, amp):
-        total += aj * _e(sj, xl[idx])
-    out[idx] = total
+    if len(idx):
+        s = mid + half * g.astype(LONG)
+        amp = float(half) * w * f(s.astype(float))
+        total = np.zeros(len(idx), dtype=complex)
+        for sj, aj in zip(s, amp):
+            total += aj * _e(sj, xl[idx])
+        out[idx] = total
     return out
 
 
@@ -328,10 +341,12 @@ def integral_I(inst: ProblemInstance, x: float | np.ndarray) -> complex | np.nda
     or at every entry of an array of x (complex array of the same shape).
 
     In s = t^c, I(x) = int_A^B f(s) e(sx) ds with A = X^c, B = (2X)^c and
-    the smooth amplitude f(s) = s^(1/c-1)/c.  Where 2 pi |x| (B - A) >= n/2,
+    the smooth amplitude f(s) = s^(1/c-1)/c.  Where 2 pi |x| (B - A) >= n,
     Levin's collocation method on n Chebyshev-Lobatto nodes solves
-    p' + 2 pi i x p = f and takes p(B) e(Bx) - p(A) e(Ax); below that, plain
-    n-point Gauss-Legendre in s.  Phases are reduced mod 1 in long double.
+    p' + 2 pi i x p = f and takes p(B) e(Bx) - p(A) e(Ax).  Its system is
+    triangular in the Chebyshev coefficients of p, and is solved from the
+    top coefficient down in n elementwise steps over all x.  Below that,
+    plain n-point Gauss-Legendre in s.  Phases are reduced mod 1 in long double.
     Each x is computed with n = 32 and n = 48 nodes; ConvergenceError if
     the two differ anywhere by more than _I_ABS_TOL * X, else the
     48-node values.  x = 0 gives exactly X.  A value is bitwise the same

@@ -227,6 +227,33 @@ def test_guards():
         harmonic_V(CountSpec(177, 1.5, 0.1), 0.0)
 
 
+@pytest.mark.parametrize("spec, naive", [(CountSpec(8, 300.0, 1.0), 328),
+                                         (CountSpec(4, 400.0, 1.0), 60)])
+def test_pair_index_refuses_sums_past_the_float64_range(spec, naive):
+    # the index keys are the pair sums rounded to float64, so a spec whose
+    # largest sum 2 (2Y)^c overflows is refused; the naive counter decides
+    # such a spec in long double
+    with pytest.raises(ValueError, match="float64 range"):
+        count_tuples_fast(spec)
+    assert count_tuples_naive(spec).count == naive
+
+
+def test_harmonic_sum_refuses_sums_past_the_float64_range():
+    with pytest.raises(ValueError, match="float64 range"):
+        harmonic_V(CountSpec(6, 300.0, 1.0), 1.0)
+
+
+def test_pair_index_float64_range_edge():
+    # 2 * 8^c is finite in float64 for c < 341 and not at c = 341
+    for c in (340.0, 340.99):
+        spec = CountSpec(4, c, 1.0)
+        assert count_tuples_fast(spec).count == count_tuples_naive(spec).count == 60
+    spec = CountSpec(4, 341.0, 1.0)
+    with pytest.raises(ValueError, match="float64 range"):
+        count_tuples_fast(spec)
+    assert count_tuples_naive(spec).count == 60
+
+
 def test_scaling_report_shape():
     rep = rs_scaling_report(1.5, 1.0, [16, 32, 64, 128])
     assert rep["reference_slope"] == 2.5

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import levin_dense
 from primeineq import reports, sums
 from primeineq.sums import (LONG, ConvergenceError, ProblemInstance,
                             bilinear_sum, integral_I, moment4, moment_grid,
@@ -225,14 +226,31 @@ def test_integral_is_independent_of_the_batch():
     assert np.array_equal(integral_I(inst, xs.reshape(-1, 1))[:, 0], full)
 
 
+@pytest.mark.parametrize("X", [256.0, 1e4])
+@pytest.mark.parametrize("c", [1.01, 1.5, 2.05, 3.0])
+def test_levin_recurrence_matches_the_dense_solve(c, X):
+    # the top-down recurrence in Chebyshev coefficients against the dense
+    # collocation solve, at every x of the moment grid that takes the Levin
+    # branch, for both node counts
+    inst = ProblemInstance(c=c, X=X, eps=0.1)
+    A, B = LONG(X) ** LONG(c), LONG(2 * X) ** LONG(c)
+    grid = moment_grid(inst, 64)
+    for n in sums._LEVELS:
+        xs = grid[2 * np.pi * grid * float(B - A) >= n]
+        assert len(xs) > 0
+        got = sums._integral_s(xs, A, B, c, n)
+        assert np.max(np.abs(got - levin_dense(xs, A, B, c, n))) <= 1e-13 * X
+
+
 @pytest.mark.parametrize("X,c", [(256.0, 2.05), (1000.0, 1.5)])
 def test_integral_against_mpmath_at_the_levin_switch(X, c):
-    # the Levin / Gauss-Legendre switch 2 pi |x| (B - A) = n / 2, for both
-    # node counts, approached from either side
+    # the Levin / Gauss-Legendre switch 2 pi |x| (B - A) = n, and the
+    # earlier switch at n / 2, for both node counts, each approached from
+    # either side
     inst = ProblemInstance(c=c, X=X, eps=0.1)
     span = (2 * X) ** c - X ** c
-    xs = [n / (4 * math.pi * span) * (1 + side * 1e-9)
-          for n in (32, 48) for side in (-1, 1)]
+    xs = [n / (share * math.pi * span) * (1 + side * 1e-9)
+          for share in (2, 4) for n in (32, 48) for side in (-1, 1)]
     got = integral_I(inst, np.array(xs))
     with mpmath.workdps(30):
         cc = mpmath.mpf(repr(c))
