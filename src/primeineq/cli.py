@@ -26,9 +26,9 @@ from .kernel import KernelParams, phi_eval, phi_fourier, phi_fourier_bound, \
     phi_fourier_quadrature
 from .ledger import _frac
 from .reports import render_report
-from .solver import (count_B, exceptional_scan, find_sextuple, instance_config,
+from .solver import (exceptional_scan, find_sextuple, instance_config,
                      instance_for_theorem1, instance_for_theorem2, main_term_H,
-                     weighted_B1)
+                     triple_counts)
 from .sums import (ConvergenceError, GuardError, ProblemInstance, integral_I,
                    moment4, sum_S, sum_T)
 
@@ -259,11 +259,11 @@ def _cmd_solve(args, cfg, out) -> int:
     if args.action == "triple":
         inst = instance_for_theorem1(N, c, eps)
         R = _resolve(args, cfg, "R", float, 1.5 * N)
-        weighted, unweighted, recs = count_B(inst, R, want_records=True)
+        counts = triple_counts(inst, [R], want_records=True)[0]
         payload = {"config": {**instance_config(inst), "N": N},
-                   "R": R, "count": unweighted, "weighted": weighted,
-                   "B1": weighted_B1(inst, R), "H": main_term_H(inst, R),
-                   "records": [asdict(r) for r in (recs or [])]}
+                   "R": R, "count": counts.count, "weighted": counts.weighted,
+                   "B1": counts.B1, "H": main_term_H(inst, R),
+                   "records": [asdict(r) for r in counts.records]}
         _emit(render_report(payload, indent=2), out)
         return 0
     inst = instance_for_theorem2(N, c, eps)

@@ -23,14 +23,16 @@ within a stated margin of gamma +- delta; it shares no code with the fast
 counter.  The two agree exactly, ambiguity flags included.  The Y-ladder
 slope reports built on these counts live in ``reports``.
 
-The same index is the triple solvers' pair index (``solver._pair_index``).
+The triple counters keep no pair index: their candidate pass
+(``solver._triple_candidates``) sorts the targets and screens the pair
+sums in float64, then yields what a window search over these keys would.
 The sextuple search's bands of unordered triple sums
 (``solver._triple_band``) keep their long-double sums: they are built on
 ``unordered_pairs`` and sorted by ``stable_sorted``, which shares the
 index's float64-key sort and tie fix-up.  The window search over a sorted
 array (``window_hits``) searches float64 keys, widened for their rounding,
-and serves the triple and sextuple solvers: the triple counters run it over
-the pair index, and the sextuple search (``solver._mitm_search``) from each
+and serves the triple and sextuple solvers: ``solver.find_triple`` runs it
+over the powers, and the sextuple search (``solver._mitm_search``) from each
 band of unordered triple sums into the band of the sums that can complete
 them to N, widened so that it reaches every ordering of each triple, and
 re-tests each ordering with the exact predicate.
@@ -136,9 +138,7 @@ def window_hits(values: np.ndarray, targets: np.ndarray, width: float):
     if len(values) == 0:
         return
     keys = np.asarray(values, float)
-    width = LONG(width)
-    scale = max(abs(LONG(values[0])), abs(LONG(values[-1]))) + width
-    reach = float(width + _slack(scale))
+    reach = window_reach(values[0], values[-1], width)
     targets = np.asarray(targets, float)
     for start in range(0, len(targets), _BLOCK):
         block = targets[start:start + _BLOCK]
@@ -148,6 +148,14 @@ def window_hits(values: np.ndarray, targets: np.ndarray, width: float):
             continue
         t = np.repeat(np.arange(start, start + len(block)), lengths)
         yield t, run_positions(lo, lengths)
+
+
+def window_reach(first, last, width) -> float:
+    """How far window_hits searches from each target among ascending values
+    from ``first`` to ``last``: ``width`` plus the slack at
+    max(|first|, |last|) + width, rounded to float64."""
+    width = LONG(width)
+    return float(width + _slack(max(abs(LONG(first)), abs(LONG(last))) + width))
 
 
 def _slack(scale):
@@ -219,10 +227,16 @@ def count_tuples_naive(s: CountSpec) -> CountResult:
     float64 buffer.  A tuple with |d64| < gamma - delta - m is a hit and not
     ambiguous, one with |d64| > gamma + delta + m is neither, and only the
     tuples between are re-tested on their long-double sums with
-    |d| < gamma and ||d| - gamma| < delta.
+    |d| < gamma and ||d| - gamma| < delta.  ValueError if 2 (2Y)^c, the
+    largest sum for c >= 0, is not finite in long double: inf - inf is NaN
+    and would fail both comparisons.
     """
     if s.Y ** 4 > _NAIVE_GUARD:
         raise GuardError("naive", _NAIVE_GUARD, f"Y^4 = {s.Y ** 4} tuples")
+    if not np.isfinite(2 * LONG(2 * s.Y) ** LONG(s.c)):
+        raise ValueError(f"the largest pair sum 2 * {2 * s.Y}^{s.c} exceeds the long-double "
+                         f"range (largest finite "
+                         f"{np.format_float_scientific(np.finfo(LONG).max, precision=5)})")
     powers = np.arange(s.Y + 1, 2 * s.Y + 1, dtype=np.int64).astype(LONG) ** LONG(s.c)
     ps = (powers[:, None] + powers[None, :]).ravel()
     ps64 = ps.astype(float)

@@ -4,7 +4,9 @@
 keys, schema tag); each report here is a plain dict that names itself and
 embeds its config.  Every per-item computation is a pure module-level
 function mapped with det_map, so a fixed seed gives byte-identical output
-for any worker count.  Both Y-ladder slope reports share ``_ladder_fit``.
+for any worker count; the triple counts of all R come from one pass in the
+calling process, and each R's counts do not depend on the others.  Both
+Y-ladder slope reports share ``_ladder_fit``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from ._parallel import det_map
 from .count import CountSpec, count_tuples_fast, count_tuples_naive
 from .solver import (SolutionRecord, find_sextuple, instance_for_theorem1,
                      instance_for_theorem2, instance_config, main_term_H,
-                     sample_R, scan_item, weighted_B1)
+                     sample_R, triple_counts, triple_solvable)
 from .sums import ProblemInstance, integral_I, moment4, sieve_primes, sum_S
 
 
@@ -196,9 +198,9 @@ def s_vs_i_report(c: float = 2.05, X: float = 4096.0, points: int = 20,
 
 # ----------------------------------------------------------------- solvers
 
-def _triple_item(R: float, inst: ProblemInstance) -> dict:
-    count, solvable = scan_item(R, inst)
-    b1 = weighted_B1(inst, R)
+def _triple_item(item: tuple[float, int, float], inst: ProblemInstance) -> dict:
+    R, count, b1 = item
+    solvable = triple_solvable(inst, R, count)
     h = main_term_H(inst, R)
     return {"R": R, "count": count, "solvable": solvable, "B1": b1, "H": h,
             "B1_over_H": b1 / h if h != 0 else float("inf")}
@@ -221,7 +223,9 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
     range restriction), as decided by solver.triple_solvable: a row with a
     dyadic solution is solvable, and a row without one is decided by
     find_triple over all primes; the R and the decision are those of
-    solver.exceptional_scan (sample_R, scan_item), with N from the caller.
+    solver.exceptional_scan, with N from the caller.  ``count`` and ``B1``
+    come from one candidate pass over all R (solver.triple_counts), and
+    each R's values do not depend on the others.
     ``zero_fraction`` is the share of unsolvable R and must stay below
     _ZERO_CAP; ``dyadic_zero_fraction`` is the share with count 0.  The
     smoothed count must track the main term in aggregate: the band applies
@@ -232,8 +236,8 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
     """
     inst = instance_for_theorem1(N, c)
     Rs = sample_R(N, samples, seed)
-    sieve_primes(inst.X)
-    rows = det_map(partial(_triple_item, inst=inst), Rs, workers)
+    items = [(R, t.count, t.B1) for R, t in zip(Rs, triple_counts(inst, Rs))]
+    rows = det_map(partial(_triple_item, inst=inst), items, workers)
     zero_fraction = sum(1 for r in rows if not r["solvable"]) / samples
     dyadic_zero_fraction = sum(1 for r in rows if r["count"] == 0) / samples
     med = statistics.median(r["B1_over_H"] for r in rows)

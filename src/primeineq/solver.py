@@ -29,8 +29,8 @@ import mpmath
 import numpy as np
 
 from ._parallel import det_map
-from .count import (run_positions, stable_sorted, unordered_pairs, unordered_sums,
-                    window_hits)
+from .count import (run_positions, stable_sorted, unordered_pairs, window_hits,
+                    window_reach)
 from .kernel import KernelParams, kernel_from_instance, phi_eval
 from .sums import (_CACHE_SIZE, LONG, ConvergenceError, GuardError, PrimeTable,
                    ProblemInstance, sieve_primes, sieve_range)
@@ -86,73 +86,182 @@ def sextuple_feasible(inst: ProblemInstance, N: float) -> bool:
     return 6 * pmin - inst.eps < N < 6 * pmax + inst.eps
 
 
-class PairIndex(NamedTuple):
-    """The sorted unordered pair sums of one table at one c (see
-    count.unordered_sums), with the powers they were formed from; a pair's
-    long-double sum is powers[i] + powers[j], formed again from its flat
-    index."""
-
-    keys: np.ndarray     # float64 fl(P_i + P_j), sum formed in long double, ascending
-    flat: np.ndarray     # int32 flat index i n + j, i <= j, of each sum
-    powers: np.ndarray   # p^c in long double, in table order
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
-def _pair_index(table: PrimeTable, c: float) -> PairIndex:
-    """Sorted pair sums p_i^c + p_j^c over unordered prime pairs i <= j of
-    one table object.  The guard still counts all n^2 ordered pairs."""
-    n = len(table)
+def _powers(table: PrimeTable, c: float) -> np.ndarray:
+    """p^c of one table object in long double, read-only; count_B and
+    weighted_B1 ask for the same table at every R."""
+    powers = table.powers(c)
+    powers.flags.writeable = False
+    return powers
+
+
+def _reach(powers: np.ndarray, width) -> float:
+    """The reach of count.window_hits over the sorted float64 keys
+    fl(P_i + P_j) of the unordered pair sums, whose smallest and largest
+    sums are 2 min P and 2 max P, exactly."""
+    if len(powers) == 0:   # no sums, no candidates
+        return 0.0
+    return window_reach(float(2 * powers.min()), float(2 * powers.max()), width)
+
+
+_SCREEN_ROWS = 32          # rows i of the pair triangle i <= j screened at once
+_SCREEN_BUCKETS = 1 << 23  # cap on the buckets of the screen's occupancy table
+
+
+def _triple_candidates(powers: np.ndarray, Rs, reach: float
+                       ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """For each R, the candidates count.window_hits yields over the sorted
+    keys of the unordered pair sums: every (i, j, l), i <= j, whose key
+    fl(P_i + P_j), the sum formed in long double, lies in
+    [fl(t - reach), fl(t + reach)] with t = fl(R - P_l); as arrays i, j, l
+    and the long-double pair sums, in (l, pair sum, i n + j) order, the
+    order of (target, index position) of that search.
+
+    No pair sum is kept.  The m n targets of all R are sorted once with
+    their bounds, and the pairs are walked _SCREEN_ROWS rows i at a time.
+    Each pair's float64 sum s = fl(fl(P_i) + fl(P_j)) is looked up in a
+    table of equal buckets of the range of s that marks every bucket a
+    window, widened by ``pad``, meets; only the pairs that pass have their
+    long-double sum and key formed and searched among the sorted bounds.
+
+    With M = max|fl(P)|, u = 2^-53 and e = 2^-64 the unit roundoffs of
+    float64 and long double, |s - key| <= 6 u M + 2 e M + O(u^2 M) < 7 u M,
+    and the padded bounds, clipped to the range [2 min fl(P), 2 max fl(P)]
+    of s, round by under u (2M + pad) < 3 u M; pad = 16 u M = 2^-49 M
+    covers both, so a pair whose key lies in a window always passes.  The
+    bucket of x is (x - base) / width rounded down, monotone in x, and a
+    bucket is at least 2 reach wide, so a window meets two or three.
+    """
+    n, m = len(powers), len(Rs)
+    if n * m == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return [(empty, empty, empty, powers[:0])] * m
+    targets = (np.asarray(Rs, dtype=LONG)[:, None] - powers).astype(float).ravel()
+    order = np.argsort(targets)
+    lo, hi = targets[order] - reach, targets[order] + reach
+
+    p64 = powers.astype(float)
+    M = float(np.abs(p64).max())
+    base, top = 2 * float(p64.min()), 2 * float(p64.max())
+    pad = 2.0 ** -49 * M + np.finfo(float).tiny
+    inv = 1.0 / max((top - base) / (_SCREEN_BUCKETS - 1), 2 * reach)
+
+    def bucket(x):
+        return ((x - base) * inv).astype(np.intp)
+
+    first = bucket(np.maximum(np.clip(lo, base, top) - pad, base))
+    last = bucket(np.minimum(np.clip(hi, base, top) + pad, top))
+    occupied = np.zeros(int(bucket(np.array(top))) + 1, dtype=bool)
+    for step in range(int((last - first).max()) + 1):
+        occupied[np.minimum(first + step, last)] = True
+
+    rows = min(_SCREEN_ROWS, n)
+    s_buf = np.empty(rows * n)
+    b_buf = np.empty(rows * n, dtype=np.intp)
+    pass_buf = np.empty(rows * n, dtype=bool)
+    upper = np.triu(np.ones((rows, rows), dtype=bool))   # j >= i in a chunk's first columns
+    found = []
+    for i0 in range(0, n, rows):
+        h, w = min(rows, n - i0), n - i0
+        s = s_buf[:h * w].reshape(h, w)
+        np.add(p64[i0:i0 + h, None], p64[i0:], out=s)
+        np.subtract(s, base, out=s)
+        np.multiply(s, inv, out=s)
+        b = b_buf[:h * w].reshape(h, w)
+        np.copyto(b, s, casting="unsafe")   # rounds down: s >= 0
+        passed = pass_buf[:h * w].reshape(h, w)
+        np.take(occupied, b, out=passed, mode="clip")
+        passed[:, :h] &= upper[:h, :h]
+        r, col = np.nonzero(passed)
+        i, j = r + i0, col + i0
+        keys = (powers[i] + powers[j]).astype(float)
+        start = np.searchsorted(hi, keys, side="left")
+        lengths = np.searchsorted(lo, keys, side="right") - start
+        if not lengths.any():
+            continue
+        pick = np.repeat(np.arange(len(keys)), lengths)
+        found.append((order[run_positions(start, lengths)], i[pick], j[pick]))
+    target, i, j = ([np.concatenate(a) for a in zip(*found)] if found
+                    else [np.zeros(0, dtype=np.intp)] * 3)
+    r, l = np.divmod(target, n)
+    pair = powers[i] + powers[j]
+    ordered = np.lexsort((i * n + j, pair, l, r))
+    r, i, j, l, pair = r[ordered], i[ordered], j[ordered], l[ordered], pair[ordered]
+    cuts = np.searchsorted(r, np.arange(m + 1))
+    return [(i[a:b], j[a:b], l[a:b], pair[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+class TripleCount(NamedTuple):
+    """The dyadic triple counts at one R (see triple_counts)."""
+
+    weighted: float   # B(R), ordered triples weighted by (log p1)(log p2)(log p3)
+    count: int        # the ordered triples with |value - R| < eps
+    records: Optional[list[SolutionRecord]]
+    B1: float         # the smoothed count
+
+
+def triple_counts(inst: ProblemInstance, Rs, table: Optional[PrimeTable] = None,
+                  want_records: bool = False) -> list[TripleCount]:
+    """The sharp and smoothed triple counts of count_B and weighted_B1 at
+    every R, from one candidate pass (_triple_candidates) for all of them.
+
+    The pass runs at the larger of the two counters' reaches, and each
+    counter takes the candidates of its own, eps or a + b, as a window
+    search of that width would: weighted_B1 sums its kernel weights over
+    them, zeros included, in the search's order, so its sum has the same
+    terms in the same order at any batch.  count_B re-tests every
+    candidate with the strict predicate |value - R| < eps.  Since
+    fl(P_i + P_j) = fl(P_j + P_i), a pair with i < j stands for both of
+    its orderings.  Records follow third-prime order, then the order of
+    the ordered pair sums: (sum, i n + j).  The guard counts all n^2
+    ordered pairs.
+    """
+    if inst.k != 3:
+        raise ValueError("the triple counters need a k=3 instance")
+    tbl = table if table is not None else sieve_primes(inst.X)
+    n = len(tbl)
     if n * n > _PAIR_GUARD:
         raise GuardError("pair", _PAIR_GUARD, f"{n}^2 prime pairs")
-    powers = table.powers(c)
-    return PairIndex(*unordered_sums(powers), powers)
+    powers = _powers(tbl, inst.c)
+    kernel = kernel_from_instance(inst.eps, inst.X)
+    eps, support = LONG(inst.eps), LONG(kernel.a + kernel.b)
+    reach = _reach(powers, support)
+    candidates = _triple_candidates(powers, Rs, max(_reach(powers, eps), reach))
+    logs = tbl.logs
+    out = []
+    for R, (i, j, l, pair) in zip(Rs, candidates):
+        rest = LONG(R) - powers[l]
+        offset = pair - rest
+        t, key = rest.astype(float), pair.astype(float)
+        near = (key >= t - reach) & (key <= t + reach)
+        phi = phi_eval(kernel, offset[near].astype(float))
+        phi[(i < j)[near]] *= 2.0
+        b1 = float(np.sum(logs[i[near]] * logs[j[near]] * phi * logs[l[near]]))
 
-
-def _triples_near(index: PairIndex, R: float, width):
-    """Candidate triples for |(p_i^c + p_j^c) - (R - p_l^c)| < width with
-    i <= j, a block at a time (see count.window_hits): index arrays i, j, l
-    and the long-double pair sums p_i^c + p_j^c."""
-    n = len(index.powers)
-    for l, pos in window_hits(index.keys, LONG(R) - index.powers, width):
-        i, j = np.divmod(index.flat[pos], n)
-        yield i, j, l, index.powers[i] + index.powers[j]
+        hit = np.abs(offset) < eps
+        twin = hit & (i < j)
+        a, b = np.concatenate([i[hit], j[twin]]), np.concatenate([j[hit], i[twin]])
+        d, v = np.concatenate([l[hit], l[twin]]), np.concatenate([pair[hit], pair[twin]])
+        order = np.lexsort((a * n + b, v, d))
+        a, b, d, v = a[order], b[order], d[order], v[order]
+        weighted = float(np.sum(logs[a] * logs[b] * logs[d]))
+        records = None
+        if want_records:
+            records = [_validated_record((int(tbl.primes[x]), int(tbl.primes[y]),
+                                          int(tbl.primes[z])), float(value), R,
+                                         inst.eps, inst.c)
+                       for x, y, z, value in zip(a, b, d, v + powers[d])]
+        out.append(TripleCount(weighted, len(v), records, b1))
+    return out
 
 
 def count_B(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = None,
             want_records: bool = False
             ) -> tuple[float, int, Optional[list[SolutionRecord]]]:
-    """Sharp-window triple count: (weighted, unweighted, records).
-
-    Ordered triples; one window search looks up all third primes in the
-    sorted unordered pair sums, and every candidate is re-tested by the
-    strict predicate |value - R| < eps.  Since fl(P_i + P_j) = fl(P_j + P_i),
-    a confirmed pair with i < j stands for both of its orderings.  Records
-    follow third-prime order, then the order of the ordered pair sums:
-    (sum, i n + j).
-    """
-    if inst.k != 3:
-        raise ValueError("count_B needs a k=3 instance")
-    tbl = table if table is not None else sieve_primes(inst.X)
-    index = _pair_index(tbl, inst.c)
-    powers, n = index.powers, len(tbl)
-    eps = LONG(inst.eps)
-    weighted = 0.0
-    unweighted = 0
-    records: Optional[list[SolutionRecord]] = [] if want_records else None
-    for i, j, l, pair in _triples_near(index, R, eps):
-        hit = np.abs(pair - (LONG(R) - powers[l])) < eps
-        twin = hit & (i < j)
-        i, j = np.concatenate([i[hit], j[twin]]), np.concatenate([j[hit], i[twin]])
-        l, pair = np.concatenate([l[hit], l[twin]]), np.concatenate([pair[hit], pair[twin]])
-        order = np.lexsort((i * n + j, pair, l))
-        i, j, l, pair = i[order], j[order], l[order], pair[order]
-        unweighted += len(pair)
-        weighted += float(np.sum(tbl.logs[i] * tbl.logs[j] * tbl.logs[l]))
-        if records is not None:
-            for a, b, d, v in zip(i, j, l, pair + powers[l]):
-                primes = (int(tbl.primes[a]), int(tbl.primes[b]), int(tbl.primes[d]))
-                records.append(_validated_record(primes, float(v), R, inst.eps, inst.c))
-    return weighted, unweighted, records
+    """Sharp-window triple count at one R: (weighted, unweighted, records)
+    over ordered triples, re-tested by the strict predicate
+    |value - R| < eps; triple_counts over a batch of one."""
+    return triple_counts(inst, [R], table, want_records)[0][:3]
 
 
 def _validated_record(primes: tuple[int, ...], value: float, R: float,
@@ -169,20 +278,10 @@ def _validated_record(primes: tuple[int, ...], value: float, R: float,
 
 def weighted_B1(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = None
                 ) -> float:
-    """Smoothed triple count: kernel weight phi(value - R) instead of the
-    sharp window; window of support is |value - R| < a + b."""
-    if inst.k != 3:
-        raise ValueError("weighted_B1 needs a k=3 instance")
-    tbl = table if table is not None else sieve_primes(inst.X)
-    p = kernel_from_instance(inst.eps, inst.X)
-    index = _pair_index(tbl, inst.c)
-    total = 0.0
-    for i, j, l, pair in _triples_near(index, R, LONG(p.a + p.b)):
-        phi = phi_eval(p, (pair - (LONG(R) - index.powers[l])).astype(float))
-        # a pair i < j stands for both of its orderings
-        phi[i < j] *= 2.0
-        total += float(np.sum(tbl.logs[i] * tbl.logs[j] * phi * tbl.logs[l]))
-    return total
+    """Smoothed triple count at one R: kernel weight phi(value - R)
+    instead of the sharp window, over |value - R| < a + b; triple_counts
+    over a batch of one."""
+    return triple_counts(inst, [R], table)[0].B1
 
 
 # Gauss-Legendre nodes per panel of g_2, g_3 and g_6 at the first of the two
@@ -537,11 +636,9 @@ def sample_R(N: float, samples: int, seed: int) -> list[float]:
     return [N + rng.random() * N for _ in range(samples)]
 
 
-def scan_item(R: float, inst: ProblemInstance) -> tuple[int, bool]:
-    """The dyadic triple count of count_B at R, and whether R has a solution
-    in primes of any size (triple_solvable)."""
-    _, unweighted, _ = count_B(inst, R)
-    return unweighted, triple_solvable(inst, R, unweighted)
+def _solvable_at(item: tuple[float, int], inst: ProblemInstance) -> bool:
+    """triple_solvable at one (R, dyadic count)."""
+    return triple_solvable(inst, *item)
 
 
 def instance_config(inst: ProblemInstance) -> dict:
@@ -563,10 +660,8 @@ def exceptional_scan(inst: ProblemInstance, samples: int, seed: int,
     if inst.k != 3:
         raise ValueError("exceptional_scan needs a k=3 instance")
     Rs = sample_R(3.0 * inst.X ** inst.c, samples, seed)
-    sieve_primes(inst.X)  # warm the table before forking workers
-    items = det_map(partial(scan_item, inst=inst), Rs, workers)
-    counts = [cnt for cnt, _ in items]
-    solvable = [ok for _, ok in items]
+    counts = [t.count for t in triple_counts(inst, Rs)]
+    solvable = det_map(partial(_solvable_at, inst=inst), list(zip(Rs, counts)), workers)
     return {
         "seed": seed,
         "samples": samples,

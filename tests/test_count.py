@@ -238,6 +238,17 @@ def test_pair_index_refuses_sums_past_the_float64_range(spec, naive):
     assert count_tuples_naive(spec).count == naive
 
 
+def test_naive_count_refuses_sums_past_the_long_double_range():
+    # every power of CountSpec(2, 1e6, 1.0) is inf in long double, where its
+    # 6 ordered tuples with {n1, n2} = {n3, n4} would have d = inf - inf
+    with pytest.raises(ValueError, match="long-double range"):
+        count_tuples_naive(CountSpec(2, 1e6, 1.0))
+    # 2 * 4^c is finite in long double at c = 8191 and not at c = 8192
+    assert count_tuples_naive(CountSpec(2, 8191.0, 1.0)) == CountResult(6, 0)
+    with pytest.raises(ValueError, match="long-double range"):
+        count_tuples_naive(CountSpec(2, 8192.0, 1.0))
+
+
 def test_harmonic_sum_refuses_sums_past_the_float64_range():
     with pytest.raises(ValueError, match="float64 range"):
         harmonic_V(CountSpec(6, 300.0, 1.0), 1.0)

@@ -142,9 +142,9 @@ def test_count_B_edge_of_window_matches_brute_force(i, j, l, side, delta):
     _check_against_brute_force(_EDGE_INST, _EDGE_TABLE, R)
 
 
-def test_count_B_index_follows_the_table_object(inst_1e5):
+def test_count_B_powers_follow_the_table_object(inst_1e5):
     # two tables over the same (X, 2X] with different primes must not share
-    # an index
+    # cached powers
     full = sieve_primes(inst_1e5.X)
     half = PrimeTable(full.primes[::2], full.logs[::2])
     for R in (1.5e5, 2.1e5):
@@ -171,12 +171,47 @@ def _ordered_count_B(inst: ProblemInstance, tbl: PrimeTable, R: float):
     return weighted, records
 
 
+def _window_B1(inst: ProblemInstance, tbl: PrimeTable, R: float) -> float:
+    """weighted_B1 by a window search of width a + b over the sorted keys
+    of every unordered pair sum, the search the candidate pass replaces:
+    the same terms in the same order."""
+    n = len(tbl)
+    P = tbl.powers(inst.c)
+    keys, flat = unordered_sums(P)
+    p = kernel_from_instance(inst.eps, inst.X)
+    total = 0.0
+    for l, pos in window_hits(keys, LONG(R) - P, LONG(p.a + p.b)):
+        i, j = np.divmod(flat[pos], n)
+        phi = phi_eval(p, (pair_sums(P, flat[pos]) - (LONG(R) - P[l])).astype(float))
+        phi[i < j] *= 2.0
+        total += float(np.sum(tbl.logs[i] * tbl.logs[j] * phi * tbl.logs[l]))
+    return total
+
+
+def _unscreened_candidates(P: np.ndarray, R: float, reach: float):
+    """Every (i, j, l), i <= j, whose key fl(P_i + P_j) lies in
+    [fl(t - reach), fl(t + reach)], t = fl(R - P_l), found by comparing
+    every key with every window: (i, j, l, pair sums) in (l, pair sum,
+    i n + j) order."""
+    keys, flat = unordered_sums(P)
+    t = (LONG(R) - P).astype(float)
+    l, pos = np.nonzero((keys >= (t - reach)[:, None]) & (keys <= (t + reach)[:, None]))
+    i, j = np.divmod(flat[pos], len(P))
+    return i, j, l, pair_sums(P, flat[pos])
+
+
 def _pair_test_table(kind: str) -> tuple[PrimeTable, ProblemInstance]:
     if kind == "dense":
         # c = 1 near 4e9: P_i + P_j = 8e9 + i + j exactly, so every sum is
         # shared by many pairs, and R and eps put the window edge on a sum
         primes = np.arange(4_000_000_000, 4_000_000_048, dtype=np.int64)
         inst = ProblemInstance(c=1.0, X=4e9, eps=2.0)
+    elif kind == "edge":
+        # c = 1.25 near 4e9: the pair sums span 3e4, so the screen's buckets
+        # are 3.5e-3 wide, and a quarter of the float64 sums fl(P_i) + fl(P_j)
+        # differ from their keys by an ulp (2.4e-4)
+        primes = np.arange(4_000_000_000, 4_000_000_048, dtype=np.int64)
+        inst = ProblemInstance(c=1.25, X=4e9, eps=1e-3)
     else:
         # seeded primes in shuffled table order
         rng = np.random.default_rng(int(kind))
@@ -185,38 +220,92 @@ def _pair_test_table(kind: str) -> tuple[PrimeTable, ProblemInstance]:
     return PrimeTable(primes, np.log(primes.astype(float))), inst
 
 
-@pytest.mark.parametrize("kind", ["0", "1", "dense"])
-def test_pair_index_against_the_ordered_index(kind):
-    tbl, inst = _pair_test_table(kind)
+def _test_Rs(tbl: PrimeTable, inst: ProblemInstance, kind: str) -> list[float]:
     n = len(tbl)
     P = tbl.powers(inst.c)
-    index = solver._pair_index(tbl, inst.c)
-    assert np.array_equal(index.powers, P)
-    # every pair i < j stands for two ordered pairs with the same sum, so
-    # the index is the ordered one with its pairs i > j left out
-    i, j = np.divmod(index.flat, n)
-    assert np.all(i <= j)
-    want_sums, order = sorted_sums(P, 2)
-    assert np.array_equal(index.flat, order[order // n <= order % n])
-    sums = pair_sums(P, index.flat)
-    twice = np.sort(np.concatenate([sums, sums[i < j]]))
-    assert np.array_equal(twice, want_sums)
-    assert index.keys.dtype == np.float64
-    assert np.array_equal(index.keys, sums.astype(float))
     rng = random.Random(kind)
     Rs = []
     for _ in range(6):
         a, b, d = (rng.randrange(n) for _ in range(3))
         Rs.append(float(P[a] + P[b] + P[d]) + rng.choice([0.0, 0.25, -1.0, 1.75]))
+    return Rs
+
+
+@pytest.mark.parametrize("kind", ["0", "1", "dense"])
+def test_triple_counts_against_the_ordered_index(kind):
+    tbl, inst = _pair_test_table(kind)
+    Rs = _test_Rs(tbl, inst, kind)
+    batch = solver.triple_counts(inst, Rs, table=tbl, want_records=True)
     hits = 0
-    for R in Rs:
-        weighted, count, recs = count_B(inst, R, table=tbl, want_records=True)
+    for R, got in zip(Rs, batch):
+        # each R's counts are bitwise those of R alone and of the two views;
+        # the records, in order, are the oracle's below
+        alone = solver.triple_counts(inst, [R], table=tbl)[0]
+        assert repr(got._replace(records=None)) == repr(alone)
+        assert count_B(inst, R, table=tbl) == (got.weighted, got.count, None)
+        assert repr(weighted_B1(inst, R, table=tbl)) == repr(got.B1)
+        # every pair i < j stands for two ordered pairs with the same sum,
+        # so the records are those of the ordered pair index
         want_weighted, want = _ordered_count_B(inst, tbl, R)
-        assert count == len(want)
-        assert [(r.primes, r.value) for r in recs] == want
-        assert weighted == want_weighted   # same terms, same order
-        hits += count
+        assert got.count == len(want)
+        assert [(r.primes, r.value) for r in got.records] == want
+        assert got.weighted == want_weighted   # same terms, same order
+        assert got.B1 == _window_B1(inst, tbl, R)
+        hits += got.count
     assert hits > 0
+
+
+@pytest.mark.parametrize("kind", ["0", "1", "dense"])
+def test_candidate_pass_matches_the_unscreened_search(kind):
+    tbl, inst = _pair_test_table(kind)
+    P = tbl.powers(inst.c)
+    Rs = _test_Rs(tbl, inst, kind)
+    eps = LONG(inst.eps)
+    # the counters' reach, and for the dense table reach 2, where the
+    # buckets are 4 wide from 8e9: integer sums, window edges and bucket
+    # edges coincide
+    for reach in (solver._reach(P, eps), 2.0, 0.3):
+        got = solver._triple_candidates(P, Rs, reach)
+        assert len(got) == len(Rs)
+        for R, cands in zip(Rs, got):
+            want = _unscreened_candidates(P, R, reach)
+            for a, b in zip(cands, want):
+                assert np.array_equal(a, b)
+
+
+def test_candidate_pass_pads_for_the_float64_sums():
+    # windows of reach 0 at keys of pairs whose float64 sum differs from
+    # the key; one R at a time, so few buckets are marked and a pair whose
+    # float64 sum falls in the next bucket is found only through the pad
+    tbl, _ = _pair_test_table("edge")
+    P = tbl.powers(1.25)
+    n = len(P)
+    keys, flat = unordered_sums(P)
+    i, j = np.divmod(flat, n)
+    p64 = P.astype(float)
+    off = np.flatnonzero(p64[i] + p64[j] != keys)
+    rng = random.Random(5)
+    found = 0
+    for pos in rng.sample(list(off), 40):
+        R = float(LONG(keys[pos]) + P[rng.randrange(n)])
+        for reach in (0.0, 2.0 ** -10):
+            cands = solver._triple_candidates(P, [R], reach)[0]
+            want = _unscreened_candidates(P, R, reach)
+            for a, b in zip(cands, want):
+                assert np.array_equal(a, b)
+            found += len(want[0])
+    assert found > 0
+
+
+def test_triple_counts_batch_matches_each_R_on_the_edge_table():
+    tbl, inst = _pair_test_table("edge")
+    P = tbl.powers(inst.c)
+    Rs = [float(3 * P[k]) for k in (0, 17, 47)] + _test_Rs(tbl, inst, "edge")
+    batch = solver.triple_counts(inst, Rs, table=tbl)
+    for R, got in zip(Rs, batch):
+        assert repr(got) == repr(solver.triple_counts(inst, [R], table=tbl)[0])
+        _check_against_brute_force(inst, tbl, R)
+    assert sum(t.count for t in batch) > 0
 
 
 def test_powers_computed_once_per_table(inst_1e5, monkeypatch):
