@@ -283,8 +283,7 @@ def _cmd_scan(args, cfg, out) -> int:
     rep = exceptional_scan(
         inst,
         samples=_resolve(args, cfg, "samples", int, 50),
-        seed=_resolve(args, cfg, "seed", int, 0),
-        workers=_resolve(args, cfg, "workers", int, 1))
+        seed=_resolve(args, cfg, "seed", int, 0))
     if (args.format or "json") == "csv":
         rows = [{"R": R, "count": n} for R, n in zip(rep["R_values"], rep["counts"])]
         _emit(_csv(rows, ["R", "count"]), out)

@@ -23,19 +23,20 @@ within a stated margin of gamma +- delta; it shares no code with the fast
 counter.  The two agree exactly, ambiguity flags included.  The Y-ladder
 slope reports built on these counts live in ``reports``.
 
-The triple counters keep no pair index: their candidate pass
-(``solver._triple_candidates``) sorts the targets and screens the pair
-sums in float64, then yields what a window search over these keys would.
-The sextuple search's bands of unordered triple sums
-(``solver._triple_band``) keep their long-double sums: they are built on
-``unordered_pairs`` and sorted by ``stable_sorted``, which shares the
-index's float64-key sort and tie fix-up.  The window search over a sorted
-array (``window_hits``) searches float64 keys, widened for their rounding,
-and serves the triple and sextuple solvers: ``solver.find_triple`` runs it
-over the powers, and the sextuple search (``solver._mitm_search``) from each
-band of unordered triple sums into the band of the sums that can complete
-them to N, widened so that it reaches every ordering of each triple, and
-re-tests each ordering with the exact predicate.
+No triple code keeps a pair index: one candidate walk
+(``solver._candidate_walk``) sorts the targets R - p^c, screens the pair
+sums in float64 and yields what a window search over these keys would, and
+it serves the triple counters, ``solver.find_triple`` and the all-primes
+solvability of ``solver.triple_solvable``.  The sextuple search's bands of
+unordered triple sums (``solver._triple_band``) keep their long-double
+sums: they are built on ``unordered_pairs`` and sorted by
+``stable_sorted``, which shares the index's float64-key sort and tie
+fix-up.  The window search over a sorted array (``window_hits``) searches
+float64 keys, widened for their rounding; the sextuple search
+(``solver._mitm_search``) runs it from each band of unordered triple sums
+into the band of the sums that can complete them to N, widened so that it
+reaches every ordering of each triple, and re-tests each ordering with the
+exact predicate.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ _NAIVE_GUARD = 10 ** 9     # Y^4 at most this many tuples
 _NAIVE_CHUNK = 1 << 16     # tuples per chunk of the naive count's buffers
 _FAST_GUARD = 10 ** 8      # Y^2 at most this many pair sums in memory
 _HARMONIC_GUARD = 10 ** 9  # Y^4 at most this many ordered 4-tuples
-_HARMONIC_NAIVE_GUARD = 10 ** 8   # Y^4 at most this many Python-level terms
 _BLOCK = 1 << 16           # targets per block of a window search
 _SLACK_ULPS = 8            # long-double ulps added to every window's reach
 _KEY_ULPS = 4              # float64 ulps added to it for the rounding to float64
@@ -340,7 +340,9 @@ def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
     sums, formed in long double from the pair index's flat indices, over
     q > p, a chunk of rows p at a time; d <= 0 for q <= p, so d > 1/tau
     picks pairs p < q only.  Each stands for m_p m_q ordered
-    4-tuples, and (q, p) for as many more with difference -d.
+    4-tuples, and (q, p) for as many more with difference -d.  ValueError
+    if 1/tau is not above _SLACK_ULPS long-double ulps of the largest pair
+    sum: differences below the sums' rounding are not resolved.
     """
     if s.Y ** 4 > _HARMONIC_GUARD:
         raise GuardError("harmonic", _HARMONIC_GUARD, f"Y^4 = {s.Y ** 4} differences")
@@ -349,6 +351,11 @@ def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
     powers, _, flat, m = _pair_multiset(s)
     ps = pair_sums(powers, flat)
     cut = LONG(1.0) / LONG(tau)
+    rounding = _SLACK_ULPS * np.finfo(LONG).eps * ps[-1]
+    if not cut > rounding:
+        raise ValueError(f"1/tau = {float(cut):.6g} is not above the rounding bound "
+                         f"{float(rounding):.6g} of the pair sums ({_SLACK_ULPS} long-double "
+                         f"ulps of the largest sum {float(ps[-1]):.6g})")
     max_d = float(ps[-1] - ps[0])
     if max_d <= float(cut):
         return 0.0, np.zeros(0)
@@ -374,22 +381,3 @@ def _dyadic_bucket(x):
     lies in bucket e - 1, or in bucket e - 2 when f = 1/2."""
     f, e = np.frexp(x)
     return e - 1 - (f == 0.5)
-
-
-def harmonic_V_naive(s: CountSpec, tau: float) -> float:
-    """O(Y^4) direct summation; oracle for harmonic_V."""
-    if s.Y ** 4 > _HARMONIC_NAIVE_GUARD:
-        raise GuardError("harmonic-naive", _HARMONIC_NAIVE_GUARD,
-                         f"Y^4 = {s.Y ** 4} terms")
-    powers = [ (n ** s.c) for n in range(s.Y + 1, 2 * s.Y + 1) ]
-    cut = 1.0 / tau
-    terms = []
-    for a in powers:
-        for b in powers:
-            for u in powers:
-                for v in powers:
-                    d = abs(a + b - u - v)
-                    if d > cut:
-                        terms.append(1.0 / d)
-    return math.fsum(terms)
-

@@ -4,9 +4,10 @@
 keys, schema tag); each report here is a plain dict that names itself and
 embeds its config.  Every per-item computation is a pure module-level
 function mapped with det_map, so a fixed seed gives byte-identical output
-for any worker count; the triple counts of all R come from one pass in the
-calling process, and each R's counts do not depend on the others.  Both
-Y-ladder slope reports share ``_ladder_fit``.
+for any worker count; the triple counts and the solvability of all R come
+from one candidate walk each in the calling process, and each R's values
+do not depend on the others.  Both Y-ladder slope reports share
+``_ladder_fit``.
 """
 
 from __future__ import annotations
@@ -198,14 +199,6 @@ def s_vs_i_report(c: float = 2.05, X: float = 4096.0, points: int = 20,
 
 # ----------------------------------------------------------------- solvers
 
-def _triple_item(item: tuple[float, int, float], inst: ProblemInstance) -> dict:
-    R, count, b1 = item
-    solvable = triple_solvable(inst, R, count)
-    h = main_term_H(inst, R)
-    return {"R": R, "count": count, "solvable": solvable, "B1": b1, "H": h,
-            "B1_over_H": b1 / h if h != 0 else float("inf")}
-
-
 # triple-regime's gates: the ceiling on the unsolvable share of R, and the
 # band on the aggregate sum(B1) / sum(H)
 _ZERO_CAP = 0.4
@@ -221,11 +214,12 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
     the counting argument.  ``solvable`` asks whether the inequality has a
     solution in primes at all (the exceptional set of the statement has no
     range restriction), as decided by solver.triple_solvable: a row with a
-    dyadic solution is solvable, and a row without one is decided by
-    find_triple over all primes; the R and the decision are those of
+    dyadic solution is solvable, and the rows without one are decided
+    together by one candidate walk over all primes, which stops once each
+    has a solution; the R and the decision are those of
     solver.exceptional_scan, with N from the caller.  ``count`` and ``B1``
-    come from one candidate pass over all R (solver.triple_counts), and
-    each R's values do not depend on the others.
+    come from one candidate pass over all R (solver.triple_counts), each
+    R's values do not depend on the others, and det_map maps only H.
     ``zero_fraction`` is the share of unsolvable R and must stay below
     _ZERO_CAP; ``dyadic_zero_fraction`` is the share with count 0.  The
     smoothed count must track the main term in aggregate: the band applies
@@ -236,8 +230,12 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
     """
     inst = instance_for_theorem1(N, c)
     Rs = sample_R(N, samples, seed)
-    items = [(R, t.count, t.B1) for R, t in zip(Rs, triple_counts(inst, Rs))]
-    rows = det_map(partial(_triple_item, inst=inst), items, workers)
+    counts = triple_counts(inst, Rs)
+    solvable = triple_solvable(inst, Rs, [t.count for t in counts])
+    H = det_map(partial(main_term_H, inst), Rs, workers)
+    rows = [{"R": R, "count": t.count, "solvable": s, "B1": t.B1, "H": h,
+             "B1_over_H": t.B1 / h if h != 0 else float("inf")}
+            for R, t, s, h in zip(Rs, counts, solvable, H)]
     zero_fraction = sum(1 for r in rows if not r["solvable"]) / samples
     dyadic_zero_fraction = sum(1 for r in rows if r["count"] == 0) / samples
     med = statistics.median(r["B1_over_H"] for r in rows)

@@ -22,17 +22,16 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache
 from typing import NamedTuple, Optional
 
 import mpmath
 import numpy as np
 
-from ._parallel import det_map
 from .count import (run_positions, stable_sorted, unordered_pairs, window_hits,
                     window_reach)
 from .kernel import KernelParams, kernel_from_instance, phi_eval
-from .sums import (_CACHE_SIZE, LONG, ConvergenceError, GuardError, PrimeTable,
+from .sums import (LONG, ConvergenceError, GuardError, PrimeTable,
                    ProblemInstance, sieve_primes, sieve_range)
 
 _PAIR_GUARD = 10 ** 8
@@ -86,15 +85,6 @@ def sextuple_feasible(inst: ProblemInstance, N: float) -> bool:
     return 6 * pmin - inst.eps < N < 6 * pmax + inst.eps
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _powers(table: PrimeTable, c: float) -> np.ndarray:
-    """p^c of one table object in long double, read-only; count_B and
-    weighted_B1 ask for the same table at every R."""
-    powers = table.powers(c)
-    powers.flags.writeable = False
-    return powers
-
-
 def _reach(powers: np.ndarray, width) -> float:
     """The reach of count.window_hits over the sorted float64 keys
     fl(P_i + P_j) of the unordered pair sums, whose smallest and largest
@@ -108,21 +98,20 @@ _SCREEN_ROWS = 32          # rows i of the pair triangle i <= j screened at once
 _SCREEN_BUCKETS = 1 << 23  # cap on the buckets of the screen's occupancy table
 
 
-def _triple_candidates(powers: np.ndarray, Rs, reach: float
-                       ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """For each R, the candidates count.window_hits yields over the sorted
-    keys of the unordered pair sums: every (i, j, l), i <= j, whose key
-    fl(P_i + P_j), the sum formed in long double, lies in
-    [fl(t - reach), fl(t + reach)] with t = fl(R - P_l); as arrays i, j, l
-    and the long-double pair sums, in (l, pair sum, i n + j) order, the
-    order of (target, index position) of that search.
+def _candidate_walk(powers: np.ndarray, Rs, reach: float):
+    """Yield the candidates count.window_hits yields over the sorted keys
+    of the unordered pair sums, _SCREEN_ROWS rows i at a time with i
+    ascending: every (r, i, j, l), i <= j, whose key fl(P_i + P_j), the sum
+    formed in long double, lies in [fl(t - reach), fl(t + reach)] with
+    t = fl(Rs[r] - P_l); as arrays r, i, j, l, in no set order within a
+    chunk.  A consumer may stop the walk after any chunk.
 
     No pair sum is kept.  The m n targets of all R are sorted once with
-    their bounds, and the pairs are walked _SCREEN_ROWS rows i at a time.
-    Each pair's float64 sum s = fl(fl(P_i) + fl(P_j)) is looked up in a
-    table of equal buckets of the range of s that marks every bucket a
-    window, widened by ``pad``, meets; only the pairs that pass have their
-    long-double sum and key formed and searched among the sorted bounds.
+    their bounds.  Each pair's float64 sum s = fl(fl(P_i) + fl(P_j)) is
+    looked up in a table of equal buckets of the range of s that marks every
+    bucket a window, widened by ``pad``, meets; only the pairs that pass
+    have their long-double sum and key formed and searched among the sorted
+    bounds.
 
     With M = max|fl(P)|, u = 2^-53 and e = 2^-64 the unit roundoffs of
     float64 and long double, |s - key| <= 6 u M + 2 e M + O(u^2 M) < 7 u M,
@@ -132,10 +121,9 @@ def _triple_candidates(powers: np.ndarray, Rs, reach: float
     bucket of x is (x - base) / width rounded down, monotone in x, and a
     bucket is at least 2 reach wide, so a window meets two or three.
     """
-    n, m = len(powers), len(Rs)
-    if n * m == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return [(empty, empty, empty, powers[:0])] * m
+    n = len(powers)
+    if n * len(Rs) == 0:
+        return
     targets = (np.asarray(Rs, dtype=LONG)[:, None] - powers).astype(float).ravel()
     order = np.argsort(targets)
     lo, hi = targets[order] - reach, targets[order] + reach
@@ -160,7 +148,6 @@ def _triple_candidates(powers: np.ndarray, Rs, reach: float
     b_buf = np.empty(rows * n, dtype=np.intp)
     pass_buf = np.empty(rows * n, dtype=bool)
     upper = np.triu(np.ones((rows, rows), dtype=bool))   # j >= i in a chunk's first columns
-    found = []
     for i0 in range(0, n, rows):
         h, w = min(rows, n - i0), n - i0
         s = s_buf[:h * w].reshape(h, w)
@@ -172,22 +159,31 @@ def _triple_candidates(powers: np.ndarray, Rs, reach: float
         passed = pass_buf[:h * w].reshape(h, w)
         np.take(occupied, b, out=passed, mode="clip")
         passed[:, :h] &= upper[:h, :h]
-        r, col = np.nonzero(passed)
-        i, j = r + i0, col + i0
+        row, col = np.nonzero(passed)
+        i, j = row + i0, col + i0
         keys = (powers[i] + powers[j]).astype(float)
         start = np.searchsorted(hi, keys, side="left")
         lengths = np.searchsorted(lo, keys, side="right") - start
         if not lengths.any():
             continue
         pick = np.repeat(np.arange(len(keys)), lengths)
-        found.append((order[run_positions(start, lengths)], i[pick], j[pick]))
-    target, i, j = ([np.concatenate(a) for a in zip(*found)] if found
-                    else [np.zeros(0, dtype=np.intp)] * 3)
-    r, l = np.divmod(target, n)
+        r, l = np.divmod(order[run_positions(start, lengths)], n)
+        yield r, i[pick], j[pick], l
+
+
+def _triple_candidates(powers: np.ndarray, Rs, reach: float
+                       ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """For each R, the candidates (i, j, l) of the whole _candidate_walk,
+    as arrays i, j, l and the long-double pair sums, in (l, pair sum,
+    i n + j) order, the order of (target, index position) of a window
+    search over the sorted pair keys."""
+    found = list(_candidate_walk(powers, Rs, reach))
+    r, i, j, l = ([np.concatenate(a) for a in zip(*found)] if found
+                  else [np.zeros(0, dtype=np.intp)] * 4)
     pair = powers[i] + powers[j]
-    ordered = np.lexsort((i * n + j, pair, l, r))
+    ordered = np.lexsort((i * len(powers) + j, pair, l, r))
     r, i, j, l, pair = r[ordered], i[ordered], j[ordered], l[ordered], pair[ordered]
-    cuts = np.searchsorted(r, np.arange(m + 1))
+    cuts = np.searchsorted(r, np.arange(len(Rs) + 1))
     return [(i[a:b], j[a:b], l[a:b], pair[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
@@ -222,7 +218,7 @@ def triple_counts(inst: ProblemInstance, Rs, table: Optional[PrimeTable] = None,
     n = len(tbl)
     if n * n > _PAIR_GUARD:
         raise GuardError("pair", _PAIR_GUARD, f"{n}^2 prime pairs")
-    powers = _powers(tbl, inst.c)
+    powers = tbl.powers(inst.c)
     kernel = kernel_from_instance(inst.eps, inst.X)
     eps, support = LONG(inst.eps), LONG(kernel.a + kernel.b)
     reach = _reach(powers, support)
@@ -553,48 +549,56 @@ def full_prime_table(N: float, c: float) -> PrimeTable:
     return PrimeTable(primes, np.log(primes.astype(float)))
 
 
-def find_triple(inst: ProblemInstance, R: float) -> Optional[SolutionRecord]:
-    """First prime triple with |p1^c + p2^c + p3^c - R| < eps, over all primes.
+def _first_triples(inst: ProblemInstance, Rs) -> list[Optional[SolutionRecord]]:
+    """For each R, the first prime triple p1 <= p2 <= p3 in lexicographic
+    order with |p1^c + p2^c + p3^c - R| < eps confirmed by the 40-digit
+    recheck, or None where there is none.
 
-    Unlike count_B this has no range restriction: every prime with
-    p^c <= R + eps takes part, since each term of a solution lies below
-    R + eps.  Triples p1 <= p2 <= p3 are walked in lexicographic order, one
-    p1 at a time with a single window search for all p2, so memory stays
-    O(n) in the table size.  Candidates are decided by the 40-digit
-    recheck, and the first one it confirms is returned; None means no
-    triple exists.
+    Every prime with p^c <= max R + eps takes part, since each term of a
+    solution lies below R + eps, and all R share one table and one
+    _candidate_walk at count_B's reach.  The walk's rows i ascend, and each
+    chunk holds every j >= i and l of its rows, so the candidates with
+    l >= j of a chunk are checked in (i, j, l) order, and an R's first
+    confirmed one is its record.  The walk stops once every R has one.
     """
     if inst.k != 3:
-        raise ValueError("find_triple needs a k=3 instance")
-    tbl = full_prime_table(R + inst.eps, inst.c)
+        raise ValueError("the triple search needs a k=3 instance")
+    records = [None] * len(Rs)
+    if not records:
+        return records
+    tbl = full_prime_table(max(Rs) + inst.eps, inst.c)
     powers = tbl.powers(inst.c)
-    keys = powers.astype(float)   # searched by every window_hits call below
-    target = LONG(R)
-    eps = LONG(inst.eps)
-    for i in range(len(tbl)):
-        # p3 >= p2 needs 2 p2^c < R - p1^c + eps; the bound 2 eps clears
-        # rounding, and halving it is exact, so the m candidates for p2 are
-        # the powers from i up to (R - p1^c + 2 eps) / 2
-        m = int(np.searchsorted(powers, (target - powers[i] + 2 * eps) / 2, side="right")) - i
-        if m <= 0:
+    open_ = np.ones(len(Rs), dtype=bool)   # the R without a record yet
+    for r, i, j, l in _candidate_walk(powers, Rs, _reach(powers, LONG(inst.eps))):
+        keep = (l >= j) & open_[r]
+        r, i, j, l = r[keep], i[keep], j[keep], l[keep]
+        for x, a, b, d in zip(*(v[np.lexsort((l, j, i, r))] for v in (r, i, j, l))):
+            if not open_[x]:
+                continue
+            primes = (int(tbl.primes[a]), int(tbl.primes[b]), int(tbl.primes[d]))
+            rec = _validated_record(primes, float(powers[a] + powers[b] + powers[d]),
+                                    Rs[x], inst.eps, inst.c)
+            if not rec.ambiguous:
+                records[x], open_[x] = rec, False
+        if not open_.any():
             break
-        # p2 = primes[j] with j = i + t, p3 = primes[k] with k >= j
-        for t, k in window_hits(keys, target - powers[i] - powers[i:i + m], eps):
-            keep = k >= i + t
-            for j, k in zip(i + t[keep], k[keep]):
-                primes = (int(tbl.primes[i]), int(tbl.primes[j]), int(tbl.primes[k]))
-                value = float(powers[i] + powers[j] + powers[k])
-                rec = _validated_record(primes, value, R, inst.eps, inst.c)
-                if not rec.ambiguous:
-                    return rec
-    return None
+    return records
 
 
-def triple_solvable(inst: ProblemInstance, R: float, count: int) -> bool:
-    """Whether the inequality has a solution in primes of any size at R,
-    given the dyadic count of count_B: a positive count decides it,
-    otherwise find_triple searches all primes."""
-    return count > 0 or find_triple(inst, R) is not None
+def find_triple(inst: ProblemInstance, R: float) -> Optional[SolutionRecord]:
+    """First prime triple p1 <= p2 <= p3, in lexicographic order, with
+    |p1^c + p2^c + p3^c - R| < eps over all primes, as confirmed by the
+    40-digit recheck; None means no triple exists.  Unlike count_B this
+    has no range restriction (see _first_triples)."""
+    return _first_triples(inst, [R])[0]
+
+
+def triple_solvable(inst: ProblemInstance, Rs, counts) -> list[bool]:
+    """Whether the inequality has a solution in primes of any size at each
+    R, given its dyadic count of count_B: a positive count decides it, and
+    the R with count 0 share one walk over all primes (_first_triples)."""
+    misses = iter(_first_triples(inst, [R for R, n in zip(Rs, counts) if n == 0]))
+    return [n > 0 or next(misses) is not None for n in counts]
 
 
 def find_sextuple(inst: ProblemInstance, N: float) -> SextupleSearch:
@@ -636,18 +640,12 @@ def sample_R(N: float, samples: int, seed: int) -> list[float]:
     return [N + rng.random() * N for _ in range(samples)]
 
 
-def _solvable_at(item: tuple[float, int], inst: ProblemInstance) -> bool:
-    """triple_solvable at one (R, dyadic count)."""
-    return triple_solvable(inst, *item)
-
-
 def instance_config(inst: ProblemInstance) -> dict:
     return {"c": inst.c, "X": inst.X, "eps": inst.eps, "eta": inst.eta,
             "tau": inst.tau, "K": inst.K, "k": inst.k}
 
 
-def exceptional_scan(inst: ProblemInstance, samples: int, seed: int,
-                     workers: int = 1) -> dict:
+def exceptional_scan(inst: ProblemInstance, samples: int, seed: int) -> dict:
     """Empirical exceptional-set scan: sample R uniformly from (N, 2N] with
     N = 3 X^c and decide for each R whether it has a solution in primes.
 
@@ -656,12 +654,13 @@ def exceptional_scan(inst: ProblemInstance, samples: int, seed: int,
     ``dyadic_zero_fraction`` is their zero share; ``histogram`` maps each
     count, as a string, to its frequency.  ``solvable`` and
     ``zero_fraction``, the unsolvable share, concern all primes, decided by
-    triple_solvable as in the triple-regime report."""
+    triple_solvable as in the triple-regime report: the R with count 0
+    share one candidate walk over all primes."""
     if inst.k != 3:
         raise ValueError("exceptional_scan needs a k=3 instance")
     Rs = sample_R(3.0 * inst.X ** inst.c, samples, seed)
     counts = [t.count for t in triple_counts(inst, Rs)]
-    solvable = det_map(partial(_solvable_at, inst=inst), list(zip(Rs, counts)), workers)
+    solvable = triple_solvable(inst, Rs, counts)
     return {
         "seed": seed,
         "samples": samples,

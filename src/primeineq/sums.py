@@ -37,7 +37,7 @@ TWO_PI = 2.0 * np.pi
 
 _MAX_SIEVE = 2 ** 40
 _BILINEAR_GUARD = 10 ** 9
-_CACHE_SIZE = 8     # entries per module cache (dyadic prime tables, their powers)
+_CACHE_SIZE = 8     # entries per module cache (dyadic prime tables)
 
 
 class GuardError(ValueError):

@@ -1,5 +1,7 @@
 """Oracles shared by the test modules."""
 
+import math
+
 import numpy as np
 
 from primeineq.count import CountResult, CountSpec
@@ -60,3 +62,19 @@ def levin_dense(x: np.ndarray, A, B, c: float, n: int) -> np.ndarray:
     xl = x.astype(np.longdouble)
     phase_b, phase_a = (np.mod(v * xl, np.longdouble(1)).astype(float) for v in (B, A))
     return p[:, 0] * np.exp(2j * np.pi * phase_b) - p[:, -1] * np.exp(2j * np.pi * phase_a)
+
+
+def harmonic_V_naive(s: CountSpec, tau: float) -> float:
+    """The total of ``count.harmonic_V`` by direct O(Y^4) summation in
+    float64: 1/|d| over every ordered 4-tuple with |d| > 1/tau."""
+    powers = [n ** s.c for n in range(s.Y + 1, 2 * s.Y + 1)]
+    cut = 1.0 / tau
+    terms = []
+    for a in powers:
+        for b in powers:
+            for u in powers:
+                for v in powers:
+                    d = abs(a + b - u - v)
+                    if d > cut:
+                        terms.append(1.0 / d)
+    return math.fsum(terms)

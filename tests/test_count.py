@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_long_double_count, sorted_sums
+from oracles import harmonic_V_naive, naive_long_double_count, sorted_sums
 from primeineq.count import (CountResult, CountSpec, count_tuples_fast, count_tuples_naive,
-                             harmonic_V, harmonic_V_naive, window_hits)
+                             harmonic_V, window_hits)
 from primeineq.reports import rs_scaling_report
 from primeineq.sums import LONG, GuardError
 
@@ -252,6 +252,21 @@ def test_naive_count_refuses_sums_past_the_long_double_range():
 def test_harmonic_sum_refuses_sums_past_the_float64_range():
     with pytest.raises(ValueError, match="float64 range"):
         harmonic_V(CountSpec(6, 300.0, 1.0), 1.0)
+
+
+def test_harmonic_sum_refuses_differences_below_the_rounding_of_the_sums():
+    # the sums reach 2 * 12^200, about 1.4e216, while the differences that
+    # dominate the exact total (9.88e-180) lie near 1e179: long double
+    # rounds them away, and harmonic_V gave 4.1e-180
+    with pytest.raises(ValueError, match="rounding bound"):
+        harmonic_V(CountSpec(6, 200.0, 1.0), 1.0)
+    # the cut is tested against 8 long-double ulps of the largest sum
+    spec = CountSpec(6, 1.5, 1.0)
+    top = 2 * LONG(12) ** LONG(1.5)
+    bound = 8 * np.finfo(LONG).eps * top
+    with pytest.raises(ValueError, match="rounding bound"):
+        harmonic_V(spec, float(1 / bound) * 2)
+    assert harmonic_V(spec, float(1 / bound) / 2)[0] > 0
 
 
 def test_pair_index_float64_range_edge():
