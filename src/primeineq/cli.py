@@ -209,8 +209,7 @@ def _cmd_sums(args, cfg, out) -> int:
     text = reports.s_vs_i_report(
         c=inst.c, X=inst.X,
         points=_resolve(args, cfg, "points", int, 20),
-        seed=_resolve(args, cfg, "seed", int, 0),
-        workers=_resolve(args, cfg, "workers", int, 1))
+        seed=_resolve(args, cfg, "seed", int, 0))
     _emit(text, out)
     return 0 if json.loads(text)["pass"] else 1
 
@@ -314,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--config", help="flat key=value config file")
     top.add_argument("--out", help="write output to this path instead of stdout")
     top.add_argument("--format", choices=["json", "csv"])
-    top.add_argument("--workers", type=int)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):

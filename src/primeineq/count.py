@@ -5,38 +5,19 @@ formed in extended precision: the difference d of two pair sums is tested
 with the strict predicate |d| < gamma, and every tuple with
 ||d| - gamma| < delta is additionally reported as boundary-ambiguous.
 
-The fast counter works on the pair index (``unordered_sums``): the
-n(n+1)/2 unordered pairs i <= j, each standing for m = 1 (i = j) or m = 2
-(i < j) ordered pairs, since fl(P_i + P_j) = fl(P_j + P_i), sorted by their
-long-double sums.  The index keeps only float64 keys, the sums rounded to
-8 bytes, and the int32 flat index i n + j; a caller that needs a pair's
-long-double sum forms it again from the flat index (``pair_sums``), bitwise
-the sum the index was sorted by.  For each p the fast counter takes two
-window bounds by binary search among the keys.  Every q before the inner
-bound is a sure hit and cannot be ambiguous, every q from the outer bound
-on is a sure miss, and only the few q between the bounds are re-tested with
-the exact predicate; a pair (p, q) stands for m_p m_q ordered 4-tuples.
-Rounded subtraction is antisymmetric, so only q > p is searched.  The naive
-counter is the oracle: exhaustive over all Y^4 ordered tuples of its own
-unsorted pair sums, screened in float64, with the long-double verdict
-within a stated margin of gamma +- delta; it shares no code with the fast
-counter.  The two agree exactly, ambiguity flags included.  The Y-ladder
-slope reports built on these counts live in ``reports``.
+The fast counter works on the pair index (``unordered_sums``) of the
+unordered pairs i <= j, each standing for m = 1 (i = j) or m = 2 (i < j)
+ordered pairs, and counts from two window bounds per pair sum
+(``count_tuples_fast``).  The naive counter is the oracle: exhaustive over
+all Y^4 ordered tuples, screened in float64 (``count_tuples_naive``); it
+shares no code with the fast counter, and the two agree exactly, ambiguity
+flags included.  The Y-ladder slope reports built on these counts live in
+``reports``.
 
-No triple code keeps a pair index: one candidate walk
-(``solver._candidate_walk``) sorts the targets R - p^c, screens the pair
-sums in float64 and yields what a window search over these keys would, and
-it serves the triple counters, ``solver.find_triple`` and the all-primes
-solvability of ``solver.triple_solvable``.  The sextuple search's bands of
-unordered triple sums (``solver._triple_band``) keep their long-double
-sums: they are built on ``unordered_pairs`` and sorted by
-``stable_sorted``, which shares the index's float64-key sort and tie
-fix-up.  The window search over a sorted array (``window_hits``) searches
-float64 keys, widened for their rounding; the sextuple search
-(``solver._mitm_search``) runs it from each band of unordered triple sums
-into the band of the sums that can complete them to N, widened so that it
-reaches every ordering of each triple, and re-tests each ordering with the
-exact predicate.
+``window_pairs`` is the one search that lists candidates among float64
+keys, at a reach (``window_reach``) widened for their rounding; the triple
+walk (``solver._candidate_walk``) and the sextuple search
+(``solver._mitm_search``) run on it and re-test every candidate exactly.
 """
 
 from __future__ import annotations
@@ -52,7 +33,7 @@ _NAIVE_GUARD = 10 ** 9     # Y^4 at most this many tuples
 _NAIVE_CHUNK = 1 << 16     # tuples per chunk of the naive count's buffers
 _FAST_GUARD = 10 ** 8      # Y^2 at most this many pair sums in memory
 _HARMONIC_GUARD = 10 ** 9  # Y^4 at most this many ordered 4-tuples
-_BLOCK = 1 << 16           # targets per block of a window search
+_FAST_BLOCK = 1 << 16      # pair sums p per block of count_tuples_fast
 _SLACK_ULPS = 8            # long-double ulps added to every window's reach
 _KEY_ULPS = 4              # float64 ulps added to it for the rounding to float64
 
@@ -72,31 +53,6 @@ def pair_sums(powers: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return powers[i] + powers[j]
 
 
-def _stable_order(keys: np.ndarray, flat: np.ndarray, exact) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation that sorts entries by (value, flat), and ``keys`` in
-    that order.  ``keys`` are the float64 roundings of the values, and
-    exact(sub) gives the long-double values of the entries sub."""
-    # sorting float64 keys is 2-3x faster than sorting long doubles, and
-    # rounding to float64 is monotone, so only runs of equal keys need
-    # ordering by (value, flat index); distinct sums share a key only where
-    # they come within a float64 ulp of each other
-    order = np.argsort(keys)
-    keys = keys[order]
-    tie = np.flatnonzero(keys[1:] == keys[:-1])
-    if len(tie):
-        pos = np.union1d(tie, tie + 1)
-        sub = order[pos]
-        order[pos] = sub[np.lexsort((flat[sub], exact(sub), keys[pos]))]
-    return order, keys
-
-
-def stable_sorted(sums: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``sums`` ascending, ties in order of ``flat``, and ``flat`` with them;
-    the sort of the sextuple search's bands of long-double triple sums."""
-    order = _stable_order(sums.astype(float), flat, sums.__getitem__)[0]
-    return sums[order], flat[order]
-
-
 def unordered_sums(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pair index of the n(n+1)/2 pairs i <= j: float64 keys
     fl(P_i + P_j), each sum formed in long double and then rounded, and the
@@ -104,10 +60,6 @@ def unordered_sums(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ties by flat index.  The long-double sums are not kept; a caller that
     needs one forms it again from the flat index (``pair_sums``), bitwise
     the same.  The caller keeps n^2 below 2^31.
-
-    Keys and flat indices are written row by row into preallocated arrays,
-    then sorted by key; only runs of equal keys have their long-double sums
-    formed again, to order them.
     """
     n = len(powers)
     keys = np.empty(n * (n + 1) // 2)
@@ -118,42 +70,37 @@ def unordered_sums(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keys[start:stop] = powers[i:] + powers[i]
         flat[start:stop] = np.arange(i * n + i, (i + 1) * n)
         start = stop
-    order, keys = _stable_order(keys, flat, lambda sub: pair_sums(powers, flat[sub]))
-    return keys, flat[order]
+    # sorting float64 keys is 2-3x faster than sorting long doubles, and
+    # rounding to float64 is monotone, so only runs of equal keys need
+    # ordering by (long-double sum, flat index); distinct sums share a key
+    # only where they come within a float64 ulp of each other
+    order = np.argsort(keys)
+    keys, flat = keys[order], flat[order]
+    tie = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(tie):
+        pos = np.union1d(tie, tie + 1)
+        sub = flat[pos]
+        flat[pos] = sub[np.lexsort((sub, pair_sums(powers, sub), keys[pos]))]
+    return keys, flat
 
 
-def window_hits(values: np.ndarray, targets: np.ndarray, width: float):
-    """Yield candidate index arrays (t, pos), one block of targets at a time.
-
-    ``values`` must be ascending.  Values and targets are searched as
-    float64 (``np.asarray(values, float)`` is a no-op for the pair index's
-    keys).  Pairs come in (t, pos) order and cover every pair with
-    |values[pos] - targets[t]| < width in long double: the search reaches
-    _SLACK_ULPS long-double ulps plus _KEY_ULPS float64 ulps of
-    max|values| + width past the width, so neither the callers' rounding nor
-    the float64 rounding of values, targets and bounds drops a pair.  Near
-    misses come along, so every caller re-tests its candidates with its own
-    exact predicate.
-    """
-    if len(values) == 0:
-        return
-    keys = np.asarray(values, float)
-    reach = window_reach(values[0], values[-1], width)
-    targets = np.asarray(targets, float)
-    for start in range(0, len(targets), _BLOCK):
-        block = targets[start:start + _BLOCK]
-        lo = np.searchsorted(keys, block - reach, side="left")
-        lengths = np.searchsorted(keys, block + reach, side="right") - lo
-        if not lengths.any():
-            continue
-        t = np.repeat(np.arange(start, start + len(block)), lengths)
-        yield t, run_positions(lo, lengths)
+def window_pairs(lo: np.ndarray, hi: np.ndarray, keys: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Every (key, window) pair with lo[w] <= keys[k] <= hi[w], as index
+    arrays k, w in order of k, then w.  ``lo`` and ``hi`` bound windows of
+    one reach (window_reach) around ascending float64 targets, so both
+    ascend and each key's windows are one run.  Keys may come in any
+    order; sorted keys search faster."""
+    start = np.searchsorted(hi, keys, side="left")
+    lengths = np.searchsorted(lo, keys, side="right") - start
+    return np.repeat(np.arange(len(keys)), lengths), run_positions(start, lengths)
 
 
 def window_reach(first, last, width) -> float:
-    """How far window_hits searches from each target among ascending values
-    from ``first`` to ``last``: ``width`` plus the slack at
-    max(|first|, |last|) + width, rounded to float64."""
+    """The reach of window_pairs' windows for pairs within ``width`` among
+    values from ``first`` to ``last``: ``width`` plus the slack at
+    max(|first|, |last|) + width, rounded to float64, so the float64
+    rounding of values, targets and bounds drops no pair."""
     width = LONG(width)
     return float(width + _slack(max(abs(LONG(first)), abs(LONG(last))) + width))
 
@@ -290,7 +237,7 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     verdicts.  Since fl(a - b) = -fl(b - a), (q, p) has the verdicts of
     (p, q), and the diagonal d = 0 (sum m_p^2 tuples) is a hit, ambiguous
     when gamma < delta; so only q > p is searched.  The bounds are searched
-    among the float64 keys: with b = delta plus the slack of window_hits
+    among the float64 keys: with b = delta plus the slack of window_reach
     (_SLACK_ULPS long-double and _KEY_ULPS float64 ulps of the largest
     magnitude involved), every q before the inner bound
     (key[q] < key[p] + (gamma - b)) is a hit and not ambiguous, and every q
@@ -311,8 +258,8 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     inner_reach, outer_reach = float(gamma - b), float(gamma + b)
     hits = 0        # ordered tuples of pairs p < q with |d| < gamma
     ambiguous = 0   # ordered tuples of pairs p < q with ||d| - gamma| < delta
-    for start in range(0, len(keys), _BLOCK):
-        block = keys[start:start + _BLOCK]
+    for start in range(0, len(keys), _FAST_BLOCK):
+        block = keys[start:start + _FAST_BLOCK]
         after = np.arange(start + 1, start + 1 + len(block))   # p + 1
         inner = np.searchsorted(keys, block + inner_reach, side="left")
         outer = np.searchsorted(keys, block + outer_reach, side="right")

@@ -11,7 +11,6 @@ right-to-left: the letter next to the seed acts first, so
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +48,7 @@ def b_process(p: ExponentPair) -> ExponentPair:
 
 
 _ITEM_RE = re.compile(r"A(?:\^(\d+))?|B|\S")
+_EXHAUSTIVE_WIDTH = 4096   # frontier entries search_pairs keeps per level
 
 
 def parse_word(word: str) -> tuple[str, ...]:
@@ -110,14 +110,13 @@ def pair_bound(p: ExponentPair, lambda1: float, a: float) -> float:
 def search_pairs(
     objective: Callable[[ExponentPair], float],
     max_depth: int,
-    exhaustive_width: int = 4096,
 ) -> tuple[ExponentPair, str]:
     """Minimize an objective over all chain words of length <= max_depth.
 
     Enumeration is breadth-first from (0, 1) with duplicate pairs pruned
     (keeping the shorter, then lexicographically smaller, word).  Levels are
-    exhaustive while they fit in ``exhaustive_width``; beyond that each level
-    is cut back to the ``exhaustive_width`` best frontier entries by
+    exhaustive while they fit in _EXHAUSTIVE_WIDTH; beyond that each level
+    is cut back to the _EXHAUSTIVE_WIDTH best frontier entries by
     (objective, word), which makes the search a deterministic beam.
 
     Ties in the final objective break toward the shorter word, then the
@@ -150,27 +149,12 @@ def search_pairs(
                 if r < best_rank:
                     best, best_rank = (child, child_word), r
         nxt = list(level.items())
-        if len(nxt) > exhaustive_width:
+        if len(nxt) > _EXHAUSTIVE_WIDTH:
             nxt.sort(key=rank)
-            nxt = nxt[:exhaustive_width]
+            nxt = nxt[:_EXHAUSTIVE_WIDTH]
         frontier = nxt
         if not frontier:
             break
 
     pair, word = best
     return pair, render_word(word)
-
-
-def exp_sum_abs(x: float, c: float, a: int) -> float:
-    """|sum_{a < n <= 2a} e(x * n^c)|, the quantity pair_bound dominates.
-
-    Test oracle for the exponent-pair inequality; kept here so the CLI and
-    the property tests share one definition.
-    """
-    total_re = 0.0
-    total_im = 0.0
-    for n in range(a + 1, 2 * a + 1):
-        phase = 2.0 * math.pi * math.fmod(x * n ** c, 1.0)
-        total_re += math.cos(phase)
-        total_im += math.sin(phase)
-    return math.hypot(total_re, total_im)

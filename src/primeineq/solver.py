@@ -28,8 +28,7 @@ from typing import NamedTuple, Optional
 import mpmath
 import numpy as np
 
-from .count import (run_positions, stable_sorted, unordered_pairs, window_hits,
-                    window_reach)
+from .count import run_positions, unordered_pairs, window_pairs, window_reach
 from .kernel import KernelParams, kernel_from_instance, phi_eval
 from .sums import (LONG, ConvergenceError, GuardError, PrimeTable,
                    ProblemInstance, sieve_primes, sieve_range)
@@ -86,9 +85,8 @@ def sextuple_feasible(inst: ProblemInstance, N: float) -> bool:
 
 
 def _reach(powers: np.ndarray, width) -> float:
-    """The reach of count.window_hits over the sorted float64 keys
-    fl(P_i + P_j) of the unordered pair sums, whose smallest and largest
-    sums are 2 min P and 2 max P, exactly."""
+    """count.window_reach for the unordered pair sums P_i + P_j, whose
+    smallest and largest are 2 min P and 2 max P, exactly."""
     if len(powers) == 0:   # no sums, no candidates
         return 0.0
     return window_reach(float(2 * powers.min()), float(2 * powers.max()), width)
@@ -98,10 +96,9 @@ _SCREEN_ROWS = 32          # rows i of the pair triangle i <= j screened at once
 _SCREEN_BUCKETS = 1 << 23  # cap on the buckets of the screen's occupancy table
 
 
-def _candidate_walk(powers: np.ndarray, Rs, reach: float):
-    """Yield the candidates count.window_hits yields over the sorted keys
-    of the unordered pair sums, _SCREEN_ROWS rows i at a time with i
-    ascending: every (r, i, j, l), i <= j, whose key fl(P_i + P_j), the sum
+def _candidate_walk(powers: np.ndarray, Rs, reach: float, stop: Optional[int] = None):
+    """Yield, _SCREEN_ROWS rows i < ``stop`` (default all) at a time with i
+    ascending, every (r, i, j, l), i <= j, whose key fl(P_i + P_j), the sum
     formed in long double, lies in [fl(t - reach), fl(t + reach)] with
     t = fl(Rs[r] - P_l); as arrays r, i, j, l, in no set order within a
     chunk.  A consumer may stop the walk after any chunk.
@@ -111,7 +108,7 @@ def _candidate_walk(powers: np.ndarray, Rs, reach: float):
     looked up in a table of equal buckets of the range of s that marks every
     bucket a window, widened by ``pad``, meets; only the pairs that pass
     have their long-double sum and key formed and searched among the sorted
-    bounds.
+    bounds by count.window_pairs.
 
     With M = max|fl(P)|, u = 2^-53 and e = 2^-64 the unit roundoffs of
     float64 and long double, |s - key| <= 6 u M + 2 e M + O(u^2 M) < 7 u M,
@@ -143,13 +140,14 @@ def _candidate_walk(powers: np.ndarray, Rs, reach: float):
     for step in range(int((last - first).max()) + 1):
         occupied[np.minimum(first + step, last)] = True
 
+    stop = n if stop is None else stop
     rows = min(_SCREEN_ROWS, n)
     s_buf = np.empty(rows * n)
     b_buf = np.empty(rows * n, dtype=np.intp)
     pass_buf = np.empty(rows * n, dtype=bool)
     upper = np.triu(np.ones((rows, rows), dtype=bool))   # j >= i in a chunk's first columns
-    for i0 in range(0, n, rows):
-        h, w = min(rows, n - i0), n - i0
+    for i0 in range(0, stop, rows):
+        h, w = min(rows, stop - i0), n - i0
         s = s_buf[:h * w].reshape(h, w)
         np.add(p64[i0:i0 + h, None], p64[i0:], out=s)
         np.subtract(s, base, out=s)
@@ -161,13 +159,8 @@ def _candidate_walk(powers: np.ndarray, Rs, reach: float):
         passed[:, :h] &= upper[:h, :h]
         row, col = np.nonzero(passed)
         i, j = row + i0, col + i0
-        keys = (powers[i] + powers[j]).astype(float)
-        start = np.searchsorted(hi, keys, side="left")
-        lengths = np.searchsorted(lo, keys, side="right") - start
-        if not lengths.any():
-            continue
-        pick = np.repeat(np.arange(len(keys)), lengths)
-        r, l = np.divmod(order[run_positions(start, lengths)], n)
+        pick, win = window_pairs(lo, hi, (powers[i] + powers[j]).astype(float))
+        r, l = np.divmod(order[win], n)
         yield r, i[pick], j[pick], l
 
 
@@ -175,8 +168,8 @@ def _triple_candidates(powers: np.ndarray, Rs, reach: float
                        ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """For each R, the candidates (i, j, l) of the whole _candidate_walk,
     as arrays i, j, l and the long-double pair sums, in (l, pair sum,
-    i n + j) order, the order of (target, index position) of a window
-    search over the sorted pair keys."""
+    i n + j) order: third prime first, then the stable order of the
+    unordered pair sums (count.unordered_sums)."""
     found = list(_candidate_walk(powers, Rs, reach))
     r, i, j, l = ([np.concatenate(a) for a in zip(*found)] if found
                   else [np.zeros(0, dtype=np.intp)] * 4)
@@ -437,9 +430,9 @@ _FIRST_BAND = 2.0 ** -16   # _mitm_search's first band, as a share of the sums' 
 def _triple_band(powers: np.ndarray, pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
                  lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """The sums (P_i + P_j) + P_l over i <= j <= l, formed left to right,
-    that lie in [lo, hi), with the int32 flat index i n^2 + j n + l, in
-    stable order (see count.stable_sorted); ``pairs`` is
-    unordered_pairs(powers).  The caller keeps n^3 below 2^31.
+    that lie in [lo, hi), with the int32 flat index i n^2 + j n + l, in no
+    set order; ``pairs`` is unordered_pairs(powers).  The caller keeps n^3
+    below 2^31.
 
     Each pair's sums grow with l, so two searchsorted bounds on the powers,
     widened by _PERM_ULPS long-double ulps of the largest sum, give the run
@@ -456,8 +449,7 @@ def _triple_band(powers: np.ndarray, pairs: tuple[np.ndarray, np.ndarray, np.nda
     flat = ((i * n + j) * n)[run] + l
     del run, l
     keep = (sums >= lo) & (sums < hi)
-    sums, flat = sums[keep], flat[keep].astype(np.int32)
-    return stable_sorted(sums, flat)
+    return sums[keep], flat[keep].astype(np.int32)
 
 
 def _orderings(flat: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,7 +464,7 @@ def _orderings(flat: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
                  ) -> Optional[SolutionRecord]:
-    """Meet-in-the-middle over bands of sorted unordered triple sums.
+    """Meet-in-the-middle over bands of unordered triple sums.
 
     The record is the one a search over all n^3 ordered triples t, u would
     pick: sort the ordered sums v by (v, flat index) and take the smallest
@@ -486,16 +478,16 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     t sweeps ascending bands [lo, lo + w) of canonical sums, w doubling
     from band to band, and each t-band meets the u-band
     [N - lo - w - eps - 2 slack, N - lo + eps + 2 slack], which holds every
-    u that can solve with one of its t; both are built by _triple_band.  A
-    window search of width eps + slack finds every pair of triples with a
-    solution among their orderings; candidates are expanded into their
-    6 x 6 ordered pairs and re-tested with the exact predicate.  Once a
-    solution with ordered sum v_t is confirmed, triples with canonical sum
-    above v_t + slack cannot beat it, so the sweep stops there.  Rounded
-    addition commutes, so (u, t) solves whenever (t, u) does and the
-    record has v_t <= v_u: no band starting above (N + eps)/2 + 2 slack
-    (nor above the largest sum) can hold its t, and the sweep stops there
-    when nothing is found.
+    u that can solve with one of its t; both are built by _triple_band.
+    count.window_pairs, from the keys fl(v_u) into the windows around
+    fl(N - v_t), both sorted, at width eps + slack, lists every pair of
+    triples with a solution among their orderings; each is expanded into
+    its 6 x 6 ordered pairs and re-tested with the exact predicate.  Once a
+    solution with ordered sum v_t is confirmed, bands starting above
+    v_t + slack cannot beat it.  Rounded addition commutes, so (u, t)
+    solves whenever (t, u) does and the record has v_t <= v_u: no band
+    starting above (N + eps)/2 + 2 slack (nor above the largest sum) can
+    hold its t, and the sweep stops there when nothing is found.
     """
     n = len(tbl)
     if n ** 3 > _PAIR_GUARD:
@@ -508,6 +500,7 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     bottom = (powers[0] + powers[0]) + powers[0]     # the smallest canonical sum
     top = (powers[-1] + powers[-1]) + powers[-1]     # and the largest
     slack = _PERM_ULPS * np.finfo(LONG).eps * (max(abs(bottom), abs(top)) + eps)
+    reach = window_reach(bottom, top, eps + slack)
     stop = min(top, (target + eps) / 2 + 2 * slack)
     lo, width = bottom, max(_FIRST_BAND * (top - bottom), eps + slack)
     best = None   # (v_t, flat_t, v_u, flat_u) of the best confirmed solution
@@ -517,14 +510,18 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
         u_sums, u_flat = _triple_band(powers, pairs, target - hi - eps - 2 * slack,
                                       target - lo + eps + 2 * slack)
         lo, width = hi, 2 * width
-        chunks = ((t[k:k + _PERM_CHUNK], u[k:k + _PERM_CHUNK])
-                  for t, u in window_hits(u_sums, target - t_sums, eps + slack)
-                  for k in range(0, len(t), _PERM_CHUNK))
-        for t, u in chunks:
-            if best is not None and t_sums[t[0]] > best[0] + slack:
-                break
-            vt, ft = _orderings(t_flat[t], powers)
-            vu, fu = _orderings(u_flat[u], powers)
+        # _orderings forms the sums again: only their float64 roundings stay
+        targets, u_keys = (target - t_sums).astype(float), u_sums.astype(float)
+        del t_sums, u_sums
+        t_order, u_order = np.argsort(targets), np.argsort(u_keys)
+        targets, t_flat = targets[t_order], t_flat[t_order]
+        u_keys, u_flat = u_keys[u_order], u_flat[u_order]
+        del t_order, u_order
+        u, t = window_pairs(targets - reach, targets + reach, u_keys)
+        t, u = t_flat[t], u_flat[u]
+        for start in range(0, len(t), _PERM_CHUNK):
+            vt, ft = _orderings(t[start:start + _PERM_CHUNK], powers)
+            vu, fu = _orderings(u[start:start + _PERM_CHUNK], powers)
             m, p, q = np.nonzero(np.abs(vu[:, None, :] + vt[:, :, None] - target) < eps)
             if len(m) == 0:
                 continue
@@ -556,10 +553,12 @@ def _first_triples(inst: ProblemInstance, Rs) -> list[Optional[SolutionRecord]]:
 
     Every prime with p^c <= max R + eps takes part, since each term of a
     solution lies below R + eps, and all R share one table and one
-    _candidate_walk at count_B's reach.  The walk's rows i ascend, and each
-    chunk holds every j >= i and l of its rows, so the candidates with
-    l >= j of a chunk are checked in (i, j, l) order, and an R's first
-    confirmed one is its record.  The walk stops once every R has one.
+    _candidate_walk at count_B's reach, over the rows i with
+    3 P_i <= max R + eps (padded for rounding), since p1 <= p2 <= p3 sum to
+    at least 3 p1^c.  The walk's rows i ascend, and each chunk holds every
+    j >= i and l of its rows, so the candidates with l >= j of a chunk are
+    checked in (i, j, l) order, and an R's first confirmed one is its
+    record.  The walk stops once every R has one.
     """
     if inst.k != 3:
         raise ValueError("the triple search needs a k=3 instance")
@@ -568,8 +567,10 @@ def _first_triples(inst: ProblemInstance, Rs) -> list[Optional[SolutionRecord]]:
         return records
     tbl = full_prime_table(max(Rs) + inst.eps, inst.c)
     powers = tbl.powers(inst.c)
+    bound = (LONG(max(Rs)) + LONG(inst.eps)) / 3
+    stop = int(np.searchsorted(powers, bound + bound * LONG(2.0 ** -40), side="right"))
     open_ = np.ones(len(Rs), dtype=bool)   # the R without a record yet
-    for r, i, j, l in _candidate_walk(powers, Rs, _reach(powers, LONG(inst.eps))):
+    for r, i, j, l in _candidate_walk(powers, Rs, _reach(powers, LONG(inst.eps)), stop):
         keep = (l >= j) & open_[r]
         r, i, j, l = r[keep], i[keep], j[keep], l[keep]
         for x, a, b, d in zip(*(v[np.lexsort((l, j, i, r))] for v in (r, i, j, l))):
@@ -610,12 +611,7 @@ def find_sextuple(inst: ProblemInstance, N: float) -> SextupleSearch:
     modeled has no range restriction), so a miss, or an infeasible dyadic
     range, falls back to the full table of primes with p^c <= N.
 
-    Both searches sweep bands of unordered prime triple sums upward from
-    the smallest, each band against the band of sums that can complete it
-    to N, and stop once no later band can hold a better first triple: past
-    its canonical sum plus rounding slack, or past (N + eps)/2, since a
-    solution's two triples can be swapped.  They form only the triples in
-    those bands and return the record a search over all ordered triples
+    Both searches return the record a search over all ordered triples
     would: the first triple and then the second in (sum, flat index)
     order, each sum formed left to right, so a triple need not be in
     ascending order (see _mitm_search).

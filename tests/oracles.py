@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 
-from primeineq.count import CountResult, CountSpec
+from primeineq.count import CountResult, CountSpec, run_positions, window_reach
+
+_BLOCK = 1 << 16   # targets per block of window_hits
 
 
 def sorted_sums(powers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -17,6 +19,34 @@ def sorted_sums(powers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         sums = (sums[:, None] + powers[None, :]).ravel()
     order = np.argsort(sums, kind="stable")
     return sums[order], order
+
+
+def window_hits(values: np.ndarray, targets: np.ndarray, width: float):
+    """Yield candidate index arrays (t, pos), one block of targets at a time.
+
+    ``values`` must be ascending.  Values and targets are searched as
+    float64 (``np.asarray(values, float)`` is a no-op for the pair index's
+    keys).  Pairs come in (t, pos) order and cover every pair with
+    |values[pos] - targets[t]| < width in long double: the search reaches
+    _SLACK_ULPS long-double ulps plus _KEY_ULPS float64 ulps of
+    max|values| + width past the width (``count.window_reach``), so neither
+    the callers' rounding nor the float64 rounding of values, targets and
+    bounds drops a pair.  Near misses come along, so every caller re-tests
+    its candidates with its own exact predicate.
+    """
+    if len(values) == 0:
+        return
+    keys = np.asarray(values, float)
+    reach = window_reach(values[0], values[-1], width)
+    targets = np.asarray(targets, float)
+    for start in range(0, len(targets), _BLOCK):
+        block = targets[start:start + _BLOCK]
+        lo = np.searchsorted(keys, block - reach, side="left")
+        lengths = np.searchsorted(keys, block + reach, side="right") - lo
+        if not lengths.any():
+            continue
+        t = np.repeat(np.arange(start, start + len(block)), lengths)
+        yield t, run_positions(lo, lengths)
 
 
 def naive_long_double_count(s: CountSpec) -> CountResult:
@@ -78,3 +108,15 @@ def harmonic_V_naive(s: CountSpec, tau: float) -> float:
                     if d > cut:
                         terms.append(1.0 / d)
     return math.fsum(terms)
+
+
+def exp_sum_abs(x: float, c: float, a: int) -> float:
+    """|sum_{a < n <= 2a} e(x * n^c)|, the quantity
+    ``exppair.pair_bound`` dominates."""
+    total_re = 0.0
+    total_im = 0.0
+    for n in range(a + 1, 2 * a + 1):
+        phase = 2.0 * math.pi * math.fmod(x * n ** c, 1.0)
+        total_re += math.cos(phase)
+        total_im += math.sin(phase)
+    return math.hypot(total_re, total_im)

@@ -160,6 +160,12 @@ def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 
 
+def test_no_top_level_workers_flag(capsys):
+    # the reports' workers parameter has no CLI flag: no command read it
+    # but sums profile, whose output does not depend on it
+    assert run(["--workers", "2", "sums", "profile", "--X", "1024", "--c", "2.05"]) == 2
+
+
 @pytest.mark.parametrize("flags", [("--gamma", "nan"), ("--gamma", "inf"),
                                    ("--c", "nan")])
 def test_count_rs_rejects_non_finite_input(capsys, flags):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import harmonic_V_naive, naive_long_double_count, sorted_sums
+from oracles import harmonic_V_naive, naive_long_double_count, sorted_sums, window_hits
 from primeineq.count import (CountResult, CountSpec, count_tuples_fast, count_tuples_naive,
-                             harmonic_V, window_hits)
+                             harmonic_V, window_pairs, window_reach)
 from primeineq.reports import rs_scaling_report
 from primeineq.sums import LONG, GuardError
 
@@ -151,9 +151,42 @@ def test_window_reach_covers_float64_rounding(sign):
     assert abs(v - t) < w
     assert float(t) == 2.0 ** 20 and float(v) == float(LONG(2.0 ** 20 + 0.5) + ulp)
     values = np.sort(sign * np.array([t - 1, v, t + 2], dtype=LONG))
-    hits = [(int(a), int(b)) for ts, ps in window_hits(values, np.array([sign * t]), w)
-            for a, b in zip(ts, ps)]
-    assert hits == [(0, 1)]
+    keys, target = values.astype(float), np.array([float(sign * t)])
+    assert len(window_pairs(target - float(w), target + float(w), keys)[0]) == 0
+    reach = window_reach(values[0], values[-1], w)
+    k, win = window_pairs(target - reach, target + reach, keys)
+    assert list(zip(k.tolist(), win.tolist())) == [(1, 0)]
+
+
+def _every_key_in_every_window(lo, hi, keys):
+    """(k, w) of every key k inside every window w, by comparing each key
+    with each window, in order of k and then of w."""
+    return np.nonzero((keys[:, None] >= lo) & (keys[:, None] <= hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), max_size=30),
+       st.lists(st.integers(-25, 25), max_size=40), st.integers(0, 4))
+def test_window_pairs_is_every_key_in_every_window(targets, keys, reach):
+    # integer targets, keys and reach: every bound is exact, so many keys
+    # fall on bounds; the keys come unsorted, and often outside every window
+    t = np.sort(np.array(targets, dtype=float))
+    keys = np.array(keys, dtype=float)
+    got = window_pairs(t - reach, t + reach, keys)
+    for a, b in zip(got, _every_key_in_every_window(t - reach, t + reach, keys)):
+        assert np.array_equal(a, b)
+
+
+def test_window_pairs_edges_and_empty_results():
+    lo, hi = np.array([0.0, 1.0, 5.0]), np.array([2.0, 3.0, 7.0])
+    keys = np.array([3.0, 2.0, 0.0, 4.0, 7.0, 8.0, -1.0, 1.0])
+    k, w = window_pairs(lo, hi, keys)
+    assert list(zip(k.tolist(), w.tolist())) == [(0, 1), (1, 0), (1, 1), (2, 0), (4, 2),
+                                                 (7, 0), (7, 1)]
+    for a, b, c in [(lo, hi, np.array([4.0, 8.0, -1.0])), (lo, hi, np.zeros(0)),
+                    (np.zeros(0), np.zeros(0), keys)]:
+        k, w = window_pairs(a, b, c)
+        assert len(k) == len(w) == 0
 
 
 def test_fast_bounds_cover_float64_rounding():

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import exp_sum_abs
 from primeineq.exppair import (ExponentPair, TRIVIAL_PAIR, a_process, apply_word,
-                               b_process, exp_sum_abs, pair_bound, parse_word,
-                               render_word, search_pairs)
+                               b_process, pair_bound, parse_word, render_word,
+                               search_pairs)
 from primeineq.ledger import LONG_CHAIN_WORD
 
 

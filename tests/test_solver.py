@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sorted_sums
+from oracles import sorted_sums, window_hits
 from primeineq import reports, solver
-from primeineq.count import pair_sums, unordered_pairs, unordered_sums, window_hits
+from primeineq.count import pair_sums, unordered_pairs, unordered_sums
 from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
 from primeineq.solver import (count_B, exceptional_scan, find_sextuple,
                               find_triple, full_prime_table,
@@ -592,16 +592,25 @@ def test_mitm_search_near_ties_match_ordered_oracle(monkeypatch, chunk, start,
     # and many distinct triples tie or nearly tie, so the record comes from
     # a later candidate than the first confirmed one, in the last two cases
     # from a triple whose canonical sum exceeds the first record's ordered
-    # sum; chunk = 1 expands one candidate pair at a time, so the stopping
-    # rule decides
+    # sum; chunk = 1 expands one candidate pair at a time, so the record is
+    # the least of solutions confirmed in many chunks of one band
     monkeypatch.setattr(solver, "_PERM_CHUNK", chunk)
     assert _assert_same_record(_table(range(start, start + count)), c, N, eps) is not None
 
 
 def _all_triples(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every canonical triple sum, sorted, with its flat index: the band
-    of all sums."""
-    return solver._triple_band(P, unordered_pairs(P), -np.inf, np.inf)
+    """Every canonical triple sum with its flat index, the band of all
+    sums, in (sum, flat index) order."""
+    sums, flat = solver._triple_band(P, unordered_pairs(P), -np.inf, np.inf)
+    order = np.lexsort((flat, sums))
+    return sums[order], flat[order]
+
+
+def _by_flat(sums: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A band's sums and flat indices in order of flat index: bands come
+    in no set order, and each triple has one flat index."""
+    order = np.argsort(flat)
+    return sums[order], flat[order]
 
 
 def _table(primes) -> PrimeTable:
@@ -708,10 +717,12 @@ def test_mitm_search_builds_few_triples(bands):
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("c, dense", [(2.05, False), (2.0, True), (1.0, True)])
-def test_unordered_triple_sums_in_stable_long_double_order(c, dense, k):
+def test_unordered_pair_and_triple_sums(c, dense, k):
     # dense: consecutive integers from 4e9; at c = 2 many sums share a
     # float64 key but not a long-double value, and distinct tuples tie
-    # exactly; at c = 1 every sum is exact and shared by many tuples
+    # exactly; at c = 1 every sum is exact and shared by many tuples.  The
+    # pair index comes in stable long-double order, the band of all triple
+    # sums in no set order
     primes = (np.arange(4_000_000_000, 4_000_000_040, dtype=np.int64) if dense
               else full_prime_table(2e5, c).primes)
     P = primes.astype(LONG) ** LONG(c)
@@ -721,7 +732,6 @@ def test_unordered_triple_sums_in_stable_long_double_order(c, dense, k):
         flat.append(sum(q * n ** (k - 1 - m) for m, q in enumerate(idx)))
         sums.append((P[idx[0]] + P[idx[1]]) + (P[idx[2]] if k == 3 else 0))
     sums = np.array(sums, dtype=LONG)
-    order = np.argsort(sums, kind="stable")
     if k == 2:
         # the pair index keeps float64 keys; its long-double sums are
         # formed again from the flat indices
@@ -729,8 +739,11 @@ def test_unordered_triple_sums_in_stable_long_double_order(c, dense, k):
         got_sums = pair_sums(P, got_flat)
         assert keys.dtype == np.float64
         assert np.array_equal(keys, got_sums.astype(float))
+        order = np.argsort(sums, kind="stable")
     else:
-        got_sums, got_flat = _all_triples(P)
+        got_sums, got_flat = _by_flat(*solver._triple_band(P, unordered_pairs(P),
+                                                           -np.inf, np.inf))
+        order = np.arange(len(sums))   # the combinations come in flat order
     assert got_flat.dtype == np.int32
     assert np.array_equal(got_sums, sums[order])
     assert np.array_equal(got_flat, np.array(flat)[order])
@@ -750,11 +763,12 @@ def test_triple_band_is_the_full_range_masked(c, dense):
                    (np.nextafter(sums[m // 4], up), np.nextafter(sums[3 * m // 4], down)),
                    (-np.inf, sums[m // 3]), (sums[2 * m // 3], np.inf),
                    (sums[0] - 1, sums[0]), (sums[m // 2], sums[m // 2])]:
-        got_sums, got_flat = solver._triple_band(P, unordered_pairs(P), lo, hi)
+        got_sums, got_flat = _by_flat(*solver._triple_band(P, unordered_pairs(P), lo, hi))
         keep = (sums >= lo) & (sums < hi)
+        want_sums, want_flat = _by_flat(sums[keep], flat[keep])
         assert got_flat.dtype == np.int32
-        assert np.array_equal(got_sums, sums[keep]), (lo, hi)
-        assert np.array_equal(got_flat, flat[keep]), (lo, hi)
+        assert np.array_equal(got_sums, want_sums), (lo, hi)
+        assert np.array_equal(got_flat, want_flat), (lo, hi)
 
 
 def test_mitm_search_triple_guard(monkeypatch):
@@ -853,6 +867,38 @@ def test_find_triple_is_first_in_lexicographic_order_on_wide_windows(c, X, eps):
         firsts.append(_first_triple_by_brute_force(N, c, eps, R))
         assert (None if rec is None else rec.primes) == firsts[-1], R
     assert all(firsts)
+
+
+@pytest.mark.parametrize("p, c, edge", [(2, 1.5, False), (101, 1.5, False),
+                                        (7919, 1.5, False), (1009, 1.9, False),
+                                        (9973, 1.3, False), (397, 1.5, True),
+                                        (3037, 1.5, True), (953, 1.25, True)])
+def test_find_triple_on_the_row_bound(monkeypatch, p, c, edge):
+    # R = fl(3 p^c): the record (p, p, p) has its first prime on the row
+    # bound, 3 p1^c <= R + eps, and the walk ends with p's row.  At
+    # eps = 1e-9 the bound has room; on the edge eps is the next float above
+    # 3 p^c - R, so the long-double p^c exceeds (R + eps)/3 and only the
+    # bound's rounding pad keeps p's row
+    R = float(3 * LONG(p) ** LONG(c))
+    eps = 1e-9
+    if edge:
+        with mpmath.workdps(50):
+            gap = 3 * mpmath.mpf(p) ** mpmath.mpf(c) - mpmath.mpf(R)
+        eps = float(np.nextafter(float(gap), np.inf))
+        assert LONG(p) ** LONG(c) > (LONG(R) + LONG(eps)) / 3
+    inst = ProblemInstance(c=c, X=10.0, eps=eps, k=3)
+    stops = []
+    walk = solver._candidate_walk
+
+    def recording(powers, Rs, reach, stop=None):
+        stops.append(stop)
+        return walk(powers, Rs, reach, stop)
+
+    monkeypatch.setattr(solver, "_candidate_walk", recording)
+    rec = find_triple(inst, R)
+    assert rec.primes == (p, p, p) and not rec.ambiguous
+    tbl = full_prime_table(R + inst.eps, c)
+    assert stops == [int(np.searchsorted(tbl.primes, p)) + 1]
 
 
 @pytest.mark.parametrize("N", [1e2, 1e3, 1e5])
