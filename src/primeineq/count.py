@@ -5,13 +5,15 @@ formed in extended precision: the difference d of two pair sums is tested
 with the strict predicate |d| < gamma, and every tuple with
 ||d| - gamma| < delta is additionally reported as boundary-ambiguous.
 
-The fast counter works on the pair index (``unordered_sums``) of the
-unordered pairs i <= j, each standing for m = 1 (i = j) or m = 2 (i < j)
-ordered pairs, and counts from two window bounds per pair sum
-(``count_tuples_fast``).  The naive counter is the oracle: exhaustive over
-all Y^4 ordered tuples, screened in float64 (``count_tuples_naive``); it
-shares no code with the fast counter, and the two agree exactly, ambiguity
-flags included.  The Y-ladder slope reports built on these counts live in
+The fast counter walks ascending value bands of the unordered pairs
+i <= j, each standing for m = 1 (i = j) or m = 2 (i < j) ordered pairs, and
+counts from two window bounds per pair sum (``count_tuples_fast``); only
+one band is in memory at a time.  ``sum_band`` is the one source of bands of
+unordered k-sums: pair sums here (k = 2), triple sums for the sextuple
+search (k = 3).  The naive counter is the oracle: exhaustive over all Y^4
+ordered tuples, screened in float64 (``count_tuples_naive``); it shares no
+code with the fast counter, and the two agree exactly, ambiguity flags
+included.  The Y-ladder slope reports built on these counts live in
 ``reports``.
 
 ``window_pairs`` is the one search that lists candidates among float64
@@ -31,20 +33,61 @@ from .sums import LONG, GuardError
 
 _NAIVE_GUARD = 10 ** 9     # Y^4 at most this many tuples
 _NAIVE_CHUNK = 1 << 16     # tuples per chunk of the naive count's buffers
-_FAST_GUARD = 10 ** 8      # Y^2 at most this many pair sums in memory
+_FAST_GUARD = 10 ** 8      # Y^2 at most this many pair sums formed
 _HARMONIC_GUARD = 10 ** 9  # Y^4 at most this many ordered 4-tuples
-_FAST_BLOCK = 1 << 16      # pair sums p per block of count_tuples_fast
+_FAST_BAND = 1 << 14       # unordered pair sums per band of count_tuples_fast
+_RETEST_CHUNK = 1 << 16    # candidates of count_tuples_fast re-tested at once
 _SLACK_ULPS = 8            # long-double ulps added to every window's reach
 _KEY_ULPS = 4              # float64 ulps added to it for the rounding to float64
 
 
+def single_powers(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The powers as a sum_band base, so that its bands hold unordered pair
+    sums: flat index i, last index i and sum P_i."""
+    index = np.arange(len(powers))
+    return index, index, powers
+
+
 def unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n(n+1)/2 unordered pairs i <= j, row by row, and their long-double
-    sums P_i + P_j; the sextuple search builds its triple bands on them."""
-    i, j = np.triu_indices(len(powers))
+    """The n(n+1)/2 unordered pairs i <= j, row by row, as a sum_band base,
+    so that its bands hold unordered triple sums: flat index i n + j, last
+    index j and long-double sum P_i + P_j."""
+    n = len(powers)
+    i, j = np.triu_indices(n)
     sums = powers[i]
     sums += powers[j]
-    return i, j, sums
+    return i * n + j, j, sums
+
+
+def sum_band(powers: np.ndarray, base: tuple[np.ndarray, np.ndarray, np.ndarray],
+             lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The unordered sums s + P_l over the base sums s and l >= their last
+    index, formed left to right, that lie in [lo, hi), with the int32 flat
+    index f n + l, f the base sum's flat index, in no set order.  ``base``
+    is (flat, last, sums): single_powers(powers) gives pair sums and
+    unordered_pairs(powers) triple sums.  ``powers`` ascend; the caller
+    keeps the flat indices below 2^31.
+
+    Each base sum's sums grow with l, so two searchsorted bounds on the
+    powers give the run of l to form; only the sums that lie in [lo, hi) are
+    kept.  A sum within rounding of a bound has base sum and power within
+    |bound| + max|P| of it, so each bound is widened by _SLACK_ULPS
+    long-double ulps of that (an infinite bound needs none).
+    """
+    flat, last, base_sums = base
+    n = len(powers)
+    ulps = _SLACK_ULPS * np.finfo(LONG).eps
+    top = np.abs(powers).max(initial=0)
+    first = np.maximum(np.searchsorted(powers, lo - base_sums - ulps * (abs(lo) + top)), last)
+    lengths = np.maximum(
+        np.searchsorted(powers, hi - base_sums + ulps * (abs(hi) + top)) - first, 0)
+    run = np.repeat(np.arange(len(base_sums)), lengths)
+    l = run_positions(first, lengths)
+    sums = base_sums[run] + powers[l]
+    flat = (flat * n)[run] + l
+    del run, l
+    keep = (sums >= lo) & (sums < hi)
+    return sums[keep], flat[keep].astype(np.int32)
 
 
 def pair_sums(powers: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -144,22 +187,50 @@ class CountResult:
     ambiguous: int
 
 
-def _pair_multiset(s: CountSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The Y^2 ordered pair sums n1^c + n2^c, n1, n2 in (Y, 2Y], as the pair
-    index of the unordered ones (see unordered_sums): the powers n^c, the
-    keys and flat indices, and the number m of ordered pairs each unordered
-    sum stands for: 1 for n1 = n2, else 2.  The index keys are the sums
-    rounded to float64, so ValueError if 2 (2Y)^c, the largest sum for
-    c >= 0, is not finite in float64 (for c < 0 every sum is below 2)."""
+def _powers(s: CountSpec) -> np.ndarray:
+    """The long-double powers n^c, n in (Y, 2Y] ascending.  The counters
+    search the pair sums by their float64 roundings, so ValueError if
+    2 (2Y)^c, the largest sum for c >= 0, is not finite in float64 (for
+    c < 0 every sum is below 2)."""
     with np.errstate(over="ignore"):
         top = np.float64(2 * LONG(2 * s.Y) ** LONG(s.c))
     if not np.isfinite(top):
         raise ValueError(f"the largest pair sum 2 * {2 * s.Y}^{s.c} exceeds the float64 "
                          f"range (largest finite {np.finfo(float).max:.6g})")
-    powers = np.arange(s.Y + 1, 2 * s.Y + 1, dtype=np.int64).astype(LONG) ** LONG(s.c)
+    return np.arange(s.Y + 1, 2 * s.Y + 1, dtype=np.int64).astype(LONG) ** LONG(s.c)
+
+
+def _multiplicity(flat: np.ndarray, n: int) -> np.ndarray:
+    """The number m of ordered pairs the unordered pair with flat index
+    i n + j stands for: 1 for i = j, else 2.  i n + j is a multiple of
+    n + 1 iff i = j, since 0 <= j - i < n + 1."""
+    return np.where(flat % (n + 1) == 0, 1, 2)
+
+
+def _pair_multiset(s: CountSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Y^2 ordered pair sums n1^c + n2^c, n1, n2 in (Y, 2Y], as the pair
+    index of the unordered ones (see unordered_sums): the powers n^c, the
+    keys and flat indices, and the multiplicity m of each unordered sum."""
+    powers = _powers(s)
     keys, flat = unordered_sums(powers)
-    # i n + j is a multiple of n + 1 iff i = j, since 0 <= j - i < n + 1
-    return powers, keys, flat, np.where(flat % (s.Y + 1) == 0, 1, 2)
+    return powers, keys, flat, _multiplicity(flat, s.Y)
+
+
+def _band_edges(powers: np.ndarray) -> np.ndarray:
+    """The edges of ascending value bands [lo, hi) that split the unordered
+    pair sums of the ascending ``powers`` into about _FAST_BAND each: -inf,
+    every (_FAST_BAND / g^2)-th of the sorted pair sums of every g-th power,
+    each of which stands for about g^2 pair sums, and inf.  A band holds
+    whole runs of equal sums, so all equal sums make one band."""
+    n = len(powers)
+    inner = np.zeros(0, dtype=LONG)
+    if n * (n + 1) // 2 > _FAST_BAND:
+        g = max(1, math.isqrt(_FAST_BAND // 16))   # about 16 sample sums per band
+        step = _FAST_BAND // g ** 2
+        grid = powers[::g]
+        sample = np.sort(sum_band(grid, single_powers(grid), -np.inf, np.inf)[0])
+        inner = np.unique(sample[step::step])
+    return np.concatenate([[-np.inf], inner, [np.inf]]).astype(LONG)
 
 
 @np.errstate(over="ignore", invalid="ignore")   # inf and NaN go to the re-test
@@ -229,51 +300,81 @@ def count_tuples_naive(s: CountSpec) -> CountResult:
 
 
 def count_tuples_fast(s: CountSpec) -> CountResult:
-    """Count from two window bounds per sorted unordered pair sum; same
-    predicate and same result as the naive count.
+    """Count from two window bounds per unordered pair sum, band by band;
+    same predicate and same result as the naive count.
 
     An unordered sum p stands for m_p ordered pair sums of the same value,
     so a pair (p, q) stands for m_p m_q ordered 4-tuples with the same
     verdicts.  Since fl(a - b) = -fl(b - a), (q, p) has the verdicts of
     (p, q), and the diagonal d = 0 (sum m_p^2 tuples) is a hit, ambiguous
-    when gamma < delta; so only q > p is searched.  The bounds are searched
-    among the float64 keys: with b = delta plus the slack of window_reach
-    (_SLACK_ULPS long-double and _KEY_ULPS float64 ulps of the largest
-    magnitude involved), every q before the inner bound
-    (key[q] < key[p] + (gamma - b)) is a hit and not ambiguous, and every q
-    past the outer bound (key[q] > key[p] + (gamma + b)) is neither,
-    whatever the rounding.  The sure hits of p weigh m_p times a prefix sum
-    of m; only the q between the two bounds are re-tested, on long-double
-    sums formed again from the flat indices, with the exact comparison the
-    naive counter uses.
+    when gamma < delta; so each pair p != q is searched once, from the p
+    that comes first in the order of the bands below.
+
+    The sums are taken in ascending value bands [lo, hi) (_band_edges),
+    each from sum_band, and sorted by their float64 keys: first the band's
+    owners, the sums in [lo, hi), then its tail, the sums in
+    [hi, hi + outer reach + slack), which holds every q a window of an
+    owner can reach.  Only the owners p search their q after them in the
+    band.  With b = delta plus the slack of window_reach (_SLACK_ULPS
+    long-double and _KEY_ULPS float64 ulps of the largest magnitude
+    involved), every q before the inner bound (key[q] < key[p] + (gamma - b))
+    is a hit and not ambiguous, and every q past the outer bound
+    (key[q] > key[p] + (gamma + b)) is neither, whatever the rounding.  The
+    sure hits of p weigh m_p times a prefix sum of m; only the q between the
+    two bounds are re-tested, _RETEST_CHUNK at a time, on their long-double
+    sums with the exact comparison the naive counter uses.
     """
     if s.Y ** 2 > _FAST_GUARD:
         raise GuardError("fast", _FAST_GUARD, f"Y^2 = {s.Y ** 2} pair sums")
-    powers, keys, flat, m = _pair_multiset(s)
-    below = np.concatenate([[0], np.cumsum(m)])   # below[q] = m_0 + ... + m_{q-1}
-    diagonal = int(np.sum(m * m))
+    powers = _powers(s)
+    if s.c < 0:
+        powers = powers[::-1]   # ascending, as sum_band needs
+    n = len(powers)
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
-    b = delta + _slack(abs(LONG(keys[-1])) + gamma + delta)
+    scale = 2 * powers[-1] + gamma + delta   # 2 max P is the largest sum
+    b = delta + _slack(scale)
     inner_reach, outer_reach = float(gamma - b), float(gamma + b)
-    hits = 0        # ordered tuples of pairs p < q with |d| < gamma
-    ambiguous = 0   # ordered tuples of pairs p < q with ||d| - gamma| < delta
-    for start in range(0, len(keys), _FAST_BLOCK):
-        block = keys[start:start + _FAST_BLOCK]
-        after = np.arange(start + 1, start + 1 + len(block))   # p + 1
-        inner = np.searchsorted(keys, block + inner_reach, side="left")
-        outer = np.searchsorted(keys, block + outer_reach, side="right")
-        lo = np.maximum(inner, after)
-        hits += int(np.sum(m[start:start + len(block)] * (below[lo] - below[after])))
-        lengths = np.maximum(outer - lo, 0)
-        if not lengths.any():
+    # _slack covers the float64 rounding of keys and bounds, so a q with
+    # key[q] <= key[p] + outer_reach lies below hi + tail_reach
+    tail_reach = LONG(outer_reach) + _slack(scale)
+    base = single_powers(powers)
+    hits = 0        # ordered tuples of pairs p before q with |d| < gamma
+    ambiguous = 0   # ordered tuples of pairs p before q with ||d| - gamma| < delta
+    edges = _band_edges(powers)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sums, flat = sum_band(powers, base, lo, hi + tail_reach)
+        keys = sums.astype(float)
+        owners, tail = np.flatnonzero(sums < hi), np.flatnonzero(sums >= hi)
+        if not len(owners):
             continue
-        p = np.repeat(after - 1, lengths)
-        q = run_positions(lo, lengths)
-        d = np.abs(pair_sums(powers, flat[q]) - pair_sums(powers, flat[p]))
-        weight = m[p] * m[q]
-        hits += int(np.sum(weight[d < gamma]))
-        ambiguous += int(np.sum(weight[np.abs(d - gamma) < delta]))
+        order = np.concatenate([owners[np.argsort(keys[owners])],
+                                tail[np.argsort(keys[tail])]])
+        sums, keys, m = sums[order], keys[order], _multiplicity(flat[order], n)
+        below = np.concatenate([[0], np.cumsum(m)])   # below[q] = m_0 + ... + m_{q-1}
+        block = keys[:len(owners)]
+        after = np.arange(1, len(block) + 1)   # p + 1
+        inner = np.searchsorted(keys, block + inner_reach, side="left")
+        # the outer bound is the inner one unless the key at the inner bound
+        # is within the outer reach, which is seldom
+        reach = block + outer_reach
+        outer = inner.copy()
+        near = inner < len(keys)
+        near[near] = keys[inner[near]] <= reach[near]
+        outer[near] = np.searchsorted(keys, reach[near], side="right")
+        first = np.maximum(inner, after)
+        hits += int(np.sum(m[:len(block)] * (below[first] - below[after])))
+        lengths = np.maximum(outer - first, 0)
+        ends = np.cumsum(lengths)
+        for start in range(0, int(ends[-1]), _RETEST_CHUNK):
+            k = np.arange(start, min(start + _RETEST_CHUNK, int(ends[-1])))
+            p = np.searchsorted(ends, k, side="right")
+            q = first[p] + (k - (ends[p] - lengths[p]))
+            d = np.abs(sums[q] - sums[p])
+            weight = m[p] * m[q]
+            hits += int(np.sum(weight[d < gamma]))
+            ambiguous += int(np.sum(weight[np.abs(d - gamma) < delta]))
+    diagonal = n + 2 * n * (n - 1)   # sum of m^2: n pairs i = j, n(n - 1)/2 pairs i < j
     return CountResult(diagonal + 2 * hits, diagonal * int(gamma < delta) + 2 * ambiguous)
 
 

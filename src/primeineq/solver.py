@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 import mpmath
 import numpy as np
 
-from .count import run_positions, unordered_pairs, window_pairs, window_reach
+from .count import sum_band, unordered_pairs, window_pairs, window_reach
 from .kernel import KernelParams, kernel_from_instance, phi_eval
 from .sums import (LONG, ConvergenceError, GuardError, PrimeTable,
                    ProblemInstance, sieve_primes, sieve_range)
@@ -96,12 +96,16 @@ _SCREEN_ROWS = 32          # rows i of the pair triangle i <= j screened at once
 _SCREEN_BUCKETS = 1 << 23  # cap on the buckets of the screen's occupancy table
 
 
-def _candidate_walk(powers: np.ndarray, Rs, reach: float, stop: Optional[int] = None):
+def _candidate_walk(powers: np.ndarray, Rs, reach: float, stop: Optional[int] = None,
+                    cols: Optional[np.ndarray] = None):
     """Yield, _SCREEN_ROWS rows i < ``stop`` (default all) at a time with i
     ascending, every (r, i, j, l), i <= j, whose key fl(P_i + P_j), the sum
     formed in long double, lies in [fl(t - reach), fl(t + reach)] with
     t = fl(Rs[r] - P_l); as arrays r, i, j, l, in no set order within a
-    chunk.  A consumer may stop the walk after any chunk.
+    chunk.  A consumer may stop the walk after any chunk.  ``cols``, a
+    non-increasing column stop for each of the n rows (default n), bounds
+    the columns: a chunk screens the columns j < cols[i0] of its first row
+    i0, so every candidate with j < cols[i] is listed, and some beyond.
 
     No pair sum is kept.  The m n targets of all R are sorted once with
     their bounds.  Each pair's float64 sum s = fl(fl(P_i) + fl(P_j)) is
@@ -141,15 +145,19 @@ def _candidate_walk(powers: np.ndarray, Rs, reach: float, stop: Optional[int] = 
         occupied[np.minimum(first + step, last)] = True
 
     stop = n if stop is None else stop
+    cols = np.full(n, n) if cols is None else cols
     rows = min(_SCREEN_ROWS, n)
-    s_buf = np.empty(rows * n)
-    b_buf = np.empty(rows * n, dtype=np.intp)
-    pass_buf = np.empty(rows * n, dtype=bool)
+    # a chunk screens the columns i0, ..., i0 + w - 1, at least as many as
+    # its rows; cols[i0] - i0 falls with i0, so the first chunk is the widest
+    size = rows * min(n, max(rows, int(cols[0])))
+    s_buf = np.empty(size)
+    b_buf = np.empty(size, dtype=np.intp)
+    pass_buf = np.empty(size, dtype=bool)
     upper = np.triu(np.ones((rows, rows), dtype=bool))   # j >= i in a chunk's first columns
     for i0 in range(0, stop, rows):
-        h, w = min(rows, stop - i0), n - i0
+        h, w = min(rows, stop - i0), min(n - i0, max(rows, int(cols[i0]) - i0))
         s = s_buf[:h * w].reshape(h, w)
-        np.add(p64[i0:i0 + h, None], p64[i0:], out=s)
+        np.add(p64[i0:i0 + h, None], p64[i0:i0 + w], out=s)
         np.subtract(s, base, out=s)
         np.multiply(s, inv, out=s)
         b = b_buf[:h * w].reshape(h, w)
@@ -419,37 +427,11 @@ def main_term_H(inst: ProblemInstance, R: float) -> float:
 
 # _mitm_search's slack in long-double ulps of max|sum| + eps: an ordering's
 # sum lies within 2 of its triple's canonical sum, and the exact test's own
-# rounding adds 1 to a pair of triples' 4.  _triple_band widens its bounds
-# by as many ulps of the largest sum.
+# rounding adds 1 to a pair of triples' 4.
 _PERM_ULPS = 8
 _PERM_CHUNK = 1 << 14   # candidate pairs of triples expanded at once
 _PERMS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
 _FIRST_BAND = 2.0 ** -16   # _mitm_search's first band, as a share of the sums' range
-
-
-def _triple_band(powers: np.ndarray, pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """The sums (P_i + P_j) + P_l over i <= j <= l, formed left to right,
-    that lie in [lo, hi), with the int32 flat index i n^2 + j n + l, in no
-    set order; ``pairs`` is unordered_pairs(powers).  The caller keeps n^3
-    below 2^31.
-
-    Each pair's sums grow with l, so two searchsorted bounds on the powers,
-    widened by _PERM_ULPS long-double ulps of the largest sum, give the run
-    of l >= j to form; only the sums that lie in [lo, hi) are kept.
-    """
-    i, j, pair = pairs
-    n = len(powers)
-    widen = _PERM_ULPS * np.finfo(LONG).eps * 3 * np.abs(powers).max(initial=0)
-    first = np.maximum(np.searchsorted(powers, lo - pair - widen), j)
-    lengths = np.maximum(np.searchsorted(powers, hi - pair + widen) - first, 0)
-    run = np.repeat(np.arange(len(pair)), lengths)
-    l = run_positions(first, lengths)
-    sums = pair[run] + powers[l]
-    flat = ((i * n + j) * n)[run] + l
-    del run, l
-    keep = (sums >= lo) & (sums < hi)
-    return sums[keep], flat[keep].astype(np.int32)
 
 
 def _orderings(flat: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -478,7 +460,7 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     t sweeps ascending bands [lo, lo + w) of canonical sums, w doubling
     from band to band, and each t-band meets the u-band
     [N - lo - w - eps - 2 slack, N - lo + eps + 2 slack], which holds every
-    u that can solve with one of its t; both are built by _triple_band.
+    u that can solve with one of its t; both are built by count.sum_band.
     count.window_pairs, from the keys fl(v_u) into the windows around
     fl(N - v_t), both sorted, at width eps + slack, lists every pair of
     triples with a solution among their orderings; each is expanded into
@@ -506,9 +488,9 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     best = None   # (v_t, flat_t, v_u, flat_u) of the best confirmed solution
     while lo <= stop and (best is None or lo <= best[0] + slack):
         hi = lo + width
-        t_sums, t_flat = _triple_band(powers, pairs, lo, hi)
-        u_sums, u_flat = _triple_band(powers, pairs, target - hi - eps - 2 * slack,
-                                      target - lo + eps + 2 * slack)
+        t_sums, t_flat = sum_band(powers, pairs, lo, hi)
+        u_sums, u_flat = sum_band(powers, pairs, target - hi - eps - 2 * slack,
+                                  target - lo + eps + 2 * slack)
         lo, width = hi, 2 * width
         # _orderings forms the sums again: only their float64 roundings stay
         targets, u_keys = (target - t_sums).astype(float), u_sums.astype(float)
@@ -554,11 +536,13 @@ def _first_triples(inst: ProblemInstance, Rs) -> list[Optional[SolutionRecord]]:
     Every prime with p^c <= max R + eps takes part, since each term of a
     solution lies below R + eps, and all R share one table and one
     _candidate_walk at count_B's reach, over the rows i with
-    3 P_i <= max R + eps (padded for rounding), since p1 <= p2 <= p3 sum to
-    at least 3 p1^c.  The walk's rows i ascend, and each chunk holds every
-    j >= i and l of its rows, so the candidates with l >= j of a chunk are
-    checked in (i, j, l) order, and an R's first confirmed one is its
-    record.  The walk stops once every R has one.
+    3 P_i <= max R + eps and the columns j with P_i + 2 P_j <= max R + eps
+    (both padded for rounding), since p1 <= p2 <= p3 sum to at least 3 p1^c
+    and at least p1^c + 2 p2^c.  The walk's rows i ascend, and each chunk
+    holds every j >= i that can solve and every l of its rows, so the
+    candidates with l >= j of a chunk are checked in (i, j, l) order, and an
+    R's first confirmed one is its record.  The walk stops once every R has
+    one.
     """
     if inst.k != 3:
         raise ValueError("the triple search needs a k=3 instance")
@@ -567,10 +551,14 @@ def _first_triples(inst: ProblemInstance, Rs) -> list[Optional[SolutionRecord]]:
         return records
     tbl = full_prime_table(max(Rs) + inst.eps, inst.c)
     powers = tbl.powers(inst.c)
-    bound = (LONG(max(Rs)) + LONG(inst.eps)) / 3
+    total = LONG(max(Rs)) + LONG(inst.eps)
+    bound = total / 3
     stop = int(np.searchsorted(powers, bound + bound * LONG(2.0 ** -40), side="right"))
+    half = (total - powers) / 2   # the bound on P_j in row i
+    cols = np.searchsorted(powers, half + half * LONG(2.0 ** -40), side="right")
     open_ = np.ones(len(Rs), dtype=bool)   # the R without a record yet
-    for r, i, j, l in _candidate_walk(powers, Rs, _reach(powers, LONG(inst.eps)), stop):
+    for r, i, j, l in _candidate_walk(powers, Rs, _reach(powers, LONG(inst.eps)), stop,
+                                      cols):
         keep = (l >= j) & open_[r]
         r, i, j, l = r[keep], i[keep], j[keep], l[keep]
         for x, a, b, d in zip(*(v[np.lexsort((l, j, i, r))] for v in (r, i, j, l))):

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import harmonic_V_naive, naive_long_double_count, sorted_sums, window_hits
+from primeineq import count
 from primeineq.count import (CountResult, CountSpec, count_tuples_fast, count_tuples_naive,
-                             harmonic_V, window_pairs, window_reach)
+                             harmonic_V, single_powers, sum_band, window_pairs,
+                             window_reach)
 from primeineq.reports import rs_scaling_report
 from primeineq.sums import LONG, GuardError
 
@@ -136,6 +138,66 @@ def test_fast_equals_window_retest_on_dense_ties(Y, c):
     assert fast.ambiguous > 0
 
 
+def test_fast_counter_retests_in_chunks(monkeypatch):
+    # wide delta puts about 139k of the 336k pairs of pair sums between the
+    # two bounds; 1000 candidates at a time re-test them in about 140
+    # chunks, whose ends split the candidates of one pair sum
+    spec = CountSpec(40, 0.5, 1.0, 0.5)
+    want = count_tuples_naive(spec)
+    assert count_tuples_fast(spec) == want
+    monkeypatch.setattr(count, "_RETEST_CHUNK", 1000)
+    assert count_tuples_fast(spec) == want
+    assert want.ambiguous > 100 * 1000
+
+
+def _sum_span(Y: int, c: float) -> float:
+    """The distance from the smallest to the largest pair sum."""
+    ends = LONG(Y + 1) ** LONG(c), LONG(2 * Y) ** LONG(c)
+    return float(2 * abs(ends[1] - ends[0]))
+
+
+@pytest.mark.parametrize("c", [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
+def test_fast_equals_naive_across_band_edges(monkeypatch, c):
+    # bands of about 4 pair sums, so band edges fall between equal sums at
+    # integer c (at c = 0 every sum is equal and there is one band), and
+    # gamma reaches from much less than one band to past every band
+    monkeypatch.setattr(count, "_FAST_BAND", 4)
+    Y = 12
+    powers = count._powers(CountSpec(Y, c, 1.0))
+    assert len(count._band_edges(powers[::-1] if c < 0 else powers)) > (2 if c == 0 else 10)
+    span = _sum_span(Y, c) or 1.0
+    for share in (1e-3, 0.02, 0.3, 2.0):
+        for delta in (1e-9, 1e-3 * share * span):
+            spec = CountSpec(Y, c, share * span, delta)
+            assert count_tuples_fast(spec) == count_tuples_naive(spec), spec
+    for gamma in (1.0, 2.0, 7.0):   # on the integer differences at integer c
+        spec = CountSpec(Y, c, gamma, 1e-3)
+        assert count_tuples_fast(spec) == count_tuples_naive(spec), spec
+
+
+@pytest.mark.parametrize("c", [1.5, 1.0, 0.0])
+def test_sum_band_of_pair_sums_is_the_full_range_masked(c):
+    # k = 2: bands ending on sums (ties at both ends at integer c), one
+    # ulp off sums, below and above every sum, and an empty band
+    P = np.arange(20, 44, dtype=np.int64).astype(LONG) ** LONG(c)
+    n = len(P)
+    i, j = np.triu_indices(n)
+    sums, flat = P[i] + P[j], i * n + j   # in order of flat index
+    s = np.sort(sums)
+    m = len(s)
+    up, down = LONG(np.inf), LONG(-np.inf)
+    for lo, hi in [(s[m // 5], s[m // 2]), (s[0], s[-1]),
+                   (np.nextafter(s[m // 4], up), np.nextafter(s[3 * m // 4], down)),
+                   (-np.inf, s[m // 3]), (s[2 * m // 3], np.inf),
+                   (-np.inf, np.inf), (s[0] - 1, s[0]), (s[m // 2], s[m // 2])]:
+        got_sums, got_flat = sum_band(P, single_powers(P), lo, hi)
+        by_flat = np.argsort(got_flat)
+        keep = (sums >= lo) & (sums < hi)
+        assert got_flat.dtype == np.int32
+        assert np.array_equal(got_flat[by_flat], flat[keep]), (lo, hi)
+        assert np.array_equal(got_sums[by_flat], sums[keep]), (lo, hi)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_window_reach_covers_float64_rounding(sign):
     # A long-double hit |v - t| < w one float64 ulp past the unwidened
@@ -248,7 +310,7 @@ def test_guards():
         count_tuples_naive(CountSpec(500, 1.5, 0.1))
     with pytest.raises(ValueError):
         count_tuples_fast(CountSpec(2 * 10 ** 5, 1.5, 0.1))
-    # the fast counter holds Y^2 long-double pair sums, so Y = 10001 is
+    # the fast counter forms Y^2 long-double pair sums, so Y = 10001 is
     # refused before anything is allocated
     with pytest.raises(GuardError, match="fast guard"):
         count_tuples_fast(CountSpec(10001, 1.5, 0.1))

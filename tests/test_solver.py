@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import sorted_sums, window_hits
 from primeineq import reports, solver
-from primeineq.count import pair_sums, unordered_pairs, unordered_sums
+from primeineq.count import pair_sums, sum_band, unordered_pairs, unordered_sums
 from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
 from primeineq.solver import (count_B, exceptional_scan, find_sextuple,
                               find_triple, full_prime_table,
@@ -601,7 +601,7 @@ def test_mitm_search_near_ties_match_ordered_oracle(monkeypatch, chunk, start,
 def _all_triples(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every canonical triple sum with its flat index, the band of all
     sums, in (sum, flat index) order."""
-    sums, flat = solver._triple_band(P, unordered_pairs(P), -np.inf, np.inf)
+    sums, flat = sum_band(P, unordered_pairs(P), -np.inf, np.inf)
     order = np.lexsort((flat, sums))
     return sums[order], flat[order]
 
@@ -621,17 +621,17 @@ def _table(primes) -> PrimeTable:
 
 @pytest.fixture
 def bands(monkeypatch):
-    """Every call of solver._triple_band as (lo, hi, sums, flat);
+    """Every call of solver.sum_band as (lo, hi, sums, flat);
     _mitm_search builds each t-band and then its u-band."""
     calls = []
-    build = solver._triple_band
+    build = solver.sum_band
 
     def recording(powers, pairs, lo, hi):
         sums, flat = build(powers, pairs, lo, hi)
         calls.append((lo, hi, sums, flat))
         return sums, flat
 
-    monkeypatch.setattr(solver, "_triple_band", recording)
+    monkeypatch.setattr(solver, "sum_band", recording)
     return calls
 
 
@@ -741,8 +741,7 @@ def test_unordered_pair_and_triple_sums(c, dense, k):
         assert np.array_equal(keys, got_sums.astype(float))
         order = np.argsort(sums, kind="stable")
     else:
-        got_sums, got_flat = _by_flat(*solver._triple_band(P, unordered_pairs(P),
-                                                           -np.inf, np.inf))
+        got_sums, got_flat = _by_flat(*sum_band(P, unordered_pairs(P), -np.inf, np.inf))
         order = np.arange(len(sums))   # the combinations come in flat order
     assert got_flat.dtype == np.int32
     assert np.array_equal(got_sums, sums[order])
@@ -763,7 +762,7 @@ def test_triple_band_is_the_full_range_masked(c, dense):
                    (np.nextafter(sums[m // 4], up), np.nextafter(sums[3 * m // 4], down)),
                    (-np.inf, sums[m // 3]), (sums[2 * m // 3], np.inf),
                    (sums[0] - 1, sums[0]), (sums[m // 2], sums[m // 2])]:
-        got_sums, got_flat = _by_flat(*solver._triple_band(P, unordered_pairs(P), lo, hi))
+        got_sums, got_flat = _by_flat(*sum_band(P, unordered_pairs(P), lo, hi))
         keep = (sums >= lo) & (sums < hi)
         want_sums, want_flat = _by_flat(sums[keep], flat[keep])
         assert got_flat.dtype == np.int32
@@ -774,7 +773,7 @@ def test_triple_band_is_the_full_range_masked(c, dense):
 def test_mitm_search_triple_guard(monkeypatch):
     # 465^3 > 1e8 triple sums: refused before the triple sums are built
     monkeypatch.setattr(solver, "unordered_pairs", None)
-    monkeypatch.setattr(solver, "_triple_band", None)
+    monkeypatch.setattr(solver, "sum_band", None)
     tbl = full_prime_table(3310.0, 1.0)
     assert len(tbl) == 465
     with pytest.raises(GuardError) as info:
@@ -890,15 +889,50 @@ def test_find_triple_on_the_row_bound(monkeypatch, p, c, edge):
     stops = []
     walk = solver._candidate_walk
 
-    def recording(powers, Rs, reach, stop=None):
+    def recording(powers, Rs, reach, stop=None, cols=None):
         stops.append(stop)
-        return walk(powers, Rs, reach, stop)
+        return walk(powers, Rs, reach, stop, cols)
 
     monkeypatch.setattr(solver, "_candidate_walk", recording)
     rec = find_triple(inst, R)
     assert rec.primes == (p, p, p) and not rec.ambiguous
     tbl = full_prime_table(R + inst.eps, c)
     assert stops == [int(np.searchsorted(tbl.primes, p)) + 1]
+
+
+@pytest.mark.parametrize("a, b, c, edge", [(2, 3, 1.5, False), (101, 7919, 1.5, False),
+                                           (1009, 1013, 1.9, False), (787, 4253, 1.5, True),
+                                           (83, 2963, 1.5, True), (7079, 19031, 1.25, True),
+                                           (127, 317, 1.9, True)])
+def test_find_triple_on_the_column_bound(monkeypatch, a, b, c, edge):
+    # R = fl(a^c + 2 b^c): the record (a, b, b) has its second prime on the
+    # column bound of a's row, p1^c + 2 p2^c <= R + eps.  At eps = 1e-9 the
+    # bound has room; on the edge eps is the next float above
+    # a^c + 2 b^c - R, so the long-double b^c exceeds (R + eps - a^c)/2 and
+    # only the bound's rounding pad keeps b's column.  One row per chunk
+    # makes the column stop of a's row the one its chunk screens
+    Pa, Pb = LONG(a) ** LONG(c), LONG(b) ** LONG(c)
+    R = float(Pa + 2 * Pb)
+    eps = 1e-9
+    if edge:
+        with mpmath.workdps(50):
+            gap = mpmath.mpf(a) ** mpmath.mpf(c) + 2 * mpmath.mpf(b) ** mpmath.mpf(c) - R
+        eps = float(np.nextafter(float(gap), np.inf))
+        assert Pb > (LONG(R) + LONG(eps) - Pa) / 2
+    inst = ProblemInstance(c=c, X=10.0, eps=eps, k=3)
+    monkeypatch.setattr(solver, "_SCREEN_ROWS", 1)
+    stops = []
+    walk = solver._candidate_walk
+
+    def recording(powers, Rs, reach, stop=None, cols=None):
+        stops.append(cols)
+        return walk(powers, Rs, reach, stop, cols)
+
+    monkeypatch.setattr(solver, "_candidate_walk", recording)
+    rec = find_triple(inst, R)
+    assert rec.primes == (a, b, b) and not rec.ambiguous
+    primes = list(full_prime_table(R + inst.eps, c).primes)
+    assert stops[0][primes.index(a)] == primes.index(b) + 1
 
 
 @pytest.mark.parametrize("N", [1e2, 1e3, 1e5])
