@@ -311,7 +311,8 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     that comes first in the order of the bands below.
 
     The sums are taken in ascending value bands [lo, hi) (_band_edges),
-    each from sum_band, and sorted by their float64 keys: first the band's
+    each from sum_band over only the rows i whose sums can reach the band,
+    and sorted by their float64 keys: first the band's
     owners, the sums in [lo, hi), then its tail, the sums in
     [hi, hi + outer reach + slack), which holds every q a window of an
     owner can reach.  Only the owners p search their q after them in the
@@ -339,11 +340,18 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     # key[q] <= key[p] + outer_reach lies below hi + tail_reach
     tail_reach = LONG(outer_reach) + _slack(scale)
     base = single_powers(powers)
+    # row i forms the sums P_i + P_l, l >= i, which rounding keeps between
+    # 2 P_i (exact) and fl(P_i + max P), the sums sum_band forms; so only
+    # the rows with 2 P_i < hi and P_i + max P >= lo can hold a sum of a
+    # band [lo, hi), and they are one run, since both bounds ascend with i
+    row_min, row_max = 2 * powers, powers + powers[-1]
     hits = 0        # ordered tuples of pairs p before q with |d| < gamma
     ambiguous = 0   # ordered tuples of pairs p before q with ||d| - gamma| < delta
     edges = _band_edges(powers)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        sums, flat = sum_band(powers, base, lo, hi + tail_reach)
+        top = hi + tail_reach
+        rows = slice(np.searchsorted(row_max, lo), np.searchsorted(row_min, top))
+        sums, flat = sum_band(powers, tuple(part[rows] for part in base), lo, top)
         keys = sums.astype(float)
         owners, tail = np.flatnonzero(sums < hi), np.flatnonzero(sums >= hi)
         if not len(owners):

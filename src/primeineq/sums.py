@@ -12,6 +12,12 @@ and window comparisons care about absolute offsets well below 1.  All
 reductions use compensated or pairwise summation in a fixed order, so results
 are identical regardless of how work is distributed.
 
+S, T and I each take a scalar x or a whole x-grid per call, and a value is
+bitwise the same whichever batch of x it is computed in.  S and T sum each
+x's terms by numpy's pairwise sum (see _phase_sums), within
+(ceil(log2 n) + 1) 2^-53 sum |w_n| of the correctly rounded sum of the same
+n terms in each of the real and imaginary parts.
+
 I(x) is computed in s = t^c, where its amplitude s^(1/c-1)/c has no
 stationary point: by Levin's collocation method (D. Levin, Math. Comp. 38
 (1982) 531-538) where it oscillates, its system solved in Chebyshev
@@ -233,29 +239,58 @@ def sieve_range(lo: int, hi: int) -> np.ndarray:
     return primes
 
 
-def _phase_sum(values_c: np.ndarray, weights: Optional[np.ndarray], x: float) -> complex:
-    """sum w_n * e(v_n * x) with the phase reduced mod 1 in long double."""
-    phase = np.mod(values_c * LONG(x), LONG(1))
-    ang = (TWO_PI * phase).astype(float)
-    re = np.cos(ang)
-    im = np.sin(ang)
-    if weights is not None:
-        re = re * weights
-        im = im * weights
-    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+_PHASE_BLOCK = 1 << 14   # terms (x times values) per block of _phase_sums
 
 
-def sum_T(inst: ProblemInstance, x: float) -> complex:
-    """T(x) = sum over integers n in (X, 2X] of e(n^c x)."""
+def _phase_sums(values: np.ndarray, weights: Optional[np.ndarray],
+                x: float | np.ndarray) -> complex | np.ndarray:
+    """sum_n w_n e(v_n x) at a scalar x (complex) or at every entry of an
+    array of x (complex array of the same shape), the phase v_n x reduced
+    mod 1 in long double; w_n = 1 if ``weights`` is None.
+
+    The x come in blocks of about _PHASE_BLOCK terms, one row of terms per
+    x, and each row's real and imaginary parts are summed by numpy's
+    pairwise row sum.  Every operation on a row is elementwise or within
+    the row, so a value is bitwise the same whichever batch of x it is
+    computed in.  Against the correctly rounded sums (math.fsum of the same
+    terms) each part is off by at most (ceil(log2 n) + 1) 2^-53 sum |w_n|.
+    """
+    xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1)
+    rows = max(1, _PHASE_BLOCK // max(len(values), 1))
+    out = np.empty(len(flat), dtype=complex)
+    for start in range(0, len(flat), rows):
+        block = flat[start:start + rows].astype(LONG)
+        ang = (TWO_PI * np.mod(block[:, None] * values, LONG(1))).astype(float)
+        re, im = np.cos(ang), np.sin(ang)
+        if weights is not None:
+            re *= weights
+            im *= weights
+        out.real[start:start + rows] = re.sum(axis=1)
+        out.imag[start:start + rows] = im.sum(axis=1)
+    return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+
+def sum_T(inst: ProblemInstance, x: float | np.ndarray) -> complex | np.ndarray:
+    """T(x) = sum over integers n in (X, 2X] of e(n^c x), at a scalar x
+    (complex) or at every entry of an array of x (complex array of the same
+    shape), by _phase_sums: pairwise sums, within (ceil(log2 n) + 1) 2^-53 n
+    of the correctly rounded sum in each part, and bitwise the same whichever
+    batch of x a value is computed in."""
     n = np.arange(int(math.floor(inst.X)) + 1, int(math.floor(2 * inst.X)) + 1,
                   dtype=np.int64)
-    return _phase_sum(n.astype(LONG) ** LONG(inst.c), None, x)
+    return _phase_sums(n.astype(LONG) ** LONG(inst.c), None, x)
 
 
-def sum_S(inst: ProblemInstance, x: float) -> complex:
-    """S(x) = sum over primes p in (X, 2X] of (log p) e(p^c x)."""
+def sum_S(inst: ProblemInstance, x: float | np.ndarray) -> complex | np.ndarray:
+    """S(x) = sum over primes p in (X, 2X] of (log p) e(p^c x), at a scalar x
+    (complex) or at every entry of an array of x (complex array of the same
+    shape), by _phase_sums: pairwise sums, within
+    (ceil(log2 n) + 1) 2^-53 sum log p of the correctly rounded sum in each
+    part, n the number of primes, and bitwise the same whichever batch of x
+    a value is computed in."""
     table = sieve_primes(inst.X)
-    return _phase_sum(table.powers(inst.c), table.logs, x)
+    return _phase_sums(table.powers(inst.c), table.logs, x)
 
 
 _LEVELS = (32, 48)          # node counts of integral_I's two estimates
@@ -392,17 +427,17 @@ def moment4(inst: ProblemInstance, which: str = "S") -> tuple[float, float]:
 
     The integrand is even (conjugate symmetry), so 2x the [0, tau] integral.
     The returned error estimate is the change under grid refinement.  Each
-    point of the two grids is evaluated once; halving a linspace step is
-    exact, so the coarse grid lies inside the fine one.
+    point of the two grids is evaluated once, in one call of sum_S or
+    integral_I over the merged grid; halving a linspace step is exact, so
+    the coarse grid lies inside the fine one.
     """
     if which not in ("S", "I"):
         raise ValueError("which must be 'S' or 'I'")
     grids = [moment_grid(inst, ppo) for ppo in (_OCTAVE_POINTS, 2 * _OCTAVE_POINTS)]
     xs = np.array(sorted(set(grids[0]).union(grids[1])))
     if which == "S":
-        tbl = sieve_primes(inst.X)
-        powers = tbl.powers(inst.c)
-        vals = np.array([abs(_phase_sum(powers, tbl.logs, float(x))) for x in xs])
+        # Python's abs of each value, which np.abs can miss by an ulp
+        vals = np.array([abs(v) for v in sum_S(inst, xs).tolist()])
     else:
         vals = np.abs(integral_I(inst, xs))
     coarse, fine = (2.0 * float(np.trapezoid(vals[np.searchsorted(xs, g)] ** 4, g))

@@ -94,6 +94,20 @@ def levin_dense(x: np.ndarray, A, B, c: float, n: int) -> np.ndarray:
     return p[:, 0] * np.exp(2j * np.pi * phase_b) - p[:, -1] * np.exp(2j * np.pi * phase_a)
 
 
+def phase_sum_fsum(values_c: np.ndarray, weights, x: float) -> complex:
+    """sum w_n * e(v_n * x) at one x, the phase reduced mod 1 in long double
+    and each part summed by ``math.fsum``: the per-x path that
+    ``sums._phase_sums`` replaced, with the same terms."""
+    phase = np.mod(values_c * np.longdouble(x), np.longdouble(1))
+    ang = (2.0 * np.pi * phase).astype(float)
+    re = np.cos(ang)
+    im = np.sin(ang)
+    if weights is not None:
+        re = re * weights
+        im = im * weights
+    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+
+
 def harmonic_V_naive(s: CountSpec, tau: float) -> float:
     """The total of ``count.harmonic_V`` by direct O(Y^4) summation in
     float64: 1/|d| over every ordered 4-tuple with |d| > 1/tau."""

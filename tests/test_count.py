@@ -175,6 +175,28 @@ def test_fast_equals_naive_across_band_edges(monkeypatch, c):
         assert count_tuples_fast(spec) == count_tuples_naive(spec), spec
 
 
+@pytest.mark.parametrize("c", [-1.0, 0.5, 1.0, 1.5, 3.0])
+def test_fast_counter_forms_only_the_rows_of_each_band(monkeypatch, c):
+    # each band gets the run of rows that can hold one of its sums, and the
+    # rows left out form none: the band is the one all rows give
+    monkeypatch.setattr(count, "_FAST_BAND", 64)
+    formed = []
+
+    def recorded(powers, base, lo, hi):
+        got = sum_band(powers, base, lo, hi)
+        if len(base[0]) < len(powers):
+            want = sum_band(powers, single_powers(powers), lo, hi)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (lo, hi)
+            formed.append(len(base[0]))
+        return got
+
+    monkeypatch.setattr(count, "sum_band", recorded)
+    Y = 60
+    spec = CountSpec(Y, c, 0.01 * (_sum_span(Y, c) or 1.0))
+    assert count_tuples_fast(spec) == count_tuples_naive(spec)
+    assert len(formed) > 10 and min(formed) < Y // 2
+
+
 @pytest.mark.parametrize("c", [1.5, 1.0, 0.0])
 def test_sum_band_of_pair_sums_is_the_full_range_masked(c):
     # k = 2: bands ending on sums (ties at both ends at integer c), one

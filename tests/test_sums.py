@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import levin_dense
+from oracles import levin_dense, phase_sum_fsum
 from primeineq import reports, sums
 from primeineq.sums import (LONG, ConvergenceError, ProblemInstance,
                             bilinear_sum, integral_I, moment4, moment_grid,
@@ -261,6 +261,68 @@ def test_integral_against_mpmath_at_the_levin_switch(X, c):
             assert abs(value - complex(want)) <= 1e-13 * X, x
 
 
+def _phase_terms(inst, which):
+    """The values and weights of S (which = "S") or T, as the oracle takes them."""
+    if which == "S":
+        table = sieve_primes(inst.X)
+        return table.powers(inst.c), table.logs
+    n = np.arange(int(inst.X) + 1, int(2 * inst.X) + 1)
+    return n.astype(LONG) ** LONG(inst.c), None
+
+
+def _pairwise_bound(values, weights):
+    """The stated tolerance of sum_S and sum_T against the fsum oracle:
+    (ceil(log2 n) + 1) 2^-53 sum |w_n|."""
+    total = len(values) if weights is None else float(np.sum(np.abs(weights)))
+    return (math.ceil(math.log2(len(values))) + 1) * 2.0 ** -53 * total
+
+
+@pytest.mark.parametrize("X,c", [(64.0, 1.1), (256.0, 2.05), (1024.0, 2.05),
+                                 (4096.0, 1.5), (3000.0, 2.9)])
+def test_phase_sums_match_the_fsum_oracle(X, c):
+    # the merged grid of moment4, random x in [-tau, tau] and x = 0, against
+    # the correctly rounded per-x sums of the same terms
+    inst = ProblemInstance(c=c, X=X, eps=0.1)
+    grids = [moment_grid(inst, ppo) for ppo in (sums._OCTAVE_POINTS, 2 * sums._OCTAVE_POINTS)]
+    merged = np.array(sorted(set(grids[0]).union(grids[1])))
+    rng = np.random.default_rng(int(X * c))
+    xs = np.concatenate([merged, rng.uniform(-inst.tau, inst.tau, 40), [0.0]])
+    for which, fn in (("S", sum_S), ("T", sum_T)):
+        values, weights = _phase_terms(inst, which)
+        want = np.array([phase_sum_fsum(values, weights, float(x)) for x in xs])
+        got = fn(inst, xs)
+        assert np.max(np.abs(got - want)) <= _pairwise_bound(values, weights), which
+    # moment4 integrates the same values over the merged grid
+    values, weights = _phase_terms(inst, "S")
+    vals = np.array([abs(phase_sum_fsum(values, weights, float(x))) for x in merged])
+    want = [2.0 * float(np.trapezoid(vals[np.searchsorted(merged, g)] ** 4, g)) for g in grids]
+    got, err = moment4(inst, "S")
+    assert got == pytest.approx(want[1], rel=1e-12)
+    assert err == pytest.approx(abs(want[1] - want[0]), rel=1e-9, abs=1e-12 * want[1])
+
+
+@pytest.mark.parametrize("block", [1, 3, 10, 45, 1 << 14])
+@pytest.mark.parametrize("X", [10.0, 64.0, 700.0])
+def test_phase_sums_are_independent_of_the_batch(X, block, monkeypatch):
+    # with blocks of a few terms, a batch crosses many block edges, and
+    # each value is bitwise the one computed alone at the default block
+    inst = ProblemInstance(c=1.5, X=X, eps=0.1)
+    grid = moment_grid(inst, 8)
+    xs = np.concatenate([grid, -grid[1:], [0.0]])
+    for fn in (sum_S, sum_T):
+        alone = [fn(inst, float(x)) for x in xs]
+        assert all(type(v) is complex for v in alone)
+        monkeypatch.setattr(sums, "_PHASE_BLOCK", block)
+        full = fn(inst, xs)
+        assert full.dtype == complex and full.shape == xs.shape
+        assert np.array_equal(full, np.array(alone))
+        perm = np.random.default_rng(5).permutation(len(xs))
+        assert np.array_equal(fn(inst, xs[perm]), full[perm])
+        assert np.array_equal(fn(inst, xs[3:40:2]), full[3:40:2])
+        assert np.array_equal(fn(inst, xs.reshape(-1, 1))[:, 0], full)
+        monkeypatch.undo()
+
+
 def test_moment4_trivial_upper():
     inst = ProblemInstance(c=2.05, X=256.0, eps=0.1)
     m, err = moment4(inst, "S")
@@ -277,8 +339,8 @@ def test_s_minus_i_profile():
     # and even in x
     inst = ProblemInstance(c=2.05, X=4096.0, eps=0.1)
     table = sieve_primes(4096.0)
-    at0, plus, minus = (reports._s_minus_i(x, inst)["abs_S_minus_I"]
-                        for x in (0.0, inst.tau / 3, -inst.tau / 3))
+    at0, plus, minus = (row["abs_S_minus_I"] for row in
+                        reports._s_minus_i(np.array([0.0, inst.tau / 3, -inst.tau / 3]), inst))
     assert at0 == pytest.approx(abs(float(np.sum(table.logs)) - 4096.0), rel=1e-9)
     assert plus == pytest.approx(minus, abs=1e-6)
     rep = json.loads(reports.s_vs_i_report(X=512.0, points=3))
