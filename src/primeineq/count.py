@@ -9,8 +9,8 @@ The fast counter walks ascending value bands of the unordered pairs
 i <= j, each standing for m = 1 (i = j) or m = 2 (i < j) ordered pairs, and
 counts from two window bounds per pair sum (``count_tuples_fast``); only
 one band is in memory at a time.  ``sum_band`` is the one source of bands of
-unordered k-sums: pair sums here (k = 2), triple sums for the sextuple
-search (k = 3).  The naive counter is the oracle: exhaustive over all Y^4
+unordered k-sums: pair sums here (k = 2), for the fast counter and the
+harmonic sum, triple sums for the sextuple search (k = 3).  The naive counter is the oracle: exhaustive over all Y^4
 ordered tuples, screened in float64 (``count_tuples_naive``); it shares no
 code with the fast counter, and the two agree exactly, ambiguity flags
 included.  The Y-ladder slope reports built on these counts live in
@@ -63,10 +63,11 @@ def sum_band(powers: np.ndarray, base: tuple[np.ndarray, np.ndarray, np.ndarray]
              lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """The unordered sums s + P_l over the base sums s and l >= their last
     index, formed left to right, that lie in [lo, hi), with the int32 flat
-    index f n + l, f the base sum's flat index, in no set order.  ``base``
-    is (flat, last, sums): single_powers(powers) gives pair sums and
-    unordered_pairs(powers) triple sums.  ``powers`` ascend; the caller
-    keeps the flat indices below 2^31.
+    index f n + l, f the base sum's flat index, in order of flat index if
+    the base's flat indices ascend.  ``base`` is (flat, last, sums):
+    single_powers(powers) gives pair sums and unordered_pairs(powers)
+    triple sums.  ``powers`` ascend; the caller keeps the flat indices
+    below 2^31.
 
     Each base sum's sums grow with l, so two searchsorted bounds on the
     powers give the run of l to form; only the sums that lie in [lo, hi) are
@@ -88,43 +89,6 @@ def sum_band(powers: np.ndarray, base: tuple[np.ndarray, np.ndarray, np.ndarray]
     del run, l
     keep = (sums >= lo) & (sums < hi)
     return sums[keep], flat[keep].astype(np.int32)
-
-
-def pair_sums(powers: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """The long-double sums P_i + P_j of the pairs with flat index i n + j."""
-    i, j = np.divmod(flat, len(powers))
-    return powers[i] + powers[j]
-
-
-def unordered_sums(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pair index of the n(n+1)/2 pairs i <= j: float64 keys
-    fl(P_i + P_j), each sum formed in long double and then rounded, and the
-    int32 flat index i n + j, in stable order: ascending long-double sum,
-    ties by flat index.  The long-double sums are not kept; a caller that
-    needs one forms it again from the flat index (``pair_sums``), bitwise
-    the same.  The caller keeps n^2 below 2^31.
-    """
-    n = len(powers)
-    keys = np.empty(n * (n + 1) // 2)
-    flat = np.empty(len(keys), dtype=np.int32)
-    start = 0
-    for i in range(n):   # row i: the pairs (i, j), j = i, ..., n - 1
-        stop = start + n - i
-        keys[start:stop] = powers[i:] + powers[i]
-        flat[start:stop] = np.arange(i * n + i, (i + 1) * n)
-        start = stop
-    # sorting float64 keys is 2-3x faster than sorting long doubles, and
-    # rounding to float64 is monotone, so only runs of equal keys need
-    # ordering by (long-double sum, flat index); distinct sums share a key
-    # only where they come within a float64 ulp of each other
-    order = np.argsort(keys)
-    keys, flat = keys[order], flat[order]
-    tie = np.flatnonzero(keys[1:] == keys[:-1])
-    if len(tie):
-        pos = np.union1d(tie, tie + 1)
-        sub = flat[pos]
-        flat[pos] = sub[np.lexsort((sub, pair_sums(powers, sub), keys[pos]))]
-    return keys, flat
 
 
 def window_pairs(lo: np.ndarray, hi: np.ndarray, keys: np.ndarray
@@ -188,16 +152,18 @@ class CountResult:
 
 
 def _powers(s: CountSpec) -> np.ndarray:
-    """The long-double powers n^c, n in (Y, 2Y] ascending.  The counters
-    search the pair sums by their float64 roundings, so ValueError if
-    2 (2Y)^c, the largest sum for c >= 0, is not finite in float64 (for
-    c < 0 every sum is below 2)."""
+    """The long-double powers n^c, n in (Y, 2Y], ascending in value (so n
+    descends for c < 0), as sum_band needs.  The counters search the pair
+    sums by their float64 roundings, so ValueError if 2 (2Y)^c, the largest
+    sum for c >= 0, is not finite in float64 (for c < 0 every sum is below
+    2)."""
     with np.errstate(over="ignore"):
         top = np.float64(2 * LONG(2 * s.Y) ** LONG(s.c))
     if not np.isfinite(top):
         raise ValueError(f"the largest pair sum 2 * {2 * s.Y}^{s.c} exceeds the float64 "
                          f"range (largest finite {np.finfo(float).max:.6g})")
-    return np.arange(s.Y + 1, 2 * s.Y + 1, dtype=np.int64).astype(LONG) ** LONG(s.c)
+    powers = np.arange(s.Y + 1, 2 * s.Y + 1, dtype=np.int64).astype(LONG) ** LONG(s.c)
+    return powers[::-1] if s.c < 0 else powers
 
 
 def _multiplicity(flat: np.ndarray, n: int) -> np.ndarray:
@@ -205,15 +171,6 @@ def _multiplicity(flat: np.ndarray, n: int) -> np.ndarray:
     i n + j stands for: 1 for i = j, else 2.  i n + j is a multiple of
     n + 1 iff i = j, since 0 <= j - i < n + 1."""
     return np.where(flat % (n + 1) == 0, 1, 2)
-
-
-def _pair_multiset(s: CountSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The Y^2 ordered pair sums n1^c + n2^c, n1, n2 in (Y, 2Y], as the pair
-    index of the unordered ones (see unordered_sums): the powers n^c, the
-    keys and flat indices, and the multiplicity m of each unordered sum."""
-    powers = _powers(s)
-    keys, flat = unordered_sums(powers)
-    return powers, keys, flat, _multiplicity(flat, s.Y)
 
 
 def _band_edges(powers: np.ndarray) -> np.ndarray:
@@ -328,8 +285,6 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     if s.Y ** 2 > _FAST_GUARD:
         raise GuardError("fast", _FAST_GUARD, f"Y^2 = {s.Y ** 2} pair sums")
     powers = _powers(s)
-    if s.c < 0:
-        powers = powers[::-1]   # ascending, as sum_band needs
     n = len(powers)
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
@@ -392,10 +347,10 @@ def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
 
     Returns (total, per-bucket vector).  Exact up to float rounding; the
     bucket split mirrors the dyadic decomposition used to bound it.  The
-    work is the differences d = ps[q] - ps[p] of the sorted unordered pair
-    sums, formed in long double from the pair index's flat indices, over
-    q > p, a chunk of rows p at a time; d <= 0 for q <= p, so d > 1/tau
-    picks pairs p < q only.  Each stands for m_p m_q ordered
+    work is the differences d = ps[q] - ps[p] of the unordered long-double
+    pair sums from sum_band, in (sum, flat index) order by a stable sort,
+    over q > p, a chunk of rows p at a time; d <= 0 for q <= p, so
+    d > 1/tau picks pairs p < q only.  Each stands for m_p m_q ordered
     4-tuples, and (q, p) for as many more with difference -d.  ValueError
     if 1/tau is not above _SLACK_ULPS long-double ulps of the largest pair
     sum: differences below the sums' rounding are not resolved.
@@ -404,8 +359,10 @@ def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
         raise GuardError("harmonic", _HARMONIC_GUARD, f"Y^4 = {s.Y ** 4} differences")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    powers, _, flat, m = _pair_multiset(s)
-    ps = pair_sums(powers, flat)
+    powers = _powers(s)
+    ps, flat = sum_band(powers, single_powers(powers), -np.inf, np.inf)
+    order = np.argsort(ps, kind="stable")   # sum_band gives flat-index order
+    ps, m = ps[order], _multiplicity(flat[order], s.Y)
     cut = LONG(1.0) / LONG(tau)
     rounding = _SLACK_ULPS * np.finfo(LONG).eps * ps[-1]
     if not cut > rounding:

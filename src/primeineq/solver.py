@@ -176,8 +176,8 @@ def _triple_candidates(powers: np.ndarray, Rs, reach: float
                        ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """For each R, the candidates (i, j, l) of the whole _candidate_walk,
     as arrays i, j, l and the long-double pair sums, in (l, pair sum,
-    i n + j) order: third prime first, then the stable order of the
-    unordered pair sums (count.unordered_sums)."""
+    i n + j) order: by third prime l, then by long-double pair sum
+    P_i + P_j, ties by flat index i n + j."""
     found = list(_candidate_walk(powers, Rs, reach))
     r, i, j, l = ([np.concatenate(a) for a in zip(*found)] if found
                   else [np.zeros(0, dtype=np.intp)] * 4)

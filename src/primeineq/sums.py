@@ -42,7 +42,6 @@ LONG = np.longdouble
 TWO_PI = 2.0 * np.pi
 
 _MAX_SIEVE = 2 ** 40
-_BILINEAR_GUARD = 10 ** 9
 _CACHE_SIZE = 8     # entries per module cache (dyadic prime tables)
 
 
@@ -85,15 +84,6 @@ class ProblemInstance:
             object.__setattr__(self, "K", math.log(self.X) ** 10)
         if not self.tau < self.K:
             raise ValueError(f"need tau < K, got tau={self.tau}, K={self.K}")
-
-    @property
-    def log_X(self) -> float:
-        return math.log(self.X)
-
-    @property
-    def E(self) -> float:
-        # exp(-(log X)^{1/5}); carried for reporting only.
-        return math.exp(-self.log_X ** 0.2)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -470,30 +460,3 @@ def weyl_differencing_check(z: Sequence[complex], Q: int) -> tuple[float, float]
     rhs = (2.0 + M / Q) * total
     return float(lhs), float(rhs)
 
-
-def bilinear_sum(M: int, L: int, a: Sequence[float], b: Optional[Sequence[float]],
-                 c: float, x: float) -> complex:
-    """Double sum over (M, 2M] x (L, 2L] of a(m) b(l) e(x m^c l^c).
-
-    b = None means the smooth (Type-I style) case b == 1.  Desk scale only;
-    guarded at 1e9 terms.
-    """
-    if M * L > _BILINEAR_GUARD:
-        raise GuardError("bilinear", _BILINEAR_GUARD, f"M * L = {M * L} terms")
-    a = np.asarray(a, dtype=float)
-    if len(a) != M:
-        raise ValueError(f"coefficient vector a must have length M={M}")
-    bw = None if b is None else np.asarray(b, dtype=float)
-    if bw is not None and len(bw) != L:
-        raise ValueError(f"coefficient vector b must have length L={L}")
-
-    ms = np.arange(M + 1, 2 * M + 1, dtype=np.int64).astype(LONG) ** LONG(c)
-    ls = np.arange(L + 1, 2 * L + 1, dtype=np.int64).astype(LONG) ** LONG(c)
-    total = 0.0 + 0.0j
-    for i in range(M):
-        phase = np.mod(ms[i] * ls * LONG(x), LONG(1)).astype(float)
-        row = np.exp(2j * np.pi * phase)
-        if bw is not None:
-            row = row * bw
-        total += a[i] * complex(np.sum(row))
-    return total

@@ -21,12 +21,22 @@ def sorted_sums(powers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return sums[order], order
 
 
+def pair_index(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unordered pairs i <= j in stable order of their long-double sums
+    (ties by flat index), from the ordered index sorted_sums(powers, 2):
+    float64 keys fl(P_i + P_j) and int32 flat indices i n + j."""
+    sums, order = sorted_sums(powers, 2)
+    i, j = np.divmod(order, len(powers))
+    keep = i <= j
+    return sums[keep].astype(float), order[keep].astype(np.int32)
+
+
 def window_hits(values: np.ndarray, targets: np.ndarray, width: float):
     """Yield candidate index arrays (t, pos), one block of targets at a time.
 
     ``values`` must be ascending.  Values and targets are searched as
-    float64 (``np.asarray(values, float)`` is a no-op for the pair index's
-    keys).  Pairs come in (t, pos) order and cover every pair with
+    float64 (``np.asarray(values, float)`` is a no-op for the float64 keys
+    of pair_index).  Pairs come in (t, pos) order and cover every pair with
     |values[pos] - targets[t]| < width in long double: the search reaches
     _SLACK_ULPS long-double ulps plus _KEY_ULPS float64 ulps of
     max|values| + width past the width (``count.window_reach``), so neither

@@ -164,7 +164,7 @@ def test_fast_equals_naive_across_band_edges(monkeypatch, c):
     monkeypatch.setattr(count, "_FAST_BAND", 4)
     Y = 12
     powers = count._powers(CountSpec(Y, c, 1.0))
-    assert len(count._band_edges(powers[::-1] if c < 0 else powers)) > (2 if c == 0 else 10)
+    assert len(count._band_edges(powers)) > (2 if c == 0 else 10)
     span = _sum_span(Y, c) or 1.0
     for share in (1e-3, 0.02, 0.3, 2.0):
         for delta in (1e-9, 1e-3 * share * span):
@@ -347,9 +347,9 @@ def test_guards():
 @pytest.mark.parametrize("spec, naive", [(CountSpec(8, 300.0, 1.0), 328),
                                          (CountSpec(4, 400.0, 1.0), 60)])
 def test_pair_index_refuses_sums_past_the_float64_range(spec, naive):
-    # the index keys are the pair sums rounded to float64, so a spec whose
-    # largest sum 2 (2Y)^c overflows is refused; the naive counter decides
-    # such a spec in long double
+    # the fast counter searches the pair sums by their float64 roundings,
+    # so a spec whose largest sum 2 (2Y)^c overflows is refused; the naive
+    # counter decides such a spec in long double
     with pytest.raises(ValueError, match="float64 range"):
         count_tuples_fast(spec)
     assert count_tuples_naive(spec).count == naive
@@ -387,7 +387,8 @@ def test_harmonic_sum_refuses_differences_below_the_rounding_of_the_sums():
 
 
 def test_pair_index_float64_range_edge():
-    # 2 * 8^c is finite in float64 for c < 341 and not at c = 341
+    # the fast counter's float64 roundings of the pair sums: 2 * 8^c is
+    # finite in float64 for c < 341 and not at c = 341
     for c in (340.0, 340.99):
         spec = CountSpec(4, c, 1.0)
         assert count_tuples_fast(spec).count == count_tuples_naive(spec).count == 60
@@ -418,6 +419,17 @@ def test_harmonic_sum_matches_naive():
     total, buckets = harmonic_V(spec, 10.0)
     assert total == pytest.approx(harmonic_V_naive(spec, 10.0), rel=1e-9)
     assert total == pytest.approx(float(buckets.sum()))
+
+
+@pytest.mark.parametrize("c, tau", [(-0.5, 1e4), (-1.0, 1e4), (-2.0, 1e6), (0.0, 1e4)])
+def test_harmonic_sum_matches_naive_at_c_up_to_zero(c, tau):
+    # the powers descend in n for c < 0, and harmonic_V takes them reversed;
+    # at c = 0 every pair sum is 2, so no difference passes the cut
+    spec = CountSpec(6, c, 1.0)
+    total, buckets = harmonic_V(spec, tau)
+    assert total == pytest.approx(harmonic_V_naive(spec, tau), rel=1e-9)
+    assert total == pytest.approx(float(buckets.sum()))
+    assert (total > 0) == (len(buckets) > 0) == (c != 0)
 
 
 def test_harmonic_sum_empty_when_cut_high():

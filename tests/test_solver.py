@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sorted_sums, window_hits
+from oracles import pair_index, sorted_sums, window_hits
 from primeineq import reports, solver
-from primeineq.count import pair_sums, sum_band, unordered_pairs, unordered_sums
+from primeineq.count import single_powers, sum_band, unordered_pairs
 from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
 from primeineq.solver import (count_B, exceptional_scan, find_sextuple,
                               find_triple, full_prime_table,
@@ -178,12 +178,12 @@ def _window_B1(inst: ProblemInstance, tbl: PrimeTable, R: float) -> float:
     the same terms in the same order."""
     n = len(tbl)
     P = tbl.powers(inst.c)
-    keys, flat = unordered_sums(P)
+    keys, flat = pair_index(P)
     p = kernel_from_instance(inst.eps, inst.X)
     total = 0.0
     for l, pos in window_hits(keys, LONG(R) - P, LONG(p.a + p.b)):
         i, j = np.divmod(flat[pos], n)
-        phi = phi_eval(p, (pair_sums(P, flat[pos]) - (LONG(R) - P[l])).astype(float))
+        phi = phi_eval(p, (P[i] + P[j] - (LONG(R) - P[l])).astype(float))
         phi[i < j] *= 2.0
         total += float(np.sum(tbl.logs[i] * tbl.logs[j] * phi * tbl.logs[l]))
     return total
@@ -194,11 +194,11 @@ def _unscreened_candidates(P: np.ndarray, R: float, reach: float):
     [fl(t - reach), fl(t + reach)], t = fl(R - P_l), found by comparing
     every key with every window: (i, j, l, pair sums) in (l, pair sum,
     i n + j) order."""
-    keys, flat = unordered_sums(P)
+    keys, flat = pair_index(P)
     t = (LONG(R) - P).astype(float)
     l, pos = np.nonzero((keys >= (t - reach)[:, None]) & (keys <= (t + reach)[:, None]))
     i, j = np.divmod(flat[pos], len(P))
-    return i, j, l, pair_sums(P, flat[pos])
+    return i, j, l, P[i] + P[j]
 
 
 def _pair_test_table(kind: str) -> tuple[PrimeTable, ProblemInstance]:
@@ -281,7 +281,7 @@ def test_candidate_pass_pads_for_the_float64_sums():
     tbl, _ = _pair_test_table("edge")
     P = tbl.powers(1.25)
     n = len(P)
-    keys, flat = unordered_sums(P)
+    keys, flat = pair_index(P)
     i, j = np.divmod(flat, n)
     p64 = P.astype(float)
     off = np.flatnonzero(p64[i] + p64[j] != keys)
@@ -607,8 +607,8 @@ def _all_triples(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _by_flat(sums: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A band's sums and flat indices in order of flat index: bands come
-    in no set order, and each triple has one flat index."""
+    """A band's sums and flat indices in order of flat index, whatever the
+    order of its base; each sum has one flat index."""
     order = np.argsort(flat)
     return sums[order], flat[order]
 
@@ -721,8 +721,8 @@ def test_unordered_pair_and_triple_sums(c, dense, k):
     # dense: consecutive integers from 4e9; at c = 2 many sums share a
     # float64 key but not a long-double value, and distinct tuples tie
     # exactly; at c = 1 every sum is exact and shared by many tuples.  The
-    # pair index comes in stable long-double order, the band of all triple
-    # sums in no set order
+    # bands of all pair and all triple sums come in flat order, which the
+    # stable sort of harmonic_V relies on
     primes = (np.arange(4_000_000_000, 4_000_000_040, dtype=np.int64) if dense
               else full_prime_table(2e5, c).primes)
     P = primes.astype(LONG) ** LONG(c)
@@ -732,20 +732,14 @@ def test_unordered_pair_and_triple_sums(c, dense, k):
         flat.append(sum(q * n ** (k - 1 - m) for m, q in enumerate(idx)))
         sums.append((P[idx[0]] + P[idx[1]]) + (P[idx[2]] if k == 3 else 0))
     sums = np.array(sums, dtype=LONG)
-    if k == 2:
-        # the pair index keeps float64 keys; its long-double sums are
-        # formed again from the flat indices
-        keys, got_flat = unordered_sums(P)
-        got_sums = pair_sums(P, got_flat)
-        assert keys.dtype == np.float64
-        assert np.array_equal(keys, got_sums.astype(float))
-        order = np.argsort(sums, kind="stable")
-    else:
-        got_sums, got_flat = _by_flat(*sum_band(P, unordered_pairs(P), -np.inf, np.inf))
-        order = np.arange(len(sums))   # the combinations come in flat order
+    base = single_powers(P) if k == 2 else unordered_pairs(P)
+    band = sum_band(P, base, -np.inf, np.inf)
+    got_sums, got_flat = _by_flat(*band)
+    assert np.array_equal(band[1], got_flat)
+    # the combinations come in flat order
     assert got_flat.dtype == np.int32
-    assert np.array_equal(got_sums, sums[order])
-    assert np.array_equal(got_flat, np.array(flat)[order])
+    assert np.array_equal(got_sums, sums)
+    assert np.array_equal(got_flat, np.array(flat))
 
 
 @pytest.mark.parametrize("c, dense", [(2.05, False), (2.0, True), (1.0, True)])

@@ -10,9 +10,9 @@ import pytest
 
 from oracles import levin_dense, phase_sum_fsum
 from primeineq import reports, sums
-from primeineq.sums import (LONG, ConvergenceError, ProblemInstance,
-                            bilinear_sum, integral_I, moment4, moment_grid,
-                            sieve_primes, sum_S, sum_T, weyl_differencing_check)
+from primeineq.sums import (LONG, ConvergenceError, ProblemInstance, integral_I,
+                            moment4, moment_grid, sieve_primes, sum_S, sum_T,
+                            weyl_differencing_check)
 
 
 def inst_c1(X, eps=0.4):
@@ -65,7 +65,6 @@ def test_instance_defaults():
     inst = ProblemInstance(c=2.05, X=1024.0, eps=0.1)
     assert inst.tau == pytest.approx(1024.0 ** (1 - 2.05 - 0.05))
     assert inst.K == pytest.approx(math.log(1024.0) ** 10)
-    assert 0 < inst.E < 1
 
 
 def test_instance_validation():
@@ -380,21 +379,3 @@ def test_weyl_random_inputs():
         z = rng.normal(size=M) + 1j * rng.normal(size=M)
         lhs, rhs = weyl_differencing_check(z, Q)
         assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
-
-
-def test_bilinear_sum_counts_at_zero():
-    assert bilinear_sum(8, 16, [1.0] * 8, None, 2.05, 0.0) == pytest.approx(128.0)
-
-
-def test_bilinear_sum_triangle():
-    rng = np.random.default_rng(3)
-    a = rng.choice([-1.0, 1.0], size=32)
-    v = bilinear_sum(32, 64, a, None, 2.05, 1e-5)
-    assert abs(v) <= np.abs(a).sum() * 64 + 1e-9
-
-
-def test_bilinear_sum_guards():
-    with pytest.raises(ValueError):
-        bilinear_sum(10 ** 5, 10 ** 5, [1.0] * 10 ** 5, None, 2.05, 0.0)
-    with pytest.raises(ValueError):
-        bilinear_sum(8, 16, [1.0] * 7, None, 2.05, 0.0)
