@@ -6,7 +6,9 @@ embeds its config.  Every per-item computation is a pure module-level
 function mapped with det_map, so a fixed seed gives byte-identical output
 for any worker count; the triple counts and the solvability of all R come
 from one candidate walk each in the calling process, and each R's values
-do not depend on the others.  Both Y-ladder slope reports share
+do not depend on the others.  The main term H and the s-vs-i rows take a
+whole grid per call, one chunk of R or x per worker, and each value is
+bitwise the same in any chunk.  Both Y-ladder slope reports share
 ``_ladder_fit``.
 """
 
@@ -224,7 +226,9 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
     has a solution; the R and the decision are those of
     solver.exceptional_scan, with N from the caller.  ``count`` and ``B1``
     come from one candidate pass over all R (solver.triple_counts), each
-    R's values do not depend on the others, and det_map maps only H.
+    R's values do not depend on the others, and det_map maps only H, one
+    main_term_H call per chunk of the R (one chunk per worker), each value
+    bitwise the same in any chunk.
     ``zero_fraction`` is the share of unsolvable R and must stay below
     _ZERO_CAP; ``dyadic_zero_fraction`` is the share with count 0.  The
     smoothed count must track the main term in aggregate: the band applies
@@ -237,7 +241,9 @@ def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
     Rs = sample_R(N, samples, seed)
     counts = triple_counts(inst, Rs)
     solvable = triple_solvable(inst, Rs, [t.count for t in counts])
-    H = det_map(partial(main_term_H, inst), Rs, workers)
+    chunks = np.array_split(np.array(Rs), max(workers, 1))   # one R-grid per worker
+    H = [h for part in det_map(partial(main_term_H, inst), chunks, workers)
+         for h in part.tolist()]
     rows = [{"R": R, "count": t.count, "solvable": s, "B1": t.B1, "H": h,
              "B1_over_H": t.B1 / h if h != 0 else float("inf")}
             for R, t, s, h in zip(Rs, counts, solvable, H)]

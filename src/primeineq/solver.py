@@ -188,6 +188,13 @@ def _triple_candidates(powers: np.ndarray, Rs, reach: float
     return [(i[a:b], j[a:b], l[a:b], pair[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
+def _check_finite(Rs) -> None:
+    """ValueError naming the first R of Rs that is not finite, if any."""
+    bad = [R for R in np.asarray(Rs, dtype=float).ravel().tolist() if not math.isfinite(R)]
+    if bad:
+        raise ValueError(f"R must be finite, got R = {bad[0]}")
+
+
 class TripleCount(NamedTuple):
     """The dyadic triple counts at one R (see triple_counts)."""
 
@@ -211,10 +218,11 @@ def triple_counts(inst: ProblemInstance, Rs, table: Optional[PrimeTable] = None,
     fl(P_i + P_j) = fl(P_j + P_i), a pair with i < j stands for both of
     its orderings.  Records follow third-prime order, then the order of
     the ordered pair sums: (sum, i n + j).  The guard counts all n^2
-    ordered pairs.
+    ordered pairs.  A non-finite R is a ValueError.
     """
     if inst.k != 3:
         raise ValueError("the triple counters need a k=3 instance")
+    _check_finite(Rs)
     tbl = table if table is not None else sieve_primes(inst.X)
     n = len(tbl)
     if n * n > _PAIR_GUARD:
@@ -285,12 +293,13 @@ def weighted_B1(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = N
 # levels main_term_H compares; the second doubles every node count.
 _NODES = 20
 _H_REL_TOL = 1e-10
+_NODE_BLOCK = 32   # nodes of g_3 evaluated at once: g_2 forms m^2 values per node
 
 
 @cache
 def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-point Gauss-Legendre rule on [-1, 1], read-only; main_term_H
-    asks for the same few m at every R."""
+    asks for the same few m at every call."""
     x, w = np.polynomial.legendre.leggauss(m)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -303,6 +312,46 @@ def _gauss(lo, hi, m: int) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = np.asarray(lo, float)[..., None], np.asarray(hi, float)[..., None]
     half = 0.5 * (hi - lo)
     return lo + half * (1.0 + x), half * w
+
+
+def _kernel_rule(p: KernelParams, lo: float, hi: float, q: int) -> np.ndarray:
+    """The weights L_j of the q-point rule sum_j L_j g(mid + half x_j) for
+    int_lo^hi phi(t) g(t) dt, with x_j the q Gauss-Legendre nodes and mid,
+    half the centre and half-width of [lo, hi]: the integral of phi against
+    the Legendre interpolant of g at those nodes.  The kernel is a
+    polynomial of degree n between the points +-(a - b + 2hj), and the
+    Gauss-Legendre rule on those pieces integrates it against the
+    interpolant exactly."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    steps = p.a - p.b + 2.0 * p.h * np.arange(p.n_boxes + 1)
+    knots = np.concatenate([-steps[::-1], steps])
+    edges = [lo, *knots[(knots > lo) & (knots < hi)], hi]
+    t, wt = _gauss(edges[:-1], edges[1:], (p.n_boxes + q) // 2 + 1)
+    t, wt = t.ravel(), wt.ravel()
+    legvander = np.polynomial.legendre.legvander
+    moments = legvander((t - mid) / half, q - 1).T @ (wt * phi_eval(p, t))   # int phi P_l
+    x, w = _leggauss(q)
+    return w * (legvander(x, q - 1) @ ((np.arange(q) + 0.5) * moments))
+
+
+def _support_nodes(k: int, e: float, scale: float) -> int:
+    """Nodes per piece of the kernel's support, |t| <= e, at the first level
+    of main_term_H; the second takes twice as many.
+
+    Near an end of its support g_k behaves like d^(k-1) times a factor
+    analytic on the scale ``scale`` (the distance X^c from the singularity of
+    f at 0 to the lower end, or the spacing D of the kinks, if smaller), and
+    elsewhere it varies on that scale.  q nodes fit d^(k-1) exactly and
+    leave a relative error below about (e / scale)^(q - k + 1) (measured:
+    under a hundredth of it), so q is the least count from k + 1 up that
+    brings this under _H_REL_TOL, at most _NODES.  That is k + 1 in the
+    triple regime from N = 1e5 up and in the sextuple regime from N = 1e6
+    up, and more only at toy scale: k + 4 at N = 1e2.
+    """
+    q = k + 1
+    while (e / scale) ** (q - k + 1) > _H_REL_TOL and q < _NODES:
+        q += 1
+    return q
 
 
 class _Densities:
@@ -360,69 +409,99 @@ class _Densities:
         r, wr = _gauss(cuts[:-1], cuts[1:], self.m)
         return 2.0 * float(np.sum(wr * self.g3(r) * self.g3(d - r)))
 
-    def smoothed(self, k: int, p: KernelParams, R: float) -> float:
-        """int phi(t) g_k(R + t) dt over the kernel's support |t| <= a + b;
-        phi is even, so in the offset from either end this is
-        int phi(t) g_k(offset + t) dt.
+    def gk(self, k: int, d: np.ndarray) -> np.ndarray:
+        """g_k at every point of the 1-d array d, each value independent of
+        the others: g_3 a block of _NODE_BLOCK points at a time, g_6 one
+        point at a time."""
+        if k == 6:
+            return np.array([self.g6(v) for v in d.tolist()])
+        return np.concatenate([self.g3(d[i:i + _NODE_BLOCK])
+                               for i in range(0, len(d), _NODE_BLOCK)])
 
-        The support is split at the kinks of g_k.  On each piece g_k, which
-        varies on the scale X^c against a support of width 2 eps, is replaced
-        by its Legendre interpolant at m/2 Gauss nodes (near the ends of its
-        support g_k behaves like a polynomial of degree k - 1).  The kernel
-        is a polynomial of degree n between the points +-(a - b + 2hj), and
-        the Gauss-Legendre rule on those pieces integrates it against the
-        interpolant exactly.
+    def smoothed(self, k: int, p: KernelParams, Rs: np.ndarray, q: int,
+                 uncut: np.ndarray) -> np.ndarray:
+        """int phi(t) g_k(R + t) dt over the kernel's support |t| <= a + b at
+        every R of the 1-d array Rs; phi is even, so in the offset from
+        either end this is int phi(t) g_k(offset + t) dt.
+
+        The support is split at the kinks of g_k, and each piece [lo, hi]
+        takes the q-point rule _kernel_rule(p, lo, hi, q), which folds the
+        kernel into weights on q nodes of g_k.  ``uncut`` is that rule on the
+        whole support, the piece of every R farther than a + b from a kink
+        and from both ends; the rule of a cut piece is built for its R.
+        g_k is analytic on each piece, and q comes from _support_nodes.
+        Every value is bitwise the same in any batch of R.
         """
-        offset = self.sign * (R - k * self.end)   # R's distance from the end
         e = p.a + p.b
-        lo, hi = max(-e, -offset), min(e, k * self.D - offset)
-        if hi <= lo:
-            return 0.0
-        inner = [i * self.D - offset for i in range(1, k)]
-        cuts = [lo, *(q for q in inner if lo < q < hi), hi]
-        steps = p.a - p.b + 2.0 * p.h * np.arange(p.n_boxes + 1)
-        phi_knots = np.concatenate([-steps[::-1], steps])
-        m = self.m // 2
-        x, w = _leggauss(m)
-        scale = np.arange(m) + 0.5
-        total = 0.0
-        for jlo, jhi in zip(cuts, cuts[1:]):
-            mid, half = 0.5 * (jlo + jhi), 0.5 * (jhi - jlo)
-            d = offset + mid + half * x
-            g = self.g3(d) if k == 3 else np.array([self.g6(v) for v in d])
-            coef = scale * (np.polynomial.legendre.legvander(x, m - 1).T @ (w * g))
-            edges = [jlo, *phi_knots[(phi_knots > jlo) & (phi_knots < jhi)], jhi]
-            t, wt = _gauss(edges[:-1], edges[1:], (p.n_boxes + m) // 2 + 1)
-            t, wt = t.ravel(), wt.ravel()
-            phi = phi_eval(p, t)
-            total += float(np.sum(wt * phi
-                                  * np.polynomial.legendre.legval((t - mid) / half, coef)))
+        x = _leggauss(q)[0]
+        owner, nodes, rules = [], [], []   # one entry per piece
+        for r, R in enumerate(Rs.tolist()):
+            offset = self.sign * (R - k * self.end)   # R's distance from the end
+            lo, hi = max(-e, -offset), min(e, k * self.D - offset)
+            if hi <= lo:
+                continue
+            inner = [i * self.D - offset for i in range(1, k)]
+            cuts = [lo, *(v for v in inner if lo < v < hi), hi]
+            for jlo, jhi in zip(cuts, cuts[1:]):
+                mid, half = 0.5 * (jlo + jhi), 0.5 * (jhi - jlo)
+                owner.append(r)
+                nodes.append(offset + mid + half * x)
+                rules.append(uncut if (jlo, jhi) == (-e, e)
+                             else _kernel_rule(p, jlo, jhi, q))
+        total = np.zeros(len(Rs))
+        if owner:
+            g = self.gk(k, np.concatenate(nodes)).reshape(len(owner), q)
+            for r, part in zip(owner, np.sum(np.array(rules) * g, axis=-1).tolist()):
+                total[r] += part
         return total
 
 
-def main_term_H(inst: ProblemInstance, R: float) -> float:
+def main_term_H(inst: ProblemInstance, R):
     """Singular integral H(R) = int I^k(x) Phi(x) e(-Rx) dx, in physical
-    space, with k = inst.k (3 or 6, else ValueError).
+    space, with k = inst.k (3 or 6, else ValueError), at one R (gives a
+    float) or at every R of a 1-d array (gives an array).  Each value is
+    bitwise the same in any batch, so one call per R-grid serves every
+    caller; a non-finite R is a ValueError.
 
     By Plancherel H(R) = int phi(y - R) g_k(y) dy, where g_k is the density
     of t_1^c + ... + t_k^c over [X, 2X]^k (whose Fourier transform is I^k).
     g_3 = f * f * f and g_6 = g_3 * g_3 are evaluated by Gauss-Legendre
     with exact limits, split at every kink, and the kernel's support is
-    split at the kinks of g_k and of phi (see _Densities).  The whole
-    computation is repeated with twice the nodes; ConvergenceError if the
-    two differ by more than 1e-10 relative, else the finer value.
+    split at the kinks of g_k.  On each piece the kernel is folded into a
+    rule on q nodes of g_k, built once per call for the uncut support, with
+    q = k + 1 at the scale of the reports (see _support_nodes and
+    _Densities.smoothed).  The whole computation is repeated with twice the
+    nodes; ConvergenceError if the two differ by more than 1e-10 relative
+    at any R, else the finer values.
     """
     k = inst.k
     if k not in (3, 6):
         raise ValueError("k must be 3 or 6")
+    Rs = np.asarray(R, dtype=float)
+    flat = Rs.ravel()
+    _check_finite(flat)
     params = kernel_from_instance(inst.eps, inst.X)
-    upper = 2 * R > k * (inst.X ** inst.c + (2 * inst.X) ** inst.c)
-    coarse, fine = (_Densities(inst.X, inst.c, m, upper).smoothed(k, params, R)
-                    for m in (_NODES, 2 * _NODES))
-    error = abs(fine - coarse)
-    if error > _H_REL_TOL * abs(fine):
-        raise ConvergenceError("main_term_H", error / abs(fine) if fine else error)
-    return fine
+    e = params.a + params.b
+    A, B = inst.X ** inst.c, (2 * inst.X) ** inst.c
+    upper = 2 * flat > k * (A + B)
+    nodes = _support_nodes(k, e, min(A, B - A))
+    levels = []
+    for m, q in ((_NODES, nodes), (2 * _NODES, 2 * nodes)):
+        uncut = _kernel_rule(params, -e, e, q)
+        level = np.empty(len(flat))
+        for side in (False, True):
+            pick = upper == side
+            level[pick] = _Densities(inst.X, inst.c, m, side).smoothed(
+                k, params, flat[pick], q, uncut)
+        levels.append(level)
+    coarse, fine = levels
+    error = np.abs(fine - coarse)
+    bad = np.flatnonzero(error > _H_REL_TOL * np.abs(fine))
+    if len(bad):
+        i = bad[0]
+        raise ConvergenceError("main_term_H",
+                               float(error[i] / abs(fine[i]) if fine[i] else error[i]))
+    return float(fine[0]) if Rs.ndim == 0 else fine.reshape(Rs.shape)
 
 
 # _mitm_search's slack in long-double ulps of max|sum| + eps: an ordering's
@@ -542,10 +621,11 @@ def _first_triples(inst: ProblemInstance, Rs) -> list[Optional[SolutionRecord]]:
     holds every j >= i that can solve and every l of its rows, so the
     candidates with l >= j of a chunk are checked in (i, j, l) order, and an
     R's first confirmed one is its record.  The walk stops once every R has
-    one.
+    one.  A non-finite R is a ValueError.
     """
     if inst.k != 3:
         raise ValueError("the triple search needs a k=3 instance")
+    _check_finite(Rs)
     records = [None] * len(Rs)
     if not records:
         return records

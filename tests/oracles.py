@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 
+from primeineq import solver
 from primeineq.count import CountResult, CountSpec, run_positions, window_reach
+from primeineq.kernel import kernel_from_instance, phi_eval
+from primeineq.sums import ConvergenceError
 
 _BLOCK = 1 << 16   # targets per block of window_hits
 
@@ -144,3 +147,52 @@ def exp_sum_abs(x: float, c: float, a: int) -> float:
         total_re += math.cos(phase)
         total_im += math.sin(phase)
     return math.hypot(total_re, total_im)
+
+
+def _smoothed_per_R(dens, k: int, p, R: float) -> float:
+    """int phi(t) g_k(R + t) dt over |t| <= a + b for one R, the support
+    split at the kinks of g_k: on each piece g_k is fitted at m/2 Legendre
+    nodes, and the Gauss rule between the kernel's knots integrates phi
+    against the fit, all rebuilt for this R."""
+    offset = dens.sign * (R - k * dens.end)
+    e = p.a + p.b
+    lo, hi = max(-e, -offset), min(e, k * dens.D - offset)
+    if hi <= lo:
+        return 0.0
+    inner = [i * dens.D - offset for i in range(1, k)]
+    cuts = [lo, *(q for q in inner if lo < q < hi), hi]
+    steps = p.a - p.b + 2.0 * p.h * np.arange(p.n_boxes + 1)
+    phi_knots = np.concatenate([-steps[::-1], steps])
+    m = dens.m // 2
+    x, w = np.polynomial.legendre.leggauss(m)
+    scale = np.arange(m) + 0.5
+    total = 0.0
+    for jlo, jhi in zip(cuts, cuts[1:]):
+        mid, half = 0.5 * (jlo + jhi), 0.5 * (jhi - jlo)
+        d = offset + mid + half * x
+        g = dens.g3(d) if k == 3 else np.array([dens.g6(v) for v in d])
+        coef = scale * (np.polynomial.legendre.legvander(x, m - 1).T @ (w * g))
+        edges = [jlo, *phi_knots[(phi_knots > jlo) & (phi_knots < jhi)], jhi]
+        t, wt = solver._gauss(edges[:-1], edges[1:], (p.n_boxes + m) // 2 + 1)
+        t, wt = t.ravel(), wt.ravel()
+        total += float(np.sum(wt * phi_eval(p, t)
+                              * np.polynomial.legendre.legval((t - mid) / half, coef)))
+    return total
+
+
+def main_term_per_R(inst, R: float) -> float:
+    """The main term H(R) of ``solver.main_term_H`` by the per-R path it
+    replaced: g_k fitted at m/2 = 10 and 20 nodes per piece of the kernel's
+    support, and the kernel's Gauss rule rebuilt at every R.  The finer
+    level's value; ConvergenceError if the two levels differ by more than
+    solver._H_REL_TOL relative."""
+    k = inst.k
+    params = kernel_from_instance(inst.eps, inst.X)
+    upper = 2 * R > k * (inst.X ** inst.c + (2 * inst.X) ** inst.c)
+    coarse, fine = (_smoothed_per_R(solver._Densities(inst.X, inst.c, m, upper), k,
+                                    params, R)
+                    for m in (solver._NODES, 2 * solver._NODES))
+    error = abs(fine - coarse)
+    if error > solver._H_REL_TOL * abs(fine):
+        raise ConvergenceError("main_term_H", error / abs(fine) if fine else error)
+    return fine

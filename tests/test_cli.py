@@ -175,6 +175,18 @@ def test_count_rs_rejects_non_finite_input(capsys, flags):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", [("mainterm",), ("solve", "triple")])
+@pytest.mark.parametrize("R", ["nan", "inf", "-inf"])
+def test_non_finite_R_is_a_usage_error(capsys, command, R):
+    # unchecked, mainterm printed "H": NaN with exit 0, and solve triple
+    # died in the candidate walk with exit 1
+    code = run([*command, "--N", "1e5", "--c", "1.5", f"--R={R}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"usage error: R must be finite, got R = {float(R)}\n"
+
+
 def test_resource_guard_has_its_own_exit_code(capsys):
     # Y^2 pair sums beyond the fast counter's guard; the guard fires before
     # any allocation

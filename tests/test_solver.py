@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import pair_index, sorted_sums, window_hits
+from oracles import main_term_per_R, pair_index, sorted_sums, window_hits
 from primeineq import reports, solver
 from primeineq.count import single_powers, sum_band, unordered_pairs
 from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
 from primeineq.solver import (count_B, exceptional_scan, find_sextuple,
                               find_triple, full_prime_table,
                               instance_for_theorem1, instance_for_theorem2,
-                              main_term_H, sextuple_feasible, weighted_B1)
+                              main_term_H, sextuple_feasible, triple_counts,
+                              weighted_B1)
 from primeineq.sums import (LONG, ConvergenceError, GuardError, PrimeTable,
                             ProblemInstance, integral_I, sieve_primes,
                             sieve_range)
@@ -490,6 +491,83 @@ def test_main_term_raises_when_levels_disagree(inst_1e5, monkeypatch):
     with pytest.raises(ConvergenceError, match="main_term_H") as info:
         main_term_H(inst_1e5, 1.5e5)
     assert info.value.routine == "main_term_H" and info.value.error > 1e-10
+
+
+def _main_term_grid(inst: ProblemInstance) -> dict[str, list[float]]:
+    """R in the interior of the support [kA, kB] of g_k; half a kernel
+    support a + b either side of every kink (k - i)A + iB, so the support is
+    split there; and 1e-3, 0.5 and 2 kernel supports inside both ends."""
+    k = inst.k
+    A, B = inst.X ** inst.c, (2 * inst.X) ** inst.c
+    p = kernel_from_instance(inst.eps, inst.X)
+    e = p.a + p.b
+    kinks = [(k - i) * A + i * B for i in range(1, k)]
+    return {"interior": [k * A + share * k * (B - A) for share in (0.37, 0.81)],
+            "kinks": [q + side * e / 2 for q in kinks for side in (-1, 1)],
+            "ends": [R for s in (1e-3, 0.5, 2.0) for R in (k * A + s * e, k * B - s * e)]}
+
+
+@pytest.mark.parametrize("c", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("N", [1e4, 1e5])   # 5 and 4 nodes on the kernel's support
+def test_main_term_matches_the_per_R_oracle_k3(N, c):
+    inst = instance_for_theorem1(N, c)
+    Rs = [R for part in _main_term_grid(inst).values() for R in part]
+    for R, got in zip(Rs, main_term_H(inst, np.array(Rs))):
+        assert got == pytest.approx(main_term_per_R(inst, R), rel=1e-12), R
+
+
+@pytest.mark.parametrize("where", ["ends", "kinks"])
+def test_main_term_matches_the_per_R_oracle_k6(where):
+    # g_6 vanishes like d^5 at both ends of its support; 7 nodes per piece
+    # of the kernel's support there, against the oracle's 10.  Each kink is
+    # straddled by one R, on alternating sides (g_6 costs a second apiece
+    # near the middle of its support)
+    inst = instance_for_theorem2(1e6, 2.05)
+    grid = _main_term_grid(inst)
+    Rs = (grid["ends"] if where == "ends"
+          else grid["interior"][:1] + [grid["kinks"][2 * i + i % 2] for i in range(5)])
+    for R, got in zip(Rs, main_term_H(inst, np.array(Rs))):
+        assert got == pytest.approx(main_term_per_R(inst, R), rel=1e-12), R
+
+
+def test_main_term_grid_is_bitwise_each_R_alone():
+    inst = instance_for_theorem1(1e4, 1.5)
+    Rs = [R for part in _main_term_grid(inst).values() for R in part]
+    random.Random(0).shuffle(Rs)
+    Rs += [1e3, 3e4 + 1.0]   # below and above the support: H = 0
+    alone = [main_term_H(inst, R) for R in Rs]
+    assert main_term_H(inst, np.array(Rs)).tolist() == alone
+    for chunks in (2, 3, 7):
+        split = np.array_split(np.array(Rs), chunks)
+        assert [h for part in split for h in main_term_H(inst, part).tolist()] == alone
+    assert all(type(h) is float for h in alone)
+    assert alone[-2:] == [0.0, 0.0]
+    assert main_term_H(inst, np.zeros(0)).shape == (0,)
+
+
+def test_main_term_raises_below_k_nodes_on_the_kernel_support(monkeypatch):
+    # 4 and then 8 nodes per piece two kernel supports inside the lower end
+    # of g_6's support, where g_6 behaves like d^5
+    inst = instance_for_theorem2(1e6, 2.05)
+    p = kernel_from_instance(inst.eps, inst.X)
+    monkeypatch.setattr(solver, "_support_nodes", lambda k, e, scale: 4)
+    with pytest.raises(ConvergenceError, match="main_term_H") as info:
+        main_term_H(inst, 6 * inst.X ** inst.c + 2 * (p.a + p.b))
+    assert info.value.error > 1e-10
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+def test_non_finite_R_is_rejected(inst_1e5, R):
+    with pytest.raises(ValueError, match=f"R must be finite, got R = {R}"):
+        main_term_H(inst_1e5, R)
+    with pytest.raises(ValueError, match=f"R must be finite, got R = {R}"):
+        main_term_H(inst_1e5, np.array([1.5e5, R]))
+    with pytest.raises(ValueError, match=f"R must be finite, got R = {R}"):
+        triple_counts(inst_1e5, [1.5e5, R])
+    with pytest.raises(ValueError, match=f"R must be finite, got R = {R}"):
+        count_B(inst_1e5, R)
+    with pytest.raises(ValueError, match=f"R must be finite, got R = {R}"):
+        find_triple(inst_1e5, R)
 
 
 def test_sextuple_degenerate_c1():
