@@ -15,8 +15,9 @@ from .kernel import KernelParams, kernel_from_instance, phi_eval, phi_fourier, \
 from .sums import ConvergenceError, GuardError, ProblemInstance, PrimeTable, \
     integral_I, moment4, sieve_primes, sum_S, sum_T
 from .count import CountSpec, CountResult, count_tuples_fast, count_tuples_naive
-from .solver import (SolutionRecord, count_B, exceptional_scan, find_sextuple,
-                     find_triple, instance_for_theorem1, instance_for_theorem2,
-                     main_term_H, triple_solvable, weighted_B1)
+from .solver import (SolutionRecord, count_B, find_sextuple, find_triple,
+                     instance_for_theorem1, instance_for_theorem2, main_term_H,
+                     triple_solvable, weighted_B1)
+from .reports import exceptional_scan
 
 __version__ = "0.1.0"

@@ -25,10 +25,9 @@ from .exppair import apply_word, search_pairs
 from .kernel import KernelParams, phi_eval, phi_fourier, phi_fourier_bound, \
     phi_fourier_quadrature
 from .ledger import _frac
-from .reports import render_report
-from .solver import (exceptional_scan, find_sextuple, instance_config,
-                     instance_for_theorem1, instance_for_theorem2, main_term_H,
-                     triple_counts)
+from .reports import exceptional_scan, render_report
+from .solver import (find_sextuple, instance_for_theorem1,
+                     instance_for_theorem2, main_term_H, triple_counts)
 from .sums import (ConvergenceError, GuardError, ProblemInstance, integral_I,
                    moment4, sum_S, sum_T)
 
@@ -193,7 +192,7 @@ def _cmd_sums(args, cfg, out) -> int:
         if x is None:
             raise UsageError("sums eval requires --x")
         t, s, i = sum_T(inst, x), sum_S(inst, x), integral_I(inst, x)
-        _emit(render_report({"config": instance_config(inst), "x": x,
+        _emit(render_report({"config": asdict(inst), "x": x,
                              "T": [t.real, t.imag], "S": [s.real, s.imag],
                              "I": [i.real, i.imag],
                              "abs": {"T": abs(t), "S": abs(s), "I": abs(i)}},
@@ -202,7 +201,7 @@ def _cmd_sums(args, cfg, out) -> int:
     if args.action == "moment":
         which = args.which or "S"
         value, err = moment4(inst, which)
-        _emit(render_report({"config": instance_config(inst), "which": which,
+        _emit(render_report({"config": asdict(inst), "which": which,
                              "moment4": value, "refine_err": err}, indent=2), out)
         return 0
     # profile
@@ -228,10 +227,10 @@ def _cmd_count(args, cfg, out) -> int:
         return 0
     if args.action == "ladder":
         Ys = [int(y) for y in (args.Ys or "64,128,256,512,1024").split(",")]
-        rep = reports.rs_scaling_report(c, gamma, Ys)
+        text = reports.rs_slope_report(c, gamma, Ys)
+        rep = json.loads(text)
         if (args.format or "csv") == "json":
-            _emit(render_report({"config": {"c": c, "gamma": gamma, "Ys": Ys},
-                                 **rep}, indent=2), out)
+            _emit(text, out)
         else:
             rows = [{"Y": Y, "count": n, "slope": rep["slope"],
                      "reference_slope": rep["reference_slope"]}
@@ -259,7 +258,7 @@ def _cmd_solve(args, cfg, out) -> int:
         inst = instance_for_theorem1(N, c, eps)
         R = _resolve(args, cfg, "R", float, 1.5 * N)
         counts = triple_counts(inst, [R], want_records=True)[0]
-        payload = {"config": {**instance_config(inst), "N": N},
+        payload = {"config": {**asdict(inst), "N": N},
                    "R": R, "count": counts.count, "weighted": counts.weighted,
                    "B1": counts.B1, "H": main_term_H(inst, R),
                    "records": [asdict(r) for r in counts.records]}
@@ -267,7 +266,7 @@ def _cmd_solve(args, cfg, out) -> int:
         return 0
     inst = instance_for_theorem2(N, c, eps)
     res = find_sextuple(inst, N)
-    payload = {"config": {**instance_config(inst), "N": N},
+    payload = {"config": {**asdict(inst), "N": N},
                "found": res.found, "feasible": res.feasible,
                "range_used": res.range_used,
                "records": [] if res.record is None else [asdict(res.record)]}
@@ -299,11 +298,13 @@ def _cmd_mainterm(args, cfg, out) -> int:
     k = _resolve(args, cfg, "k", int, 3)
     if k not in (3, 6):
         raise UsageError("k must be 3 or 6")
+    R = _resolve(args, cfg, "R", float)
+    if R is None:
+        raise UsageError("mainterm requires --R")
     theorem = instance_for_theorem1 if k == 3 else instance_for_theorem2
     inst = theorem(N, c, _resolve(args, cfg, "eps", float))
-    R = _resolve(args, cfg, "R", float, N)
     h = main_term_H(inst, R)
-    _emit(render_report({"config": {**instance_config(inst), "N": N},
+    _emit(render_report({"config": {**asdict(inst), "N": N},
                          "R": R, "H": h}, indent=2), out)
     return 0
 
@@ -314,16 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--out", help="write output to this path instead of stdout")
     top.add_argument("--format", choices=["json", "csv"])
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--c", type=float)
-        p.add_argument("--N", type=float)
-        p.add_argument("--X", type=float)
-        p.add_argument("--eps", type=float)
-        p.add_argument("--eta", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--R", type=float)
-        return p
 
     p = sub.add_parser("pairs")
     p.add_argument("action", choices=["eval", "search"])
@@ -346,8 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int)
     p.add_argument("--seed", type=int)
 
-    p = common(sub.add_parser("sums"))
+    p = sub.add_parser("sums")
     p.add_argument("action", choices=["eval", "moment", "profile"])
+    p.add_argument("--c", type=float)
+    p.add_argument("--X", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--x", type=float)
     p.add_argument("--which", choices=["S", "I"])
     p.add_argument("--points", type=int)
@@ -360,13 +356,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float)
     p.add_argument("--Ys")
 
-    p = common(sub.add_parser("solve"))
+    p = sub.add_parser("solve")
     p.add_argument("action", choices=["triple", "sextuple"])
+    p.add_argument("--c", type=float)
+    p.add_argument("--N", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--R", type=float)
 
-    p = common(sub.add_parser("scan"))
+    p = sub.add_parser("scan")
+    p.add_argument("--c", type=float)
+    p.add_argument("--N", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int)
 
-    p = common(sub.add_parser("mainterm"))
+    p = sub.add_parser("mainterm")
+    p.add_argument("--c", type=float)
+    p.add_argument("--N", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--R", type=float)
     p.add_argument("--k", type=int)
 
     return top

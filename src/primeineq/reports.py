@@ -1,15 +1,19 @@
-"""Canonical JSON reports for the numeric experiment suites.
+"""Canonical JSON reports for the numeric experiment suites, one report
+per experiment.
 
 ``render_report`` renders every JSON document the package prints (sorted
 keys, schema tag); each report here is a plain dict that names itself and
-embeds its config.  Every per-item computation is a pure module-level
-function mapped with det_map, so a fixed seed gives byte-identical output
-for any worker count; the triple counts and the solvability of all R come
-from one candidate walk each in the calling process, and each R's values
-do not depend on the others.  The main term H and the s-vs-i rows take a
-whole grid per call, one chunk of R or x per worker, and each value is
-bitwise the same in any chunk.  Both Y-ladder slope reports share
-``_ladder_fit``.
+embeds its config, except the scan's payload, which carries no name and
+which ``primeineq scan`` renders as JSON or CSV.  Every per-item computation is a pure
+module-level function mapped with det_map, so a fixed seed gives
+byte-identical output for any worker count; the triple counts and the
+solvability of all R come from one candidate walk each in the calling
+process, and each R's values do not depend on the others.  The main term H
+and the s-vs-i rows take a whole grid per call, one chunk of R or x per
+worker, and each value is bitwise the same in any chunk.  ``rs_slope_report``
+is the one Y-ladder slope fit (``primeineq count ladder`` prints it), and
+the scan and the triple-regime report take R, counts, solvability and zero
+shares from one sweep, ``_triple_sweep``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import json
 import math
 import random
 import statistics
+from collections import Counter
 from dataclasses import asdict, fields
 from functools import partial
 
@@ -25,8 +30,8 @@ import numpy as np
 
 from ._parallel import det_map
 from .count import CountSpec, count_tuples_fast, count_tuples_naive
-from .solver import (SolutionRecord, find_sextuple, instance_for_theorem1,
-                     instance_for_theorem2, instance_config, main_term_H,
+from .solver import (SolutionRecord, TripleCount, find_sextuple,
+                     instance_for_theorem1, instance_for_theorem2, main_term_H,
                      sample_R, triple_counts, triple_solvable)
 from .sums import ProblemInstance, integral_I, moment4, sieve_primes, sum_S
 
@@ -75,62 +80,36 @@ def _ladder_count(Y: int, c: float, gamma: float) -> int:
     return count_tuples_fast(CountSpec(Y, c, gamma)).count
 
 
-def _ladder_fit(c: float, gamma: float, Ys, workers: int = 1
-                ) -> tuple[list[int], float, float]:
-    """The tuple counts along the Y ladder and the least-squares line
-    log(count) = slope log(Y) + intercept: (counts, slope, intercept)."""
-    counts = det_map(partial(_ladder_count, c=c, gamma=gamma), list(Ys), workers)
-    slope, intercept = np.polyfit(np.log(np.array(Ys, float)),
-                                  np.log(np.array(counts, float)), 1)
-    return counts, float(slope), float(intercept)
-
-
-_SLOPE_CAP = 2.65   # rs-slope's ceiling on the fitted slope
+# rs-slope passes with a fitted slope at most the reference max(4 - c, 2)
+# plus this allowance, which absorbs the eta factor of the bound
+_SLOPE_ALLOWANCE = 0.15
 
 
 def rs_slope_report(c: float = 1.5, gamma: float = 1.0,
                     Ys: tuple[int, ...] = (64, 128, 256, 512, 1024),
                     workers: int = 1) -> str:
-    """Log-log slope of the near-diagonal tuple count along a Y ladder."""
-    counts, slope, intercept = _ladder_fit(c, gamma, Ys, workers)
-    return render_report({
-        "report": "rs-slope",
-        "config": {"c": c, "gamma": gamma, "Ys": list(Ys), "slope_cap": _SLOPE_CAP},
-        "counts": counts,
-        "slope": slope,
-        "intercept": intercept,
-        "reference_slope": max(4.0 - c, 2.0),
-        "pass": slope <= _SLOPE_CAP,
-    })
-
-
-_SLOPE_ALLOWANCE = 0.15   # rs_scaling_report's allowance over the reference slope
-
-
-def rs_scaling_report(c: float, gamma: float, Ys: list[int]) -> dict:
-    """Fit log(count) against log(Y) over a doubling ladder.
-
-    The reference slope is max(4 - c, 2); the eta factor in the bound is
-    absorbed into the additive allowance.  A gamma so large that the window
-    swallows everything is flagged out-of-regime (slope tends to 4).
-    """
+    """Log-log slope of the near-diagonal tuple count along a Y ladder of
+    at least 4 rungs: the least-squares line log(count) = slope log(Y) +
+    intercept against the cap max(4 - c, 2) + _SLOPE_ALLOWANCE.  A gamma so
+    large that the window swallows every tuple (each count Y^4, slope 4)
+    is out of regime and fails."""
     if len(Ys) < 4:
         raise ValueError("need a ladder of at least 4 Y values")
-    counts, slope, intercept = _ladder_fit(c, gamma, Ys)
+    counts = det_map(partial(_ladder_count, c=c, gamma=gamma), list(Ys), workers)
+    slope, intercept = map(float, np.polyfit(np.log(np.array(Ys, float)),
+                                             np.log(np.array(counts, float)), 1))
     reference = max(4.0 - c, 2.0)
+    cap = reference + _SLOPE_ALLOWANCE
     out_of_regime = all(n == Y ** 4 for n, Y in zip(counts, Ys))
-    return {
-        "c": c,
-        "gamma": gamma,
-        "Ys": list(Ys),
+    return render_report({
+        "report": "rs-slope",
+        "config": {"c": c, "gamma": gamma, "Ys": list(Ys), "slope_cap": cap},
         "counts": counts,
         "slope": slope,
         "intercept": intercept,
         "reference_slope": reference,
-        "allowance": _SLOPE_ALLOWANCE,
-        "pass": slope <= reference + _SLOPE_ALLOWANCE and not out_of_regime,
-        "out_of_regime": out_of_regime,
-    }
+        "pass": slope <= cap and not out_of_regime,
+    })
 
 
 # ----------------------------------------------------------------- moments
@@ -195,7 +174,7 @@ def s_vs_i_report(c: float = 2.05, X: float = 4096.0, points: int = 20,
     cap = _TOL_FACTOR * X ** 0.75
     return render_report({
         "report": "s-vs-i",
-        "config": {**instance_config(inst), "points": points, "seed": seed,
+        "config": {**asdict(inst), "points": points, "seed": seed,
                    "tol_factor": _TOL_FACTOR},
         "rows": rows,
         "max_abs": worst,
@@ -206,6 +185,48 @@ def s_vs_i_report(c: float = 2.05, X: float = 4096.0, points: int = 20,
 
 # ----------------------------------------------------------------- solvers
 
+def _triple_sweep(inst: ProblemInstance, N: float, samples: int, seed: int
+                  ) -> tuple[list[float], list[TripleCount], list[bool], dict]:
+    """The sampled-R sweep behind the scan and the triple-regime report:
+    ``samples`` seeded R in (N, 2N], their dyadic counts over (X, 2X]^3
+    from one candidate pass over all R (solver.triple_counts), whether each
+    has a solution in primes of any size (solver.triple_solvable: a row
+    with a dyadic solution is solvable, and the rows without one are
+    decided together by one candidate walk over all primes, which stops
+    once each has a solution), and the zero shares both reports carry:
+    ``zero_fraction``, the unsolvable share, and ``dyadic_zero_fraction``,
+    the share with count 0.  Returns (Rs, counts, solvable, shares)."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    Rs = sample_R(N, samples, seed)
+    counts = triple_counts(inst, Rs)
+    solvable = triple_solvable(inst, Rs, [t.count for t in counts])
+    shares = {"zero_fraction": solvable.count(False) / samples,
+              "dyadic_zero_fraction":
+                  sum(1 for t in counts if t.count == 0) / samples}
+    return Rs, counts, solvable, shares
+
+
+def exceptional_scan(inst: ProblemInstance, samples: int, seed: int) -> dict:
+    """Empirical exceptional-set scan, the payload of ``primeineq scan``:
+    the sweep of _triple_sweep with N = 3 X^c, so R is drawn from the range
+    the instance was built for.  ``counts`` are the dyadic counts and
+    ``histogram`` maps each count, as a string, to its frequency."""
+    Rs, triples, solvable, shares = _triple_sweep(inst, 3.0 * inst.X ** inst.c,
+                                                  samples, seed)
+    counts = [t.count for t in triples]
+    return {
+        "seed": seed,
+        "samples": samples,
+        "R_values": Rs,
+        "counts": counts,
+        "solvable": solvable,
+        **shares,
+        "histogram": {str(k): v for k, v in Counter(counts).items()},
+        "config": asdict(inst),
+    }
+
+
 # triple-regime's gates: the ceiling on the unsolvable share of R, and the
 # band on the aggregate sum(B1) / sum(H)
 _ZERO_CAP = 0.4
@@ -215,75 +236,62 @@ _BAND = (0.5, 2.0)
 def triple_regime_report(N: float = 1e5, c: float = 1.5, samples: int = 50,
                          seed: int = 3, workers: int = 1) -> str:
     """Density check for the three-prime inequality over seeded random R in
-    (N, 2N].
+    (N, 2N], from the sweep the scan makes (_triple_sweep), with N from the
+    caller.
 
     ``count``, ``B1`` and ``H`` are taken over the dyadic range (X, 2X] of
-    the counting argument.  ``solvable`` asks whether the inequality has a
-    solution in primes at all (the exceptional set of the statement has no
-    range restriction), as decided by solver.triple_solvable: a row with a
-    dyadic solution is solvable, and the rows without one are decided
-    together by one candidate walk over all primes, which stops once each
-    has a solution; the R and the decision are those of
-    solver.exceptional_scan, with N from the caller.  ``count`` and ``B1``
-    come from one candidate pass over all R (solver.triple_counts), each
-    R's values do not depend on the others, and det_map maps only H, one
-    main_term_H call per chunk of the R (one chunk per worker), each value
-    bitwise the same in any chunk.
-    ``zero_fraction`` is the share of unsolvable R and must stay below
-    _ZERO_CAP; ``dyadic_zero_fraction`` is the share with count 0.  The
-    smoothed count must track the main term in aggregate: the band applies
-    to sum(B1) / sum(H) over the sampled R, since the argument controls
-    B1 - H on average over R, not at each R.  The band is an engineering
-    surrogate for the asymptotic equality, and is labeled as such; the
-    per-R median of B1/H is reported alongside.
+    the counting argument; ``solvable`` asks whether the inequality has a
+    solution in primes at all, since the exceptional set of the statement
+    has no range restriction.  ``count`` and ``B1`` come from the sweep's
+    one candidate pass, each R's values do not depend on the others, and
+    det_map maps only H, one main_term_H call per chunk of the R (one chunk
+    per worker), each value bitwise the same in any chunk.
+    ``zero_fraction`` must stay below _ZERO_CAP.  The smoothed count must
+    track the main term in aggregate: the band applies to sum(B1) / sum(H)
+    over the sampled R, since the argument controls B1 - H on average over
+    R, not at each R.  The band is an engineering surrogate for the
+    asymptotic equality, and is labeled as such; the per-R median of B1/H
+    is reported alongside.
     """
     inst = instance_for_theorem1(N, c)
-    Rs = sample_R(N, samples, seed)
-    counts = triple_counts(inst, Rs)
-    solvable = triple_solvable(inst, Rs, [t.count for t in counts])
+    Rs, counts, solvable, shares = _triple_sweep(inst, N, samples, seed)
     chunks = np.array_split(np.array(Rs), max(workers, 1))   # one R-grid per worker
     H = [h for part in det_map(partial(main_term_H, inst), chunks, workers)
          for h in part.tolist()]
     rows = [{"R": R, "count": t.count, "solvable": s, "B1": t.B1, "H": h,
              "B1_over_H": t.B1 / h if h != 0 else float("inf")}
             for R, t, s, h in zip(Rs, counts, solvable, H)]
-    zero_fraction = sum(1 for r in rows if not r["solvable"]) / samples
-    dyadic_zero_fraction = sum(1 for r in rows if r["count"] == 0) / samples
     med = statistics.median(r["B1_over_H"] for r in rows)
     sum_h = math.fsum(r["H"] for r in rows)
     agg = math.fsum(r["B1"] for r in rows) / sum_h if sum_h != 0 else float("inf")
     return render_report({
         "report": "triple-regime",
-        "config": {**instance_config(inst), "N": N, "samples": samples,
+        "config": {**asdict(inst), "N": N, "samples": samples,
                    "seed": seed, "zero_cap": _ZERO_CAP, "band": list(_BAND),
                    "band_note": "engineering surrogate on the aggregate "
                                 "sum(B1)/sum(H), not the asymptotic statement"},
         "rows": rows,
-        "zero_fraction": zero_fraction,
-        "dyadic_zero_fraction": dyadic_zero_fraction,
+        **shares,
         "median_B1_over_H": med,
         "aggregate_B1_over_H": agg,
-        "pass": zero_fraction <= _ZERO_CAP and _BAND[0] <= agg <= _BAND[1],
+        "pass": shares["zero_fraction"] <= _ZERO_CAP and _BAND[0] <= agg <= _BAND[1],
     })
 
 
 def sextuple_report(N: float = 1e6, c: float = 2.05, workers: int = 1) -> str:
-    """Explicit six-prime representation search at the stated desk scale."""
+    """Explicit six-prime representation search at the stated desk scale.
+    The one search runs in the calling process for any ``workers``."""
     inst = instance_for_theorem2(N, c)
-    results = det_map(partial(_sextuple_item, N=N), [inst], workers)
-    row = results[0]
-    return render_report({
-        "report": "sextuple",
-        "config": {**instance_config(inst), "N": N},
-        **row,
-        "pass": row["found"] and row["deviation"] is not None
-                and row["deviation"] < inst.eps and not row["ambiguous"],
-    })
-
-
-def _sextuple_item(inst: ProblemInstance, N: float) -> dict:
     res = find_sextuple(inst, N)
     record = (dict.fromkeys(f.name for f in fields(SolutionRecord))
               if res.record is None else asdict(res.record))
-    return {"found": res.found, "feasible": res.feasible,
-            "range_used": res.range_used, **record}
+    return render_report({
+        "report": "sextuple",
+        "config": {**asdict(inst), "N": N},
+        "found": res.found,
+        "feasible": res.feasible,
+        "range_used": res.range_used,
+        **record,
+        "pass": res.found and record["deviation"] is not None
+                and record["deviation"] < inst.eps and not record["ambiguous"],
+    })

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Optional
@@ -702,37 +701,3 @@ def sample_R(N: float, samples: int, seed: int) -> list[float]:
     """``samples`` seeded uniform draws of R from (N, 2N]."""
     rng = random.Random(seed)
     return [N + rng.random() * N for _ in range(samples)]
-
-
-def instance_config(inst: ProblemInstance) -> dict:
-    return {"c": inst.c, "X": inst.X, "eps": inst.eps, "eta": inst.eta,
-            "tau": inst.tau, "K": inst.K, "k": inst.k}
-
-
-def exceptional_scan(inst: ProblemInstance, samples: int, seed: int) -> dict:
-    """Empirical exceptional-set scan: sample R uniformly from (N, 2N] with
-    N = 3 X^c and decide for each R whether it has a solution in primes.
-
-    Returns the scan's payload (see reports.render_report).  ``counts`` are
-    the dyadic triple counts of count_B over (X, 2X]^3 and
-    ``dyadic_zero_fraction`` is their zero share; ``histogram`` maps each
-    count, as a string, to its frequency.  ``solvable`` and
-    ``zero_fraction``, the unsolvable share, concern all primes, decided by
-    triple_solvable as in the triple-regime report: the R with count 0
-    share one candidate walk over all primes."""
-    if inst.k != 3:
-        raise ValueError("exceptional_scan needs a k=3 instance")
-    Rs = sample_R(3.0 * inst.X ** inst.c, samples, seed)
-    counts = [t.count for t in triple_counts(inst, Rs)]
-    solvable = triple_solvable(inst, Rs, counts)
-    return {
-        "seed": seed,
-        "samples": samples,
-        "R_values": Rs,
-        "counts": counts,
-        "solvable": solvable,
-        "zero_fraction": solvable.count(False) / samples if samples else 0.0,
-        "dyadic_zero_fraction": counts.count(0) / samples if samples else 0.0,
-        "histogram": {str(k): v for k, v in Counter(counts).items()},
-        "config": instance_config(inst),
-    }

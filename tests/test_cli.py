@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from primeineq import solver
+from primeineq import reports, solver
 from primeineq.cli import run
 
 
@@ -149,11 +149,64 @@ def test_mainterm(capsys):
 
 
 def test_mainterm_rejects_k_other_than_3_or_6(capsys):
-    code = run(["mainterm", "--N", "1e5", "--c", "1.5", "--k", "4"])
+    code = run(["mainterm", "--N", "1e5", "--c", "1.5", "--R", "1.5e5", "--k", "4"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == "usage error: k must be 3 or 6\n"
+
+
+def test_mainterm_requires_R(capsys):
+    # R has no natural default: R = N is the lower end of the k = 3 support
+    code = run(["mainterm", "--N", "1e5", "--c", "1.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "usage error: mainterm requires --R\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sums", "eval", "--X", "64", "--c", "2.05", "--x", "0", "--N", "1e5"),
+    ("sums", "eval", "--X", "64", "--c", "2.05", "--x", "0", "--R", "1e5"),
+    ("solve", "triple", "--N", "1e5", "--c", "1.5", "--X", "40"),
+    ("solve", "triple", "--N", "1e5", "--c", "1.5", "--eta", "9"),
+    ("solve", "triple", "--N", "1e5", "--c", "1.5", "--seed", "1"),
+    ("scan", "--N", "90", "--c", "1", "--X", "30"),
+    ("scan", "--N", "90", "--c", "1", "--eta", "9"),
+    ("scan", "--N", "90", "--c", "1", "--R", "135"),
+    ("mainterm", "--N", "1e5", "--c", "1.5", "--R", "1.5e5", "--X", "40"),
+    ("mainterm", "--N", "1e5", "--c", "1.5", "--R", "1.5e5", "--eta", "9"),
+    ("mainterm", "--N", "1e5", "--c", "1.5", "--R", "1.5e5", "--seed", "1"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    # these flags used to be accepted and ignored: mainterm --eta 9 ran
+    # with eta = 0.05 and exited 0
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+
+
+def test_scan_rejects_zero_samples(capsys):
+    code = run(["scan", "--N", "90", "--c", "1", "--samples", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "usage error: samples must be at least 1, got 0\n"
+
+
+def test_count_ladder_json_is_the_rs_slope_report(capsys):
+    code, out = run_cli(capsys, "--format", "json", "count", "ladder",
+                        "--c", "1.5", "--gamma", "1.0", "--Ys", "16,32,64,128")
+    assert code == 0
+    assert out.rstrip("\n") == reports.rs_slope_report(1.5, 1.0, (16, 32, 64, 128))
+
+
+def test_count_ladder_out_of_regime_fails(capsys):
+    code, out = run_cli(capsys, "count", "ladder", "--c", "1.5",
+                        "--gamma", "1e9", "--Ys", "4,8,16,32")
+    assert code == 1
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == \
+        [str(Y ** 4) for Y in (4, 8, 16, 32)]
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 """Tests for near-diagonal tuple counting."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from primeineq import count
 from primeineq.count import (CountResult, CountSpec, count_tuples_fast, count_tuples_naive,
                              harmonic_V, single_powers, sum_band, window_pairs,
                              window_reach)
-from primeineq.reports import rs_scaling_report
+from primeineq.reports import _SLOPE_ALLOWANCE, rs_slope_report
 from primeineq.sums import LONG, GuardError
 
 
@@ -399,19 +400,33 @@ def test_pair_index_float64_range_edge():
 
 
 def test_scaling_report_shape():
-    rep = rs_scaling_report(1.5, 1.0, [16, 32, 64, 128])
+    rep = json.loads(rs_slope_report(1.5, 1.0, (16, 32, 64, 128)))
+    assert rep["report"] == "rs-slope"
     assert rep["reference_slope"] == 2.5
+    assert rep["config"]["slope_cap"] == 2.65
     assert len(rep["counts"]) == 4
-    assert not rep["out_of_regime"]
+    assert rep["pass"]
     with pytest.raises(ValueError):
-        rs_scaling_report(1.5, 1.0, [16, 32])
+        rs_slope_report(1.5, 1.0, (16, 32))
+
+
+@pytest.mark.parametrize("c, reference", [(1.2, 2.8), (2.5, 2.0)])
+def test_slope_cap_follows_the_reference_slope(c, reference):
+    # the cap is max(4 - c, 2) plus the allowance, not 2.65 at every c
+    rep = json.loads(rs_slope_report(c, 1.0, (16, 32, 64, 128)))
+    assert rep["reference_slope"] == pytest.approx(reference)
+    assert rep["config"]["slope_cap"] == rep["reference_slope"] + _SLOPE_ALLOWANCE
+    assert rep["config"]["slope_cap"] != 2.65
+    assert rep["pass"] == (rep["slope"] <= rep["config"]["slope_cap"])
 
 
 def test_scaling_out_of_regime():
-    # a window wider than the whole range counts all Y^4 tuples
-    rep = rs_scaling_report(1.5, 1e9, [4, 8, 16, 32])
-    assert rep["out_of_regime"]
-    assert not rep["pass"]
+    # a window wider than the whole range counts all Y^4 tuples; at c = 0.1
+    # the slope 4 is under the cap 4.05, so only the regime check fails it
+    for c in (1.5, 0.1):
+        rep = json.loads(rs_slope_report(c, 1e9, (4, 8, 16, 32)))
+        assert rep["counts"] == [Y ** 4 for Y in (4, 8, 16, 32)]
+        assert not rep["pass"]
 
 
 def test_harmonic_sum_matches_naive():

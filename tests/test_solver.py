@@ -14,8 +14,9 @@ from oracles import main_term_per_R, pair_index, sorted_sums, window_hits
 from primeineq import reports, solver
 from primeineq.count import single_powers, sum_band, unordered_pairs
 from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
-from primeineq.solver import (count_B, exceptional_scan, find_sextuple,
-                              find_triple, full_prime_table,
+from primeineq.reports import exceptional_scan
+from primeineq.solver import (count_B, find_sextuple, find_triple,
+                              full_prime_table,
                               instance_for_theorem1, instance_for_theorem2,
                               main_term_H, sextuple_feasible, triple_counts,
                               weighted_B1)
@@ -1039,6 +1040,32 @@ def test_triple_report_solvable_matches_brute_force(N):
     assert payload["zero_fraction"] == want.count(False) / len(rows)
     assert payload["dyadic_zero_fraction"] == \
         sum(r["count"] == 0 for r in rows) / len(rows)
+
+
+@pytest.mark.parametrize("N", [1e3, 1e5])
+def test_scan_and_triple_report_share_one_sweep(N):
+    # at c = 1.2 these N satisfy 3 X^c == N in float64, so the scan, which
+    # samples R from (3 X^c, 6 X^c], draws the report's R
+    inst = instance_for_theorem1(N, 1.2)
+    assert 3.0 * inst.X ** inst.c == N
+    scan = exceptional_scan(inst, 20, seed=4)
+    payload = json.loads(reports.triple_regime_report(N=N, c=1.2, samples=20, seed=4))
+    rows = payload["rows"]
+    assert scan["R_values"] == [r["R"] for r in rows]
+    assert scan["counts"] == [r["count"] for r in rows]
+    assert scan["solvable"] == [r["solvable"] for r in rows]
+    for share in ("zero_fraction", "dyadic_zero_fraction"):
+        assert scan[share] == payload[share]
+
+
+def test_sweep_needs_at_least_one_sample(inst_1e5):
+    # zero samples used to divide by zero in the report and give 0.0 shares
+    # in the scan
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            exceptional_scan(inst_1e5, samples, seed=0)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            reports.triple_regime_report(N=1e5, samples=samples)
 
 
 def test_scan_deterministic_across_runs_and_workers(inst_1e5):
