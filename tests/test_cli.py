@@ -198,7 +198,21 @@ def test_count_ladder_json_is_the_rs_slope_report(capsys):
     code, out = run_cli(capsys, "--format", "json", "count", "ladder",
                         "--c", "1.5", "--gamma", "1.0", "--Ys", "16,32,64,128")
     assert code == 0
-    assert out.rstrip("\n") == reports.rs_slope_report(1.5, 1.0, (16, 32, 64, 128))
+    assert json.loads(out) == json.loads(reports.rs_slope_report(1.5, 1.0, (16, 32, 64, 128)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("sums", "profile", "--X", "256", "--c", "2.05", "--points", "4"),
+    ("--format", "json", "count", "ladder", "--c", "1.5", "--Ys", "8,16,32,64"),
+    ("sums", "eval", "--X", "256", "--c", "2.05", "--x", "0.001"),
+    ("count", "rs", "--Y", "8", "--c", "1.5"),
+    ("mainterm", "--N", "1e4", "--c", "1.5", "--R", "1.5e4"),
+])
+def test_json_commands_print_one_style(capsys, argv):
+    # every JSON document: schema 1, keys sorted, indent 2
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == reports.render_report(json.loads(out), indent=2) + "\n"
 
 
 def test_count_ladder_out_of_regime_fails(capsys):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import main_term_per_R, pair_index, sorted_sums, window_hits
+from oracles import (gauss_g2, main_term_per_R, mpmath_g2, pair_index, sorted_sums,
+                     window_hits)
 from primeineq import reports, solver
 from primeineq.count import single_powers, sum_band, unordered_pairs
 from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
@@ -487,11 +488,40 @@ def test_main_term_c1_irwin_hall_closed_form(X):
 
 
 def test_main_term_raises_when_levels_disagree(inst_1e5, monkeypatch):
-    # four nodes per panel, then eight: g_2's quadrature has not converged
+    # four nodes per panel, then eight: g_3's quadrature has not converged
     monkeypatch.setattr(solver, "_NODES", 4)
     with pytest.raises(ConvergenceError, match="main_term_H") as info:
         main_term_H(inst_1e5, 1.5e5)
     assert info.value.routine == "main_term_H" and info.value.error > 1e-10
+
+
+@pytest.mark.parametrize("upper", [False, True])
+@pytest.mark.parametrize("c", [1.0, 1.2, 1.5, 2.05, 2.9])
+def test_g2_series_matches_quadrature(c, upper):
+    # near 0, on both sides of the kink D and near 2D, measured from either
+    # end; z = w/a peaks at v = D, at (2^c - 1)/(2^c + 1) = 0.76 for c = 2.9
+    dens = solver._Densities(1000.0, c, solver._NODES, upper)
+    D = dens.D
+    v = np.array([1e-9 * D, D - 1e-9 * D, D, D + 1e-9 * D, 2 * D - 1e-9 * D])
+    got = dens.g2(v)
+    assert got == pytest.approx(gauss_g2(dens, v, 400), rel=1e-14)
+    assert got == pytest.approx([mpmath_g2(dens, x) for x in v], rel=3e-15)
+    assert dens.g2(np.array([0.0, 2 * D])).tolist() == [0.0, 0.0]
+
+
+def test_g2_series_raises_past_its_term_cap(inst_1e5, monkeypatch):
+    # at c = 1.5 the series needs about 20 terms where z is largest
+    monkeypatch.setattr(solver, "_SERIES_TERMS", 4)
+    with pytest.raises(ConvergenceError, match="main_term_H") as info:
+        main_term_H(inst_1e5, 1.5e5)
+    assert info.value.error > 2.0 ** -54
+
+
+def test_g2_series_refuses_c_at_most_one_half():
+    # alpha = 1/c - 1 >= 1: the terms no longer shrink by z^2 each
+    inst = ProblemInstance(c=0.5, X=1000.0, eps=0.1)
+    with pytest.raises(ConvergenceError, match="main_term_H"):
+        main_term_H(inst, 3 * inst.X ** 0.5 + 1.0)
 
 
 def _main_term_grid(inst: ProblemInstance) -> dict[str, list[float]]:
