@@ -10,11 +10,15 @@ i <= j, each standing for m = 1 (i = j) or m = 2 (i < j) ordered pairs, and
 counts from two window bounds per pair sum (``count_tuples_fast``); only
 one band is in memory at a time.  ``sum_band`` is the one source of bands of
 unordered k-sums: pair sums here (k = 2), for the fast counter and the
-harmonic sum, triple sums for the sextuple search (k = 3).  The naive counter is the oracle: exhaustive over all Y^4
-ordered tuples, screened in float64 (``count_tuples_naive``); it shares no
-code with the fast counter, and the two agree exactly, ambiguity flags
-included.  The Y-ladder slope reports built on these counts live in
-``reports``.
+harmonic sum, triple sums for the sextuple search (k = 3).  The naive
+counter is the oracle (``count_tuples_naive``): exhaustive, in that it
+decides every pair of the Y(Y+1)/2 unordered pair sums, both orders, and so
+every one of the Y^4 ordered tuples exactly once, screened in float64; a
+pair weighs m_p m_q ordered tuples, exactly, since fl(P_a + P_b) =
+fl(P_b + P_a) makes every ordered pair sum bitwise one of the unordered
+ones.  It shares no code with the fast counter, and the two agree exactly,
+ambiguity flags included.  The Y-ladder slope reports built on these counts
+live in ``reports``.
 
 ``window_pairs`` is the one search that lists candidates among float64
 keys, at a reach (``window_reach``) widened for their rounding; the triple
@@ -31,8 +35,8 @@ import numpy as np
 
 from .sums import LONG, GuardError
 
-_NAIVE_GUARD = 10 ** 9     # Y^4 at most this many tuples
-_NAIVE_CHUNK = 1 << 16     # tuples per chunk of the naive count's buffers
+_NAIVE_GUARD = 10 ** 9     # Y^4 at most this many ordered tuples
+_NAIVE_CHUNK = 1 << 16     # comparisons of pair sums per chunk of the naive count's buffers
 _FAST_GUARD = 10 ** 8      # Y^2 at most this many pair sums formed
 _HARMONIC_GUARD = 10 ** 9  # Y^4 at most this many ordered 4-tuples
 _FAST_BAND = 1 << 14       # unordered pair sums per band of count_tuples_fast
@@ -192,19 +196,26 @@ def _band_edges(powers: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")   # inf and NaN go to the re-test
 def count_tuples_naive(s: CountSpec) -> CountResult:
-    """Exhaustive oracle over all Y^4 ordered tuples, screened in float64,
-    long-double verdict within a stated margin of gamma +- delta; shares no
-    code with the fast counter.
+    """Exhaustive oracle over all Y^4 ordered tuples, each decided once
+    through the pair of unordered pair sums it stands in, screened in
+    float64, long-double verdict within a stated margin of gamma +- delta;
+    shares no code with the fast counter.
 
-    The Y^2 ordered pair sums are formed here in long double, unsorted, and
-    rounded once to float64.  Every tuple's |d64|, the float64 difference
-    of two rounded sums, is formed chunk by chunk in one preallocated
-    float64 buffer.  A tuple with |d64| < gamma - delta - m is a hit and not
+    The Y(Y+1)/2 unordered pair sums P_a + P_b, a <= b, are formed here once
+    in long double, unsorted: the Y diagonal sums 2 P_a first, each standing
+    for m = 1 ordered pair sum, then the sums a < b, each standing for
+    m = 2, since fl(P_a + P_b) = fl(P_b + P_a) bitwise.  So every ordered
+    tuple's d is bitwise the difference of one pair (p, q) of these sums,
+    and weighting each pair's verdict by m_p m_q decides every ordered tuple
+    exactly once.  The sums are rounded once to float64, and every pair's
+    |d64|, the float64 difference of two rounded sums, both orders, is
+    formed a chunk of rows of one weight at a time in one preallocated
+    float64 buffer.  A pair with |d64| < gamma - delta - m is a hit and not
     ambiguous, one with |d64| > gamma + delta + m is neither, and only the
-    tuples between are re-tested on their long-double sums with
-    |d| < gamma and ||d| - gamma| < delta.  ValueError if 2 (2Y)^c, the
-    largest sum for c >= 0, is not finite in long double: inf - inf is NaN
-    and would fail both comparisons.
+    pairs between are re-tested on their long-double sums with |d| < gamma
+    and ||d| - gamma| < delta.  ValueError if 2 (2Y)^c, the largest sum for
+    c >= 0, is not finite in long double: inf - inf is NaN and would fail
+    both comparisons.
     """
     if s.Y ** 4 > _NAIVE_GUARD:
         raise GuardError("naive", _NAIVE_GUARD, f"Y^4 = {s.Y ** 4} tuples")
@@ -212,8 +223,11 @@ def count_tuples_naive(s: CountSpec) -> CountResult:
         raise ValueError(f"the largest pair sum 2 * {2 * s.Y}^{s.c} exceeds the long-double "
                          f"range (largest finite "
                          f"{np.format_float_scientific(np.finfo(LONG).max, precision=5)})")
-    powers = np.arange(s.Y + 1, 2 * s.Y + 1, dtype=np.int64).astype(LONG) ** LONG(s.c)
-    ps = (powers[:, None] + powers[None, :]).ravel()
+    Y = s.Y
+    powers = np.arange(Y + 1, 2 * Y + 1, dtype=np.int64).astype(LONG) ** LONG(s.c)
+    upper = np.triu_indices(Y, 1)   # the pairs a < b
+    ps = np.concatenate([powers + powers, powers[upper[0]] + powers[upper[1]]])
+    del upper
     ps64 = ps.astype(float)
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
@@ -239,20 +253,23 @@ def count_tuples_naive(s: CountSpec) -> CountResult:
     above = np.empty(d.shape, dtype=bool)
     count = 0
     ambiguous = 0
-    for i in range(0, n, rows):
-        di = d[:n - i]   # the last chunk may be short
-        bi, ai = below[:n - i], above[:n - i]
-        np.subtract(ps64[i:i + rows, None], ps64, out=di)
-        np.abs(di, out=di)
-        sure = int(np.count_nonzero(np.less(di, inner, out=bi)))
-        count += sure
-        if sure + int(np.count_nonzero(np.greater(di, outer, out=ai))) == di.size:
-            continue
-        # the tuples between the bounds (NaN included) get the exact verdict
-        r, q = np.divmod(np.flatnonzero(~(bi | ai)), n)
-        dl = np.abs(ps[i + r] - ps[q])
-        count += int(np.count_nonzero(dl < gamma))
-        ambiguous += int(np.count_nonzero(np.abs(dl - gamma) < delta))
+    for start, stop, m_p in ((0, Y, 1), (Y, n, 2)):   # a chunk's rows share one weight
+        for i in range(start, stop, rows):
+            di = d[:stop - i]   # the last chunk of each weight may be short
+            bi, ai = below[:stop - i], above[:stop - i]
+            np.subtract(ps64[i:i + len(di), None], ps64, out=di)
+            np.abs(di, out=di)
+            np.less(di, inner, out=bi)
+            single, double = int(np.count_nonzero(bi[:, :Y])), int(np.count_nonzero(bi[:, Y:]))
+            count += m_p * (single + 2 * double)
+            if single + double + np.count_nonzero(np.greater(di, outer, out=ai)) == di.size:
+                continue
+            # the pairs between the bounds (NaN included) get the exact verdict
+            r, q = np.divmod(np.flatnonzero(~(bi | ai)), n)
+            dl = np.abs(ps[i + r] - ps[q])
+            w = m_p * np.where(q < Y, 1, 2)   # the columns' weights
+            count += int(np.sum(w[dl < gamma]))
+            ambiguous += int(np.sum(w[np.abs(dl - gamma) < delta]))
     return CountResult(count, ambiguous)
 
 
@@ -268,9 +285,9 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     that comes first in the order of the bands below.
 
     The sums are taken in ascending value bands [lo, hi) (_band_edges),
-    each from sum_band over only the rows i whose sums can reach the band,
-    and sorted by their float64 keys: first the band's
-    owners, the sums in [lo, hi), then its tail, the sums in
+    each from sum_band over only the rows i whose sums can reach the band.
+    Only their float64 keys and flat indices are kept, sorted by key: first
+    the band's owners, the sums in [lo, hi), then its tail, the sums in
     [hi, hi + outer reach + slack), which holds every q a window of an
     owner can reach.  Only the owners p search their q after them in the
     band.  With b = delta plus the slack of window_reach (_SLACK_ULPS
@@ -280,7 +297,8 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     (key[q] > key[p] + (gamma + b)) is neither, whatever the rounding.  The
     sure hits of p weigh m_p times a prefix sum of m; only the q between the
     two bounds are re-tested, _RETEST_CHUNK at a time, on their long-double
-    sums with the exact comparison the naive counter uses.
+    sums P_i + P_l, formed again from the flat index i n + l and so bitwise
+    those sum_band formed, with the exact comparison the naive counter uses.
     """
     if s.Y ** 2 > _FAST_GUARD:
         raise GuardError("fast", _FAST_GUARD, f"Y^2 = {s.Y ** 2} pair sums")
@@ -307,13 +325,16 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
         top = hi + tail_reach
         rows = slice(np.searchsorted(row_max, lo), np.searchsorted(row_min, top))
         sums, flat = sum_band(powers, tuple(part[rows] for part in base), lo, top)
+        owns = sums < hi
         keys = sums.astype(float)
-        owners, tail = np.flatnonzero(sums < hi), np.flatnonzero(sums >= hi)
+        del sums   # the re-test forms its candidates' sums again from flat
+        owners, tail = np.flatnonzero(owns), np.flatnonzero(~owns)
         if not len(owners):
             continue
         order = np.concatenate([owners[np.argsort(keys[owners])],
                                 tail[np.argsort(keys[tail])]])
-        sums, keys, m = sums[order], keys[order], _multiplicity(flat[order], n)
+        keys, flat = keys[order], flat[order]
+        m = _multiplicity(flat, n)
         below = np.concatenate([[0], np.cumsum(m)])   # below[q] = m_0 + ... + m_{q-1}
         block = keys[:len(owners)]
         after = np.arange(1, len(block) + 1)   # p + 1
@@ -333,7 +354,10 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
             k = np.arange(start, min(start + _RETEST_CHUNK, int(ends[-1])))
             p = np.searchsorted(ends, k, side="right")
             q = first[p] + (k - (ends[p] - lengths[p]))
-            d = np.abs(sums[q] - sums[p])
+            # P_i + P_l from flat index i n + l, bitwise the sum sum_band formed
+            i, l = np.divmod(flat[np.stack([p, q])], n)
+            pair = powers[i] + powers[l]
+            d = np.abs(pair[1] - pair[0])
             weight = m[p] * m[q]
             hits += int(np.sum(weight[d < gamma]))
             ambiguous += int(np.sum(weight[np.abs(d - gamma) < delta]))

@@ -157,11 +157,14 @@ def _sum_span(Y: int, c: float) -> float:
     return float(2 * abs(ends[1] - ends[0]))
 
 
-@pytest.mark.parametrize("c", [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
-def test_fast_equals_naive_across_band_edges(monkeypatch, c):
-    # bands of about 4 pair sums, so band edges fall between equal sums at
-    # integer c (at c = 0 every sum is equal and there is one band), and
-    # gamma reaches from much less than one band to past every band
+_BAND_EDGE_CS = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
+
+
+def _check_fast_across_band_edges(monkeypatch, c):
+    """The fast counter equals the naive one at Y = 12 in bands of about 4
+    pair sums, so band edges fall between equal sums at integer c (at c = 0
+    every sum is equal and there is one band), and gamma reaches from much
+    less than one band to past every band."""
     monkeypatch.setattr(count, "_FAST_BAND", 4)
     Y = 12
     powers = count._powers(CountSpec(Y, c, 1.0))
@@ -174,6 +177,20 @@ def test_fast_equals_naive_across_band_edges(monkeypatch, c):
     for gamma in (1.0, 2.0, 7.0):   # on the integer differences at integer c
         spec = CountSpec(Y, c, gamma, 1e-3)
         assert count_tuples_fast(spec) == count_tuples_naive(spec), spec
+
+
+@pytest.mark.parametrize("c", _BAND_EDGE_CS)
+def test_fast_equals_naive_across_band_edges(monkeypatch, c):
+    _check_fast_across_band_edges(monkeypatch, c)
+
+
+@pytest.mark.parametrize("c", _BAND_EDGE_CS)
+def test_fast_equals_naive_across_band_and_retest_chunk_edges(monkeypatch, c):
+    # re-test chunks of 3 candidates end inside an owner's run of
+    # candidates, so the long-double sums re-formed from flat indices are
+    # checked across chunk ends as well as band edges
+    monkeypatch.setattr(count, "_RETEST_CHUNK", 3)
+    _check_fast_across_band_edges(monkeypatch, c)
 
 
 @pytest.mark.parametrize("c", [-1.0, 0.5, 1.0, 1.5, 3.0])
@@ -315,6 +332,26 @@ _FIXED_SPECS = [
 def test_naive_equals_long_double_oracle(spec):
     # the float64 screen of count_tuples_naive decides every tuple as the
     # all-long-double loop does, ambiguity flags included
+    assert count_tuples_naive(spec) == naive_long_double_count(spec)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 200])
+@pytest.mark.parametrize("spec", [
+    *(CountSpec(Y, 1.5, 1.0) for Y in (2, 3, 8, 16)),
+    CountSpec(8, 2.0, 7.0, delta=1e-3),    # integer d falls on integer gamma
+    CountSpec(16, 1.0, 3.0, delta=1e-3),
+    CountSpec(6, 1.5, 0.25, delta=0.5),    # delta >= gamma: the diagonal is ambiguous
+    CountSpec(5, 2.0, 1.0, delta=1.0),
+    CountSpec(8, 1.0633271415109362, 1.247740299836096, 0.0),
+], ids=lambda s: f"{s.Y}-{s.c!r}-{s.gamma!r}-{s.delta!r}")
+def test_naive_equals_long_double_oracle_in_any_chunks(monkeypatch, spec, chunk):
+    # the naive counter's rows are the Y diagonal sums (weight 1), then the
+    # sums a < b (weight 2); a chunk of _NAIVE_CHUNK // (Y(Y+1)/2) rows, at
+    # least one, stops at the weight boundary.  1 comparison gives one row
+    # per chunk, 64 comparisons at Y = 2 and Y = 3 give chunks longer than
+    # the diagonal, cut at the weight boundary, and 200 comparisons at Y = 8
+    # give chunks of 5 rows, one ending inside the 8 diagonal sums
+    monkeypatch.setattr(count, "_NAIVE_CHUNK", chunk)
     assert count_tuples_naive(spec) == naive_long_double_count(spec)
 
 
