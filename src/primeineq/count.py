@@ -6,19 +6,23 @@ with the strict predicate |d| < gamma, and every tuple with
 ||d| - gamma| < delta is additionally reported as boundary-ambiguous.
 
 The fast counter walks ascending value bands of the unordered pairs
-i <= j, each standing for m = 1 (i = j) or m = 2 (i < j) ordered pairs, and
-counts from two window bounds per pair sum (``count_tuples_fast``); only
-one band is in memory at a time.  ``sum_band`` is the one source of bands of
-unordered k-sums: pair sums here (k = 2), for the fast counter and the
-harmonic sum, triple sums for the sextuple search (k = 3).  The naive
-counter is the oracle (``count_tuples_naive``): exhaustive, in that it
-decides every pair of the Y(Y+1)/2 unordered pair sums, both orders, and so
-every one of the Y^4 ordered tuples exactly once, screened in float64; a
-pair weighs m_p m_q ordered tuples, exactly, since fl(P_a + P_b) =
-fl(P_b + P_a) makes every ordered pair sum bitwise one of the unordered
-ones.  It shares no code with the fast counter, and the two agree exactly,
-ambiguity flags included.  The Y-ladder slope reports built on these counts
-live in ``reports``.
+i <= j, each standing for m = 1 (i = j) or m = 2 (i < j) ordered pairs
+(``count_tuples_fast``); only one band is in memory at a time.  It sorts a
+band's float64 keys alone and counts pairs by position from window bounds
+at gamma - delta, gamma and gamma + delta, every sum weighed m = 2 and the
+n diagonal sums 2 P_i corrected by searches of their own keys; only the
+pairs within the rounding slack of a bound are re-tested, and only a band
+with such a pair orders its flat indices by key to form their sums again.
+``sum_band`` is the one source of bands of unordered k-sums: pair sums here
+(k = 2), for the fast counter and the harmonic sum, triple sums for the
+sextuple search (k = 3).  The naive counter is the oracle
+(``count_tuples_naive``): exhaustive, in that it decides every pair of the
+Y(Y+1)/2 unordered pair sums, both orders, and so every one of the Y^4
+ordered tuples exactly once, screened in float64; a pair weighs m_p m_q
+ordered tuples, exactly, since fl(P_a + P_b) = fl(P_b + P_a) makes every
+ordered pair sum bitwise one of the unordered ones.  It shares no code
+with the fast counter, and the two agree exactly, ambiguity flags included.
+The Y-ladder slope reports built on these counts live in ``reports``.
 
 ``window_pairs`` is the one search that lists candidates among float64
 keys, at a reach (``window_reach``) widened for their rounding; the triple
@@ -273,9 +277,50 @@ def count_tuples_naive(s: CountSpec) -> CountResult:
     return CountResult(count, ambiguous)
 
 
+def _diagonal_positions(keys: np.ndarray, diagonal: np.ndarray, owned: int,
+                        owners: int) -> np.ndarray:
+    """Ascending positions in the sorted band keys ``keys`` for its
+    diagonal sums, whose float64 keys ``diagonal`` ascend: the first
+    ``owned`` are owners, the rest tail sums.  A diagonal sum takes the
+    first free position of its run of equal keys among the owners
+    (positions below ``owners``) or among the tail, as the case may be: a
+    tail sum comes after every owner, even one of equal key."""
+    at = np.searchsorted(keys, diagonal)
+    if owned < len(at):
+        np.maximum(at[owned:], owners, out=at[owned:])
+    return at + (np.arange(len(at)) - np.searchsorted(at, at))
+
+
+def _weighted_pairs(x: np.ndarray, diagonal: np.ndarray, owned: int) -> int:
+    """The sum of m_p m_q over the owners p and the positions q with
+    p < q < x[p], for x ascending, where m is 1 at the ``diagonal``
+    positions (ascending, the first ``owned`` of them owners) and 2
+    elsewhere.  With e = 2 - m, m_p m_q = 4 - 2 e_p - 2 e_q + e_p e_q, so
+    this is 4 times the number of pairs, less twice those with a diagonal
+    p or q, plus those with both: every search runs on the diagonal side."""
+    owners = len(x)
+    pairs = int(np.maximum(x, np.arange(1, owners + 1)).sum()) - owners * (owners + 1) // 2
+    p = diagonal[:owned]
+    x_p = x[p]
+    diagonal_p = int(np.maximum(x_p - p - 1, 0).sum())
+    # for a diagonal q, the owners p < q with x[p] > q are a run up to q
+    diagonal_q = int(np.maximum(np.minimum(diagonal, owners)
+                                - np.searchsorted(x, diagonal, side="right"), 0).sum())
+    both = int(np.maximum(np.searchsorted(diagonal, x_p) - np.arange(1, owned + 1), 0).sum())
+    return 4 * pairs - 2 * (diagonal_p + diagonal_q) + both
+
+
+def _sorted_flat(keys: np.ndarray, flat: np.ndarray, owns: np.ndarray) -> np.ndarray:
+    """The flat indices of a band in the order of its sorted keys, owners
+    first, then the tail."""
+    owners, tail = np.flatnonzero(owns), np.flatnonzero(~owns)
+    return flat[np.concatenate([owners[np.argsort(keys[owners])],
+                                tail[np.argsort(keys[tail])]])]
+
+
 def count_tuples_fast(s: CountSpec) -> CountResult:
-    """Count from two window bounds per unordered pair sum, band by band;
-    same predicate and same result as the naive count.
+    """Count from window bounds per unordered pair sum, band by band; same
+    predicate and same result as the naive count.
 
     An unordered sum p stands for m_p ordered pair sums of the same value,
     so a pair (p, q) stands for m_p m_q ordered 4-tuples with the same
@@ -286,19 +331,32 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
 
     The sums are taken in ascending value bands [lo, hi) (_band_edges),
     each from sum_band over only the rows i whose sums can reach the band.
-    Only their float64 keys and flat indices are kept, sorted by key: first
-    the band's owners, the sums in [lo, hi), then its tail, the sums in
+    Only their float64 keys are sorted, with np.sort: first come the band's
+    owners, the sums in [lo, hi), then its tail, the sums in
     [hi, hi + outer reach + slack), which holds every q a window of an
-    owner can reach.  Only the owners p search their q after them in the
-    band.  With b = delta plus the slack of window_reach (_SLACK_ULPS
-    long-double and _KEY_ULPS float64 ulps of the largest magnitude
-    involved), every q before the inner bound (key[q] < key[p] + (gamma - b))
-    is a hit and not ambiguous, and every q past the outer bound
-    (key[q] > key[p] + (gamma + b)) is neither, whatever the rounding.  The
-    sure hits of p weigh m_p times a prefix sum of m; only the q between the
-    two bounds are re-tested, _RETEST_CHUNK at a time, on their long-double
-    sums P_i + P_l, formed again from the flat index i n + l and so bitwise
-    those sum_band formed, with the exact comparison the naive counter uses.
+    owner can reach; a tail key equal to an owner key counts as after it.
+    Only the owners p search their q after them in the band.  With s the
+    slack of window_reach (_SLACK_ULPS long-double and _KEY_ULPS float64
+    ulps of the largest magnitude involved), a q whose key lies more than s
+    from key[p] + gamma - delta, key[p] + gamma and key[p] + gamma + delta
+    has a sure verdict, whatever the rounding: a hit and not ambiguous
+    below the first, a hit and ambiguous between the first two, ambiguous
+    only between the last two, and neither past the last.  Each re-test zone
+    starts no lower than the one before it ends, so that zones which overlap
+    (delta within 2 s) merge and leave no sure zone between them.  The
+    bounds past the first are searched only for the owners whose key at
+    the first bound lies within the outer reach, which is seldom at small
+    delta.
+
+    Every sure count is a count of pairs of positions, weighed as if every
+    sum had m = 2 and corrected for the n diagonal sums 2 P_i
+    (_weighted_pairs), which are exact and ascending, so a search of their
+    keys places them in the band (_diagonal_positions).  Only the q in a
+    re-test zone are re-tested, _RETEST_CHUNK at a time, on their
+    long-double sums P_i + P_l, formed again from the flat index i n + l and
+    so bitwise those sum_band formed, with the exact comparison the naive
+    counter uses; a band orders its flat indices by key (argsort) only when
+    it has such a q.
     """
     if s.Y ** 2 > _FAST_GUARD:
         raise GuardError("fast", _FAST_GUARD, f"Y^2 = {s.Y ** 2} pair sums")
@@ -307,53 +365,79 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
     scale = 2 * powers[-1] + gamma + delta   # 2 max P is the largest sum
-    b = delta + _slack(scale)
-    inner_reach, outer_reach = float(gamma - b), float(gamma + b)
+    slack = _slack(scale)
+    # the (lower, upper) reach of each re-test zone, and the verdicts
+    # (hit, ambiguous) of the sure zone between two re-test zones
+    zones = [(float(edge - slack), float(edge + slack))
+             for edge in (gamma - delta, gamma, gamma + delta)]
+    verdicts = ((1, 1), (0, 1))
     # _slack covers the float64 rounding of keys and bounds, so a q with
-    # key[q] <= key[p] + outer_reach lies below hi + tail_reach
-    tail_reach = LONG(outer_reach) + _slack(scale)
+    # key[q] <= key[p] + the outer reach lies below hi + tail_reach
+    tail_reach = LONG(zones[-1][1]) + slack
     base = single_powers(powers)
     # row i forms the sums P_i + P_l, l >= i, which rounding keeps between
     # 2 P_i (exact) and fl(P_i + max P), the sums sum_band forms; so only
     # the rows with 2 P_i < hi and P_i + max P >= lo can hold a sum of a
-    # band [lo, hi), and they are one run, since both bounds ascend with i
+    # band [lo, hi), and they are one run, since both bounds ascend with i.
+    # The diagonal sums 2 P_i of the band are those of its rows with
+    # 2 P_i >= lo, owners if 2 P_i < hi
     row_min, row_max = 2 * powers, powers + powers[-1]
+    diagonal_keys = row_min.astype(float)
+    edges = _band_edges(powers)
+    tops = edges[1:] + tail_reach
+    first_row = np.searchsorted(row_max, edges[:-1])
+    diagonal_at, row_end = np.searchsorted(row_min, edges), np.searchsorted(row_min, tops)
     hits = 0        # ordered tuples of pairs p before q with |d| < gamma
     ambiguous = 0   # ordered tuples of pairs p before q with ||d| - gamma| < delta
-    edges = _band_edges(powers)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        top = hi + tail_reach
-        rows = slice(np.searchsorted(row_max, lo), np.searchsorted(row_min, top))
-        sums, flat = sum_band(powers, tuple(part[rows] for part in base), lo, top)
+    for band, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        rows = slice(first_row[band], row_end[band])
+        sums, flat = sum_band(powers, tuple(part[rows] for part in base), lo, tops[band])
         owns = sums < hi
+        owners = int(np.count_nonzero(owns))
+        if not owners:
+            continue
         keys = sums.astype(float)
         del sums   # the re-test forms its candidates' sums again from flat
-        owners, tail = np.flatnonzero(owns), np.flatnonzero(~owns)
-        if not len(owners):
+        ordered = np.sort(keys)
+        block = ordered[:owners]
+        owned = int(diagonal_at[band + 1] - diagonal_at[band])
+        diagonal_pos = _diagonal_positions(
+            ordered, diagonal_keys[diagonal_at[band]:row_end[band]], owned, owners)
+        x = np.searchsorted(ordered, block + zones[0][0])
+        hits += _weighted_pairs(x, diagonal_pos, owned)
+        # the other bounds are x unless the key at x is within the outer reach
+        close = ordered.take(x, mode="clip") <= block + zones[-1][1]
+        close[np.searchsorted(x, len(ordered)):] = False   # no key at or past x
+        near = np.flatnonzero(close)
+        if not len(near):
             continue
-        order = np.concatenate([owners[np.argsort(keys[owners])],
-                                tail[np.argsort(keys[tail])]])
-        keys, flat = keys[order], flat[order]
-        m = _multiplicity(flat, n)
-        below = np.concatenate([[0], np.cumsum(m)])   # below[q] = m_0 + ... + m_{q-1}
-        block = keys[:len(owners)]
-        after = np.arange(1, len(block) + 1)   # p + 1
-        inner = np.searchsorted(keys, block + inner_reach, side="left")
-        # the outer bound is the inner one unless the key at the inner bound
-        # is within the outer reach, which is seldom
-        reach = block + outer_reach
-        outer = inner.copy()
-        near = inner < len(keys)
-        near[near] = keys[inner[near]] <= reach[near]
-        outer[near] = np.searchsorted(keys, reach[near], side="right")
-        first = np.maximum(inner, after)
-        hits += int(np.sum(m[:len(block)] * (below[first] - below[after])))
-        lengths = np.maximum(outer - first, 0)
+        block, after = block[near], near + 1
+        lowers, uppers = [x[near]], []
+        for lower, upper in zones:
+            if uppers:   # a zone starts no lower than the one before it ends
+                lowers.append(np.maximum(np.searchsorted(ordered, block + lower), uppers[-1]))
+            uppers.append(np.searchsorted(ordered, block + upper, side="right"))
+        for (hit, ambiguity), upper, lower in zip(verdicts, uppers, lowers[1:]):
+            if np.any(lower > upper):
+                x_upper, x_lower = x.copy(), x.copy()
+                x_upper[near], x_lower[near] = upper, lower
+                w = (_weighted_pairs(x_lower, diagonal_pos, owned)
+                     - _weighted_pairs(x_upper, diagonal_pos, owned))
+                hits += hit * w
+                ambiguous += ambiguity * w
+        first = np.concatenate([np.maximum(lower, after) for lower in lowers])
+        lengths = np.maximum(np.concatenate(uppers) - first, 0)
         ends = np.cumsum(lengths)
+        if not ends[-1]:
+            continue
+        flat = _sorted_flat(keys, flat, owns)
+        m = _multiplicity(flat, n)
+        run_owner = np.tile(near, len(zones))
         for start in range(0, int(ends[-1]), _RETEST_CHUNK):
             k = np.arange(start, min(start + _RETEST_CHUNK, int(ends[-1])))
-            p = np.searchsorted(ends, k, side="right")
-            q = first[p] + (k - (ends[p] - lengths[p]))
+            run = np.searchsorted(ends, k, side="right")
+            p = run_owner[run]
+            q = first[run] + (k - (ends[run] - lengths[run]))
             # P_i + P_l from flat index i n + l, bitwise the sum sum_band formed
             i, l = np.divmod(flat[np.stack([p, q])], n)
             pair = powers[i] + powers[l]

@@ -140,15 +140,63 @@ def test_fast_equals_window_retest_on_dense_ties(Y, c):
 
 
 def test_fast_counter_retests_in_chunks(monkeypatch):
-    # wide delta puts about 139k of the 336k pairs of pair sums between the
-    # two bounds; 1000 candidates at a time re-test them in about 140
-    # chunks, whose ends split the candidates of one pair sum
+    # wide delta makes most tuples ambiguous, but only the 40 pairs of pair
+    # sums within the slack of gamma - delta, gamma or gamma + delta (exact
+    # differences of sums of integer roots) are re-tested; 7 candidates at a
+    # time re-test them in 6 chunks, whose ends split the candidates of one
+    # pair sum
     spec = CountSpec(40, 0.5, 1.0, 0.5)
     want = count_tuples_naive(spec)
     assert count_tuples_fast(spec) == want
-    monkeypatch.setattr(count, "_RETEST_CHUNK", 1000)
+    monkeypatch.setattr(count, "_RETEST_CHUNK", 7)
     assert count_tuples_fast(spec) == want
     assert want.ambiguous > 100 * 1000
+
+
+@pytest.mark.parametrize("Y, band", [(200, None), (100, 4)])
+def test_fast_counts_every_tuple_in_a_window_past_every_difference(monkeypatch, Y, band):
+    # at c = -1 diagonal sums 2/m tie off-diagonal sums 1/a + 1/b in
+    # float64 across band edges: such a tail sum comes after every owner of
+    # its key, or the owners before it miss it
+    if band:
+        monkeypatch.setattr(count, "_FAST_BAND", band)
+    spec = CountSpec(Y, -1.0, 1.0)
+    assert count_tuples_fast(spec) == CountResult(Y ** 4, 0)
+
+
+def test_fast_counter_orders_flat_indices_only_to_retest(monkeypatch):
+    # at the rs-slope specs no pair sum lies within the slack of gamma from
+    # another, so no band needs the flat indices of its sorted keys
+    ordered = []
+    sorted_flat = count._sorted_flat
+
+    def recorded(*args):
+        ordered.append(args)
+        return sorted_flat(*args)
+
+    monkeypatch.setattr(count, "_sorted_flat", recorded)
+    assert count_tuples_fast(CountSpec(1024, 1.5, 1.0)).count == 26177836
+    assert not ordered
+    count_tuples_fast(CountSpec(40, 0.5, 1.0, 0.5))   # re-tests 40 candidates
+    assert ordered
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(Y=st.integers(2, 12),
+       c=st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(-2.0, 3.0),
+       share=st.floats(1e-3, 2.0),
+       narrow=st.sampled_from([0.0, 1e-9, None]), wide=st.floats(0.5, 3.0),
+       band=st.integers(4, 64), chunk=st.integers(1, 7))
+def test_fast_equals_naive_in_any_bands_and_chunks(Y, c, share, narrow, wide, band, chunk):
+    # gamma a share of the sum span, and delta either narrow or (None) at
+    # least gamma / 2, so that the three re-test zones of a wide delta are
+    # apart
+    gamma = share * (_sum_span(Y, c) or 1.0)
+    spec = CountSpec(Y, c, gamma, wide * gamma if narrow is None else narrow)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(count, "_FAST_BAND", band)
+        patch.setattr(count, "_RETEST_CHUNK", chunk)
+        assert count_tuples_fast(spec) == count_tuples_naive(spec), spec
 
 
 def _sum_span(Y: int, c: float) -> float:
