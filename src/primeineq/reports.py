@@ -33,7 +33,7 @@ from .count import CountSpec, count_tuples_fast, count_tuples_naive
 from .solver import (SolutionRecord, TripleCount, find_sextuple,
                      instance_for_theorem1, instance_for_theorem2, main_term_H,
                      sample_R, triple_counts, triple_solvable)
-from .sums import ProblemInstance, integral_I, moment4, sieve_primes, sum_S
+from .sums import ProblemInstance, integral_I, moment4, sum_S
 
 
 def render_report(payload: dict, indent=None) -> str:
@@ -166,7 +166,6 @@ def s_vs_i_report(c: float = 2.05, X: float = 4096.0, points: int = 20,
     inst = ProblemInstance(c=c, X=X, eps=1.0 / math.log(X))
     rng = random.Random(seed)
     xs = [(2.0 * rng.random() - 1.0) * inst.tau for _ in range(points)]
-    sieve_primes(X)
     chunks = np.array_split(np.array(xs), max(workers, 1))   # one chunk of x per worker
     rows = [row for part in det_map(partial(_s_minus_i, inst=inst), chunks, workers)
             for row in part]

@@ -50,31 +50,33 @@ class SextupleSearch:
     range_used: str = "dyadic"   # "dyadic" = (X, 2X]; "full" = all p with p^c <= N
 
 
-def instance_for_theorem1(N: float, c: float, eps: Optional[float] = None
-                          ) -> ProblemInstance:
-    """Triple experiment at scale X = (N/3)^(1/c); eps defaults to 1/log N."""
-    X = (N / 3.0) ** (1.0 / c)
-    inst = ProblemInstance(c=c, X=X, eps=eps if eps is not None else 1.0 / math.log(N),
-                           k=3)
-    if len(sieve_primes(X)) < 2:
+def _instance_at(X: float, k: int, N: float, c: float, eps: Optional[float]) -> ProblemInstance:
+    """The k-prime experiment at scale X, eps defaulting to 1/log N;
+    ValueError if (X, 2X] holds fewer than 2 primes.  Only X < 5.5 is
+    sieved for that: pi(x) - pi(x/2) >= 2 for every real x >= 11, the second
+    Ramanujan prime (S. Ramanujan, J. Indian Math. Soc. 11 (1919))."""
+    inst = ProblemInstance(c=c, X=X, eps=1.0 / math.log(N) if eps is None else eps, k=k)
+    if X < 5.5 and len(sieve_primes(X)) < 2:
         raise ValueError(f"(X, 2X] = ({X}, {2 * X}] holds fewer than 2 primes")
     return inst
+
+
+def instance_for_theorem1(N: float, c: float, eps: Optional[float] = None
+                          ) -> ProblemInstance:
+    """Triple experiment at scale X = (N/3)^(1/c), by _instance_at: eps
+    defaults to 1/log N, and (X, 2X] is sieved for two primes only at X < 5.5."""
+    return _instance_at((N / 3.0) ** (1.0 / c), 3, N, c, eps)
 
 
 def instance_for_theorem2(N: float, c: float, eps: Optional[float] = None
                           ) -> ProblemInstance:
-    """Sextuple experiment at scale X = (1/2)(N/5)^(1/c); eps defaults to 1/log N."""
-    X = 0.5 * (N / 5.0) ** (1.0 / c)
-    inst = ProblemInstance(c=c, X=X, eps=eps if eps is not None else 1.0 / math.log(N),
-                           k=6)
-    if len(sieve_primes(X)) < 2:
-        raise ValueError(f"(X, 2X] = ({X}, {2 * X}] holds fewer than 2 primes")
-    return inst
+    """Sextuple experiment at scale X = (1/2)(N/5)^(1/c), by _instance_at:
+    eps defaults to 1/log N, and (X, 2X] is sieved for two primes only at X < 5.5."""
+    return _instance_at(0.5 * (N / 5.0) ** (1.0 / c), 6, N, c, eps)
 
 
-def sextuple_feasible(inst: ProblemInstance, N: float) -> bool:
-    """Range check: can six c-th powers of primes in (X, 2X] reach N at all?"""
-    table = sieve_primes(inst.X)
+def sextuple_feasible(inst: ProblemInstance, N: float, table: PrimeTable) -> bool:
+    """Range check: can six c-th powers of primes in ``table`` reach N at all?"""
     if len(table) == 0:
         return False
     pmin = float(table.primes[0]) ** inst.c
@@ -724,9 +726,10 @@ def find_sextuple(inst: ProblemInstance, N: float) -> SextupleSearch:
     """
     if inst.k != 6:
         raise ValueError("find_sextuple needs a k=6 instance")
-    feasible = sextuple_feasible(inst, N)
+    table = sieve_primes(inst.X)
+    feasible = sextuple_feasible(inst, N, table)
     if feasible:
-        rec = _mitm_search(sieve_primes(inst.X), inst.c, N, inst.eps)
+        rec = _mitm_search(table, inst.c, N, inst.eps)
         if rec is not None:
             return SextupleSearch(found=True, feasible=True, record=rec)
     rec = _mitm_search(full_prime_table(N, inst.c), inst.c, N, inst.eps)

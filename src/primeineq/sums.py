@@ -42,7 +42,6 @@ LONG = np.longdouble
 TWO_PI = 2.0 * np.pi
 
 _MAX_SIEVE = 2 ** 40
-_CACHE_SIZE = 8     # entries per module cache (dyadic prime tables)
 
 
 class GuardError(ValueError):
@@ -178,8 +177,8 @@ def _verify_primes(primes: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """Primes with natural logs precomputed: those in (X, 2X] from
-    sieve_primes, or all up to a bound from solver.full_prime_table."""
+    """Primes with natural logs precomputed, a new table per call: those in
+    (X, 2X] from sieve_primes, or all up to a bound from solver.full_prime_table."""
 
     primes: np.ndarray   # int64, strictly increasing
     logs: np.ndarray     # float64, log of each prime
@@ -192,11 +191,9 @@ class PrimeTable:
         return self.primes.astype(LONG) ** LONG(c)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def sieve_primes(X: float) -> PrimeTable:
-    """The table of exactly the primes in (X, 2X], from sieve_range.  The
-    last few tables are cached, so equal arguments return the same object.
-    """
+    """The table of exactly the primes in (X, 2X], from sieve_range.  Each
+    call sieves afresh; a caller that needs the table twice keeps it."""
     primes = sieve_range(int(math.floor(X)) + 1, int(math.floor(2 * X)))
     return PrimeTable(primes, np.log(primes.astype(float)))
 

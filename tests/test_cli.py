@@ -1,15 +1,18 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from primeineq import reports, solver
 from primeineq.cli import run
+from primeineq.sums import ProblemInstance, moment4
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +133,19 @@ def test_sums_eval(capsys):
     payload = json.loads(out)
     assert payload["T"] == [64.0, 0.0]
     assert payload["abs"]["I"] == 64.0
+
+
+def test_sums_moment(capsys):
+    code, out = run_cli(capsys, "sums", "moment", "--X", "256", "--c", "2.05",
+                        "--which", "I")
+    assert code == 0
+    payload = json.loads(out)
+    inst = ProblemInstance(c=2.05, X=256.0, eps=1.0 / math.log(256.0))
+    value, err = moment4(inst, "I")
+    assert payload["config"] == asdict(inst)
+    assert payload["which"] == "I"
+    assert payload["moment4"] == value
+    assert payload["refine_err"] == err
 
 
 def test_scan_csv(capsys):

@@ -44,8 +44,29 @@ def test_instance_examples():
 
 
 def test_instance_rejects_empty_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="X must be >= 3"):
         instance_for_theorem1(3 * 2.1 ** 1.5, 1.5)   # X = 2.1: (2.1, 4.2] = {3}
+    # at c = 1, X = N/3 and N/10 exactly: (X, 2X] = {5} at X = 3 and 3.25,
+    # {7} at X = 5 and 5.25
+    for X in (3.0, 3.25, 5.0, 5.25):
+        with pytest.raises(ValueError, match=r"holds fewer than 2 primes"):
+            instance_for_theorem1(3 * X, 1.0)
+        with pytest.raises(ValueError, match=r"holds fewer than 2 primes"):
+            instance_for_theorem2(10 * X, 1.0)
+
+
+def test_instance_two_prime_check_agrees_with_the_sieve():
+    # the builders sieve (X, 2X] only below X = 5.5; past it the second
+    # Ramanujan prime, 11, puts two primes in (X, 2X]
+    for X in np.arange(3.0, 64.25, 0.25).tolist():
+        has_two = len(sieve_primes(X)) >= 2
+        for build, N in ((instance_for_theorem1, 3 * X), (instance_for_theorem2, 10 * X)):
+            try:
+                inst = build(N, 1.0)
+            except ValueError:
+                assert not has_two, (build.__name__, X)
+            else:
+                assert has_two and inst.X == X, (build.__name__, X)
 
 
 def test_count_B_degenerate_c1():
@@ -613,7 +634,7 @@ def test_sextuple_degenerate_c1():
 
 def test_sextuple_infeasible_dyadic_range_searches_full_table():
     inst = ProblemInstance(c=2.05, X=50.0, eps=0.1, k=6)
-    assert not sextuple_feasible(inst, 100.0)
+    assert not sextuple_feasible(inst, 100.0, sieve_primes(inst.X))
     # no six primes with p^c <= 100 sum to within 0.1 of 100
     res = find_sextuple(inst, 100.0)
     assert res.feasible is False
@@ -871,6 +892,17 @@ def test_triple_band_is_the_full_range_masked(c, dense):
         assert got_flat.dtype == np.int32
         assert np.array_equal(got_sums, want_sums), (lo, hi)
         assert np.array_equal(got_flat, want_flat), (lo, hi)
+
+
+def test_triple_counts_pair_guard(monkeypatch, inst_1e5):
+    # n^2 ordered pairs one past the guard: refused before any candidate walk
+    n = len(sieve_primes(inst_1e5.X))
+    monkeypatch.setattr(solver, "_PAIR_GUARD", n * n - 1)
+    monkeypatch.setattr(solver, "_candidate_walk", None)
+    with pytest.raises(GuardError) as info:
+        triple_counts(inst_1e5, [1.5e5])
+    assert info.value.guard == "pair"
+    assert info.value.limit == n * n - 1
 
 
 def test_mitm_search_triple_guard(monkeypatch):
