@@ -44,6 +44,7 @@ _NAIVE_CHUNK = 1 << 16     # comparisons of pair sums per chunk of the naive cou
 _FAST_GUARD = 10 ** 8      # Y^2 at most this many pair sums formed
 _HARMONIC_GUARD = 10 ** 9  # Y^4 at most this many ordered 4-tuples
 _FAST_BAND = 1 << 14       # unordered pair sums per band of count_tuples_fast
+_POWER_BLOCK = 1 << 16     # candidate base sums per block of sum_band's search by power
 _RETEST_CHUNK = 1 << 16    # candidates of count_tuples_fast re-tested at once
 _SLACK_ULPS = 8            # long-double ulps added to every window's reach
 _KEY_ULPS = 4              # float64 ulps added to it for the rounding to float64
@@ -57,39 +58,52 @@ def single_powers(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n(n+1)/2 unordered pairs i <= j, row by row, as a sum_band base,
-    so that its bands hold unordered triple sums: flat index i n + j, last
-    index j and long-double sum P_i + P_j."""
+    """The n(n+1)/2 unordered pairs i <= j as a sum_band base, so that its
+    bands hold unordered triple sums: flat index i n + j, last index j and
+    long-double sum P_i + P_j, in ascending order of sum (equal sums in
+    flat order)."""
     n = len(powers)
     i, j = np.triu_indices(n)
     sums = powers[i]
     sums += powers[j]
-    return i * n + j, j, sums
+    order = np.argsort(sums, kind="stable")
+    return (i * n + j)[order], j[order], sums[order]
 
 
 def sum_band(powers: np.ndarray, base: tuple[np.ndarray, np.ndarray, np.ndarray],
              lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """The unordered sums s + P_l over the base sums s and l >= their last
     index, formed left to right, that lie in [lo, hi), with the int32 flat
-    index f n + l, f the base sum's flat index, in order of flat index if
-    the base's flat indices ascend.  ``base`` is (flat, last, sums):
-    single_powers(powers) gives pair sums and unordered_pairs(powers)
+    index f n + l, f the base sum's flat index.  ``base`` is (flat, last,
+    sums): single_powers(powers) gives pair sums and unordered_pairs(powers)
     triple sums.  ``powers`` ascend; the caller keeps the flat indices
     below 2^31.
 
-    Each base sum's sums grow with l, so two searchsorted bounds on the
-    powers give the run of l to form; only the sums that lie in [lo, hi) are
-    kept.  A sum within rounding of a bound has base sum and power within
-    |bound| + max|P| of it, so each bound is widened by _SLACK_ULPS
-    long-double ulps of that (an infinite bound needs none).
+    A base no longer than ``powers`` is searched row by row: each base
+    sum's sums grow with l, so two searchsorted bounds on the powers give
+    the run of l to form, and the band comes in order of flat index if the
+    base's flat indices ascend.  A longer base, which must be
+    unordered_pairs(powers), pair sums in ascending order, is searched once
+    per power l instead (_sums_by_power): two searchsorted bounds on the
+    base sums give the run of s to try, only those with last index <= l are
+    formed, and the band comes in order of l, then of s.  Either way only
+    the sums that lie in [lo, hi) are kept.  The value searched for is the
+    bound less the other term, bound - s row by row and bound - P_l per
+    power, rounded in long double.  A sum within rounding of a bound has
+    base sum and power, and so that difference, within |bound| + max|P| in
+    magnitude: the rounding of the sum and of the difference is under one
+    long-double ulp of |bound| + max|P| in all, and each bound is widened
+    by _SLACK_ULPS such ulps (an infinite bound needs none).
     """
     flat, last, base_sums = base
     n = len(powers)
     ulps = _SLACK_ULPS * np.finfo(LONG).eps
     top = np.abs(powers).max(initial=0)
-    first = np.maximum(np.searchsorted(powers, lo - base_sums - ulps * (abs(lo) + top)), last)
-    lengths = np.maximum(
-        np.searchsorted(powers, hi - base_sums + ulps * (abs(hi) + top)) - first, 0)
+    lo_reach, hi_reach = ulps * (abs(lo) + top), ulps * (abs(hi) + top)
+    if len(base_sums) > n:
+        return _sums_by_power(powers, base, lo, hi, lo_reach, hi_reach)
+    first = np.maximum(np.searchsorted(powers, lo - base_sums - lo_reach), last)
+    lengths = np.maximum(np.searchsorted(powers, hi - base_sums + hi_reach) - first, 0)
     run = np.repeat(np.arange(len(base_sums)), lengths)
     l = run_positions(first, lengths)
     sums = base_sums[run] + powers[l]
@@ -97,6 +111,44 @@ def sum_band(powers: np.ndarray, base: tuple[np.ndarray, np.ndarray, np.ndarray]
     del run, l
     keep = (sums >= lo) & (sums < hi)
     return sums[keep], flat[keep].astype(np.int32)
+
+
+def _sums_by_power(powers: np.ndarray, base: tuple[np.ndarray, np.ndarray, np.ndarray],
+                   lo, hi, lo_reach, hi_reach) -> tuple[np.ndarray, np.ndarray]:
+    """sum_band over the value-sorted pairs of unordered_pairs, one run of
+    pair sums per power l: those from lo - P_l - lo_reach up to
+    hi - P_l + hi_reach, and at most 2 P_l, since a pair sum
+    s = fl(P_i + P_j) with i <= j <= l is at most fl(P_l + P_l) (a larger s
+    has last index > l).  The runs are
+    taken a block of powers at a time, with about _POWER_BLOCK candidate
+    base sums and int32 positions in each, so the transient arrays stay
+    bounded whatever the band; a band of one block is one pass."""
+    flat, last, base_sums = base
+    n = len(powers)
+    first = np.searchsorted(base_sums, lo - powers - lo_reach)
+    stop = np.minimum(np.searchsorted(base_sums, hi - powers + hi_reach),
+                      np.searchsorted(base_sums, powers + powers, side="right"))
+    lengths = np.maximum(stop - first, 0)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths   # candidate k of power l's run is base sum k + shift[l]
+    shift = (first - starts).astype(np.int32)
+    blocks = [0]   # each block of powers from one entry to the next
+    while blocks[-1] < n:
+        blocks.append(max(blocks[-1] + 1, int(np.searchsorted(
+            ends, starts[blocks[-1]] + _POWER_BLOCK, side="right"))))
+    parts = []
+    for a, b in zip(blocks[:-1], blocks[1:]):
+        at = np.arange(starts[a], ends[b - 1], dtype=np.int32)
+        at += np.repeat(shift[a:b], lengths[a:b])
+        l = np.repeat(np.arange(a, b, dtype=np.int32), lengths[a:b])
+        keep = last[at] <= l
+        at, l = at[keep], l[keep]
+        sums = base_sums[at] + powers[l]
+        keep = (sums >= lo) & (sums < hi)
+        parts.append((sums[keep], (flat[at[keep]] * n + l[keep]).astype(np.int32)))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def window_pairs(lo: np.ndarray, hi: np.ndarray, keys: np.ndarray

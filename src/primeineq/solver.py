@@ -577,9 +577,14 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     ``slack``.
 
     t sweeps ascending bands [lo, lo + w) of canonical sums, w doubling
-    from band to band, and each t-band meets the u-band
-    [N - lo - w - eps - 2 slack, N - lo + eps + 2 slack], which holds every
-    u that can solve with one of its t; both are built by count.sum_band.
+    from band to band.  The sweep starts at max(bottom, N - top - eps -
+    2 slack), bottom and top the smallest and largest canonical sums: every
+    u has ordered sum v_u <= top + slack, so every solution has
+    v_t > N - top - slack - eps, and its t a canonical sum within slack of
+    that.  Each t-band meets the u-band [N - lo - w - eps - 2 slack,
+    N - lo + eps + 2 slack], which holds every u that can solve with one of
+    its t; both are built by count.sum_band, a search per power over the
+    value-sorted pair sums of count.unordered_pairs.
     count.window_pairs, from the keys fl(v_u) into the windows around
     fl(N - v_t), both sorted, at width eps + slack, lists every pair of
     triples with a solution among their orderings; each is expanded into
@@ -603,7 +608,8 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     slack = _PERM_ULPS * np.finfo(LONG).eps * (max(abs(bottom), abs(top)) + eps)
     reach = window_reach(bottom, top, eps + slack)
     stop = min(top, (target + eps) / 2 + 2 * slack)
-    lo, width = bottom, max(_FIRST_BAND * (top - bottom), eps + slack)
+    lo = max(bottom, target - top - eps - 2 * slack)
+    width = max(_FIRST_BAND * (top - bottom), eps + slack)
     best = None   # (v_t, flat_t, v_u, flat_u) of the best confirmed solution
     while lo <= stop and (best is None or lo <= best[0] + slack):
         hi = lo + width

@@ -73,6 +73,9 @@ class ProblemInstance:
     K: float = field(default=None)    # type: ignore[assignment]
 
     def __post_init__(self):
+        for name in ("c", "X", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name} = {getattr(self, name)}")
         if self.X < 3:
             raise ValueError("X must be >= 3")
         if self.eps <= 0:

@@ -270,6 +270,30 @@ def test_non_finite_R_is_a_usage_error(capsys, command, R):
     assert captured.err == f"usage error: R must be finite, got R = {float(R)}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "sextuple", "--N", "inf", "--c", "2.05", "--eps", "0.1"),
+     "X must be finite, got X = inf"),
+    (("solve", "sextuple", "--N", "1e6", "--c", "2.05", "--eps", "nan"),
+     "eps must be finite, got eps = nan"),
+    (("mainterm", "--N", "inf", "--c", "1.5", "--R", "1e5", "--eps", "0.1"),
+     "X must be finite, got X = inf"),
+    (("mainterm", "--N", "1e5", "--c", "1.5", "--R", "1e5", "--eps", "inf"),
+     "eps must be finite, got eps = inf"),
+    (("sums", "eval", "--X", "inf", "--c", "2.05", "--x", "0", "--eps", "0.1"),
+     "X must be finite, got X = inf"),
+    (("sums", "eval", "--X", "256", "--c", "nan", "--x", "0", "--eps", "0.1"),
+     "c must be finite, got c = nan"),
+])
+def test_non_finite_instance_is_a_usage_error(capsys, argv, message):
+    # X = inf used to die in an OverflowError traceback (exit 1) when
+    # kernel_from_instance or a sieve took math.floor(X)
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
 def test_resource_guard_has_its_own_exit_code(capsys):
     # Y^2 pair sums beyond the fast counter's guard; the guard fires before
     # any allocation

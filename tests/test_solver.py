@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (gauss_g2, main_term_per_R, mpmath_g2, pair_index, sorted_sums,
                      window_hits)
-from primeineq import reports, solver
+from primeineq import count, reports, solver
 from primeineq.count import single_powers, sum_band, unordered_pairs
 from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
 from primeineq.reports import exceptional_scan
@@ -790,19 +790,32 @@ def test_mitm_search_without_solution_at_5e6():
     assert solver._mitm_search(tbl, c, N, eps) is None
 
 
+def _sweep_start(sums: np.ndarray, N: float, eps: float):
+    """Where _mitm_search's t-sweep starts over the canonical triple sums
+    ``sums`` (ascending): max(bottom, N - top - eps - 2 slack)."""
+    bottom, top, eps = sums[0], sums[-1], LONG(eps)
+    slack = solver._PERM_ULPS * np.finfo(LONG).eps * (max(abs(bottom), abs(top)) + eps)
+    return max(bottom, LONG(N) - top - eps - 2 * slack)
+
+
 def test_mitm_search_record_in_a_later_band(monkeypatch, bands):
-    # the 2.05 near-tie table, with the first band ending at the record's
-    # first triple: a solution is confirmed in the first band, and the
-    # record's triple, whose canonical sum exceeds that solution's ordered
-    # sum, comes from the second band
-    c, N, eps = 2.05, 3.2048838649363313e20, 1e5
+    # the 2.05 near-tie table, with the first band, from the sweep's start,
+    # ending at the record's first triple: a solution is confirmed in the
+    # first band, and the record's triple, whose canonical sum exceeds that
+    # solution's ordered sum, comes from the second band.  N is one float64
+    # ulp (2^16) below the near-tie case of the oracle test above, with the
+    # same record: there the record's first triple lies 53648 above the
+    # sweep's start, inside the narrowest first band (eps + slack), and
+    # here 119184 above it
+    c, N, eps = 2.05, 3.204883864936331e20, 1e5
     tbl = _table(range(4_200_000_000, 4_200_000_008))
     P, n = tbl.powers(c), len(tbl)
     sums, flat = _all_triples(P)
     want = _ordered_mitm_search(tbl, c, N, eps)
     a, b, d = sorted(np.searchsorted(tbl.primes, want.primes[:3]))
     record_t = (a * n + b) * n + d
-    share = (sums[flat == record_t][0] - sums[0]) / (sums[-1] - sums[0])
+    start = _sweep_start(sums, N, eps)
+    share = (sums[flat == record_t][0] - start) / (sums[-1] - sums[0])
     monkeypatch.setattr(solver, "_FIRST_BAND", share)
     bands.clear()
     _assert_same_record(tbl, c, N, eps)
@@ -811,6 +824,17 @@ def test_mitm_search_record_in_a_later_band(monkeypatch, bands):
     vt, _ = solver._orderings(first, P)
     vu, _ = solver._orderings(flat, P)
     assert np.any(np.abs(vu[:, None, None, :] + vt[None, :, :, None] - LONG(N)) < eps)
+
+
+def test_mitm_search_starts_where_a_partner_triple_can_exist(bands):
+    # c = 1, primes 3, 17, 67: the triple sums run from 9 to 201, and the
+    # only solution of N = 224 pairs 3 + 3 + 17 = 23 = N - top with
+    # 67 + 67 + 67 = 201, so the record's t sits exactly at N - top, above
+    # the smallest sum.  The sweep starts eps + 2 slack below it, and its
+    # first band, eps + slack wide, ends just short of it
+    rec = _assert_same_record(_table([3, 17, 67]), 1.0, 224.0, 0.5)
+    assert rec.primes == (3, 3, 17, 67, 67, 67)
+    assert 9 < bands[0][0] <= 23
 
 
 @pytest.mark.parametrize("share", [solver._FIRST_BAND, 2.0 ** -5])
@@ -851,8 +875,9 @@ def test_unordered_pair_and_triple_sums(c, dense, k):
     # dense: consecutive integers from 4e9; at c = 2 many sums share a
     # float64 key but not a long-double value, and distinct tuples tie
     # exactly; at c = 1 every sum is exact and shared by many tuples.  The
-    # bands of all pair and all triple sums come in flat order, which the
-    # stable sort of harmonic_V relies on
+    # band of all pair sums comes in flat order, which the stable sort of
+    # harmonic_V relies on; the band of all triple sums, searched per power
+    # over the value-sorted pairs, holds the same sums in another order
     primes = (np.arange(4_000_000_000, 4_000_000_040, dtype=np.int64) if dense
               else full_prime_table(2e5, c).primes)
     P = primes.astype(LONG) ** LONG(c)
@@ -865,7 +890,10 @@ def test_unordered_pair_and_triple_sums(c, dense, k):
     base = single_powers(P) if k == 2 else unordered_pairs(P)
     band = sum_band(P, base, -np.inf, np.inf)
     got_sums, got_flat = _by_flat(*band)
-    assert np.array_equal(band[1], got_flat)
+    if k == 2:
+        assert np.array_equal(band[1], got_flat)
+    else:   # the pairs come in ascending order of sum
+        assert np.all(base[2][1:] >= base[2][:-1])
     # the combinations come in flat order
     assert got_flat.dtype == np.int32
     assert np.array_equal(got_sums, sums)
@@ -892,6 +920,24 @@ def test_triple_band_is_the_full_range_masked(c, dense):
         assert got_flat.dtype == np.int32
         assert np.array_equal(got_sums, want_sums), (lo, hi)
         assert np.array_equal(got_flat, want_flat), (lo, hi)
+
+
+@pytest.mark.parametrize("block", [1, 5, 600])
+def test_triple_band_in_blocks_is_the_band_in_one_block(monkeypatch, block):
+    # the per-power search a few powers at a time, or one power (block 1),
+    # gives the band of one block (under 40 x 820 candidates), in the same
+    # order
+    P = np.arange(4_000_000_000, 4_000_000_040, dtype=np.int64).astype(LONG) ** LONG(2.0)
+    pairs = unordered_pairs(P)
+    sums, _ = _all_triples(P)
+    m = len(sums)
+    bounds = [(-np.inf, np.inf), (sums[m // 5], sums[m // 2]), (sums[m // 3], sums[m // 3])]
+    wholes = [sum_band(P, pairs, lo, hi) for lo, hi in bounds]
+    monkeypatch.setattr(count, "_POWER_BLOCK", block)
+    for (lo, hi), whole in zip(bounds, wholes):
+        parts = sum_band(P, pairs, lo, hi)
+        assert parts[1].dtype == np.int32
+        assert all(np.array_equal(a, b) for a, b in zip(parts, whole)), (lo, hi)
 
 
 def test_triple_counts_pair_guard(monkeypatch, inst_1e5):

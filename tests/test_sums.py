@@ -76,6 +76,17 @@ def test_instance_validation():
         ProblemInstance(c=2.05, X=1024.0, eps=0.1, tau=5.0, K=1.0)
 
 
+@pytest.mark.parametrize("name, value", [("c", math.inf), ("c", -math.inf), ("c", math.nan),
+                                         ("X", math.inf), ("X", math.nan),
+                                         ("eps", math.inf), ("eps", math.nan)])
+def test_instance_refuses_non_finite_parameters(name, value):
+    # X = inf passed both the X >= 3 and the tau < K check, and eps = nan
+    # and eps = inf the eps > 0 check
+    kwargs = {"c": 2.05, "X": 1024.0, "eps": 0.1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {name} = {value}$"):
+        ProblemInstance(**kwargs)
+
+
 def test_sum_T_at_zero_counts_integers():
     assert sum_T(inst_c1(10.0), 0.0) == pytest.approx(10.0)
 
