@@ -5,6 +5,10 @@ refused the work (the message names the guard and its limit), 4 a numerical
 routine did not converge (the message names it and its last error).  Output is
 JSON (schema 1) or CSV with a header row.  A flat ``key = value`` config file can
 supply defaults; explicit flags win.  Rationals are always printed as p/q.
+
+One table (``_ACTIONS``) names each action's handler and the flags it reads,
+with their defaults; the parser accepts exactly those flags, and the config
+file fills in exactly those of them the command line left unset.
 """
 
 from __future__ import annotations
@@ -54,16 +58,6 @@ def _read_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, cfg: dict, key: str, cast, default=None):
-    """Flag value if given, else config file value, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cast(cfg[key])
-    return default
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
@@ -81,32 +75,32 @@ def _csv(rows: list[dict], fields: list[str]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-# --------------------------------------------------------------- commands
+# --------------------------------------------------------------- actions
 
-def _cmd_pairs(args, cfg, out) -> int:
-    if args.action == "eval":
-        if not args.word:
-            raise UsageError("pairs eval requires --word")
-        p = apply_word(args.word)
-        _emit(f"{_frac(p.kappa)} {_frac(p.lam)}", out)
-        return 0
-    # search
-    depth = _resolve(args, cfg, "depth", int, 8)
-    c = _resolve(args, cfg, "c", float, 2.05)
-    name = args.objective or "minor"
+def _pairs_eval(args) -> int:
+    if not args.word:
+        raise UsageError("pairs eval requires --word")
+    p = apply_word(args.word)
+    _emit(f"{_frac(p.kappa)} {_frac(p.lam)}", args.out)
+    return 0
+
+
+def _pairs_search(args) -> int:
+    c = args.c
     objectives = {
         "kappa": lambda p: float(p.kappa),
         "sum": lambda p: float(p.kappa + p.lam),
         "minor": lambda p: float(p.kappa) * c + float(p.lam - p.kappa),
     }
-    pair, word = search_pairs(objectives[name], depth)
+    objective = objectives[args.objective]
+    pair, word = search_pairs(objective, args.depth)
     _emit(render_report({
-        "config": {"objective": name, "c": c, "depth": depth},
+        "config": {"objective": args.objective, "c": c, "depth": args.depth},
         "word": word,
         "kappa": _frac(pair.kappa),
         "lambda": _frac(pair.lam),
-        "objective_value": objectives[name](pair),
-    }, indent=2), out)
+        "objective_value": objective(pair),
+    }, indent=2), args.out)
     return 0
 
 
@@ -120,45 +114,35 @@ _LEDGER_CHECKS = {
 }
 
 
-def _cmd_ledger(args, cfg, out) -> int:
-    if args.action == "all":
-        reps = ledger_mod.run_all()
-    elif args.action in _LEDGER_CHECKS:
-        reps = [_LEDGER_CHECKS[args.action]()]
-    else:
-        raise UsageError(f"unknown ledger check {args.action!r}; "
-                         f"choose from all, {', '.join(_LEDGER_CHECKS)}")
-    _emit("\n".join(render_report(r.payload, indent=2) for r in reps), out)
+def _ledger(args) -> int:
+    reps = ledger_mod.run_all() if args.check == "all" else [_LEDGER_CHECKS[args.check]()]
+    _emit("\n".join(render_report(r.payload, indent=2) for r in reps), args.out)
     return 0 if all(r.all_pass for r in reps) else 1
 
 
-def _kernel_params(args, cfg) -> KernelParams:
-    return KernelParams(
-        a=_resolve(args, cfg, "a", float, 0.9),
-        b=_resolve(args, cfg, "b", float, 0.1),
-        r=_resolve(args, cfg, "r", int, 4),
-        strict_smooth=bool(args.strict),
-    )
+def _kernel_params(args) -> KernelParams:
+    return KernelParams(a=args.a, b=args.b, r=args.r, strict_smooth=args.strict)
 
 
-def _cmd_kernel(args, cfg, out) -> int:
-    p = _kernel_params(args, cfg)
-    if args.action == "eval":
-        xs = np.linspace(_resolve(args, cfg, "x_min", float, -10.0),
-                         _resolve(args, cfg, "x_max", float, 10.0),
-                         _resolve(args, cfg, "points", int, 101))
-        rows = [{"x": float(x),
-                 "phi": float(phi),
-                 "Phi": float(phi_fourier(p, float(x))),
-                 "bound": float(phi_fourier_bound(p, float(x)))}
-                for x, phi in zip(xs, phi_eval(p, xs))]
-        _emit(_csv(rows, ["x", "phi", "Phi", "bound"]), out)
-        return 0
-    # check: bound holds on random x, transform matches direct quadrature
+def _kernel_eval(args) -> int:
+    p = _kernel_params(args)
+    xs = np.linspace(args.x_min, args.x_max, args.points)
+    rows = [{"x": float(x),
+             "phi": float(phi),
+             "Phi": float(phi_fourier(p, float(x))),
+             "bound": float(phi_fourier_bound(p, float(x)))}
+            for x, phi in zip(xs, phi_eval(p, xs))]
+    _emit(_csv(rows, ["x", "phi", "Phi", "bound"]), args.out)
+    return 0
+
+
+def _kernel_check(args) -> int:
+    """The bound holds on random x; the transform matches direct quadrature."""
     import random as _random
-    rng = _random.Random(_resolve(args, cfg, "seed", int, 0))
+    p = _kernel_params(args)
+    rng = _random.Random(args.seed)
     worst = 0.0
-    for _ in range(_resolve(args, cfg, "points", int, 10000)):
+    for _ in range(args.points):
         x = (2.0 * rng.random() - 1.0) * 1000.0
         worst = max(worst, abs(phi_fourier(p, x)) - phi_fourier_bound(p, x))
     quad_rel = 0.0
@@ -171,141 +155,174 @@ def _cmd_kernel(args, cfg, out) -> int:
     _emit(render_report({"config": {"a": p.a, "b": p.b, "r": p.r,
                                     "strict_smooth": p.strict_smooth},
                          "bound_excess": worst, "quadrature_rel_err": quad_rel,
-                         "pass": ok}, indent=2), out)
+                         "pass": ok}, indent=2), args.out)
     return 0 if ok else 1
 
 
-def _instance(args, cfg) -> ProblemInstance:
-    c = _resolve(args, cfg, "c", float, 2.05)
-    X = _resolve(args, cfg, "X", float)
-    if X is None:
+def _require_X(args) -> float:
+    if args.X is None:
         raise UsageError("this command requires --X")
-    eps = _resolve(args, cfg, "eps", float, 1.0 / math.log(X))
-    eta = _resolve(args, cfg, "eta", float, 0.05)
-    return ProblemInstance(c=c, X=X, eps=eps, eta=eta)
+    return args.X
 
 
-def _cmd_sums(args, cfg, out) -> int:
-    inst = _instance(args, cfg)
-    if args.action == "eval":
-        x = _resolve(args, cfg, "x", float)
-        if x is None:
-            raise UsageError("sums eval requires --x")
-        t, s, i = sum_T(inst, x), sum_S(inst, x), integral_I(inst, x)
-        _emit(render_report({"config": asdict(inst), "x": x,
-                             "T": [t.real, t.imag], "S": [s.real, s.imag],
-                             "I": [i.real, i.imag],
-                             "abs": {"T": abs(t), "S": abs(s), "I": abs(i)}},
-                            indent=2), out)
-        return 0
-    if args.action == "moment":
-        which = args.which or "S"
-        value, err = moment4(inst, which)
-        _emit(render_report({"config": asdict(inst), "which": which,
-                             "moment4": value, "refine_err": err}, indent=2), out)
-        return 0
-    # profile
+def _instance(args) -> ProblemInstance:
+    X = _require_X(args)
+    eps = 1.0 / math.log(X) if args.eps is None else args.eps
+    return ProblemInstance(c=args.c, X=X, eps=eps, eta=args.eta)
+
+
+def _sums_eval(args) -> int:
+    inst = _instance(args)
+    x = args.x
+    if x is None:
+        raise UsageError("sums eval requires --x")
+    t, s, i = sum_T(inst, x), sum_S(inst, x), integral_I(inst, x)
+    _emit(render_report({"config": asdict(inst), "x": x,
+                         "T": [t.real, t.imag], "S": [s.real, s.imag],
+                         "I": [i.real, i.imag],
+                         "abs": {"T": abs(t), "S": abs(s), "I": abs(i)}},
+                        indent=2), args.out)
+    return 0
+
+
+def _sums_moment(args) -> int:
+    inst = _instance(args)
+    value, err = moment4(inst, args.which)
+    _emit(render_report({"config": asdict(inst), "which": args.which,
+                         "moment4": value, "refine_err": err}, indent=2), args.out)
+    return 0
+
+
+def _sums_profile(args) -> int:
     rep = json.loads(reports.s_vs_i_report(
-        c=inst.c, X=inst.X,
-        points=_resolve(args, cfg, "points", int, 20),
-        seed=_resolve(args, cfg, "seed", int, 0)))
-    _emit(render_report(rep, indent=2), out)
+        c=args.c, X=_require_X(args), points=args.points, seed=args.seed))
+    _emit(render_report(rep, indent=2), args.out)
     return 0 if rep["pass"] else 1
 
 
-def _cmd_count(args, cfg, out) -> int:
-    c = _resolve(args, cfg, "c", float, 1.5)
-    gamma = _resolve(args, cfg, "gamma", float, 1.0)
-    if args.action == "rs":
-        Y = _resolve(args, cfg, "Y", int)
-        if Y is None:
-            raise UsageError("count rs requires --Y")
-        res = count_mod.count_tuples_fast(count_mod.CountSpec(Y, c, gamma))
-        _emit(render_report({"config": {"Y": Y, "c": c, "gamma": gamma},
-                             "count": res.count, "ambiguous": res.ambiguous},
-                            indent=2), out)
-        return 0
-    if args.action == "ladder":
-        Ys = [int(y) for y in (args.Ys or "64,128,256,512,1024").split(",")]
-        rep = json.loads(reports.rs_slope_report(c, gamma, Ys))
-        if (args.format or "csv") == "json":
-            _emit(render_report(rep, indent=2), out)
-        else:
-            rows = [{"Y": Y, "count": n, "slope": rep["slope"],
-                     "reference_slope": rep["reference_slope"]}
-                    for Y, n in zip(Ys, rep["counts"])]
-            _emit(_csv(rows, ["Y", "count", "slope", "reference_slope"]), out)
-        return 0 if rep["pass"] else 1
-    # V
-    Y = _resolve(args, cfg, "Y", int)
-    tau = _resolve(args, cfg, "tau", float)
-    if Y is None or tau is None:
-        raise UsageError("count V requires --Y and --tau")
-    total, buckets = count_mod.harmonic_V(count_mod.CountSpec(Y, c, gamma), tau)
-    _emit(render_report({"config": {"Y": Y, "c": c, "tau": tau},
-                         "total": total, "buckets": list(buckets)}, indent=2), out)
+def _count_rs(args) -> int:
+    if args.Y is None:
+        raise UsageError("count rs requires --Y")
+    res = count_mod.count_tuples_fast(count_mod.CountSpec(args.Y, args.c, args.gamma))
+    _emit(render_report({"config": {"Y": args.Y, "c": args.c, "gamma": args.gamma},
+                         "count": res.count, "ambiguous": res.ambiguous},
+                        indent=2), args.out)
     return 0
 
 
-def _cmd_solve(args, cfg, out) -> int:
-    c = _resolve(args, cfg, "c", float)
-    N = _resolve(args, cfg, "N", float)
-    if c is None or N is None:
-        raise UsageError("solve requires --N and --c")
-    eps = _resolve(args, cfg, "eps", float)
-    if args.action == "triple":
-        inst = instance_for_theorem1(N, c, eps)
-        R = _resolve(args, cfg, "R", float, 1.5 * N)
-        counts = triple_counts(inst, [R], want_records=True)[0]
-        payload = {"config": {**asdict(inst), "N": N},
-                   "R": R, "count": counts.count, "weighted": counts.weighted,
-                   "B1": counts.B1, "H": main_term_H(inst, R),
-                   "records": [asdict(r) for r in counts.records]}
-        _emit(render_report(payload, indent=2), out)
-        return 0
-    inst = instance_for_theorem2(N, c, eps)
-    res = find_sextuple(inst, N)
+def _count_ladder(args) -> int:
+    Ys = [int(y) for y in args.Ys.split(",")]
+    rep = json.loads(reports.rs_slope_report(args.c, args.gamma, Ys))
+    if (args.format or "csv") == "json":
+        _emit(render_report(rep, indent=2), args.out)
+    else:
+        rows = [{"Y": Y, "count": n, "slope": rep["slope"],
+                 "reference_slope": rep["reference_slope"]}
+                for Y, n in zip(Ys, rep["counts"])]
+        _emit(_csv(rows, ["Y", "count", "slope", "reference_slope"]), args.out)
+    return 0 if rep["pass"] else 1
+
+
+def _count_V(args) -> int:
+    if args.Y is None or args.tau is None:
+        raise UsageError("count V requires --Y and --tau")
+    # harmonic_V reads no gamma; CountSpec needs a valid one
+    spec = count_mod.CountSpec(args.Y, args.c, 1.0)
+    total, buckets = count_mod.harmonic_V(spec, args.tau)
+    _emit(render_report({"config": {"Y": args.Y, "c": args.c, "tau": args.tau},
+                         "total": total, "buckets": list(buckets)}, indent=2), args.out)
+    return 0
+
+
+def _require_N_and_c(args, command: str) -> None:
+    if args.c is None or args.N is None:
+        raise UsageError(f"{command} requires --N and --c")
+
+
+def _solve_triple(args) -> int:
+    _require_N_and_c(args, "solve")
+    N = args.N
+    inst = instance_for_theorem1(N, args.c, args.eps)
+    R = 1.5 * N if args.R is None else args.R
+    counts = triple_counts(inst, [R], want_records=True)[0]
     payload = {"config": {**asdict(inst), "N": N},
+               "R": R, "count": counts.count, "weighted": counts.weighted,
+               "B1": counts.B1, "H": main_term_H(inst, R),
+               "records": [asdict(r) for r in counts.records]}
+    _emit(render_report(payload, indent=2), args.out)
+    return 0
+
+
+def _solve_sextuple(args) -> int:
+    _require_N_and_c(args, "solve")
+    inst = instance_for_theorem2(args.N, args.c, args.eps)
+    res = find_sextuple(inst, args.N)
+    payload = {"config": {**asdict(inst), "N": args.N},
                "found": res.found, "feasible": res.feasible,
                "range_used": res.range_used,
                "records": [] if res.record is None else [asdict(res.record)]}
-    _emit(render_report(payload, indent=2), out)
+    _emit(render_report(payload, indent=2), args.out)
     return 0 if res.found else 1
 
 
-def _cmd_scan(args, cfg, out) -> int:
-    c = _resolve(args, cfg, "c", float, 1.5)
-    N = _resolve(args, cfg, "N", float, 1e5)
-    inst = instance_for_theorem1(N, c, _resolve(args, cfg, "eps", float))
-    rep = exceptional_scan(
-        inst,
-        samples=_resolve(args, cfg, "samples", int, 50),
-        seed=_resolve(args, cfg, "seed", int, 0))
+def _scan(args) -> int:
+    inst = instance_for_theorem1(args.N, args.c, args.eps)
+    rep = exceptional_scan(inst, samples=args.samples, seed=args.seed)
     if (args.format or "json") == "csv":
         rows = [{"R": R, "count": n} for R, n in zip(rep["R_values"], rep["counts"])]
-        _emit(_csv(rows, ["R", "count"]), out)
+        _emit(_csv(rows, ["R", "count"]), args.out)
     else:
-        _emit(render_report(rep, indent=2), out)
+        _emit(render_report(rep, indent=2), args.out)
     return 0
 
 
-def _cmd_mainterm(args, cfg, out) -> int:
-    c = _resolve(args, cfg, "c", float)
-    N = _resolve(args, cfg, "N", float)
-    if c is None or N is None:
-        raise UsageError("mainterm requires --N and --c")
-    k = _resolve(args, cfg, "k", int, 3)
-    if k not in (3, 6):
+def _mainterm(args) -> int:
+    _require_N_and_c(args, "mainterm")
+    if args.k not in (3, 6):
         raise UsageError("k must be 3 or 6")
-    R = _resolve(args, cfg, "R", float)
-    if R is None:
+    if args.R is None:
         raise UsageError("mainterm requires --R")
-    theorem = instance_for_theorem1 if k == 3 else instance_for_theorem2
-    inst = theorem(N, c, _resolve(args, cfg, "eps", float))
-    h = main_term_H(inst, R)
-    _emit(render_report({"config": {**asdict(inst), "N": N},
-                         "R": R, "H": h}, indent=2), out)
+    theorem = instance_for_theorem1 if args.k == 3 else instance_for_theorem2
+    inst = theorem(args.N, args.c, args.eps)
+    h = main_term_H(inst, args.R)
+    _emit(render_report({"config": {**asdict(inst), "N": args.N},
+                         "R": args.R, "H": h}, indent=2), args.out)
     return 0
+
+
+# --------------------------------------------------------------- the table
+
+# Every flag's type: a tuple is its choices, bool a switch (command line only).
+_TYPES = {
+    "word": str, "objective": ("kappa", "sum", "minor"), "which": ("S", "I"), "Ys": str,
+    "depth": int, "r": int, "points": int, "seed": int, "Y": int, "samples": int, "k": int,
+    "a": float, "b": float, "c": float, "eps": float, "eta": float, "gamma": float,
+    "N": float, "R": float, "tau": float, "x": float, "X": float,
+    "x_min": float, "x_max": float, "strict": bool,
+}
+
+_KERNEL = {"a": 0.9, "b": 0.1, "r": 4, "strict": False}
+_SUMS = {"c": 2.05, "X": None, "eps": None, "eta": 0.05}
+
+# Each action: its handler, and the flags it reads with their defaults.  A
+# default of None is a value the handler requires or works out itself.
+_ACTIONS = {
+    "pairs eval": (_pairs_eval, {"word": None}),
+    "pairs search": (_pairs_search, {"depth": 8, "c": 2.05, "objective": "minor"}),
+    "ledger": (_ledger, {}),
+    "kernel eval": (_kernel_eval, {**_KERNEL, "x_min": -10.0, "x_max": 10.0, "points": 101}),
+    "kernel check": (_kernel_check, {**_KERNEL, "points": 10000, "seed": 0}),
+    "sums eval": (_sums_eval, {**_SUMS, "x": None}),
+    "sums moment": (_sums_moment, {**_SUMS, "which": "S"}),
+    "sums profile": (_sums_profile, {"c": 2.05, "X": None, "points": 20, "seed": 0}),
+    "count rs": (_count_rs, {"Y": None, "c": 1.5, "gamma": 1.0}),
+    "count ladder": (_count_ladder, {"c": 1.5, "gamma": 1.0, "Ys": "64,128,256,512,1024"}),
+    "count V": (_count_V, {"Y": None, "tau": None, "c": 1.5}),
+    "solve triple": (_solve_triple, {"c": None, "N": None, "eps": None, "R": None}),
+    "solve sextuple": (_solve_sextuple, {"c": None, "N": None, "eps": None}),
+    "scan": (_scan, {"c": 1.5, "N": 1e5, "eps": None, "seed": 0, "samples": 50}),
+    "mainterm": (_mainterm, {"c": None, "N": None, "eps": None, "R": None, "k": 3}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -313,82 +330,50 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--config", help="flat key=value config file")
     top.add_argument("--out", help="write output to this path instead of stdout")
     top.add_argument("--format", choices=["json", "csv"])
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pairs")
-    p.add_argument("action", choices=["eval", "search"])
-    p.add_argument("--word")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--objective", choices=["kappa", "sum", "minor"])
-
-    p = sub.add_parser("ledger")
-    p.add_argument("action")
-
-    p = sub.add_parser("kernel")
-    p.add_argument("action", choices=["eval", "check"])
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--r", type=int)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--x-min", dest="x_min", type=float)
-    p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("sums")
-    p.add_argument("action", choices=["eval", "moment", "profile"])
-    p.add_argument("--c", type=float)
-    p.add_argument("--X", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--x", type=float)
-    p.add_argument("--which", choices=["S", "I"])
-    p.add_argument("--points", type=int)
-
-    p = sub.add_parser("count")
-    p.add_argument("action", choices=["rs", "ladder", "V"])
-    p.add_argument("--Y", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--Ys")
-
-    p = sub.add_parser("solve")
-    p.add_argument("action", choices=["triple", "sextuple"])
-    p.add_argument("--c", type=float)
-    p.add_argument("--N", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--R", type=float)
-
-    p = sub.add_parser("scan")
-    p.add_argument("--c", type=float)
-    p.add_argument("--N", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("mainterm")
-    p.add_argument("--c", type=float)
-    p.add_argument("--N", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--R", type=float)
-    p.add_argument("--k", type=int)
-
+    commands = top.add_subparsers(dest="command", required=True)
+    groups = {}
+    for name, (handler, flags) in _ACTIONS.items():
+        command, _, action = name.partition(" ")
+        if not action:
+            p = commands.add_parser(command)
+        else:
+            if command not in groups:
+                groups[command] = commands.add_parser(command).add_subparsers(
+                    dest="action", required=True)
+            p = groups[command].add_parser(action)
+        for flag in flags:
+            kind, option = _TYPES[flag], "--" + flag.replace("_", "-")
+            if kind is bool:
+                p.add_argument(option, action="store_true")
+            elif isinstance(kind, tuple):
+                p.add_argument(option, choices=kind)
+            else:
+                p.add_argument(option, type=kind)
+        p.set_defaults(handler=handler, flags=flags)
+    commands.choices["ledger"].add_argument("check", choices=["all", *_LEDGER_CHECKS])
     return top
 
 
-_DISPATCH = {
-    "pairs": _cmd_pairs,
-    "ledger": _cmd_ledger,
-    "kernel": _cmd_kernel,
-    "sums": _cmd_sums,
-    "count": _cmd_count,
-    "solve": _cmd_solve,
-    "scan": _cmd_scan,
-    "mainterm": _cmd_mainterm,
-}
+def _apply_config(args: argparse.Namespace, cfg: dict) -> None:
+    """Each valued flag of the action that the command line left unset: the
+    config file's value, cast by the flag's type and checked against its
+    choices, else the table's default."""
+    for flag, default in args.flags.items():
+        kind = _TYPES[flag]
+        if kind is bool or getattr(args, flag) is not None:
+            continue
+        value = cfg.get(flag)
+        if value is None:
+            value = default
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise UsageError(f"config {flag} = {value!r}: choose from {', '.join(kind)}")
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise UsageError(f"config {flag} = {value!r} is not {kind.__name__}") from None
+        setattr(args, flag, value)
 
 
 def run(argv: Optional[list[str]] = None) -> int:
@@ -398,8 +383,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = _read_config(args.config)
-        return _DISPATCH[args.command](args, cfg, args.out)
+        _apply_config(args, _read_config(args.config))
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

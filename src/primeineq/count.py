@@ -14,14 +14,16 @@ n diagonal sums 2 P_i corrected by searches of their own keys; only the
 pairs within the rounding slack of a bound are re-tested, and only a band
 with such a pair orders its flat indices by key to form their sums again.
 ``sum_band`` is the one source of bands of unordered k-sums: pair sums here
-(k = 2), for the fast counter and the harmonic sum, triple sums for the
-sextuple search (k = 3).  The naive counter is the oracle
-(``count_tuples_naive``): exhaustive, in that it decides every pair of the
-Y(Y+1)/2 unordered pair sums, both orders, and so every one of the Y^4
-ordered tuples exactly once, screened in float64; a pair weighs m_p m_q
-ordered tuples, exactly, since fl(P_a + P_b) = fl(P_b + P_a) makes every
-ordered pair sum bitwise one of the unordered ones.  It shares no code
-with the fast counter, and the two agree exactly, ambiguity flags included.
+(k = 2), for the fast counter, triple sums for the sextuple search (k = 3).
+The harmonic sum and the fast counter's band edges take the whole set of
+pair sums, in ascending order, from ``unordered_pairs``.  The naive counter
+is the oracle (``count_tuples_naive``): exhaustive, in that it decides
+every pair of the Y(Y+1)/2 unordered pair sums, both orders, and so every
+one of the Y^4 ordered tuples exactly once, screened in float64; a pair
+weighs m_p m_q ordered tuples, exactly, since fl(P_a + P_b) = fl(P_b + P_a)
+makes every ordered pair sum bitwise one of the unordered ones.  It shares
+no code with the fast counter, and the two agree exactly, ambiguity flags
+included.
 The Y-ladder slope reports built on these counts live in ``reports``.
 
 ``window_pairs`` is the one search that lists candidates among float64
@@ -58,10 +60,10 @@ def single_powers(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n(n+1)/2 unordered pairs i <= j as a sum_band base, so that its
-    bands hold unordered triple sums: flat index i n + j, last index j and
-    long-double sum P_i + P_j, in ascending order of sum (equal sums in
-    flat order)."""
+    """The n(n+1)/2 unordered pairs i <= j, so the whole set of pair sums,
+    and as a sum_band base, so that its bands hold unordered triple sums:
+    flat index i n + j, last index j and long-double sum P_i + P_j, in
+    ascending order of sum (equal sums in flat order)."""
     n = len(powers)
     i, j = np.triu_indices(n)
     sums = powers[i]
@@ -245,7 +247,7 @@ def _band_edges(powers: np.ndarray) -> np.ndarray:
         g = max(1, math.isqrt(_FAST_BAND // 16))   # about 16 sample sums per band
         step = _FAST_BAND // g ** 2
         grid = powers[::g]
-        sample = np.sort(sum_band(grid, single_powers(grid), -np.inf, np.inf)[0])
+        sample = unordered_pairs(grid)[2]
         inner = np.unique(sample[step::step])
     return np.concatenate([[-np.inf], inner, [np.inf]]).astype(LONG)
 
@@ -508,21 +510,20 @@ def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
     Returns (total, per-bucket vector).  Exact up to float rounding; the
     bucket split mirrors the dyadic decomposition used to bound it.  The
     work is the differences d = ps[q] - ps[p] of the unordered long-double
-    pair sums from sum_band, in (sum, flat index) order by a stable sort,
-    over q > p, a chunk of rows p at a time; d <= 0 for q <= p, so
-    d > 1/tau picks pairs p < q only.  Each stands for m_p m_q ordered
-    4-tuples, and (q, p) for as many more with difference -d.  ValueError
-    if 1/tau is not above _SLACK_ULPS long-double ulps of the largest pair
-    sum: differences below the sums' rounding are not resolved.
+    pair sums from unordered_pairs, in (sum, flat index) order, over q > p,
+    a chunk of rows p at a time; d <= 0 for q <= p, so d > 1/tau picks
+    pairs p < q only.  Each stands for m_p m_q ordered 4-tuples, and (q, p)
+    for as many more with difference -d.  ValueError if 1/tau is not above
+    _SLACK_ULPS long-double ulps of the largest pair sum: differences below
+    the sums' rounding are not resolved.
     """
     if s.Y ** 4 > _HARMONIC_GUARD:
         raise GuardError("harmonic", _HARMONIC_GUARD, f"Y^4 = {s.Y ** 4} differences")
     if tau <= 0:
         raise ValueError("tau must be positive")
     powers = _powers(s)
-    ps, flat = sum_band(powers, single_powers(powers), -np.inf, np.inf)
-    order = np.argsort(ps, kind="stable")   # sum_band gives flat-index order
-    ps, m = ps[order], _multiplicity(flat[order], s.Y)
+    flat, _, ps = unordered_pairs(powers)
+    m = _multiplicity(flat, s.Y)
     cut = LONG(1.0) / LONG(tau)
     rounding = _SLACK_ULPS * np.finfo(LONG).eps * ps[-1]
     if not cut > rounding:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from primeineq import reports, solver
+from primeineq import cli, reports, solver
 from primeineq.cli import run
 from primeineq.sums import ProblemInstance, moment4
 
@@ -90,7 +91,7 @@ def test_count_ladder_csv(capsys):
 
 def test_count_V(capsys):
     code, out = run_cli(capsys, "count", "V", "--Y", "6", "--tau", "10",
-                        "--c", "1.5", "--gamma", "1.0")
+                        "--c", "1.5")
     assert code == 0
     payload = json.loads(out)
     assert payload["total"] > 0
@@ -193,10 +194,35 @@ def test_mainterm_requires_R(capsys):
     ("mainterm", "--N", "1e5", "--c", "1.5", "--R", "1.5e5", "--X", "40"),
     ("mainterm", "--N", "1e5", "--c", "1.5", "--R", "1.5e5", "--eta", "9"),
     ("mainterm", "--N", "1e5", "--c", "1.5", "--R", "1.5e5", "--seed", "1"),
+    ("pairs", "eval", "--word", "A^2B", "--c", "2.05"),
+    ("pairs", "eval", "--word", "A^2B", "--depth", "4"),
+    ("pairs", "eval", "--word", "A^2B", "--objective", "sum"),
+    ("pairs", "search", "--depth", "4", "--word", "A^2B"),
+    ("kernel", "eval", "--points", "11", "--seed", "1"),
+    ("kernel", "check", "--points", "10", "--x-min", "-1"),
+    ("kernel", "check", "--points", "10", "--x-max", "1"),
+    ("sums", "eval", "--X", "64", "--c", "2.05", "--x", "0", "--points", "4"),
+    ("sums", "eval", "--X", "64", "--c", "2.05", "--x", "0", "--seed", "1"),
+    ("sums", "eval", "--X", "64", "--c", "2.05", "--x", "0", "--which", "I"),
+    ("sums", "moment", "--X", "64", "--c", "2.05", "--points", "4"),
+    ("sums", "moment", "--X", "64", "--c", "2.05", "--seed", "1"),
+    ("sums", "moment", "--X", "64", "--c", "2.05", "--x", "0"),
+    ("sums", "profile", "--X", "64", "--c", "2.05", "--points", "4", "--eps", "0.3"),
+    ("sums", "profile", "--X", "64", "--c", "2.05", "--points", "4", "--eta", "0.2"),
+    ("sums", "profile", "--X", "64", "--c", "2.05", "--points", "4", "--which", "I"),
+    ("sums", "profile", "--X", "64", "--c", "2.05", "--points", "4", "--x", "0"),
+    ("count", "rs", "--Y", "2", "--Ys", "4,8"),
+    ("count", "rs", "--Y", "2", "--tau", "10"),
+    ("count", "ladder", "--Ys", "16,32,64,128", "--Y", "2"),
+    ("count", "ladder", "--Ys", "16,32,64,128", "--tau", "10"),
+    ("count", "V", "--Y", "2", "--tau", "10", "--Ys", "4,8"),
+    ("count", "V", "--Y", "2", "--tau", "10", "--gamma", "1.0"),
+    ("solve", "sextuple", "--N", "42", "--c", "1", "--R", "252"),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     # these flags used to be accepted and ignored: mainterm --eta 9 ran
-    # with eta = 0.05 and exited 0
+    # with eta = 0.05 and exited 0, and sums profile --eps 0.3 reported
+    # eps = 1/log X
     code = run(list(argv))
     captured = capsys.readouterr()
     assert code == 2
@@ -351,6 +377,49 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
                         "--gamma", "100")
     assert code == 0
     assert json.loads(out)["count"] == 16
+
+
+def test_config_file_supplies_every_valued_flag(capsys, tmp_path):
+    # Ys and which took no config value before: count ladder ran its
+    # default ladder and sums moment the S moment
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("Ys = 16,32,64,128\nwhich = I\nc = 1.5\n")
+    code, out = run_cli(capsys, "--config", str(cfg), "count", "ladder")
+    assert (code, out) == run_cli(capsys, "count", "ladder", "--c", "1.5",
+                                  "--Ys", "16,32,64,128")
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == \
+        ["16", "32", "64", "128"]
+    code, out = run_cli(capsys, "--config", str(cfg), "sums", "moment",
+                        "--X", "256", "--c", "2.05")
+    assert code == 0
+    assert json.loads(out)["which"] == "I"
+    assert (code, out) == run_cli(capsys, "sums", "moment", "--X", "256",
+                                  "--c", "2.05", "--which", "I")
+
+
+@pytest.mark.parametrize("line", ["objective = best", "depth = 8.5"])
+def test_invalid_config_value_is_usage_error(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code = run(["--config", str(cfg), "pairs", "search"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: config ")
+
+
+def test_readme_cli_commands_parse():
+    # the README's CLI block, read as CI's README step reads it: each
+    # command parses, so a documented flag the parser rejects fails here
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text().split("\n## CLI", 1)[1].split("```")[1].splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("primeineq ")]
+    assert commands
+    parser = cli._build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        assert callable(args.handler), argv
 
 
 def test_out_file_and_rerun_byte_identical(capsys, tmp_path):
