@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -166,9 +165,7 @@ def _require_X(args) -> float:
 
 
 def _instance(args) -> ProblemInstance:
-    X = _require_X(args)
-    eps = 1.0 / math.log(X) if args.eps is None else args.eps
-    return ProblemInstance(c=args.c, X=X, eps=eps, eta=args.eta)
+    return ProblemInstance(c=args.c, X=_require_X(args), eps=args.eps, eta=args.eta)
 
 
 def _sums_eval(args) -> int:
@@ -213,7 +210,7 @@ def _count_rs(args) -> int:
 def _count_ladder(args) -> int:
     Ys = [int(y) for y in args.Ys.split(",")]
     rep = json.loads(reports.rs_slope_report(args.c, args.gamma, Ys))
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         _emit(render_report(rep, indent=2), args.out)
     else:
         rows = [{"Y": Y, "count": n, "slope": rep["slope"],
@@ -268,7 +265,7 @@ def _solve_sextuple(args) -> int:
 def _scan(args) -> int:
     inst = instance_for_theorem1(args.N, args.c, args.eps)
     rep = exceptional_scan(inst, samples=args.samples, seed=args.seed)
-    if (args.format or "json") == "csv":
+    if args.format == "csv":
         rows = [{"R": R, "count": n} for R, n in zip(rep["R_values"], rep["counts"])]
         _emit(_csv(rows, ["R", "count"]), args.out)
     else:
@@ -295,6 +292,7 @@ def _mainterm(args) -> int:
 # Every flag's type: a tuple is its choices, bool a switch (command line only).
 _TYPES = {
     "word": str, "objective": ("kappa", "sum", "minor"), "which": ("S", "I"), "Ys": str,
+    "format": ("json", "csv"),
     "depth": int, "r": int, "points": int, "seed": int, "Y": int, "samples": int, "k": int,
     "a": float, "b": float, "c": float, "eps": float, "eta": float, "gamma": float,
     "N": float, "R": float, "tau": float, "x": float, "X": float,
@@ -316,11 +314,13 @@ _ACTIONS = {
     "sums moment": (_sums_moment, {**_SUMS, "which": "S"}),
     "sums profile": (_sums_profile, {"c": 2.05, "X": None, "points": 20, "seed": 0}),
     "count rs": (_count_rs, {"Y": None, "c": 1.5, "gamma": 1.0}),
-    "count ladder": (_count_ladder, {"c": 1.5, "gamma": 1.0, "Ys": "64,128,256,512,1024"}),
+    "count ladder": (_count_ladder, {"c": 1.5, "gamma": 1.0, "Ys": "64,128,256,512,1024",
+                                     "format": "csv"}),
     "count V": (_count_V, {"Y": None, "tau": None, "c": 1.5}),
     "solve triple": (_solve_triple, {"c": None, "N": None, "eps": None, "R": None}),
     "solve sextuple": (_solve_sextuple, {"c": None, "N": None, "eps": None}),
-    "scan": (_scan, {"c": 1.5, "N": 1e5, "eps": None, "seed": 0, "samples": 50}),
+    "scan": (_scan, {"c": 1.5, "N": 1e5, "eps": None, "seed": 0, "samples": 50,
+                     "format": "json"}),
     "mainterm": (_mainterm, {"c": None, "N": None, "eps": None, "R": None, "k": 3}),
 }
 
@@ -329,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="primeineq")
     top.add_argument("--config", help="flat key=value config file")
     top.add_argument("--out", help="write output to this path instead of stdout")
-    top.add_argument("--format", choices=["json", "csv"])
     commands = top.add_subparsers(dest="command", required=True)
     groups = {}
     for name, (handler, flags) in _ACTIONS.items():

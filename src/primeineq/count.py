@@ -13,17 +13,22 @@ at gamma - delta, gamma and gamma + delta, every sum weighed m = 2 and the
 n diagonal sums 2 P_i corrected by searches of their own keys; only the
 pairs within the rounding slack of a bound are re-tested, and only a band
 with such a pair orders its flat indices by key to form their sums again.
-``sum_band`` is the one source of bands of unordered k-sums: pair sums here
-(k = 2), for the fast counter, triple sums for the sextuple search (k = 3).
-The harmonic sum and the fast counter's band edges take the whole set of
-pair sums, in ascending order, from ``unordered_pairs``.  The naive counter
-is the oracle (``count_tuples_naive``): exhaustive, in that it decides
-every pair of the Y(Y+1)/2 unordered pair sums, both orders, and so every
-one of the Y^4 ordered tuples exactly once, screened in float64; a pair
-weighs m_p m_q ordered tuples, exactly, since fl(P_a + P_b) = fl(P_b + P_a)
-makes every ordered pair sum bitwise one of the unordered ones.  It shares
-no code with the fast counter, and the two agree exactly, ambiguity flags
-included.
+Each band comes from ``_pair_band``, which forms only the rows of pair sums
+that can reach it, each row's run from two searches on the powers, in order
+of flat index.  ``triple_band`` builds the bands of triple sums of the
+sextuple search (``solver._mitm_search``) instead, with one search per power
+over the pair sums sorted by value (``unordered_pairs``); both widen their
+bounds for rounding alike (``_band_reach``).  The harmonic sum and the fast
+counter's band edges take the whole set of pair sums, in ascending order,
+from ``unordered_pairs``.
+
+The naive counter is the oracle (``count_tuples_naive``): exhaustive, in
+that it decides every pair of the Y(Y+1)/2 unordered pair sums, both
+orders, and so every one of the Y^4 ordered tuples exactly once, screened
+in float64; a pair weighs m_p m_q ordered tuples, exactly, since
+fl(P_a + P_b) = fl(P_b + P_a) makes every ordered pair sum bitwise one of
+the unordered ones.  It shares no code with the fast counter, and the two
+agree exactly, ambiguity flags included.
 The Y-ladder slope reports built on these counts live in ``reports``.
 
 ``window_pairs`` is the one search that lists candidates among float64
@@ -46,93 +51,84 @@ _NAIVE_CHUNK = 1 << 16     # comparisons of pair sums per chunk of the naive cou
 _FAST_GUARD = 10 ** 8      # Y^2 at most this many pair sums formed
 _HARMONIC_GUARD = 10 ** 9  # Y^4 at most this many ordered 4-tuples
 _FAST_BAND = 1 << 14       # unordered pair sums per band of count_tuples_fast
-_POWER_BLOCK = 1 << 16     # candidate base sums per block of sum_band's search by power
+_POWER_BLOCK = 1 << 16     # candidate pair sums per block of triple_band's search by power
 _RETEST_CHUNK = 1 << 16    # candidates of count_tuples_fast re-tested at once
 _SLACK_ULPS = 8            # long-double ulps added to every window's reach
 _KEY_ULPS = 4              # float64 ulps added to it for the rounding to float64
 
 
-def single_powers(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The powers as a sum_band base, so that its bands hold unordered pair
-    sums: flat index i, last index i and sum P_i."""
-    index = np.arange(len(powers))
-    return index, index, powers
-
-
-def unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n(n+1)/2 unordered pairs i <= j, so the whole set of pair sums,
-    and as a sum_band base, so that its bands hold unordered triple sums:
-    flat index i n + j, last index j and long-double sum P_i + P_j, in
-    ascending order of sum (equal sums in flat order)."""
+def unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n(n+1)/2 unordered pairs i <= j, so the whole set of pair sums:
+    int32 flat index i n + j and long-double sum P_i + P_j, in ascending
+    order of sum (equal sums in flat order)."""
     n = len(powers)
     i, j = np.triu_indices(n)
     sums = powers[i]
     sums += powers[j]
     order = np.argsort(sums, kind="stable")
-    return (i * n + j)[order], j[order], sums[order]
+    return (i * n + j).astype(np.int32)[order], sums[order]
 
 
-def sum_band(powers: np.ndarray, base: tuple[np.ndarray, np.ndarray, np.ndarray],
-             lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """The unordered sums s + P_l over the base sums s and l >= their last
-    index, formed left to right, that lie in [lo, hi), with the int32 flat
-    index f n + l, f the base sum's flat index.  ``base`` is (flat, last,
-    sums): single_powers(powers) gives pair sums and unordered_pairs(powers)
-    triple sums.  ``powers`` ascend; the caller keeps the flat indices
-    below 2^31.
-
-    A base no longer than ``powers`` is searched row by row: each base
-    sum's sums grow with l, so two searchsorted bounds on the powers give
-    the run of l to form, and the band comes in order of flat index if the
-    base's flat indices ascend.  A longer base, which must be
-    unordered_pairs(powers), pair sums in ascending order, is searched once
-    per power l instead (_sums_by_power): two searchsorted bounds on the
-    base sums give the run of s to try, only those with last index <= l are
-    formed, and the band comes in order of l, then of s.  Either way only
-    the sums that lie in [lo, hi) are kept.  The value searched for is the
-    bound less the other term, bound - s row by row and bound - P_l per
-    power, rounded in long double.  A sum within rounding of a bound has
-    base sum and power, and so that difference, within |bound| + max|P| in
-    magnitude: the rounding of the sum and of the difference is under one
-    long-double ulp of |bound| + max|P| in all, and each bound is widened
-    by _SLACK_ULPS such ulps (an infinite bound needs none).
-    """
-    flat, last, base_sums = base
-    n = len(powers)
+def _band_reach(powers: np.ndarray, lo, hi):
+    """The reaches (lo_reach, hi_reach) by which a band's searches widen its
+    bounds [lo, hi).  Each search is for a bound less one term of a sum,
+    rounded in long double.  A sum within rounding of a bound has both
+    terms, and so that difference, within |bound| + max|P| in magnitude:
+    the rounding of the sum and of the difference is under one long-double
+    ulp of |bound| + max|P| in all, and each bound is widened by
+    _SLACK_ULPS such ulps (an infinite bound needs none)."""
     ulps = _SLACK_ULPS * np.finfo(LONG).eps
     top = np.abs(powers).max(initial=0)
-    lo_reach, hi_reach = ulps * (abs(lo) + top), ulps * (abs(hi) + top)
-    if len(base_sums) > n:
-        return _sums_by_power(powers, base, lo, hi, lo_reach, hi_reach)
-    first = np.maximum(np.searchsorted(powers, lo - base_sums - lo_reach), last)
-    lengths = np.maximum(np.searchsorted(powers, hi - base_sums + hi_reach) - first, 0)
-    run = np.repeat(np.arange(len(base_sums)), lengths)
+    return ulps * (abs(lo) + top), ulps * (abs(hi) + top)
+
+
+def _pair_band(powers: np.ndarray, rows: range, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The unordered pair sums P_i + P_l of the rows i in ``rows``, l >= i,
+    that lie in [lo, hi), with the int32 flat index i n + l, in order of
+    flat index; for count_tuples_fast.  ``powers`` ascend, so row i's sums
+    grow with l, and two searchsorted bounds on the powers, at lo - P_i and
+    hi - P_i widened by _band_reach, give the run of l to form."""
+    n = len(powers)
+    i = np.arange(rows.start, rows.stop)
+    row = powers[i]
+    lo_reach, hi_reach = _band_reach(powers, lo, hi)
+    first = np.maximum(np.searchsorted(powers, lo - row - lo_reach), i)
+    lengths = np.maximum(np.searchsorted(powers, hi - row + hi_reach) - first, 0)
+    i = np.repeat(i, lengths)
     l = run_positions(first, lengths)
-    sums = base_sums[run] + powers[l]
-    flat = (flat * n)[run] + l
-    del run, l
+    sums = powers[i] + powers[l]
+    flat = i * n + l
+    del i, l
     keep = (sums >= lo) & (sums < hi)
     return sums[keep], flat[keep].astype(np.int32)
 
 
-def _sums_by_power(powers: np.ndarray, base: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   lo, hi, lo_reach, hi_reach) -> tuple[np.ndarray, np.ndarray]:
-    """sum_band over the value-sorted pairs of unordered_pairs, one run of
-    pair sums per power l: those from lo - P_l - lo_reach up to
-    hi - P_l + hi_reach, and at most 2 P_l, since a pair sum
-    s = fl(P_i + P_j) with i <= j <= l is at most fl(P_l + P_l) (a larger s
-    has last index > l).  The runs are
-    taken a block of powers at a time, with about _POWER_BLOCK candidate
-    base sums and int32 positions in each, so the transient arrays stay
-    bounded whatever the band; a band of one block is one pass."""
-    flat, last, base_sums = base
+def triple_band(powers: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
+                lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The unordered triple sums (P_i + P_j) + P_l, i <= j <= l, that lie in
+    [lo, hi), with the int32 flat index (i n + j) n + l; for the sextuple
+    search (solver._mitm_search).  ``powers`` ascend, ``pairs`` is
+    unordered_pairs(powers) and the caller keeps the flat indices below
+    2^31.
+
+    The pair sums are searched once per power l: two searchsorted bounds,
+    at lo - P_l and hi - P_l widened by _band_reach, give the run of pair
+    sums to try, and at most 2 P_l, since a pair sum s = fl(P_i + P_j) with
+    i <= j <= l is at most fl(P_l + P_l) (a larger s has j > l).  Only the
+    pairs with j = flat % n <= l are formed, and the band comes in order of
+    l, then of pair sum.  The runs are taken a block of powers at a time,
+    with about _POWER_BLOCK candidate pair sums and int32 positions in
+    each, so the transient arrays stay bounded whatever the band; a band of
+    one block is one pass."""
+    flat, pair_sums = pairs
     n = len(powers)
-    first = np.searchsorted(base_sums, lo - powers - lo_reach)
-    stop = np.minimum(np.searchsorted(base_sums, hi - powers + hi_reach),
-                      np.searchsorted(base_sums, powers + powers, side="right"))
+    lo_reach, hi_reach = _band_reach(powers, lo, hi)
+    first = np.searchsorted(pair_sums, lo - powers - lo_reach)
+    stop = np.minimum(np.searchsorted(pair_sums, hi - powers + hi_reach),
+                      np.searchsorted(pair_sums, powers + powers, side="right"))
     lengths = np.maximum(stop - first, 0)
     ends = np.cumsum(lengths)
-    starts = ends - lengths   # candidate k of power l's run is base sum k + shift[l]
+    starts = ends - lengths   # candidate k of power l's run is pair sum k + shift[l]
     shift = (first - starts).astype(np.int32)
     blocks = [0]   # each block of powers from one entry to the next
     while blocks[-1] < n:
@@ -143,11 +139,12 @@ def _sums_by_power(powers: np.ndarray, base: tuple[np.ndarray, np.ndarray, np.nd
         at = np.arange(starts[a], ends[b - 1], dtype=np.int32)
         at += np.repeat(shift[a:b], lengths[a:b])
         l = np.repeat(np.arange(a, b, dtype=np.int32), lengths[a:b])
-        keep = last[at] <= l
-        at, l = at[keep], l[keep]
-        sums = base_sums[at] + powers[l]
+        pair = flat[at]
+        keep = pair % n <= l
+        at, pair, l = at[keep], pair[keep], l[keep]
+        sums = pair_sums[at] + powers[l]
         keep = (sums >= lo) & (sums < hi)
-        parts.append((sums[keep], (flat[at[keep]] * n + l[keep]).astype(np.int32)))
+        parts.append((sums[keep], pair[keep] * n + l[keep]))
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(part) for part in zip(*parts))
@@ -215,7 +212,7 @@ class CountResult:
 
 def _powers(s: CountSpec) -> np.ndarray:
     """The long-double powers n^c, n in (Y, 2Y], ascending in value (so n
-    descends for c < 0), as sum_band needs.  The counters search the pair
+    descends for c < 0), as _pair_band needs.  The counters search the pair
     sums by their float64 roundings, so ValueError if 2 (2Y)^c, the largest
     sum for c >= 0, is not finite in float64 (for c < 0 every sum is below
     2)."""
@@ -247,7 +244,7 @@ def _band_edges(powers: np.ndarray) -> np.ndarray:
         g = max(1, math.isqrt(_FAST_BAND // 16))   # about 16 sample sums per band
         step = _FAST_BAND // g ** 2
         grid = powers[::g]
-        sample = unordered_pairs(grid)[2]
+        sample = unordered_pairs(grid)[1]
         inner = np.unique(sample[step::step])
     return np.concatenate([[-np.inf], inner, [np.inf]]).astype(LONG)
 
@@ -384,7 +381,7 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     that comes first in the order of the bands below.
 
     The sums are taken in ascending value bands [lo, hi) (_band_edges),
-    each from sum_band over only the rows i whose sums can reach the band.
+    each from _pair_band over only the rows i whose sums can reach the band.
     Only their float64 keys are sorted, with np.sort: first come the band's
     owners, the sums in [lo, hi), then its tail, the sums in
     [hi, hi + outer reach + slack), which holds every q a window of an
@@ -408,7 +405,7 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     keys places them in the band (_diagonal_positions).  Only the q in a
     re-test zone are re-tested, _RETEST_CHUNK at a time, on their
     long-double sums P_i + P_l, formed again from the flat index i n + l and
-    so bitwise those sum_band formed, with the exact comparison the naive
+    so bitwise those _pair_band formed, with the exact comparison the naive
     counter uses; a band orders its flat indices by key (argsort) only when
     it has such a q.
     """
@@ -428,9 +425,8 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     # _slack covers the float64 rounding of keys and bounds, so a q with
     # key[q] <= key[p] + the outer reach lies below hi + tail_reach
     tail_reach = LONG(zones[-1][1]) + slack
-    base = single_powers(powers)
     # row i forms the sums P_i + P_l, l >= i, which rounding keeps between
-    # 2 P_i (exact) and fl(P_i + max P), the sums sum_band forms; so only
+    # 2 P_i (exact) and fl(P_i + max P), the sums _pair_band forms; so only
     # the rows with 2 P_i < hi and P_i + max P >= lo can hold a sum of a
     # band [lo, hi), and they are one run, since both bounds ascend with i.
     # The diagonal sums 2 P_i of the band are those of its rows with
@@ -444,8 +440,7 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     hits = 0        # ordered tuples of pairs p before q with |d| < gamma
     ambiguous = 0   # ordered tuples of pairs p before q with ||d| - gamma| < delta
     for band, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        rows = slice(first_row[band], row_end[band])
-        sums, flat = sum_band(powers, tuple(part[rows] for part in base), lo, tops[band])
+        sums, flat = _pair_band(powers, range(first_row[band], row_end[band]), lo, tops[band])
         owns = sums < hi
         owners = int(np.count_nonzero(owns))
         if not owners:
@@ -492,7 +487,7 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
             run = np.searchsorted(ends, k, side="right")
             p = run_owner[run]
             q = first[run] + (k - (ends[run] - lengths[run]))
-            # P_i + P_l from flat index i n + l, bitwise the sum sum_band formed
+            # P_i + P_l from flat index i n + l, bitwise the sum _pair_band formed
             i, l = np.divmod(flat[np.stack([p, q])], n)
             pair = powers[i] + powers[l]
             d = np.abs(pair[1] - pair[0])
@@ -522,7 +517,7 @@ def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
     if tau <= 0:
         raise ValueError("tau must be positive")
     powers = _powers(s)
-    flat, _, ps = unordered_pairs(powers)
+    flat, ps = unordered_pairs(powers)
     m = _multiplicity(flat, s.Y)
     cut = LONG(1.0) / LONG(tau)
     rounding = _SLACK_ULPS * np.finfo(LONG).eps * ps[-1]

@@ -116,7 +116,7 @@ def rs_slope_report(c: float = 1.5, gamma: float = 1.0,
 
 def _moment_item(item: tuple[float, str], c: float) -> dict:
     X, which = item
-    inst = ProblemInstance(c=c, X=X, eps=1.0 / math.log(X))
+    inst = ProblemInstance(c=c, X=X)
     value, err = moment4(inst, which)
     norm = X ** (4.0 - c) * math.log(X) ** 5
     return {"X": X, "which": which, "moment4": value,
@@ -163,7 +163,7 @@ def s_vs_i_report(c: float = 2.05, X: float = 4096.0, points: int = 20,
     """Pointwise |S - I| at random x in [-tau, tau] against a soft ceiling
     of _TOL_FACTOR * X^(3/4); a qualitative stand-in for the asymptotic
     major-arc approximation, which is not desk-reproducible."""
-    inst = ProblemInstance(c=c, X=X, eps=1.0 / math.log(X))
+    inst = ProblemInstance(c=c, X=X)
     rng = random.Random(seed)
     xs = [(2.0 * rng.random() - 1.0) * inst.tau for _ in range(points)]
     chunks = np.array_split(np.array(xs), max(workers, 1))   # one chunk of x per worker

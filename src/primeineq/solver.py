@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 import mpmath
 import numpy as np
 
-from .count import sum_band, unordered_pairs, window_pairs, window_reach
+from .count import triple_band, unordered_pairs, window_pairs, window_reach
 from .kernel import KernelParams, kernel_from_instance, phi_eval
 from .sums import (LONG, ConvergenceError, GuardError, PrimeTable,
                    ProblemInstance, leggauss, legvander, sieve_primes, sieve_range)
@@ -583,7 +583,7 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     v_t > N - top - slack - eps, and its t a canonical sum within slack of
     that.  Each t-band meets the u-band [N - lo - w - eps - 2 slack,
     N - lo + eps + 2 slack], which holds every u that can solve with one of
-    its t; both are built by count.sum_band, a search per power over the
+    its t; both are built by count.triple_band, a search per power over the
     value-sorted pair sums of count.unordered_pairs.
     count.window_pairs, from the keys fl(v_u) into the windows around
     fl(N - v_t), both sorted, at width eps + slack, lists every pair of
@@ -613,9 +613,9 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     best = None   # (v_t, flat_t, v_u, flat_u) of the best confirmed solution
     while lo <= stop and (best is None or lo <= best[0] + slack):
         hi = lo + width
-        t_sums, t_flat = sum_band(powers, pairs, lo, hi)
-        u_sums, u_flat = sum_band(powers, pairs, target - hi - eps - 2 * slack,
-                                  target - lo + eps + 2 * slack)
+        t_sums, t_flat = triple_band(powers, pairs, lo, hi)
+        u_sums, u_flat = triple_band(powers, pairs, target - hi - eps - 2 * slack,
+                                     target - lo + eps + 2 * slack)
         lo, width = hi, 2 * width
         # _orderings forms the sums again: only their float64 roundings stay
         targets, u_keys = (target - t_sums).astype(float), u_sums.astype(float)

@@ -62,11 +62,12 @@ class ConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """One Diophantine experiment: |p_1^c + ... + p_k^c - R| < eps near scale X."""
+    """One Diophantine experiment: |p_1^c + ... + p_k^c - R| < eps near scale
+    X; eps defaults to 1/log X."""
 
     c: float
     X: float
-    eps: float
+    eps: float = field(default=None)  # type: ignore[assignment]
     k: int = 3
     eta: float = 0.05
     tau: float = field(default=None)  # type: ignore[assignment]
@@ -74,10 +75,13 @@ class ProblemInstance:
 
     def __post_init__(self):
         for name in ("c", "X", "eps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {name} = {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {name} = {value}")
         if self.X < 3:
             raise ValueError("X must be >= 3")
+        if self.eps is None:
+            object.__setattr__(self, "eps", 1.0 / math.log(self.X))
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.tau is None:

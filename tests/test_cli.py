@@ -150,7 +150,7 @@ def test_sums_moment(capsys):
 
 
 def test_scan_csv(capsys):
-    code, out = run_cli(capsys, "--format", "csv", "scan", "--N", "90",
+    code, out = run_cli(capsys, "scan", "--format", "csv", "--N", "90",
                         "--c", "1", "--samples", "5", "--seed", "1")
     assert code == 0
     lines = out.strip().splitlines()
@@ -218,6 +218,7 @@ def test_mainterm_requires_R(capsys):
     ("count", "V", "--Y", "2", "--tau", "10", "--Ys", "4,8"),
     ("count", "V", "--Y", "2", "--tau", "10", "--gamma", "1.0"),
     ("solve", "sextuple", "--N", "42", "--c", "1", "--R", "252"),
+    ("ledger", "all", "--format", "json"),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     # these flags used to be accepted and ignored: mainterm --eta 9 ran
@@ -237,7 +238,7 @@ def test_scan_rejects_zero_samples(capsys):
 
 
 def test_count_ladder_json_is_the_rs_slope_report(capsys):
-    code, out = run_cli(capsys, "--format", "json", "count", "ladder",
+    code, out = run_cli(capsys, "count", "ladder", "--format", "json",
                         "--c", "1.5", "--gamma", "1.0", "--Ys", "16,32,64,128")
     assert code == 0
     assert json.loads(out) == json.loads(reports.rs_slope_report(1.5, 1.0, (16, 32, 64, 128)))
@@ -245,7 +246,7 @@ def test_count_ladder_json_is_the_rs_slope_report(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("sums", "profile", "--X", "256", "--c", "2.05", "--points", "4"),
-    ("--format", "json", "count", "ladder", "--c", "1.5", "--Ys", "8,16,32,64"),
+    ("count", "ladder", "--format", "json", "--c", "1.5", "--Ys", "8,16,32,64"),
     ("sums", "eval", "--X", "256", "--c", "2.05", "--x", "0.001"),
     ("count", "rs", "--Y", "8", "--c", "1.5"),
     ("mainterm", "--N", "1e4", "--c", "1.5", "--R", "1.5e4"),
@@ -318,6 +319,21 @@ def test_non_finite_instance_is_a_usage_error(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sums", "eval", "--X", "1", "--c", "2.05", "--x", "0"),
+    ("sums", "moment", "--X", "1", "--c", "2.05"),
+    ("sums", "profile", "--X", "1", "--c", "2.05"),
+])
+def test_X_below_3_is_a_usage_error(capsys, argv):
+    # eps = 1/log X used to be worked out before ProblemInstance checked X,
+    # so X = 1 died in a ZeroDivisionError traceback (exit 1)
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "usage error: X must be >= 3\n"
 
 
 def test_resource_guard_has_its_own_exit_code(capsys):

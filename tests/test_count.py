@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import harmonic_V_naive, naive_long_double_count, sorted_sums, window_hits
 from primeineq import count
-from primeineq.count import (CountResult, CountSpec, count_tuples_fast, count_tuples_naive,
-                             harmonic_V, single_powers, sum_band, window_pairs,
-                             window_reach)
+from primeineq.count import (CountResult, CountSpec, _pair_band, count_tuples_fast,
+                             count_tuples_naive, harmonic_V, window_pairs, window_reach)
 from primeineq.reports import _SLOPE_ALLOWANCE, rs_slope_report
 from primeineq.sums import LONG, GuardError
 
@@ -248,15 +247,15 @@ def test_fast_counter_forms_only_the_rows_of_each_band(monkeypatch, c):
     monkeypatch.setattr(count, "_FAST_BAND", 64)
     formed = []
 
-    def recorded(powers, base, lo, hi):
-        got = sum_band(powers, base, lo, hi)
-        if len(base[0]) < len(powers):
-            want = sum_band(powers, single_powers(powers), lo, hi)
+    def recorded(powers, rows, lo, hi):
+        got = _pair_band(powers, rows, lo, hi)
+        if len(rows) < len(powers):
+            want = _pair_band(powers, range(len(powers)), lo, hi)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), (lo, hi)
-            formed.append(len(base[0]))
+            formed.append(len(rows))
         return got
 
-    monkeypatch.setattr(count, "sum_band", recorded)
+    monkeypatch.setattr(count, "_pair_band", recorded)
     Y = 60
     spec = CountSpec(Y, c, 0.01 * (_sum_span(Y, c) or 1.0))
     assert count_tuples_fast(spec) == count_tuples_naive(spec)
@@ -264,7 +263,7 @@ def test_fast_counter_forms_only_the_rows_of_each_band(monkeypatch, c):
 
 
 @pytest.mark.parametrize("c", [1.5, 1.0, 0.0])
-def test_sum_band_of_pair_sums_is_the_full_range_masked(c):
+def test_pair_band_is_the_full_range_masked(c):
     # k = 2: bands ending on sums (ties at both ends at integer c), one
     # ulp off sums, below and above every sum, and an empty band
     P = np.arange(20, 44, dtype=np.int64).astype(LONG) ** LONG(c)
@@ -278,7 +277,7 @@ def test_sum_band_of_pair_sums_is_the_full_range_masked(c):
                    (np.nextafter(s[m // 4], up), np.nextafter(s[3 * m // 4], down)),
                    (-np.inf, s[m // 3]), (s[2 * m // 3], np.inf),
                    (-np.inf, np.inf), (s[0] - 1, s[0]), (s[m // 2], s[m // 2])]:
-        got_sums, got_flat = sum_band(P, single_powers(P), lo, hi)
+        got_sums, got_flat = _pair_band(P, range(n), lo, hi)
         by_flat = np.argsort(got_flat)
         keep = (sums >= lo) & (sums < hi)
         assert got_flat.dtype == np.int32

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (gauss_g2, main_term_per_R, mpmath_g2, pair_index, sorted_sums,
                      window_hits)
 from primeineq import count, reports, solver
-from primeineq.count import single_powers, sum_band, unordered_pairs
+from primeineq.count import _pair_band, triple_band, unordered_pairs
 from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
 from primeineq.reports import exceptional_scan
 from primeineq.solver import (count_B, find_sextuple, find_triple,
@@ -731,7 +731,7 @@ def test_mitm_search_near_ties_match_ordered_oracle(monkeypatch, chunk, start,
 def _all_triples(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every canonical triple sum with its flat index, the band of all
     sums, in (sum, flat index) order."""
-    sums, flat = sum_band(P, unordered_pairs(P), -np.inf, np.inf)
+    sums, flat = triple_band(P, unordered_pairs(P), -np.inf, np.inf)
     order = np.lexsort((flat, sums))
     return sums[order], flat[order]
 
@@ -751,17 +751,17 @@ def _table(primes) -> PrimeTable:
 
 @pytest.fixture
 def bands(monkeypatch):
-    """Every call of solver.sum_band as (lo, hi, sums, flat);
+    """Every call of solver.triple_band as (lo, hi, sums, flat);
     _mitm_search builds each t-band and then its u-band."""
     calls = []
-    build = solver.sum_band
+    build = solver.triple_band
 
     def recording(powers, pairs, lo, hi):
         sums, flat = build(powers, pairs, lo, hi)
         calls.append((lo, hi, sums, flat))
         return sums, flat
 
-    monkeypatch.setattr(solver, "sum_band", recording)
+    monkeypatch.setattr(solver, "triple_band", recording)
     return calls
 
 
@@ -887,13 +887,14 @@ def test_unordered_pair_and_triple_sums(c, dense, k):
         flat.append(sum(q * n ** (k - 1 - m) for m, q in enumerate(idx)))
         sums.append((P[idx[0]] + P[idx[1]]) + (P[idx[2]] if k == 3 else 0))
     sums = np.array(sums, dtype=LONG)
-    base = single_powers(P) if k == 2 else unordered_pairs(P)
-    band = sum_band(P, base, -np.inf, np.inf)
+    pairs = unordered_pairs(P)
+    band = (_pair_band(P, range(n), -np.inf, np.inf) if k == 2
+            else triple_band(P, pairs, -np.inf, np.inf))
     got_sums, got_flat = _by_flat(*band)
     if k == 2:
         assert np.array_equal(band[1], got_flat)
     else:   # the pairs come in ascending order of sum
-        assert np.all(base[2][1:] >= base[2][:-1])
+        assert np.all(pairs[1][1:] >= pairs[1][:-1])
     # the combinations come in flat order
     assert got_flat.dtype == np.int32
     assert np.array_equal(got_sums, sums)
@@ -914,7 +915,7 @@ def test_triple_band_is_the_full_range_masked(c, dense):
                    (np.nextafter(sums[m // 4], up), np.nextafter(sums[3 * m // 4], down)),
                    (-np.inf, sums[m // 3]), (sums[2 * m // 3], np.inf),
                    (sums[0] - 1, sums[0]), (sums[m // 2], sums[m // 2])]:
-        got_sums, got_flat = _by_flat(*sum_band(P, unordered_pairs(P), lo, hi))
+        got_sums, got_flat = _by_flat(*triple_band(P, unordered_pairs(P), lo, hi))
         keep = (sums >= lo) & (sums < hi)
         want_sums, want_flat = _by_flat(sums[keep], flat[keep])
         assert got_flat.dtype == np.int32
@@ -932,10 +933,10 @@ def test_triple_band_in_blocks_is_the_band_in_one_block(monkeypatch, block):
     sums, _ = _all_triples(P)
     m = len(sums)
     bounds = [(-np.inf, np.inf), (sums[m // 5], sums[m // 2]), (sums[m // 3], sums[m // 3])]
-    wholes = [sum_band(P, pairs, lo, hi) for lo, hi in bounds]
+    wholes = [triple_band(P, pairs, lo, hi) for lo, hi in bounds]
     monkeypatch.setattr(count, "_POWER_BLOCK", block)
     for (lo, hi), whole in zip(bounds, wholes):
-        parts = sum_band(P, pairs, lo, hi)
+        parts = triple_band(P, pairs, lo, hi)
         assert parts[1].dtype == np.int32
         assert all(np.array_equal(a, b) for a, b in zip(parts, whole)), (lo, hi)
 
@@ -954,7 +955,7 @@ def test_triple_counts_pair_guard(monkeypatch, inst_1e5):
 def test_mitm_search_triple_guard(monkeypatch):
     # 465^3 > 1e8 triple sums: refused before the triple sums are built
     monkeypatch.setattr(solver, "unordered_pairs", None)
-    monkeypatch.setattr(solver, "sum_band", None)
+    monkeypatch.setattr(solver, "triple_band", None)
     tbl = full_prime_table(3310.0, 1.0)
     assert len(tbl) == 465
     with pytest.raises(GuardError) as info:
