@@ -104,7 +104,7 @@ def _pairs_search(args) -> int:
 
 
 _LEDGER_CHECKS = {
-    "threshold": lambda: ledger_mod.run_all()[0],
+    "threshold": ledger_mod.verify_c_threshold,
     "heathbrown": ledger_mod.verify_heathbrown_params,
     "typeI": ledger_mod.verify_typeI_thresholds,
     "typeII": ledger_mod.verify_typeII_exponent,
@@ -120,7 +120,7 @@ def _ledger(args) -> int:
 
 
 def _kernel_params(args) -> KernelParams:
-    return KernelParams(a=args.a, b=args.b, r=args.r, strict_smooth=args.strict)
+    return KernelParams(a=args.a, b=args.b, r=args.r)
 
 
 def _kernel_eval(args) -> int:
@@ -151,8 +151,7 @@ def _kernel_check(args) -> int:
         closed = phi_fourier(p, x)
         quad_rel = max(quad_rel, abs(direct - closed) / max(1e-30, abs(closed)))
     ok = worst <= 1e-12 and quad_rel <= 1e-6
-    _emit(render_report({"config": {"a": p.a, "b": p.b, "r": p.r,
-                                    "strict_smooth": p.strict_smooth},
+    _emit(render_report({"config": {"a": p.a, "b": p.b, "r": p.r},
                          "bound_excess": worst, "quadrature_rel_err": quad_rel,
                          "pass": ok}, indent=2), args.out)
     return 0 if ok else 1
@@ -289,17 +288,17 @@ def _mainterm(args) -> int:
 
 # --------------------------------------------------------------- the table
 
-# Every flag's type: a tuple is its choices, bool a switch (command line only).
+# Every flag's type; a tuple is its choices.
 _TYPES = {
     "word": str, "objective": ("kappa", "sum", "minor"), "which": ("S", "I"), "Ys": str,
     "format": ("json", "csv"),
     "depth": int, "r": int, "points": int, "seed": int, "Y": int, "samples": int, "k": int,
     "a": float, "b": float, "c": float, "eps": float, "eta": float, "gamma": float,
     "N": float, "R": float, "tau": float, "x": float, "X": float,
-    "x_min": float, "x_max": float, "strict": bool,
+    "x_min": float, "x_max": float,
 }
 
-_KERNEL = {"a": 0.9, "b": 0.1, "r": 4, "strict": False}
+_KERNEL = {"a": 0.9, "b": 0.1, "r": 4}
 _SUMS = {"c": 2.05, "X": None, "eps": None, "eta": 0.05}
 
 # Each action: its handler, and the flags it reads with their defaults.  A
@@ -342,9 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p = groups[command].add_parser(action)
         for flag in flags:
             kind, option = _TYPES[flag], "--" + flag.replace("_", "-")
-            if kind is bool:
-                p.add_argument(option, action="store_true")
-            elif isinstance(kind, tuple):
+            if isinstance(kind, tuple):
                 p.add_argument(option, choices=kind)
             else:
                 p.add_argument(option, type=kind)
@@ -354,12 +351,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args: argparse.Namespace, cfg: dict) -> None:
-    """Each valued flag of the action that the command line left unset: the
-    config file's value, cast by the flag's type and checked against its
-    choices, else the table's default."""
+    """Each flag of the action that the command line left unset: the config
+    file's value, cast by the flag's type and checked against its choices,
+    else the table's default."""
     for flag, default in args.flags.items():
         kind = _TYPES[flag]
-        if kind is bool or getattr(args, flag) is not None:
+        if getattr(args, flag) is not None:
             continue
         value = cfg.get(flag)
         if value is None:

@@ -167,24 +167,23 @@ class BoundExpr:
         return self.to_text()
 
 
-def monomial_cross(term_a: Monomial, term_b: Monomial, q_symbol: str = "Q") -> Monomial:
+def monomial_cross(term_a: Monomial, term_b: Monomial) -> Monomial:
     """Balance an increasing term ``A*Q^a`` against a decreasing ``B*Q^-b``.
 
     Returns ``(A^b * B^a)^(1/(a+b))``, the value of both terms at the Q where
     they agree; its Q-exponent is 0 by construction.
     """
-    a = term_a.exponent(q_symbol)
-    b = -term_b.exponent(q_symbol)
+    a = term_a.exponent("Q")
+    b = -term_b.exponent("Q")
     if a <= 0:
-        raise ValueError(f"first term needs a positive {q_symbol}-exponent, got {a}")
+        raise ValueError(f"first term needs a positive Q-exponent, got {a}")
     if b <= 0:
-        raise ValueError(f"second term needs a negative {q_symbol}-exponent, got {-b}")
-    return (term_a.without(q_symbol).pow(b) * term_b.without(q_symbol).pow(a)).pow(
+        raise ValueError(f"second term needs a negative Q-exponent, got {-b}")
+    return (term_a.without("Q").pow(b) * term_b.without("Q").pow(a)).pow(
         Fraction(1, 1) / (a + b))
 
 
-def gk_optimize(terms: BoundExpr, q1: Monomial, q2: Monomial,
-                q_symbol: str = "Q") -> BoundExpr:
+def gk_optimize(terms: BoundExpr, q1: Monomial, q2: Monomial) -> BoundExpr:
     """Optimize a sum of powers of Q over the symbolic range [q1, q2].
 
     Emits each increasing term at the left endpoint, each decreasing term at
@@ -192,16 +191,16 @@ def gk_optimize(terms: BoundExpr, q1: Monomial, q2: Monomial,
     for every (increasing, decreasing) pair.  All cross terms are kept; use
     :meth:`BoundExpr.prune_dominated` to drop the redundant ones.
     """
-    if q1.exponent(q_symbol) != 0 or q2.exponent(q_symbol) != 0:
-        raise ValueError(f"range endpoints must be {q_symbol}-free")
-    increasing = [t for t in terms if t.exponent(q_symbol) > 0]
-    decreasing = [t for t in terms if t.exponent(q_symbol) < 0]
-    free = [t for t in terms if t.exponent(q_symbol) == 0]
+    if q1.exponent("Q") != 0 or q2.exponent("Q") != 0:
+        raise ValueError("range endpoints must be Q-free")
+    increasing = [t for t in terms if t.exponent("Q") > 0]
+    decreasing = [t for t in terms if t.exponent("Q") < 0]
+    free = [t for t in terms if t.exponent("Q") == 0]
 
     out: list[Monomial] = list(free)
-    out += [t.substitute(q_symbol, q1) for t in increasing]
-    out += [t.substitute(q_symbol, q2) for t in decreasing]
-    out += [monomial_cross(a, b, q_symbol) for a in increasing for b in decreasing]
+    out += [t.substitute("Q", q1) for t in increasing]
+    out += [t.substitute("Q", q2) for t in decreasing]
+    out += [monomial_cross(a, b) for a in increasing for b in decreasing]
     return BoundExpr.of(out)
 
 

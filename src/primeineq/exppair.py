@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-TRIVIAL_PAIR_FIELDS = (Fraction(0), Fraction(1))
-
-
 @dataclass(frozen=True)
 class ExponentPair:
     kappa: Fraction
@@ -34,7 +31,7 @@ class ExponentPair:
         return f"({self.kappa}, {self.lam})"
 
 
-TRIVIAL_PAIR = ExponentPair(*TRIVIAL_PAIR_FIELDS)
+TRIVIAL_PAIR = ExponentPair(Fraction(0), Fraction(1))
 
 
 def a_process(p: ExponentPair) -> ExponentPair:
@@ -89,10 +86,10 @@ def render_word(letters: Sequence[str]) -> str:
     return "".join(out)
 
 
-def apply_word(word: str | Sequence[str], seed: ExponentPair = TRIVIAL_PAIR) -> ExponentPair:
-    """Fold a chain word over a seed pair, rightmost letter first."""
+def apply_word(word: str | Sequence[str]) -> ExponentPair:
+    """Fold a chain word over the trivial pair (0, 1), rightmost letter first."""
     letters = parse_word(word) if isinstance(word, str) else tuple(word)
-    p = seed
+    p = TRIVIAL_PAIR
     for ch in reversed(letters):
         p = a_process(p) if ch == "A" else b_process(p)
     return p

@@ -9,11 +9,9 @@ transform has the closed form
 
 which is bounded by min(2a, 1/(pi|x|), (1/(pi|x|)) * (n/(2*pi*|x|*b))^n).
 
-With n = r boxes the kernel is C^{r-1} and the bound above, at n = r, is the
-standard one quoted for a C^r kernel.  Both readings are supported: the
-default uses n = r boxes and matches the quoted bound exactly; pass
-``strict_smooth=True`` to get a genuinely C^r kernel from n = r + 1 boxes,
-with the Fourier bound adjusted to the r+1 power.
+Here r = n is the number of boxes: the kernel is C^{r-1}, and the bound
+above, at n = r, is the standard one quoted for a C^r kernel.  A genuinely
+C^r kernel is the one of r + 1 boxes.
 """
 
 from __future__ import annotations
@@ -30,8 +28,7 @@ from .sums import ConvergenceError
 class KernelParams:
     a: float
     b: float
-    r: int
-    strict_smooth: bool = False
+    r: int   # number of boxes
 
     def __post_init__(self):
         if not (0 < self.b < self.a / 4):
@@ -40,12 +37,8 @@ class KernelParams:
             raise ValueError(f"need r >= 1, got r={self.r}")
 
     @property
-    def n_boxes(self) -> int:
-        return self.r + 1 if self.strict_smooth else self.r
-
-    @property
     def h(self) -> float:
-        return self.b / self.n_boxes
+        return self.b / self.r
 
 
 def kernel_from_instance(eps: float, X: float) -> KernelParams:
@@ -93,7 +86,7 @@ def phi_eval(p: KernelParams, y):
     the ramp a - b < |y| < a + b the upper event always holds (b < a/4),
     and S is symmetric, so phi(y) = P(S <= a - |y|), one Irwin-Hall CDF.
     """
-    n = p.n_boxes
+    n = p.r
     if n > 40:
         raise ValueError(
             f"pointwise kernel evaluation supports at most 40 boxes, got {n}; "
@@ -112,7 +105,7 @@ def phi_fourier(p: KernelParams, x) -> float:
     Accepts a scalar or ndarray.
     """
     x = np.asarray(x, dtype=float)
-    n = p.n_boxes
+    n = p.r
     h = p.h
     with np.errstate(divide="ignore", invalid="ignore"):
         box = np.where(x == 0.0, 2.0 * p.a, np.sin(2.0 * np.pi * p.a * x) / (np.pi * x))
@@ -123,13 +116,11 @@ def phi_fourier(p: KernelParams, x) -> float:
 
 
 def phi_fourier_bound(p: KernelParams, x) -> float:
-    """min(2a, 1/(pi|x|), (1/(pi|x|)) * (n/(2*pi*|x|*b))^n) with n = n_boxes.
-
-    At x = 0 the first branch gives 2a.  For the default mode n = r and this
-    is exactly the quoted bound.
+    """min(2a, 1/(pi|x|), (1/(pi|x|)) * (n/(2*pi*|x|*b))^n) with n = r, the
+    quoted bound.  At x = 0 the first branch gives 2a.
     """
     x = np.asarray(x, dtype=float)
-    n = p.n_boxes
+    n = p.r
     ax = np.abs(x)
     with np.errstate(divide="ignore", over="ignore"):
         inv = np.where(ax == 0.0, np.inf, 1.0 / (np.pi * ax))

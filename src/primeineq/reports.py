@@ -163,6 +163,8 @@ def s_vs_i_report(c: float = 2.05, X: float = 4096.0, points: int = 20,
     """Pointwise |S - I| at random x in [-tau, tau] against a soft ceiling
     of _TOL_FACTOR * X^(3/4); a qualitative stand-in for the asymptotic
     major-arc approximation, which is not desk-reproducible."""
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points}")
     inst = ProblemInstance(c=c, X=X)
     rng = random.Random(seed)
     xs = [(2.0 * rng.random() - 1.0) * inst.tau for _ in range(points)]

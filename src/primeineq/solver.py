@@ -52,10 +52,15 @@ class SextupleSearch:
 
 def _instance_at(X: float, k: int, N: float, c: float, eps: Optional[float]) -> ProblemInstance:
     """The k-prime experiment at scale X, eps defaulting to 1/log N;
-    ValueError if (X, 2X] holds fewer than 2 primes.  Only X < 5.5 is
-    sieved for that: pi(x) - pi(x/2) >= 2 for every real x >= 11, the second
-    Ramanujan prime (S. Ramanujan, J. Indian Math. Soc. 11 (1919))."""
-    inst = ProblemInstance(c=c, X=X, eps=1.0 / math.log(N) if eps is None else eps, k=k)
+    ValueError if eps is left to default and N <= 1, or if (X, 2X] holds
+    fewer than 2 primes.  Only X < 5.5 is sieved for that: pi(x) - pi(x/2)
+    >= 2 for every real x >= 11, the second Ramanujan prime (S. Ramanujan,
+    J. Indian Math. Soc. 11 (1919))."""
+    if eps is None:
+        if not N > 1:
+            raise ValueError(f"eps defaults to 1/log N, which needs N > 1, got N = {N}")
+        eps = 1.0 / math.log(N)
+    inst = ProblemInstance(c=c, X=X, eps=eps, k=k)
     if X < 5.5 and len(sieve_primes(X)) < 2:
         raise ValueError(f"(X, 2X] = ({X}, {2 * X}] holds fewer than 2 primes")
     return inst
@@ -325,14 +330,14 @@ def _kernel_rule(p: KernelParams, lo: float, hi: float, q: int) -> np.ndarray:
     int_lo^hi phi(t) g(t) dt, with x_j the q Gauss-Legendre nodes and mid,
     half the centre and half-width of [lo, hi]: the integral of phi against
     the Legendre interpolant of g at those nodes.  The kernel is a
-    polynomial of degree n between the points +-(a - b + 2hj), and the
+    polynomial of degree r between the points +-(a - b + 2hj), and the
     Gauss-Legendre rule on those pieces integrates it against the
     interpolant exactly."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    steps = p.a - p.b + 2.0 * p.h * np.arange(p.n_boxes + 1)
+    steps = p.a - p.b + 2.0 * p.h * np.arange(p.r + 1)
     knots = np.concatenate([-steps[::-1], steps])
     edges = [lo, *knots[(knots > lo) & (knots < hi)], hi]
-    t, wt = _gauss(edges[:-1], edges[1:], (p.n_boxes + q) // 2 + 1)
+    t, wt = _gauss(edges[:-1], edges[1:], (p.r + q) // 2 + 1)
     t, wt = t.ravel(), wt.ravel()
     moments = legvander((t - mid) / half, q - 1).T @ (wt * phi_eval(p, t))   # int phi P_l
     x, w = leggauss(q)

@@ -63,15 +63,16 @@ class ConvergenceError(ArithmeticError):
 @dataclass(frozen=True)
 class ProblemInstance:
     """One Diophantine experiment: |p_1^c + ... + p_k^c - R| < eps near scale
-    X; eps defaults to 1/log X."""
+    X; eps defaults to 1/log X.  The arc cuts tau = X^(1 - c - eta) and
+    K = (log X)^10 are computed, not set, and must have tau < K."""
 
     c: float
     X: float
     eps: float = field(default=None)  # type: ignore[assignment]
     k: int = 3
     eta: float = 0.05
-    tau: float = field(default=None)  # type: ignore[assignment]
-    K: float = field(default=None)    # type: ignore[assignment]
+    tau: float = field(init=False)
+    K: float = field(init=False)
 
     def __post_init__(self):
         for name in ("c", "X", "eps"):
@@ -84,10 +85,8 @@ class ProblemInstance:
             object.__setattr__(self, "eps", 1.0 / math.log(self.X))
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.tau is None:
-            object.__setattr__(self, "tau", self.X ** (1.0 - self.c - self.eta))
-        if self.K is None:
-            object.__setattr__(self, "K", math.log(self.X) ** 10)
+        object.__setattr__(self, "tau", self.X ** (1.0 - self.c - self.eta))
+        object.__setattr__(self, "K", math.log(self.X) ** 10)
         if not self.tau < self.K:
             raise ValueError(f"need tau < K, got tau={self.tau}, K={self.K}")
 

@@ -198,7 +198,7 @@ def _smoothed_per_R(dens, k: int, p, R: float) -> float:
         return 0.0
     inner = [i * dens.D - offset for i in range(1, k)]
     cuts = [lo, *(q for q in inner if lo < q < hi), hi]
-    steps = p.a - p.b + 2.0 * p.h * np.arange(p.n_boxes + 1)
+    steps = p.a - p.b + 2.0 * p.h * np.arange(p.r + 1)
     phi_knots = np.concatenate([-steps[::-1], steps])
     m = dens.m // 2
     x, w = np.polynomial.legendre.leggauss(m)
@@ -210,7 +210,7 @@ def _smoothed_per_R(dens, k: int, p, R: float) -> float:
         g = dens.g3(d) if k == 3 else np.array([dens.g6(v) for v in d])
         coef = scale * (np.polynomial.legendre.legvander(x, m - 1).T @ (w * g))
         edges = [jlo, *phi_knots[(phi_knots > jlo) & (phi_knots < jhi)], jhi]
-        t, wt = solver._gauss(edges[:-1], edges[1:], (p.n_boxes + m) // 2 + 1)
+        t, wt = solver._gauss(edges[:-1], edges[1:], (p.r + m) // 2 + 1)
         t, wt = t.ravel(), wt.ravel()
         total += float(np.sum(wt * phi_eval(p, t)
                               * np.polynomial.legendre.legval((t - mid) / half, coef)))

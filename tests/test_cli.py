@@ -219,6 +219,8 @@ def test_mainterm_requires_R(capsys):
     ("count", "V", "--Y", "2", "--tau", "10", "--gamma", "1.0"),
     ("solve", "sextuple", "--N", "42", "--c", "1", "--R", "252"),
     ("ledger", "all", "--format", "json"),
+    ("kernel", "eval", "--points", "11", "--strict"),
+    ("kernel", "check", "--points", "10", "--strict"),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     # these flags used to be accepted and ignored: mainterm --eta 9 ran
@@ -235,6 +237,16 @@ def test_scan_rejects_zero_samples(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "usage error: samples must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_sums_profile_rejects_fewer_than_one_point(capsys, points):
+    # an empty profile printed "usage error: max() arg is an empty sequence"
+    code = run(["sums", "profile", "--X", "512", "--points", points])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"usage error: points must be at least 1, got {points}\n"
 
 
 def test_count_ladder_json_is_the_rs_slope_report(capsys):
@@ -334,6 +346,24 @@ def test_X_below_3_is_a_usage_error(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "usage error: X must be >= 3\n"
+
+
+@pytest.mark.parametrize("N", ["1", "0"])
+@pytest.mark.parametrize("argv", [
+    ("solve", "triple", "--c", "1.5"),
+    ("solve", "sextuple", "--c", "2.05"),
+    ("scan",),
+    ("mainterm", "--c", "1.5", "--R", "5"),
+])
+def test_N_at_most_1_with_default_eps_is_a_usage_error(capsys, argv, N):
+    # eps = 1/log N died in a ZeroDivisionError traceback (exit 1) at N = 1
+    # and printed "usage error: math domain error" at N = 0
+    code = run([*argv, "--N", N])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == \
+        f"usage error: eps defaults to 1/log N, which needs N > 1, got N = {float(N)}\n"
 
 
 def test_resource_guard_has_its_own_exit_code(capsys):

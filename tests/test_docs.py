@@ -1,10 +1,12 @@
-"""The README names only attributes the package has."""
+"""The README names only attributes the package has, and only the flags the
+CLI reads."""
 
 import importlib
 import re
 from pathlib import Path
 
 import primeineq
+from primeineq import cli
 
 _README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 _MODULES = sorted(path.stem for path in Path(primeineq.__file__).parent.glob("*.py")
@@ -35,3 +37,14 @@ def test_layout_rows_name_attributes_of_their_module():
              for name in re.findall(r"`([A-Za-z_]\w*)`", row) if "_" in name]
     assert pairs
     assert _missing(pairs) == []
+
+
+def test_cli_flag_table_matches_the_parser():
+    # each row of the README's CLI flag table, such as `kernel check`, names
+    # exactly the flags that cli._ACTIONS gives its action; a positional
+    # argument in capitals, as in `ledger CHECK`, is not part of the name
+    table = _README.split("| action | flags (default) |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([A-Za-z ]+?)(?: [A-Z]{2,})?` \|(.*)\|$", table, re.M)
+    documented = {action: {flag.replace("-", "_") for flag in re.findall(r"`--([\w-]+)`", row)}
+                  for action, row in rows}
+    assert documented == {action: set(flags) for action, (_, flags) in cli._ACTIONS.items()}

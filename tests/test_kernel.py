@@ -42,7 +42,7 @@ def test_phi_three_cases():
 
 
 def test_phi_edge_midpoint_strict_mode():
-    p = KernelParams(0.9, 0.1, 4, strict_smooth=True)
+    p = KernelParams(0.9, 0.1, 4 + 1)
     assert phi_eval(p, 0.9) == pytest.approx(0.5)
 
 
@@ -69,7 +69,7 @@ def _mp_irwin_hall_cdf(x, n: int):
 def _mp_phi(p: KernelParams, y: float) -> float:
     # P(|y| - a <= S <= |y| + a) for S = h (2U - n), U Irwin-Hall, from the
     # exact binary values of a, h and y
-    n = p.n_boxes
+    n = p.r
     with mpmath.workdps(60):
         a, h, y = mpmath.mpf(p.a), mpmath.mpf(p.h), abs(mpmath.mpf(y))
         return float(_mp_irwin_hall_cdf(((y + a) / h + n) / 2, n)
@@ -99,7 +99,7 @@ def test_phi_monotone_on_the_ramp(n):
 
 
 def test_phi_eval_takes_scalars_and_arrays():
-    p = KernelParams(0.9, 0.1, 7, strict_smooth=True)
+    p = KernelParams(0.9, 0.1, 7 + 1)
     ys = np.array([[0.0, 0.83, 0.9], [-0.95, 1.0, 2.0]])
     vals = phi_eval(p, ys)
     assert vals.shape == ys.shape
@@ -135,8 +135,8 @@ def test_quadrature_raises_when_the_oscillation_is_unresolved():
 def test_fourier_bound_holds():
     rng = np.random.default_rng(5)
     for r in range(1, 9):
-        for strict in (False, True):
-            p = KernelParams(0.9, 0.1, r, strict_smooth=strict)
+        for n in (r, r + 1):
+            p = KernelParams(0.9, 0.1, n)
             xs = rng.uniform(-1e3, 1e3, 5000)
             assert np.all(np.abs(phi_fourier(p, xs))
                           <= phi_fourier_bound(p, xs) + 1e-12)

@@ -62,13 +62,6 @@ def test_longchain_report():
     assert rows["(i) lambda - kappa"].lhs == Fraction(359351, 622379)
 
 
-def test_longchain_rejects_out_of_range_c():
-    with pytest.raises(ValueError):
-        ledger.verify_longchain_usage(Fraction(2))
-    with pytest.raises(ValueError):
-        ledger.verify_longchain_usage(Fraction(3))
-
-
 def test_reports_never_raise_on_failure():
     bad = ledger.HBParams(Fraction(1, 3), Fraction(1, 2), Fraction(1, 2))
     rep = ledger.verify_heathbrown_params(bad)   # 2z + u = 4/3 > 1
@@ -90,3 +83,11 @@ def test_run_all_passes():
     reps = ledger.run_all()
     assert len(reps) == 6
     assert all(r.all_pass for r in reps)
+
+
+def test_c_threshold_report_is_the_first_of_run_all():
+    rep = ledger.verify_c_threshold()
+    assert rep.all_pass
+    assert rep.payload == ledger.run_all()[0].payload
+    assert [c.name for c in rep.checks] == \
+        ["derived threshold", "threshold > 2", "threshold beats 37/18"]

@@ -497,8 +497,8 @@ def test_main_term_c1_irwin_hall_closed_form(X):
     inst = ProblemInstance(c=1.0, X=X, eps=0.3, k=3)
     p = kernel_from_instance(inst.eps, X)
     e = p.a + p.b
-    steps = [p.a - p.b + 2 * p.h * j for j in range(p.n_boxes + 1)]
-    x, w = np.polynomial.legendre.leggauss(p.n_boxes // 2 + 2)
+    steps = [p.a - p.b + 2 * p.h * j for j in range(p.r + 1)]
+    x, w = np.polynomial.legendre.leggauss(p.r // 2 + 2)
     for R in (3 * X, 4 * X - e / 2, 4 * X + e / 2, 4.5 * X, 6 * X - e / 2):
         cuts = sorted({sign * v for v in steps for sign in (-1, 1)}
                       | {q * X - R for q in (3, 4, 5, 6) if abs(q * X - R) < e})

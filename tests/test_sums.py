@@ -72,8 +72,12 @@ def test_instance_validation():
         ProblemInstance(c=2.05, X=2.0, eps=0.1)
     with pytest.raises(ValueError):
         ProblemInstance(c=2.05, X=1024.0, eps=-1.0)
-    with pytest.raises(ValueError):
-        ProblemInstance(c=2.05, X=1024.0, eps=0.1, tau=5.0, K=1.0)
+    # tau = X^5.95 is far above K = (log X)^10
+    with pytest.raises(ValueError, match="^need tau < K"):
+        ProblemInstance(c=-5.0, X=1000.0, eps=0.1)
+    # tau and K are computed from c, X and eta, not set
+    with pytest.raises(TypeError):
+        ProblemInstance(c=2.05, X=1024.0, eps=0.1, tau=5.0)
 
 
 @pytest.mark.parametrize("name, value", [("c", math.inf), ("c", -math.inf), ("c", math.nan),
