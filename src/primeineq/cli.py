@@ -120,6 +120,9 @@ def _ledger(args) -> int:
 
 
 def _kernel_params(args) -> KernelParams:
+    """The kernel of a kernel action, whose --points must be at least 1."""
+    if args.points < 1:
+        raise UsageError(f"points must be at least 1, got {args.points}")
     return KernelParams(a=args.a, b=args.b, r=args.r)
 
 

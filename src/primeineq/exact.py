@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Rational = Fraction
-
 # Rendering order for the symbols this project actually uses; anything else
 # sorts alphabetically after them.
 _CANONICAL_SYMBOLS = ("M", "L", "F", "Q", "X", "K")
@@ -136,9 +134,6 @@ class BoundExpr:
 
     def __iter__(self):
         return iter(self.terms)
-
-    def __or__(self, other: "BoundExpr") -> "BoundExpr":
-        return BoundExpr(self.terms | other.terms)
 
     def sorted_terms(self) -> list[Monomial]:
         return sorted(self.terms, key=lambda m: [( _symbol_key(s), e) for s, e in m.exps])

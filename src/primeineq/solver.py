@@ -23,10 +23,9 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import mpmath
 import numpy as np
 
-from .count import triple_band, unordered_pairs, window_pairs, window_reach
+from .count import _SLACK_ULPS, triple_band, unordered_pairs, window_pairs, window_reach
 from .kernel import KernelParams, kernel_from_instance, phi_eval
 from .sums import (LONG, ConvergenceError, GuardError, PrimeTable,
                    ProblemInstance, leggauss, legvander, sieve_primes, sieve_range)
@@ -36,10 +35,72 @@ _PAIR_GUARD = 10 ** 8
 
 @dataclass(frozen=True)
 class SolutionRecord:
+    """One solution of |p_1^c + ... + p_k^c - R| < eps, as _solves decides
+    it: its primes, the power sum ``value`` as its solver formed it in long
+    double, rounded to float64, and ``deviation`` = |value - R|."""
+
     primes: tuple[int, ...]
     value: float
     deviation: float
-    ambiguous: bool = False   # set when a 2x-precision recheck flips the window test
+
+
+def _record(primes, value, R) -> SolutionRecord:
+    """The record of the solution ``primes``, a sequence of ints, whose
+    long-double power sum is ``value``, at R."""
+    value = float(value)
+    return SolutionRecord(tuple(int(p) for p in primes), value, abs(value - float(R)))
+
+
+def _solves(gap, band, R, eps, c: float, primes: np.ndarray, columns) -> np.ndarray:
+    """The one hit rule of every solver: whether each candidate k-tuple of
+    primes solves |p_1^c + ... + p_k^c - R| < eps, as a bool array.
+
+    ``gap`` is each candidate's power sum less R, in long double and as its
+    site forms it, of any shape; R (and ``band``) is a scalar or an array
+    broadcastable to it, and ``columns`` are the k index arrays of the
+    candidate's primes into ``primes``, each broadcastable to it.  A
+    candidate with ||gap| - eps| > band is decided by |gap| < eps.  One
+    within ``band`` of the edge is decided by its power sum formed again at
+    40 digits from its primes, with R, eps and c at their exact binary
+    values: |sum - R| < eps there.  That 40-digit test is the rule; long
+    double decides for it wherever ``band`` bounds the rounding of ``gap``,
+    since then |gap| and the exact |sum - R| lie on the same side of eps.
+    The 40-digit sum errs by under 10^-39 of itself, far below any band.
+    """
+    size = np.abs(gap)
+    hit = size < eps
+    edge = np.nonzero(np.abs(size - eps) <= band)
+    if len(edge[0]):
+        import mpmath
+        rows = np.stack([primes[np.broadcast_to(col, hit.shape)[edge]] for col in columns],
+                        axis=-1).tolist()
+        targets = np.broadcast_to(np.asarray(R, dtype=float), hit.shape)[edge].tolist()
+        with mpmath.workdps(40):
+            c_m, eps_m = mpmath.mpf(float(c)), mpmath.mpf(float(eps))
+            hit[edge] = [abs(mpmath.fsum(mpmath.mpf(p) ** c_m for p in row)
+                             - mpmath.mpf(target)) < eps_m
+                         for row, target in zip(rows, targets)]
+    return hit
+
+
+def _walk_band(R, eps):
+    """The band of _solves for the triple walk's gap (P_i + P_j) - (R - P_l):
+    _SLACK_ULPS long-double ulps of |R| + eps, at each R of a scalar or an
+    array.
+
+    With u = 2^-64 the unit roundoff of long double, each power P = fl(p^c)
+    lies within one ulp, 2u P, of p^c (glibc's powl; under 0.87 ulp
+    measured), and each sum or difference rounds by at most u of its
+    result.  A candidate within eps + band of the edge has P_i + P_j + P_l
+    within eps + band of R, so its powers err by about 2u (|R| + eps) in
+    all, the roundings of P_i + P_j and of R - P_l add about u (|R| + eps)
+    each, and the last difference u (eps + band): under 5u (|R| + eps),
+    against the band's 16u (|R| + eps).  Such an R is at most 3 max P + 2
+    eps, so the band is under 24 long-double ulps of 2 max P + eps, inside
+    the walk's reach (window_reach at 2 max P + eps, which widens eps by
+    over 8000 of them): every candidate the 40-digit test can accept is
+    listed."""
+    return _SLACK_ULPS * np.finfo(LONG).eps * (np.abs(np.asarray(R, dtype=LONG)) + LONG(eps))
 
 
 @dataclass(frozen=True)
@@ -229,10 +290,13 @@ def triple_counts(inst: ProblemInstance, Rs, table: Optional[PrimeTable] = None,
     counter takes the candidates of its own, eps or a + b, as a window
     search of that width would: weighted_B1 sums its kernel weights over
     them, zeros included, in the search's order, so its sum has the same
-    terms in the same order at any batch.  count_B re-tests every
-    candidate with the strict predicate |value - R| < eps.  Since
-    fl(P_i + P_j) = fl(P_j + P_i), a pair with i < j stands for both of
-    its orderings.  Records follow third-prime order, then the order of
+    terms in the same order at any batch.  count_B counts the candidates
+    that solve |p1^c + p2^c + p3^c - R| < eps by the one rule of _solves:
+    the gap (P_i + P_j) - (R - P_l) in long double decides, except within
+    _walk_band of the edge, where the 40-digit sum does.  Since
+    fl(P_i + P_j) = fl(P_j + P_i), and the 40-digit sum does not depend on
+    the order of its primes, a pair with i < j stands for both of its
+    orderings.  Records follow third-prime order, then the order of
     the ordered pair sums: (sum, i n + j).  The guard counts all n^2
     ordered pairs.  A non-finite R is a ValueError.
     """
@@ -259,7 +323,7 @@ def triple_counts(inst: ProblemInstance, Rs, table: Optional[PrimeTable] = None,
         phi[(i < j)[near]] *= 2.0
         b1 = float(np.sum(logs[i[near]] * logs[j[near]] * phi * logs[l[near]]))
 
-        hit = np.abs(offset) < eps
+        hit = _solves(offset, _walk_band(R, eps), R, eps, inst.c, tbl.primes, (i, j, l))
         twin = hit & (i < j)
         a, b = np.concatenate([i[hit], j[twin]]), np.concatenate([j[hit], i[twin]])
         d, v = np.concatenate([l[hit], l[twin]]), np.concatenate([pair[hit], pair[twin]])
@@ -268,9 +332,7 @@ def triple_counts(inst: ProblemInstance, Rs, table: Optional[PrimeTable] = None,
         weighted = float(np.sum(logs[a] * logs[b] * logs[d]))
         records = None
         if want_records:
-            records = [_validated_record((int(tbl.primes[x]), int(tbl.primes[y]),
-                                          int(tbl.primes[z])), float(value), R,
-                                         inst.eps, inst.c)
+            records = [_record(tbl.primes[[x, y, z]], value, R)
                        for x, y, z, value in zip(a, b, d, v + powers[d])]
         out.append(TripleCount(weighted, len(v), records, b1))
     return out
@@ -280,21 +342,9 @@ def count_B(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = None,
             want_records: bool = False
             ) -> tuple[float, int, Optional[list[SolutionRecord]]]:
     """Sharp-window triple count at one R: (weighted, unweighted, records)
-    over ordered triples, re-tested by the strict predicate
-    |value - R| < eps; triple_counts over a batch of one."""
+    over the ordered triples of (X, 2X] that solve |value - R| < eps by the
+    rule of _solves; triple_counts over a batch of one."""
     return triple_counts(inst, [R], table, want_records)[0][:3]
-
-
-def _validated_record(primes: tuple[int, ...], value: float, R: float,
-                      eps: float, c: float) -> SolutionRecord:
-    """Recompute the power sum at twice the working precision; flag the
-    record if the window test flips there.  R, eps and c enter as their
-    exact binary values, the ones the long-double search used."""
-    R, eps, c = float(R), float(eps), float(c)
-    with mpmath.workdps(40):
-        hv = mpmath.fsum(mpmath.mpf(p) ** mpmath.mpf(c) for p in primes)
-        ambiguous = not abs(hv - mpmath.mpf(R)) < mpmath.mpf(eps)
-    return SolutionRecord(primes, value, abs(value - R), ambiguous)
 
 
 def weighted_B1(inst: ProblemInstance, R: float, table: Optional[PrimeTable] = None
@@ -549,9 +599,9 @@ def main_term_H(inst: ProblemInstance, R):
     return float(fine[0]) if Rs.ndim == 0 else fine.reshape(Rs.shape)
 
 
-# _mitm_search's slack in long-double ulps of max|sum| + eps: an ordering's
-# sum lies within 2 of its triple's canonical sum, and the exact test's own
-# rounding adds 1 to a pair of triples' 4.
+# _mitm_search's slack in long-double ulps of max|sum| + eps: a canonical
+# or ordered triple sum lies within 2 of its exact power sum, and the gap of
+# a pair of ordered sums within 5 of its exact one (see _mitm_search)
 _PERM_ULPS = 8
 _PERM_CHUNK = 1 << 14   # candidate pairs of triples expanded at once
 _PERMS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
@@ -559,13 +609,12 @@ _FIRST_BAND = 2.0 ** -16   # _mitm_search's first band, as a share of the sums' 
 
 
 def _orderings(flat: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The six orderings (a, b, d) of each triple, along a new trailing
-    axis: their sums (P_a + P_b) + P_d, formed left to right, and their
-    flat indices a n^2 + b n + d."""
+    """The six orderings (a, b, d) of each triple, along a new axis: their
+    sums (P_a + P_b) + P_d, formed left to right, and their indices a, b, d
+    along a last axis of three."""
     n = len(powers)
     idx = np.stack(np.unravel_index(flat, (n, n, n)), axis=-1)[:, _PERMS]
-    a, b, d = idx[..., 0], idx[..., 1], idx[..., 2]
-    return (powers[a] + powers[b]) + powers[d], (a * n + b) * n + d
+    return (powers[idx[..., 0]] + powers[idx[..., 1]]) + powers[idx[..., 2]], idx
 
 
 def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
@@ -574,31 +623,41 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
 
     The record is the one a search over all n^3 ordered triples t, u would
     pick: sort the ordered sums v by (v, flat index) and take the smallest
-    t that takes part in any solution |v_u + v_t - N| < eps, then the
-    smallest u, with every sum formed left to right.  Only triples
-    i <= j <= l are formed, at their canonical sums (P_i + P_j) + P_l,
-    with one int32 flat index (n^3 <= 1e8 < 2^31).  An ordering's sum
-    differs from its canonical one by a few rounding errors, within
-    ``slack``.
+    t that takes part in any solution of |p_1^c + ... + p_6^c - N| < eps,
+    then the smallest u, with every sum formed left to right.  _solves
+    decides each pair of orderings from its gap (v_u + v_t) - N with band
+    ``slack``.  Only triples i <= j <= l are formed, at their canonical
+    sums (P_i + P_j) + P_l, with one int32 flat index (n^3 <= 1e8 < 2^31).
+
+    Rounding.  Take T = max(|bottom|, |top|) + eps, bottom and top the
+    smallest and largest canonical sums, and an ulp 2^-63 T; slack is
+    _PERM_ULPS ulps.  Each power lies within one long-double ulp of p^c
+    (glibc's powl), and each sum rounds by at most half an ulp of itself.
+    So a canonical or ordered triple sum, three powers and two roundings,
+    lies within 2 ulps of its exact power sum, and the gap of a pair of
+    ordered sums, two of those and the rounding of their sum and of the
+    difference, within 5 ulps of the exact gap: slack bounds it, and
+    _solves' verdicts are the 40-digit ones.
 
     t sweeps ascending bands [lo, lo + w) of canonical sums, w doubling
     from band to band.  The sweep starts at max(bottom, N - top - eps -
-    2 slack), bottom and top the smallest and largest canonical sums: every
-    u has ordered sum v_u <= top + slack, so every solution has
-    v_t > N - top - slack - eps, and its t a canonical sum within slack of
-    that.  Each t-band meets the u-band [N - lo - w - eps - 2 slack,
-    N - lo + eps + 2 slack], which holds every u that can solve with one of
-    its t; both are built by count.triple_band, a search per power over the
-    value-sorted pair sums of count.unordered_pairs.
-    count.window_pairs, from the keys fl(v_u) into the windows around
-    fl(N - v_t), both sorted, at width eps + slack, lists every pair of
-    triples with a solution among their orderings; each is expanded into
-    its 6 x 6 ordered pairs and re-tested with the exact predicate.  Once a
-    solution with ordered sum v_t is confirmed, bands starting above
-    v_t + slack cannot beat it.  Rounded addition commutes, so (u, t)
-    solves whenever (t, u) does and the record has v_t <= v_u: no band
-    starting above (N + eps)/2 + 2 slack (nor above the largest sum) can
-    hold its t, and the sweep stops there when nothing is found.
+    2 slack): every u has exact sum below top + 2 ulps, so every solution
+    has a t of exact sum above N - top - eps - 2 ulps, and of canonical sum
+    above N - top - eps - 4 ulps.  Each t-band meets the u-band
+    [N - lo - w - eps - 2 slack, N - lo + eps + 2 slack], which holds every
+    u that can solve with one of its t (4 ulps would do); both are built by
+    count.triple_band, a search per power over the value-sorted pair sums
+    of count.unordered_pairs.  count.window_pairs, from the keys fl(v_u)
+    into the windows around fl(N - v_t), both sorted, at width
+    eps + slack, lists every pair of triples with a solution among their
+    orderings, whose canonical sums lie within eps + 4 ulps of N; each is
+    expanded into its 6 x 6 ordered pairs and decided.  Once a solution
+    with ordered sum v_t is confirmed, bands starting above v_t + slack
+    cannot beat it.  Rounded addition commutes and the 40-digit sum does
+    not depend on the order of its primes, so (u, t) solves whenever
+    (t, u) does and the record has v_t <= v_u: no band starting above
+    (N + eps)/2 + 2 slack (nor above the largest sum) can hold its t, and
+    the sweep stops there when nothing is found.
     """
     n = len(tbl)
     if n ** 3 > _PAIR_GUARD:
@@ -632,12 +691,16 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
         u, t = window_pairs(targets - reach, targets + reach, u_keys)
         t, u = t_flat[t], u_flat[u]
         for start in range(0, len(t), _PERM_CHUNK):
-            vt, ft = _orderings(t[start:start + _PERM_CHUNK], powers)
-            vu, fu = _orderings(u[start:start + _PERM_CHUNK], powers)
-            m, p, q = np.nonzero(np.abs(vu[:, None, :] + vt[:, :, None] - target) < eps)
+            vt, it = _orderings(t[start:start + _PERM_CHUNK], powers)
+            vu, iu = _orderings(u[start:start + _PERM_CHUNK], powers)
+            columns = ([it[:, :, None, x] for x in range(3)]
+                       + [iu[:, None, :, x] for x in range(3)])
+            m, p, q = np.nonzero(_solves(vu[:, None, :] + vt[:, :, None] - target, slack,
+                                         target, eps, c, tbl.primes, columns))
             if len(m) == 0:
                 continue
-            keys = [vt[m, p], ft[m, p], vu[m, q], fu[m, q]]
+            ft, fu = [(x[..., 0] * n + x[..., 1]) * n + x[..., 2] for x in (it[m, p], iu[m, q])]
+            keys = [vt[m, p], ft, vu[m, q], fu]
             if best is not None:
                 keys = [np.append(k, b) for k, b in zip(keys, best)]
             first = np.lexsort(keys[::-1])[0]
@@ -645,8 +708,7 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     if best is None:
         return None
     idx = np.unravel_index(np.array([best[1], best[3]]), (n, n, n))
-    primes = tuple(int(p) for p in tbl.primes[np.stack(idx, axis=1).ravel()])
-    return _validated_record(primes, float(best[0] + best[2]), N, eps_f, c)
+    return _record(tbl.primes[np.stack(idx, axis=1).ravel()], best[0] + best[2], N)
 
 
 def full_prime_table(N: float, c: float) -> PrimeTable:
@@ -660,19 +722,21 @@ def full_prime_table(N: float, c: float) -> PrimeTable:
 
 def _first_triples(inst: ProblemInstance, Rs) -> list[Optional[SolutionRecord]]:
     """For each R, the first prime triple p1 <= p2 <= p3 in lexicographic
-    order with |p1^c + p2^c + p3^c - R| < eps confirmed by the 40-digit
-    recheck, or None where there is none.
+    order that solves |p1^c + p2^c + p3^c - R| < eps by the rule of
+    _solves, or None where there is none.
 
     Every prime with p^c <= max R + eps takes part, since each term of a
     solution lies below R + eps, and all R share one table and one
     _candidate_walk at count_B's reach, over the rows i with
     3 P_i <= max R + eps and the columns j with P_i + 2 P_j <= max R + eps
     (both padded for rounding), since p1 <= p2 <= p3 sum to at least 3 p1^c
-    and at least p1^c + 2 p2^c.  The walk's rows i ascend, and each chunk
-    holds every j >= i that can solve and every l of its rows, so the
-    candidates with l >= j of a chunk are checked in (i, j, l) order, and an
-    R's first confirmed one is its record.  The walk stops once every R has
-    one.  A non-finite R is a ValueError.
+    and at least p1^c + 2 p2^c.  Each candidate with l >= j is decided as
+    count_B decides it, from its gap (P_i + P_j) - (R - P_l) and
+    _walk_band.  The walk's rows i ascend, and each chunk holds every
+    j >= i that can solve and every l of its rows, so an R's first
+    solution in (i, j, l) order in the first chunk that has one is its
+    record.  The walk stops once every R has one.  A non-finite R is a
+    ValueError.
     """
     if inst.k != 3:
         raise ValueError("the triple search needs a k=3 instance")
@@ -682,24 +746,27 @@ def _first_triples(inst: ProblemInstance, Rs) -> list[Optional[SolutionRecord]]:
         return records
     tbl = full_prime_table(max(Rs) + inst.eps, inst.c)
     powers = tbl.powers(inst.c)
-    total = LONG(max(Rs)) + LONG(inst.eps)
+    eps = LONG(inst.eps)
+    total = LONG(max(Rs)) + eps
     bound = total / 3
     stop = int(np.searchsorted(powers, bound + bound * LONG(2.0 ** -40), side="right"))
     half = (total - powers) / 2   # the bound on P_j in row i
     cols = np.searchsorted(powers, half + half * LONG(2.0 ** -40), side="right")
+    targets = np.asarray(Rs, dtype=LONG)
     open_ = np.ones(len(Rs), dtype=bool)   # the R without a record yet
-    for r, i, j, l in _candidate_walk(powers, Rs, _reach(powers, LONG(inst.eps)), stop,
-                                      cols):
+    for r, i, j, l in _candidate_walk(powers, Rs, _reach(powers, eps), stop, cols):
         keep = (l >= j) & open_[r]
         r, i, j, l = r[keep], i[keep], j[keep], l[keep]
-        for x, a, b, d in zip(*(v[np.lexsort((l, j, i, r))] for v in (r, i, j, l))):
-            if not open_[x]:
-                continue
-            primes = (int(tbl.primes[a]), int(tbl.primes[b]), int(tbl.primes[d]))
-            rec = _validated_record(primes, float(powers[a] + powers[b] + powers[d]),
-                                    Rs[x], inst.eps, inst.c)
-            if not rec.ambiguous:
-                records[x], open_[x] = rec, False
+        gap = (powers[i] + powers[j]) - (targets[r] - powers[l])
+        hit = _solves(gap, _walk_band(targets[r], eps), targets[r], eps, inst.c,
+                      tbl.primes, (i, j, l))
+        r, i, j, l = r[hit], i[hit], j[hit], l[hit]
+        order = np.lexsort((l, j, i, r))
+        firsts = order[np.unique(r[order], return_index=True)[1]]
+        for x, a, b, d in zip(r[firsts], i[firsts], j[firsts], l[firsts]):
+            records[x] = _record(tbl.primes[[a, b, d]],
+                                 powers[a] + powers[b] + powers[d], Rs[x])
+            open_[x] = False
         if not open_.any():
             break
     return records
@@ -707,16 +774,18 @@ def _first_triples(inst: ProblemInstance, Rs) -> list[Optional[SolutionRecord]]:
 
 def find_triple(inst: ProblemInstance, R: float) -> Optional[SolutionRecord]:
     """First prime triple p1 <= p2 <= p3, in lexicographic order, with
-    |p1^c + p2^c + p3^c - R| < eps over all primes, as confirmed by the
-    40-digit recheck; None means no triple exists.  Unlike count_B this
-    has no range restriction (see _first_triples)."""
+    |p1^c + p2^c + p3^c - R| < eps over all primes, decided by the rule of
+    _solves that count_B applies; None means no triple exists.  Unlike
+    count_B this has no range restriction (see _first_triples)."""
     return _first_triples(inst, [R])[0]
 
 
 def triple_solvable(inst: ProblemInstance, Rs, counts) -> list[bool]:
     """Whether the inequality has a solution in primes of any size at each
     R, given its dyadic count of count_B: a positive count decides it, and
-    the R with count 0 share one walk over all primes (_first_triples)."""
+    the R with count 0 share one walk over all primes (_first_triples).
+    Both decide each triple by the rule of _solves, so the answer at each
+    R is find_triple(inst, R) is not None."""
     misses = iter(_first_triples(inst, [R for R, n in zip(Rs, counts) if n == 0]))
     return [n > 0 or next(misses) is not None for n in counts]
 
@@ -733,7 +802,9 @@ def find_sextuple(inst: ProblemInstance, N: float) -> SextupleSearch:
     Both searches return the record a search over all ordered triples
     would: the first triple and then the second in (sum, flat index)
     order, each sum formed left to right, so a triple need not be in
-    ascending order (see _mitm_search).
+    ascending order (see _mitm_search).  A record is a solution by the
+    rule of _solves: long double decides away from the window's edge, 40
+    digits at it.
     """
     if inst.k != 6:
         raise ValueError("find_sextuple needs a k=6 instance")

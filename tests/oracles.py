@@ -8,7 +8,7 @@ import numpy as np
 from primeineq import solver
 from primeineq.count import CountResult, CountSpec, run_positions, window_reach
 from primeineq.kernel import kernel_from_instance, phi_eval
-from primeineq.sums import ConvergenceError
+from primeineq.sums import LONG, ConvergenceError
 
 _BLOCK = 1 << 16   # targets per block of window_hits
 
@@ -61,6 +61,31 @@ def window_hits(values: np.ndarray, targets: np.ndarray, width: float):
             continue
         t = np.repeat(np.arange(start, start + len(block)), lengths)
         yield t, run_positions(lo, lengths)
+
+
+# The share of |R| + eps around a window's edge within which the oracles'
+# long-double tests defer to 40 digits: 2^-40, some 2^20 times the rounding
+# of any sum they form, and independent of the solvers' own bands.
+EDGE_MARGIN = 2.0 ** -40
+
+
+def solves(primes, R: float, eps: float, c: float) -> bool:
+    """|p_1^c + ... + p_k^c - R| < eps at 40 digits, with R, eps and c at
+    their exact binary values."""
+    with mpmath.workdps(40):
+        value = mpmath.fsum(mpmath.mpf(int(p)) ** mpmath.mpf(float(c)) for p in primes)
+        return bool(abs(value - mpmath.mpf(float(R))) < mpmath.mpf(float(eps)))
+
+
+def decide(dev: np.ndarray, R: float, eps: float, c: float, primes_at) -> np.ndarray:
+    """|dev| < eps for every long-double deviation of an array, except
+    within EDGE_MARGIN (|R| + eps) of the edge, where ``solves`` decides
+    the primes primes_at(index) of the candidate at each such index."""
+    hit = np.abs(dev) < LONG(eps)
+    margin = LONG(EDGE_MARGIN) * (abs(LONG(R)) + LONG(eps))
+    for index in zip(*np.nonzero(np.abs(np.abs(dev) - LONG(eps)) <= margin)):
+        hit[index] = solves(primes_at(index), R, eps, c)
+    return hit
 
 
 def naive_long_double_count(s: CountSpec) -> CountResult:

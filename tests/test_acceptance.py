@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import solves
 from primeineq import ledger
 from primeineq.exppair import ExponentPair, apply_word
 from primeineq.kernel import (KernelParams, phi_fourier, phi_fourier_bound,
@@ -156,7 +157,8 @@ def test_criterion_10_sextuple_search(reports_w1):
     payload = json.loads(reports_w1["sextuple"])
     ok = (payload["pass"] and payload["found"]
           and payload["deviation"] < payload["config"]["eps"]
-          and payload["ambiguous"] is False)
+          and solves(payload["primes"], payload["config"]["N"],
+                     payload["config"]["eps"], payload["config"]["c"]))
     _verdict(10, ok, f"primes={payload['primes']} dev={payload['deviation']}")
 
 

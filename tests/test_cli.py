@@ -249,6 +249,18 @@ def test_sums_profile_rejects_fewer_than_one_point(capsys, points):
     assert captured.err == f"usage error: points must be at least 1, got {points}\n"
 
 
+@pytest.mark.parametrize("action", ["eval", "check"])
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_kernel_actions_reject_fewer_than_one_point(capsys, action, points):
+    # kernel check --points 0 printed "pass": true after testing no point,
+    # and kernel eval --points 0 printed only the CSV header
+    code = run(["kernel", action, "--points", points])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"usage error: points must be at least 1, got {points}\n"
+
+
 def test_count_ladder_json_is_the_rs_slope_report(capsys):
     code, out = run_cli(capsys, "count", "ladder", "--format", "json",
                         "--c", "1.5", "--gamma", "1.0", "--Ys", "16,32,64,128")

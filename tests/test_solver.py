@@ -8,15 +8,15 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (gauss_g2, main_term_per_R, mpmath_g2, pair_index, sorted_sums,
-                     window_hits)
+from oracles import (decide, gauss_g2, main_term_per_R, mpmath_g2, pair_index, solves,
+                     sorted_sums, window_hits)
 from primeineq import count, reports, solver
 from primeineq.count import _pair_band, triple_band, unordered_pairs
 from primeineq.kernel import kernel_from_instance, phi_eval, phi_fourier
 from primeineq.reports import exceptional_scan
-from primeineq.solver import (count_B, find_sextuple, find_triple,
+from primeineq.solver import (SolutionRecord, count_B, find_sextuple, find_triple,
                               full_prime_table,
                               instance_for_theorem1, instance_for_theorem2,
                               main_term_H, sextuple_feasible, triple_counts,
@@ -77,7 +77,7 @@ def test_count_B_degenerate_c1():
     assert weighted == pytest.approx(math.log(7.0) ** 3)
     assert recs[0].primes == (7, 7, 7)
     assert recs[0].deviation == pytest.approx(0.0, abs=1e-12)
-    assert not recs[0].ambiguous
+    assert solves(recs[0].primes, 21.0, inst.eps, inst.c)
     # shifted window misses
     _, n, _ = count_B(inst, 22.0)
     assert n == 0
@@ -115,7 +115,7 @@ def test_records_validate_cleanly(inst_1e5):
     assert len(recs) == n
     for rec in recs:
         assert rec.deviation < inst_1e5.eps
-        assert not rec.ambiguous
+        assert solves(rec.primes, 1.5e5, inst_1e5.eps, inst_1e5.c)
         assert rec.value == pytest.approx(
             sum(p ** inst_1e5.c for p in rec.primes), rel=1e-12)
 
@@ -126,10 +126,10 @@ def _is_prime(p: int) -> bool:
 
 def _check_against_brute_force(inst: ProblemInstance, tbl: PrimeTable, R: float):
     # long-double deviations (p_i^c + p_j^c) - (R - p_l^c) of every ordered
-    # triple, indexed [i, j, l]: the arithmetic count_B re-tests with
+    # triple, indexed [i, j, l], each decided at 40 digits near the edge
     P = tbl.powers(inst.c)
     dev = (P[:, None] + P[None, :])[:, :, None] - (LONG(R) - P)[None, None, :]
-    i, j, l = np.nonzero(np.abs(dev) < LONG(inst.eps))
+    i, j, l = np.nonzero(decide(dev, R, inst.eps, inst.c, lambda e: tbl.primes[list(e)]))
     logs = tbl.logs
     weighted, unweighted, recs = count_B(inst, R, table=tbl, want_records=True)
     assert unweighted == len(i), R
@@ -187,9 +187,10 @@ def _ordered_count_B(inst: ProblemInstance, tbl: PrimeTable, R: float):
     eps = LONG(inst.eps)
     weighted, records = 0.0, []
     for l, pos in window_hits(sums, LONG(R) - P, eps):
-        hit = np.abs(sums[pos] - (LONG(R) - P[l])) < eps
-        l, pos = l[hit], pos[hit]
         i, j = np.unravel_index(order[pos], (n, n))
+        hit = decide(sums[pos] - (LONG(R) - P[l]), R, inst.eps, inst.c,
+                     lambda e: tbl.primes[[i[e], j[e], l[e]]])
+        i, j, l, pos = i[hit], j[hit], l[hit], pos[hit]
         weighted += float(np.sum(tbl.logs[i] * tbl.logs[j] * tbl.logs[l]))
         records += [((int(tbl.primes[a]), int(tbl.primes[b]), int(tbl.primes[d])),
                      float(v)) for a, b, d, v in zip(i, j, l, sums[pos] + P[l])]
@@ -656,7 +657,7 @@ def test_sextuple_widens_at_desk_scale():
         assert res.range_used == "full"
         assert res.record.primes == primes, N
         assert res.record.deviation < inst.eps
-        assert not res.record.ambiguous
+        assert solves(res.record.primes, N, inst.eps, inst.c)
 
 
 def _ordered_mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float):
@@ -665,15 +666,19 @@ def _ordered_mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float):
     takes part in a solution wins, then the smallest position u."""
     n = len(tbl)
     sums3, order = sorted_sums(tbl.powers(c), 3)
-    target, eps = LONG(N), LONG(eps_f)
-    for t, u in window_hits(sums3, target - sums3, eps):
-        hit = np.flatnonzero(np.abs(sums3[u] + sums3[t] - target) < eps)
+    target = LONG(N)
+
+    def primes(t, u):
+        idx = np.stack(np.unravel_index(order[[t, u]], (n, n, n)), axis=1)
+        return tuple(int(p) for p in tbl.primes[idx.ravel()])
+
+    for t, u in window_hits(sums3, target - sums3, LONG(eps_f)):
+        hit = np.flatnonzero(decide(sums3[u] + sums3[t] - target, N, eps_f, c,
+                                    lambda e: primes(t[e], u[e])))
         if len(hit):
             t, u = t[hit[0]], u[hit[0]]
-            idx = np.stack(np.unravel_index(order[[t, u]], (n, n, n)), axis=1)
-            primes = tuple(int(p) for p in tbl.primes[idx.ravel()])
-            return solver._validated_record(primes, float(sums3[t] + sums3[u]),
-                                            N, eps_f, c)
+            value = float(sums3[t] + sums3[u])
+            return SolutionRecord(primes(t, u), value, abs(value - N))
     return None
 
 
@@ -682,8 +687,8 @@ def _assert_same_record(tbl: PrimeTable, c: float, N: float, eps: float):
     got = solver._mitm_search(tbl, c, N, eps)
     assert (got is None) == (want is None), (c, N, eps)
     if want is not None:
-        assert (got.primes, got.value, got.ambiguous) == \
-            (want.primes, want.value, want.ambiguous), (c, N, eps)
+        assert got == want, (c, N, eps)
+        assert solves(want.primes, N, eps, c), (c, N, eps)
     return want
 
 
@@ -707,6 +712,23 @@ def test_mitm_search_keeps_unsorted_record():
     inst = instance_for_theorem2(2e6, 2.05)
     rec = _assert_same_record(full_prime_table(2e6, 2.05), 2.05, 2e6, inst.eps)
     assert rec.primes[:3] == (3, 3, 2)
+
+
+@pytest.mark.parametrize("primes, c, N, eps, solvable", [
+    ([2, 3, 19], 2.05, 869.182881853533, 4.514441450311238e-15, False),
+    ([3, 13, 29], 1.5, 374.800182662953, 1.2912149780216263e-14, False),
+    ([2, 11, 19], 2.05, 1681.316529045391, 6.959804756596191e-14, True),
+    ([3, 13, 23], 2.05, 2250.122971658003, 5.4606373202219845e-14, True),
+])
+def test_mitm_search_decides_the_window_edge_at_40_digits(primes, c, N, eps, solvable):
+    # N is the float64 nearest a sum of six of the primes, and eps lies
+    # within two float64 ulps of that sum's distance from N: some pair of
+    # ordered triple sums lies inside the window in long double and no six
+    # primes do at 40 digits, or the reverse
+    tbl = _table(primes)
+    sums3, _ = sorted_sums(tbl.powers(c), 3)
+    assert np.any(np.abs(sums3[:, None] + sums3[None, :] - LONG(N)) < LONG(eps)) != solvable
+    assert (_assert_same_record(tbl, c, N, eps) is not None) == solvable
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 1 << 14])
@@ -1008,12 +1030,8 @@ def _first_triple_by_brute_force(N: float, c: float, eps: float, R: float):
     powers = np.array(primes, dtype=float) ** c
     sums = powers[:, None, None] + powers[None, :, None] + powers[None, None, :]
     for a, b, d in zip(*np.nonzero(np.abs(sums - R) < eps + 1e-6)):
-        if a <= b <= d:
-            triple = (primes[a], primes[b], primes[d])
-            with mpmath.workdps(40):
-                value = mpmath.fsum(mpmath.mpf(p) ** mpmath.mpf(c) for p in triple)
-                if abs(value - mpmath.mpf(R)) < mpmath.mpf(eps):
-                    return triple
+        if a <= b <= d and solves((primes[a], primes[b], primes[d]), R, eps, c):
+            return (primes[a], primes[b], primes[d])
     return None
 
 
@@ -1031,7 +1049,7 @@ def test_find_triple_matches_brute_force(N):
         first = _first_triple_by_brute_force(N, inst.c, inst.eps, R)
         assert (None if rec is None else rec.primes) == first, R
         if rec is not None:
-            assert rec.deviation < inst.eps and not rec.ambiguous
+            assert rec.deviation < inst.eps and solves(rec.primes, R, inst.eps, inst.c)
             assert rec.value == pytest.approx(sum(p ** inst.c for p in first), abs=1e-9)
 
 
@@ -1077,7 +1095,7 @@ def test_find_triple_on_the_row_bound(monkeypatch, p, c, edge):
 
     monkeypatch.setattr(solver, "_candidate_walk", recording)
     rec = find_triple(inst, R)
-    assert rec.primes == (p, p, p) and not rec.ambiguous
+    assert rec.primes == (p, p, p) and solves(rec.primes, R, eps, c)
     tbl = full_prime_table(R + inst.eps, c)
     assert stops == [int(np.searchsorted(tbl.primes, p)) + 1]
 
@@ -1112,7 +1130,7 @@ def test_find_triple_on_the_column_bound(monkeypatch, a, b, c, edge):
 
     monkeypatch.setattr(solver, "_candidate_walk", recording)
     rec = find_triple(inst, R)
-    assert rec.primes == (a, b, b) and not rec.ambiguous
+    assert rec.primes == (a, b, b) and solves(rec.primes, R, eps, c)
     primes = list(full_prime_table(R + inst.eps, c).primes)
     assert stops[0][primes.index(a)] == primes.index(b) + 1
 
@@ -1134,6 +1152,47 @@ def test_triple_solvable_batch_matches_each_R_alone(N):
     if N < 1e4:
         assert 0 < sum(batch) < len(batch)   # both answers occur at this scale
     assert solver.triple_solvable(inst, [], []) == []
+
+
+def test_every_triple_solver_decides_the_window_edge_at_40_digits():
+    # the six orderings of 31, 37, 59 lie 2.8e-17 inside the window in long
+    # double, about one long-double ulp of R, and outside it at 40 digits:
+    # the dyadic count, the solvability and the search all say no solution
+    inst = ProblemInstance(c=1.5, X=30.0, eps=0.24999999999999353, k=3)
+    R = 851.1005079930127
+    P = np.array([31, 37, 59]).astype(LONG) ** LONG(inst.c)
+    for a, b, d in itertools.permutations(range(3)):
+        assert abs((P[a] + P[b]) - (LONG(R) - P[d])) < LONG(inst.eps)
+    assert not solves((31, 37, 59), R, inst.eps, inst.c)
+    assert count_B(inst, R, want_records=True) == (0.0, 0, [])
+    assert solver.triple_solvable(inst, [R], [0]) == [False]
+    assert find_triple(inst, R) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(X=st.floats(3.0, 40.0), c=st.floats(1.1, 2.2),
+       picks=st.tuples(*[st.integers(0, 99)] * 3),
+       offset=st.floats(1e-12, 2.0), side=st.sampled_from([-1.0, 1.0]),
+       steps=st.integers(-3, 3), shares=st.lists(st.floats(0.0, 1.0), max_size=3))
+def test_triple_solvable_is_find_triple_at_window_edges(X, c, picks, offset, side, steps,
+                                                        shares):
+    # R lies offset from the power sum of a dyadic triple, and eps is a few
+    # float64 ulps from that distance at 40 digits, so the window's edge
+    # passes through the triple; more R are drawn from [3 X^c, 6 X^c]
+    tbl = sieve_primes(X)
+    triple = [int(tbl.primes[k % len(tbl)]) for k in picks]
+    with mpmath.workdps(40):
+        exact = mpmath.fsum(mpmath.mpf(p) ** mpmath.mpf(c) for p in triple)
+        R = float(exact + side * offset)
+        eps = float(abs(exact - mpmath.mpf(R)))
+    for _ in range(abs(steps)):
+        eps = float(np.nextafter(eps, math.copysign(np.inf, steps)))
+    assume(eps > 0)
+    inst = ProblemInstance(c=c, X=X, eps=eps, k=3)
+    Rs = [R] + [3 * X ** c * (1.0 + share) for share in shares]
+    counts = [t.count for t in triple_counts(inst, Rs)]
+    assert solver.triple_solvable(inst, Rs, counts) == \
+        [find_triple(inst, R) is not None for R in Rs]
 
 
 @pytest.mark.parametrize("N", [1e2, 1e3])
