@@ -8,7 +8,8 @@ supply defaults; explicit flags win.  Rationals are always printed as p/q.
 
 One table (``_ACTIONS``) names each action's handler and the flags it reads,
 with their defaults; the parser accepts exactly those flags, and the config
-file fills in exactly those of them the command line left unset.
+file fills in exactly those of them the command line left unset.  A flag
+whose default is ``_REQUIRED`` that neither sets is a usage error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -77,8 +79,6 @@ def _csv(rows: list[dict], fields: list[str]) -> str:
 # --------------------------------------------------------------- actions
 
 def _pairs_eval(args) -> int:
-    if not args.word:
-        raise UsageError("pairs eval requires --word")
     p = apply_word(args.word)
     _emit(f"{_frac(p.kappa)} {_frac(p.lam)}", args.out)
     return 0
@@ -128,6 +128,10 @@ def _kernel_params(args) -> KernelParams:
 
 def _kernel_eval(args) -> int:
     p = _kernel_params(args)
+    for flag in ("x_min", "x_max"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise UsageError(f"--{flag.replace('_', '-')} must be finite, got {value}")
     xs = np.linspace(args.x_min, args.x_max, args.points)
     rows = [{"x": float(x),
              "phi": float(phi),
@@ -160,21 +164,13 @@ def _kernel_check(args) -> int:
     return 0 if ok else 1
 
 
-def _require_X(args) -> float:
-    if args.X is None:
-        raise UsageError("this command requires --X")
-    return args.X
-
-
 def _instance(args) -> ProblemInstance:
-    return ProblemInstance(c=args.c, X=_require_X(args), eps=args.eps, eta=args.eta)
+    return ProblemInstance(c=args.c, X=args.X, eps=args.eps, eta=args.eta)
 
 
 def _sums_eval(args) -> int:
     inst = _instance(args)
     x = args.x
-    if x is None:
-        raise UsageError("sums eval requires --x")
     t, s, i = sum_T(inst, x), sum_S(inst, x), integral_I(inst, x)
     _emit(render_report({"config": asdict(inst), "x": x,
                          "T": [t.real, t.imag], "S": [s.real, s.imag],
@@ -194,14 +190,12 @@ def _sums_moment(args) -> int:
 
 def _sums_profile(args) -> int:
     rep = json.loads(reports.s_vs_i_report(
-        c=args.c, X=_require_X(args), points=args.points, seed=args.seed))
+        c=args.c, X=args.X, points=args.points, seed=args.seed))
     _emit(render_report(rep, indent=2), args.out)
     return 0 if rep["pass"] else 1
 
 
 def _count_rs(args) -> int:
-    if args.Y is None:
-        raise UsageError("count rs requires --Y")
     res = count_mod.count_tuples_fast(count_mod.CountSpec(args.Y, args.c, args.gamma))
     _emit(render_report({"config": {"Y": args.Y, "c": args.c, "gamma": args.gamma},
                          "count": res.count, "ambiguous": res.ambiguous},
@@ -223,8 +217,6 @@ def _count_ladder(args) -> int:
 
 
 def _count_V(args) -> int:
-    if args.Y is None or args.tau is None:
-        raise UsageError("count V requires --Y and --tau")
     # harmonic_V reads no gamma; CountSpec needs a valid one
     spec = count_mod.CountSpec(args.Y, args.c, 1.0)
     total, buckets = count_mod.harmonic_V(spec, args.tau)
@@ -233,13 +225,7 @@ def _count_V(args) -> int:
     return 0
 
 
-def _require_N_and_c(args, command: str) -> None:
-    if args.c is None or args.N is None:
-        raise UsageError(f"{command} requires --N and --c")
-
-
 def _solve_triple(args) -> int:
-    _require_N_and_c(args, "solve")
     N = args.N
     inst = instance_for_theorem1(N, args.c, args.eps)
     R = 1.5 * N if args.R is None else args.R
@@ -253,7 +239,6 @@ def _solve_triple(args) -> int:
 
 
 def _solve_sextuple(args) -> int:
-    _require_N_and_c(args, "solve")
     inst = instance_for_theorem2(args.N, args.c, args.eps)
     res = find_sextuple(inst, args.N)
     payload = {"config": {**asdict(inst), "N": args.N},
@@ -276,11 +261,8 @@ def _scan(args) -> int:
 
 
 def _mainterm(args) -> int:
-    _require_N_and_c(args, "mainterm")
     if args.k not in (3, 6):
         raise UsageError("k must be 3 or 6")
-    if args.R is None:
-        raise UsageError("mainterm requires --R")
     theorem = instance_for_theorem1 if args.k == 3 else instance_for_theorem2
     inst = theorem(args.N, args.c, args.eps)
     h = main_term_H(inst, args.R)
@@ -301,29 +283,31 @@ _TYPES = {
     "x_min": float, "x_max": float,
 }
 
+_REQUIRED = object()   # the default of a flag the action cannot run without
 _KERNEL = {"a": 0.9, "b": 0.1, "r": 4}
-_SUMS = {"c": 2.05, "X": None, "eps": None, "eta": 0.05}
+_SUMS = {"c": 2.05, "X": _REQUIRED, "eps": None, "eta": 0.05}
 
 # Each action: its handler, and the flags it reads with their defaults.  A
-# default of None is a value the handler requires or works out itself.
+# default of None is a value the handler works out itself.
 _ACTIONS = {
-    "pairs eval": (_pairs_eval, {"word": None}),
+    "pairs eval": (_pairs_eval, {"word": _REQUIRED}),
     "pairs search": (_pairs_search, {"depth": 8, "c": 2.05, "objective": "minor"}),
     "ledger": (_ledger, {}),
     "kernel eval": (_kernel_eval, {**_KERNEL, "x_min": -10.0, "x_max": 10.0, "points": 101}),
     "kernel check": (_kernel_check, {**_KERNEL, "points": 10000, "seed": 0}),
-    "sums eval": (_sums_eval, {**_SUMS, "x": None}),
+    "sums eval": (_sums_eval, {**_SUMS, "x": _REQUIRED}),
     "sums moment": (_sums_moment, {**_SUMS, "which": "S"}),
-    "sums profile": (_sums_profile, {"c": 2.05, "X": None, "points": 20, "seed": 0}),
-    "count rs": (_count_rs, {"Y": None, "c": 1.5, "gamma": 1.0}),
+    "sums profile": (_sums_profile, {"c": 2.05, "X": _REQUIRED, "points": 20, "seed": 0}),
+    "count rs": (_count_rs, {"Y": _REQUIRED, "c": 1.5, "gamma": 1.0}),
     "count ladder": (_count_ladder, {"c": 1.5, "gamma": 1.0, "Ys": "64,128,256,512,1024",
                                      "format": "csv"}),
-    "count V": (_count_V, {"Y": None, "tau": None, "c": 1.5}),
-    "solve triple": (_solve_triple, {"c": None, "N": None, "eps": None, "R": None}),
-    "solve sextuple": (_solve_sextuple, {"c": None, "N": None, "eps": None}),
+    "count V": (_count_V, {"Y": _REQUIRED, "tau": _REQUIRED, "c": 1.5}),
+    "solve triple": (_solve_triple, {"c": _REQUIRED, "N": _REQUIRED, "eps": None, "R": None}),
+    "solve sextuple": (_solve_sextuple, {"c": _REQUIRED, "N": _REQUIRED, "eps": None}),
     "scan": (_scan, {"c": 1.5, "N": 1e5, "eps": None, "seed": 0, "samples": 50,
                      "format": "json"}),
-    "mainterm": (_mainterm, {"c": None, "N": None, "eps": None, "R": None, "k": 3}),
+    "mainterm": (_mainterm, {"c": _REQUIRED, "N": _REQUIRED, "eps": None, "R": _REQUIRED,
+                             "k": 3}),
 }
 
 
@@ -348,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(option, choices=kind)
             else:
                 p.add_argument(option, type=kind)
-        p.set_defaults(handler=handler, flags=flags)
+        p.set_defaults(handler=handler, name=name, flags=flags)
     commands.choices["ledger"].add_argument("check", choices=["all", *_LEDGER_CHECKS])
     return top
 
@@ -356,13 +340,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_config(args: argparse.Namespace, cfg: dict) -> None:
     """Each flag of the action that the command line left unset: the config
     file's value, cast by the flag's type and checked against its choices,
-    else the table's default."""
+    else the table's default, which is a usage error for a required flag."""
     for flag, default in args.flags.items():
         kind = _TYPES[flag]
         if getattr(args, flag) is not None:
             continue
         value = cfg.get(flag)
         if value is None:
+            if default is _REQUIRED:
+                raise UsageError(f"{args.name} requires --{flag}")
             value = default
         elif isinstance(kind, tuple):
             if value not in kind:

@@ -18,7 +18,8 @@ that can reach it, each row's run from two searches on the powers, in order
 of flat index.  ``triple_band`` builds the bands of triple sums of the
 sextuple search (``solver._mitm_search``) instead, with one search per power
 over the pair sums sorted by value (``unordered_pairs``); both widen their
-bounds for rounding alike (``_band_reach``).  The harmonic sum and the fast
+bounds for rounding alike (``_band_reach``).  Every long-double margin of the
+package is ``rounding`` of the scale it covers.  The harmonic sum and the fast
 counter's band edges take the whole set of pair sums, in ascending order,
 from ``unordered_pairs``.
 
@@ -53,8 +54,18 @@ _HARMONIC_GUARD = 10 ** 9  # Y^4 at most this many ordered 4-tuples
 _FAST_BAND = 1 << 14       # unordered pair sums per band of count_tuples_fast
 _POWER_BLOCK = 1 << 16     # candidate pair sums per block of triple_band's search by power
 _RETEST_CHUNK = 1 << 16    # candidates of count_tuples_fast re-tested at once
-_SLACK_ULPS = 8            # long-double ulps added to every window's reach
-_KEY_ULPS = 4              # float64 ulps added to it for the rounding to float64
+_SLACK_ULPS = 8            # long-double ulps of rounding(scale)
+_KEY_ULPS = 4              # float64 ulps added to _slack for the rounding to float64
+
+
+def rounding(scale):
+    """The long-double rounding allowance at magnitude ``scale``, a scalar
+    or an array: _SLACK_ULPS long-double ulps of it, 2^-60 scale, exactly.
+    Every long-double margin of the package is this at the scale of the
+    values it covers; each use derives that its rounding is a few such
+    ulps (_band_reach, _slack, harmonic_V, solver._solves and
+    solver._first_triples)."""
+    return _SLACK_ULPS * np.finfo(LONG).eps * scale
 
 
 def unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,10 +87,9 @@ def _band_reach(powers: np.ndarray, lo, hi):
     terms, and so that difference, within |bound| + max|P| in magnitude:
     the rounding of the sum and of the difference is under one long-double
     ulp of |bound| + max|P| in all, and each bound is widened by
-    _SLACK_ULPS such ulps (an infinite bound needs none)."""
-    ulps = _SLACK_ULPS * np.finfo(LONG).eps
+    rounding(|bound| + max|P|) (an infinite bound needs none)."""
     top = np.abs(powers).max(initial=0)
-    return ulps * (abs(lo) + top), ulps * (abs(hi) + top)
+    return rounding(abs(lo) + top), rounding(abs(hi) + top)
 
 
 def _pair_band(powers: np.ndarray, rows: range, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -173,10 +183,25 @@ def window_reach(first, last, width) -> float:
 
 def _slack(scale):
     """The rounding slack of a search among float64 keys of long-double
-    values of magnitude at most ``scale``: _SLACK_ULPS long-double ulps for
-    the exact predicates, plus _KEY_ULPS float64 ulps for the rounding of
-    keys, targets and bounds to float64 (under 3 such ulps in all)."""
-    return (_SLACK_ULPS * np.finfo(LONG).eps + _KEY_ULPS * LONG(np.finfo(float).eps)) * scale
+    values, at ``scale``, the largest magnitude of a value plus the width
+    searched for: rounding(scale) for the long-double predicates that decide
+    the candidates, plus _KEY_ULPS float64 ulps of the scale for the
+    rounding to float64.
+
+    The float64 term.  A search compares a key fl64(v) with a bound
+    fl64(t +- r), t the target and r the reach, and each of the four
+    roundings to or in float64 moves that comparison by at most u = 2^-53,
+    half a float64 ulp, of its result: u |v| for the key, u |t| for the
+    target, u r for the reach and u |t +- r| for the bound.  In
+    count_tuples_fast the target is another key, every |v| and |t| is at
+    most 2 max P and r about gamma + delta, so these come to
+    u (3 (2 max P) + 2 (gamma + delta)): at most 3u, 1.5 float64 ulps, of
+    its scale 2 max P + gamma + delta.  Through window_reach the key lies
+    within r of the target and r is the width w, give or take the slack,
+    so they come to u (3 M + 4 w), M the largest |v|: at most
+    u (3 scale + w), under 2 float64 ulps of the scale M + w, and 1.5 once
+    w is small beside M.  _KEY_ULPS = 4 covers either twice over."""
+    return rounding(scale) + _KEY_ULPS * LONG(np.finfo(float).eps) * scale
 
 
 def run_positions(lo: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -509,8 +534,8 @@ def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
     a chunk of rows p at a time; d <= 0 for q <= p, so d > 1/tau picks
     pairs p < q only.  Each stands for m_p m_q ordered 4-tuples, and (q, p)
     for as many more with difference -d.  ValueError if 1/tau is not above
-    _SLACK_ULPS long-double ulps of the largest pair sum: differences below
-    the sums' rounding are not resolved.
+    rounding(largest pair sum): differences below the sums' rounding, under
+    one long-double ulp of the largest sum, are not resolved.
     """
     if s.Y ** 4 > _HARMONIC_GUARD:
         raise GuardError("harmonic", _HARMONIC_GUARD, f"Y^4 = {s.Y ** 4} differences")
@@ -520,10 +545,10 @@ def harmonic_V(s: CountSpec, tau: float) -> tuple[float, np.ndarray]:
     flat, ps = unordered_pairs(powers)
     m = _multiplicity(flat, s.Y)
     cut = LONG(1.0) / LONG(tau)
-    rounding = _SLACK_ULPS * np.finfo(LONG).eps * ps[-1]
-    if not cut > rounding:
+    resolved = rounding(ps[-1])
+    if not cut > resolved:
         raise ValueError(f"1/tau = {float(cut):.6g} is not above the rounding bound "
-                         f"{float(rounding):.6g} of the pair sums ({_SLACK_ULPS} long-double "
+                         f"{float(resolved):.6g} of the pair sums ({_SLACK_ULPS} long-double "
                          f"ulps of the largest sum {float(ps[-1]):.6g})")
     max_d = float(ps[-1] - ps[0])
     if max_d <= float(cut):

@@ -31,6 +31,10 @@ class KernelParams:
     r: int   # number of boxes
 
     def __post_init__(self):
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {name} = {value}")
         if not (0 < self.b < self.a / 4):
             raise ValueError(f"need 0 < b < a/4, got a={self.a}, b={self.b}")
         if self.r < 1:

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .count import _SLACK_ULPS, triple_band, unordered_pairs, window_pairs, window_reach
+from .count import rounding, triple_band, unordered_pairs, window_pairs, window_reach
 from .kernel import KernelParams, kernel_from_instance, phi_eval
 from .sums import (LONG, ConvergenceError, GuardError, PrimeTable,
                    ProblemInstance, leggauss, legvander, sieve_primes, sieve_range)
@@ -51,25 +51,54 @@ def _record(primes, value, R) -> SolutionRecord:
     return SolutionRecord(tuple(int(p) for p in primes), value, abs(value - float(R)))
 
 
-def _solves(gap, band, R, eps, c: float, primes: np.ndarray, columns) -> np.ndarray:
+def _solves(gap, scale, R, eps, c: float, primes: np.ndarray, columns) -> np.ndarray:
     """The one hit rule of every solver: whether each candidate k-tuple of
     primes solves |p_1^c + ... + p_k^c - R| < eps, as a bool array.
 
     ``gap`` is each candidate's power sum less R, in long double and as its
-    site forms it, of any shape; R (and ``band``) is a scalar or an array
+    site forms it, of any shape; R (and ``scale``) is a scalar or an array
     broadcastable to it, and ``columns`` are the k index arrays of the
-    candidate's primes into ``primes``, each broadcastable to it.  A
-    candidate with ||gap| - eps| > band is decided by |gap| < eps.  One
-    within ``band`` of the edge is decided by its power sum formed again at
-    40 digits from its primes, with R, eps and c at their exact binary
-    values: |sum - R| < eps there.  That 40-digit test is the rule; long
-    double decides for it wherever ``band`` bounds the rounding of ``gap``,
-    since then |gap| and the exact |sum - R| lie on the same side of eps.
-    The 40-digit sum errs by under 10^-39 of itself, far below any band.
+    candidate's primes into ``primes``, each broadcastable to it.  The band
+    is count.rounding(scale).  A candidate with ||gap| - eps| > band is
+    decided by |gap| < eps.  One within the band of the edge is decided by
+    its power sum formed again at 40 digits from its primes, with R, eps and
+    c at their exact binary values: |sum - R| < eps there.  That 40-digit
+    test is the rule; long double decides for it wherever the band bounds
+    the rounding of ``gap``, since then |gap| and the exact |sum - R| lie on
+    the same side of eps.  The 40-digit sum errs by under 10^-39 of itself,
+    far below any band.
+
+    Rounding.  With u = 2^-64 the unit roundoff of long double, an ulp of
+    x is at most 2u |x| and the band is 16u scale, 8 ulps of the scale.
+    Each power P = fl(p^c) lies within one ulp of p^c (glibc's powl; under
+    0.87 ulp measured), and each sum or difference rounds by at most u of
+    its result.  Only a candidate within eps + band of the edge needs its
+    gap's rounding bounded.
+
+    The triple walk (triple_counts, _first_triples) passes |R| + eps for
+    its gap (P_i + P_j) - (R - P_l).  Such a candidate has P_i + P_j + P_l
+    within eps + band of R, so its powers err by about 2u (|R| + eps) in
+    all, the roundings of P_i + P_j and of R - P_l add about u (|R| + eps)
+    each, and the last difference u (eps + band): under 5u (|R| + eps), 2.5
+    ulps, against the band's 8.  Such an R is at most 3 max P + 2 eps, so
+    the band is under 24 ulps of 2 max P + eps, inside the walk's reach
+    (window_reach at 2 max P + eps, which widens eps by over 8000 of them):
+    every candidate the 40-digit test can accept is listed.
+
+    The sextuple search (_mitm_search) passes T = max(|bottom|, |top|) + eps,
+    bottom and top the smallest and largest canonical triple sums, for its
+    gap (v_u + v_t) - N of two ordered triple sums, each formed left to
+    right.  A triple sum, three powers and two roundings, lies within 2
+    ulps of T of its exact power sum, and so the gap, two of those and the
+    rounding of their sum and of the difference, within 5 ulps of T of the
+    exact gap, against the band's 8.  A solution's canonical sums lie
+    within eps + 4 ulps of N, inside the search's reach, a window of width
+    eps + band: every pair of triples the 40-digit test can accept is
+    listed.
     """
     size = np.abs(gap)
     hit = size < eps
-    edge = np.nonzero(np.abs(size - eps) <= band)
+    edge = np.nonzero(np.abs(size - eps) <= rounding(scale))
     if len(edge[0]):
         import mpmath
         rows = np.stack([primes[np.broadcast_to(col, hit.shape)[edge]] for col in columns],
@@ -83,32 +112,15 @@ def _solves(gap, band, R, eps, c: float, primes: np.ndarray, columns) -> np.ndar
     return hit
 
 
-def _walk_band(R, eps):
-    """The band of _solves for the triple walk's gap (P_i + P_j) - (R - P_l):
-    _SLACK_ULPS long-double ulps of |R| + eps, at each R of a scalar or an
-    array.
-
-    With u = 2^-64 the unit roundoff of long double, each power P = fl(p^c)
-    lies within one ulp, 2u P, of p^c (glibc's powl; under 0.87 ulp
-    measured), and each sum or difference rounds by at most u of its
-    result.  A candidate within eps + band of the edge has P_i + P_j + P_l
-    within eps + band of R, so its powers err by about 2u (|R| + eps) in
-    all, the roundings of P_i + P_j and of R - P_l add about u (|R| + eps)
-    each, and the last difference u (eps + band): under 5u (|R| + eps),
-    against the band's 16u (|R| + eps).  Such an R is at most 3 max P + 2
-    eps, so the band is under 24 long-double ulps of 2 max P + eps, inside
-    the walk's reach (window_reach at 2 max P + eps, which widens eps by
-    over 8000 of them): every candidate the 40-digit test can accept is
-    listed."""
-    return _SLACK_ULPS * np.finfo(LONG).eps * (np.abs(np.asarray(R, dtype=LONG)) + LONG(eps))
-
-
 @dataclass(frozen=True)
 class SextupleSearch:
-    found: bool
     feasible: bool
     record: Optional[SolutionRecord] = None
     range_used: str = "dyadic"   # "dyadic" = (X, 2X]; "full" = all p with p^c <= N
+
+    @property
+    def found(self) -> bool:
+        return self.record is not None
 
 
 def _instance_at(X: float, k: int, N: float, c: float, eps: Optional[float]) -> ProblemInstance:
@@ -293,7 +305,7 @@ def triple_counts(inst: ProblemInstance, Rs, table: Optional[PrimeTable] = None,
     terms in the same order at any batch.  count_B counts the candidates
     that solve |p1^c + p2^c + p3^c - R| < eps by the one rule of _solves:
     the gap (P_i + P_j) - (R - P_l) in long double decides, except within
-    _walk_band of the edge, where the 40-digit sum does.  Since
+    rounding(|R| + eps) of the edge, where the 40-digit sum does.  Since
     fl(P_i + P_j) = fl(P_j + P_i), and the 40-digit sum does not depend on
     the order of its primes, a pair with i < j stands for both of its
     orderings.  Records follow third-prime order, then the order of
@@ -323,7 +335,7 @@ def triple_counts(inst: ProblemInstance, Rs, table: Optional[PrimeTable] = None,
         phi[(i < j)[near]] *= 2.0
         b1 = float(np.sum(logs[i[near]] * logs[j[near]] * phi * logs[l[near]]))
 
-        hit = _solves(offset, _walk_band(R, eps), R, eps, inst.c, tbl.primes, (i, j, l))
+        hit = _solves(offset, abs(LONG(R)) + eps, R, eps, inst.c, tbl.primes, (i, j, l))
         twin = hit & (i < j)
         a, b = np.concatenate([i[hit], j[twin]]), np.concatenate([j[hit], i[twin]])
         d, v = np.concatenate([l[hit], l[twin]]), np.concatenate([pair[hit], pair[twin]])
@@ -599,10 +611,6 @@ def main_term_H(inst: ProblemInstance, R):
     return float(fine[0]) if Rs.ndim == 0 else fine.reshape(Rs.shape)
 
 
-# _mitm_search's slack in long-double ulps of max|sum| + eps: a canonical
-# or ordered triple sum lies within 2 of its exact power sum, and the gap of
-# a pair of ordered sums within 5 of its exact one (see _mitm_search)
-_PERM_ULPS = 8
 _PERM_CHUNK = 1 << 14   # candidate pairs of triples expanded at once
 _PERMS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
 _FIRST_BAND = 2.0 ** -16   # _mitm_search's first band, as a share of the sums' range
@@ -625,19 +633,13 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     pick: sort the ordered sums v by (v, flat index) and take the smallest
     t that takes part in any solution of |p_1^c + ... + p_6^c - N| < eps,
     then the smallest u, with every sum formed left to right.  _solves
-    decides each pair of orderings from its gap (v_u + v_t) - N with band
-    ``slack``.  Only triples i <= j <= l are formed, at their canonical
-    sums (P_i + P_j) + P_l, with one int32 flat index (n^3 <= 1e8 < 2^31).
-
-    Rounding.  Take T = max(|bottom|, |top|) + eps, bottom and top the
-    smallest and largest canonical sums, and an ulp 2^-63 T; slack is
-    _PERM_ULPS ulps.  Each power lies within one long-double ulp of p^c
-    (glibc's powl), and each sum rounds by at most half an ulp of itself.
-    So a canonical or ordered triple sum, three powers and two roundings,
-    lies within 2 ulps of its exact power sum, and the gap of a pair of
-    ordered sums, two of those and the rounding of their sum and of the
-    difference, within 5 ulps of the exact gap: slack bounds it, and
-    _solves' verdicts are the 40-digit ones.
+    decides each pair of orderings from its gap (v_u + v_t) - N at the
+    scale T = max(|bottom|, |top|) + eps, bottom and top the smallest and
+    largest canonical sums, and slack = rounding(T), its band of 8 ulps of
+    T (ulps as in _solves, which derives that a triple sum lies within 2
+    of them of its exact power sum).  Only triples i <= j <= l are formed,
+    at their canonical sums (P_i + P_j) + P_l, with one int32 flat index
+    (n^3 <= 1e8 < 2^31).
 
     t sweeps ascending bands [lo, lo + w) of canonical sums, w doubling
     from band to band.  The sweep starts at max(bottom, N - top - eps -
@@ -669,7 +671,8 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     target, eps = LONG(N), LONG(eps_f)
     bottom = (powers[0] + powers[0]) + powers[0]     # the smallest canonical sum
     top = (powers[-1] + powers[-1]) + powers[-1]     # and the largest
-    slack = _PERM_ULPS * np.finfo(LONG).eps * (max(abs(bottom), abs(top)) + eps)
+    scale = max(abs(bottom), abs(top)) + eps
+    slack = rounding(scale)
     reach = window_reach(bottom, top, eps + slack)
     stop = min(top, (target + eps) / 2 + 2 * slack)
     lo = max(bottom, target - top - eps - 2 * slack)
@@ -695,7 +698,7 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
             vu, iu = _orderings(u[start:start + _PERM_CHUNK], powers)
             columns = ([it[:, :, None, x] for x in range(3)]
                        + [iu[:, None, :, x] for x in range(3)])
-            m, p, q = np.nonzero(_solves(vu[:, None, :] + vt[:, :, None] - target, slack,
+            m, p, q = np.nonzero(_solves(vu[:, None, :] + vt[:, :, None] - target, scale,
                                          target, eps, c, tbl.primes, columns))
             if len(m) == 0:
                 continue
@@ -728,15 +731,27 @@ def _first_triples(inst: ProblemInstance, Rs) -> list[Optional[SolutionRecord]]:
     Every prime with p^c <= max R + eps takes part, since each term of a
     solution lies below R + eps, and all R share one table and one
     _candidate_walk at count_B's reach, over the rows i with
-    3 P_i <= max R + eps and the columns j with P_i + 2 P_j <= max R + eps
-    (both padded for rounding), since p1 <= p2 <= p3 sum to at least 3 p1^c
-    and at least p1^c + 2 p2^c.  Each candidate with l >= j is decided as
-    count_B decides it, from its gap (P_i + P_j) - (R - P_l) and
-    _walk_band.  The walk's rows i ascend, and each chunk holds every
-    j >= i that can solve and every l of its rows, so an R's first
-    solution in (i, j, l) order in the first chunk that has one is its
-    record.  The walk stops once every R has one.  A non-finite R is a
-    ValueError.
+    P_i <= bound + rounding(bound), bound = fl(total / 3) and
+    total = fl(max R + eps), and in row i the columns j with
+    P_j <= half + rounding(half), half = fl(total - P_i) / 2.  Each
+    candidate with l >= j is decided as count_B decides it, from its gap
+    (P_i + P_j) - (R - P_l) at the scale |R| + eps.  The walk's rows i
+    ascend, and each chunk holds every j >= i that can solve and every l
+    of its rows, so an R's first solution in (i, j, l) order in the first
+    chunk that has one is its record.  The walk stops once every R has
+    one.  A non-finite R is a ValueError.
+
+    The stops drop no triple that the 40-digit rule accepts.  Such a
+    triple p1 <= p2 <= p3 has exact power sum below R + eps (to 10^-39 of
+    itself), so 3 p1^c < E and p1^c + 2 p2^c < E, with E = max R + eps
+    exactly.  With u = 2^-64, as in _solves, total lies within u E of E,
+    bound within 2u E/3 of E/3 and P_i within 2u p1^c of p1^c, so P_i
+    exceeds bound by about 4u bound at most.  The rows walked have P_i <=
+    about E/3, so half >= about E/3, and the errors of total (u E <= 3u
+    half), of P_i (2u P_i <= 2u half) and of the subtraction (2u half)
+    put half within 3.5u half of (E - p1^c)/2; P_j, within 2u P_j of
+    p2^c < (E - p1^c)/2, exceeds half by under 6u half.  rounding(x) is
+    16u x, which covers both.
     """
     if inst.k != 3:
         raise ValueError("the triple search needs a k=3 instance")
@@ -749,16 +764,16 @@ def _first_triples(inst: ProblemInstance, Rs) -> list[Optional[SolutionRecord]]:
     eps = LONG(inst.eps)
     total = LONG(max(Rs)) + eps
     bound = total / 3
-    stop = int(np.searchsorted(powers, bound + bound * LONG(2.0 ** -40), side="right"))
+    stop = int(np.searchsorted(powers, bound + rounding(bound), side="right"))
     half = (total - powers) / 2   # the bound on P_j in row i
-    cols = np.searchsorted(powers, half + half * LONG(2.0 ** -40), side="right")
+    cols = np.searchsorted(powers, half + rounding(half), side="right")
     targets = np.asarray(Rs, dtype=LONG)
     open_ = np.ones(len(Rs), dtype=bool)   # the R without a record yet
     for r, i, j, l in _candidate_walk(powers, Rs, _reach(powers, eps), stop, cols):
         keep = (l >= j) & open_[r]
         r, i, j, l = r[keep], i[keep], j[keep], l[keep]
         gap = (powers[i] + powers[j]) - (targets[r] - powers[l])
-        hit = _solves(gap, _walk_band(targets[r], eps), targets[r], eps, inst.c,
+        hit = _solves(gap, np.abs(targets[r]) + eps, targets[r], eps, inst.c,
                       tbl.primes, (i, j, l))
         r, i, j, l = r[hit], i[hit], j[hit], l[hit]
         order = np.lexsort((l, j, i, r))
@@ -813,12 +828,9 @@ def find_sextuple(inst: ProblemInstance, N: float) -> SextupleSearch:
     if feasible:
         rec = _mitm_search(table, inst.c, N, inst.eps)
         if rec is not None:
-            return SextupleSearch(found=True, feasible=True, record=rec)
+            return SextupleSearch(feasible=True, record=rec)
     rec = _mitm_search(full_prime_table(N, inst.c), inst.c, N, inst.eps)
-    if rec is None:
-        return SextupleSearch(found=False, feasible=feasible, range_used="full")
-    return SextupleSearch(found=True, feasible=feasible, record=rec,
-                          range_used="full")
+    return SextupleSearch(feasible=feasible, record=rec, range_used="full")
 
 
 def sample_R(N: float, samples: int, seed: int) -> list[float]:

@@ -247,8 +247,11 @@ def _phase_sums(values: np.ndarray, weights: Optional[np.ndarray],
     the row, so a value is bitwise the same whichever batch of x it is
     computed in.  Against the correctly rounded sums (math.fsum of the same
     terms) each part is off by at most (ceil(log2 n) + 1) 2^-53 sum |w_n|.
+    ValueError if any x is not finite.
     """
     xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x must be finite")
     flat = xs.reshape(-1)
     rows = max(1, _PHASE_BLOCK // max(len(values), 1))
     out = np.empty(len(flat), dtype=complex)
@@ -269,7 +272,7 @@ def sum_T(inst: ProblemInstance, x: float | np.ndarray) -> complex | np.ndarray:
     (complex) or at every entry of an array of x (complex array of the same
     shape), by _phase_sums: pairwise sums, within (ceil(log2 n) + 1) 2^-53 n
     of the correctly rounded sum in each part, and bitwise the same whichever
-    batch of x a value is computed in."""
+    batch of x a value is computed in; ValueError if any x is not finite."""
     n = np.arange(int(math.floor(inst.X)) + 1, int(math.floor(2 * inst.X)) + 1,
                   dtype=np.int64)
     return _phase_sums(n.astype(LONG) ** LONG(inst.c), None, x)
@@ -281,7 +284,7 @@ def sum_S(inst: ProblemInstance, x: float | np.ndarray) -> complex | np.ndarray:
     shape), by _phase_sums: pairwise sums, within
     (ceil(log2 n) + 1) 2^-53 sum log p of the correctly rounded sum in each
     part, n the number of primes, and bitwise the same whichever batch of x
-    a value is computed in."""
+    a value is computed in; ValueError if any x is not finite."""
     table = sieve_primes(inst.X)
     return _phase_sums(table.powers(inst.c), table.logs, x)
 

@@ -345,6 +345,52 @@ def test_non_finite_instance_is_a_usage_error(capsys, argv, message):
     assert captured.err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("sums", "eval", "--X", "64", "--c", "2.05", "--x", "inf"), "x must be finite"),
+    (("sums", "eval", "--X", "64", "--c", "2.05", "--x", "nan"), "x must be finite"),
+    (("kernel", "check", "--a", "inf", "--points", "3"), "a must be finite, got a = inf"),
+    (("kernel", "eval", "--b", "nan", "--points", "3"), "b must be finite, got b = nan"),
+    (("kernel", "eval", "--x-max", "inf", "--points", "3"), "--x-max must be finite, got inf"),
+    (("kernel", "eval", "--x-min", "nan", "--points", "3"), "--x-min must be finite, got nan"),
+])
+def test_non_finite_x_and_kernel_input_is_a_usage_error(capsys, argv, message):
+    # unchecked, an infinite x, a or x range died in a RuntimeWarning under
+    # warnings as errors, and --x-min nan printed NaN rows with exit 0
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("pairs", "eval"), "word"),
+    (("sums", "eval", "--x", "0"), "X"),
+    (("sums", "eval", "--X", "64"), "x"),
+    (("sums", "moment"), "X"),
+    (("sums", "profile"), "X"),
+    (("count", "rs"), "Y"),
+    (("count", "V", "--Y", "8"), "tau"),
+    (("count", "V", "--tau", "10"), "Y"),
+    (("solve", "triple", "--N", "1e5"), "c"),
+    (("solve", "sextuple", "--c", "2.05"), "N"),
+    (("mainterm", "--N", "1e5", "--R", "1.5e5"), "c"),
+])
+def test_missing_required_flag_is_named(capsys, tmp_path, argv, flag):
+    # the message names the action and the first required flag left unset;
+    # a config file may set it instead
+    action = " ".join(argv[:1] if argv[0] == "mainterm" else argv[:2])
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"usage error: {action} requires --{flag}\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = 1\n")
+    run(["--config", str(cfg), *argv])
+    assert f"requires --{flag}\n" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("sums", "eval", "--X", "1", "--c", "2.05", "--x", "0"),
     ("sums", "moment", "--X", "1", "--c", "2.05"),

@@ -1,5 +1,5 @@
 """The README names only attributes the package has, and only the flags the
-CLI reads."""
+CLI reads, marking as required exactly those the CLI requires."""
 
 import importlib
 import re
@@ -48,3 +48,15 @@ def test_cli_flag_table_matches_the_parser():
     documented = {action: {flag.replace("-", "_") for flag in re.findall(r"`--([\w-]+)`", row)}
                   for action, row in rows}
     assert documented == {action: set(flags) for action, (_, flags) in cli._ACTIONS.items()}
+    # a flag is marked required alone, `--X` (required), or in a run of
+    # flags, `--N`, `--c` (both required), exactly when its default in
+    # cli._ACTIONS is the sentinel cli._REQUIRED
+    runs = {action: re.findall(r"((?:`--[\w-]+`, )*`--[\w-]+`) \((?:both |all )?required\)", row)
+            for action, row in rows}
+    required = {action: {flag.replace("-", "_") for run in found
+                         for flag in re.findall(r"`--([\w-]+)`", run)}
+                for action, found in runs.items()}
+    assert any(required.values())
+    assert required == {action: {flag for flag, default in flags.items()
+                                 if default is cli._REQUIRED}
+                        for action, (_, flags) in cli._ACTIONS.items()}

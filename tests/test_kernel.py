@@ -19,6 +19,17 @@ def test_params_validation():
         KernelParams(0.9, 0.1, 0)
 
 
+@pytest.mark.parametrize("a, b, name, value", [(math.inf, 0.1, "a", math.inf),
+                                               (math.nan, 0.1, "a", math.nan),
+                                               (-math.inf, 0.1, "a", -math.inf),
+                                               (0.9, math.inf, "b", math.inf),
+                                               (0.9, math.nan, "b", math.nan)])
+def test_params_refuse_non_finite_a_and_b(a, b, name, value):
+    # a = inf passed the 0 < b < a/4 check
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {name} = {value}$"):
+        KernelParams(a, b, 4)
+
+
 def test_kernel_from_instance_examples():
     p = kernel_from_instance(1.0, math.exp(10.0))
     assert (p.a, p.b, p.r) == (0.9, 0.1, 10)

@@ -804,7 +804,7 @@ def test_mitm_search_without_solution_at_5e6():
     P = tbl.powers(c)
     sums, flat = _all_triples(P)
     assert len(sums) == 3_817_670
-    slack = solver._PERM_ULPS * np.finfo(LONG).eps * (sums[-1] + LONG(eps))
+    slack = count.rounding(sums[-1] + LONG(eps))
     for t, u in window_hits(sums, LONG(N) - sums, LONG(eps) + slack):
         vt, _ = solver._orderings(flat[t], P)
         vu, _ = solver._orderings(flat[u], P)
@@ -816,7 +816,7 @@ def _sweep_start(sums: np.ndarray, N: float, eps: float):
     """Where _mitm_search's t-sweep starts over the canonical triple sums
     ``sums`` (ascending): max(bottom, N - top - eps - 2 slack)."""
     bottom, top, eps = sums[0], sums[-1], LONG(eps)
-    slack = solver._PERM_ULPS * np.finfo(LONG).eps * (max(abs(bottom), abs(top)) + eps)
+    slack = count.rounding(max(abs(bottom), abs(top)) + eps)
     return max(bottom, LONG(N) - top - eps - 2 * slack)
 
 

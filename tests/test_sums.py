@@ -146,6 +146,17 @@ def test_integral_at_zero_is_length():
         integral_I(inst, np.array([1e-6, math.nan]))
 
 
+@pytest.mark.parametrize("phase_sum", [sum_S, sum_T])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_phase_sums_refuse_non_finite_x(phase_sum, x):
+    # unchecked, NaN gave nan+nanj and an infinite x a RuntimeWarning from
+    # the phase's reduction mod 1
+    inst = ProblemInstance(c=2.05, X=64.0, eps=0.1)
+    for arg in (x, np.array([1e-6, x, 0.0])):
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            phase_sum(inst, arg)
+
+
 def test_integral_closed_form_c1():
     inst = inst_c1(50.0)
     for x in (0.013, 1.7, -0.4):
