@@ -86,6 +86,8 @@ def _pairs_eval(args) -> int:
 
 def _pairs_search(args) -> int:
     c = args.c
+    if not math.isfinite(c):
+        raise UsageError(f"c must be finite, got c = {c}")
     objectives = {
         "kappa": lambda p: float(p.kappa),
         "sum": lambda p: float(p.kappa + p.lam),

@@ -19,9 +19,9 @@ of flat index.  ``triple_band`` builds the bands of triple sums of the
 sextuple search (``solver._mitm_search``) instead, with one search per power
 over the pair sums sorted by value (``unordered_pairs``); both widen their
 bounds for rounding alike (``_band_reach``).  Every long-double margin of the
-package is ``rounding`` of the scale it covers.  The harmonic sum and the fast
-counter's band edges take the whole set of pair sums, in ascending order,
-from ``unordered_pairs``.
+package is ``rounding`` of the scale it covers, and every float64 margin
+``key_rounding`` of it.  The harmonic sum and the fast counter's band edges
+take the whole set of pair sums, in ascending order, from ``unordered_pairs``.
 
 The naive counter is the oracle (``count_tuples_naive``): exhaustive, in
 that it decides every pair of the Y(Y+1)/2 unordered pair sums, both
@@ -33,9 +33,11 @@ agree exactly, ambiguity flags included.
 The Y-ladder slope reports built on these counts live in ``reports``.
 
 ``window_pairs`` is the one search that lists candidates among float64
-keys, at a reach (``window_reach``) widened for their rounding; the triple
-walk (``solver._candidate_walk``) and the sextuple search
-(``solver._mitm_search``) run on it and re-test every candidate exactly.
+keys, at a reach (``window_reach``): the width of the predicate searched
+for, widened by rounding and key_rounding of the scale.  The triple walk
+(``solver._candidate_walk``) and the sextuple search
+(``solver._mitm_search``) run on it, each at one window of its predicate's
+width, and re-test every candidate exactly.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ _FAST_BAND = 1 << 14       # unordered pair sums per band of count_tuples_fast
 _POWER_BLOCK = 1 << 16     # candidate pair sums per block of triple_band's search by power
 _RETEST_CHUNK = 1 << 16    # candidates of count_tuples_fast re-tested at once
 _SLACK_ULPS = 8            # long-double ulps of rounding(scale)
-_KEY_ULPS = 4              # float64 ulps added to _slack for the rounding to float64
+_KEY_ULPS = 4              # float64 ulps of key_rounding(scale)
 
 
 def rounding(scale):
@@ -63,9 +65,32 @@ def rounding(scale):
     or an array: _SLACK_ULPS long-double ulps of it, 2^-60 scale, exactly.
     Every long-double margin of the package is this at the scale of the
     values it covers; each use derives that its rounding is a few such
-    ulps (_band_reach, _slack, harmonic_V, solver._solves and
-    solver._first_triples)."""
+    ulps (_band_reach, window_reach, count_tuples_fast, harmonic_V,
+    solver._solves and solver._first_triples)."""
     return _SLACK_ULPS * np.finfo(LONG).eps * scale
+
+
+def key_rounding(scale):
+    """The float64 rounding allowance at magnitude ``scale``, the twin of
+    rounding for the float64 keys that searches compare: _KEY_ULPS float64
+    ulps of it, 2^-50 scale, exactly.  Every float64 margin of the package
+    is this at the scale of the values it covers; each use derives that its
+    rounding is at most 2.5 float64 ulps (window_reach, count_tuples_fast
+    and solver._candidate_walk).
+
+    A search compares a key fl64(v) with a bound fl64(t +- r), t the target
+    and r the reach, and each of the four roundings to or in float64 moves
+    that comparison by at most u = 2^-53, half a float64 ulp, of its result:
+    u |v| for the key, u |t| for the target, u r for the reach and
+    u |t +- r| for the bound.  In count_tuples_fast the target is another
+    key, every |v| and |t| is at most 2 max P and r about gamma + delta, so
+    these come to u (3 (2 max P) + 2 (gamma + delta)): at most 3u, 1.5
+    float64 ulps, of its scale 2 max P + gamma + delta.  Through
+    window_reach the key lies within r of the target and r is the width w,
+    give or take the allowances, so they come to u (3 M + 4 w), M the
+    largest |v|: at most u (3 scale + w), under 2 float64 ulps of the scale
+    M + w, and 1.5 once w is small beside M."""
+    return _KEY_ULPS * np.finfo(float).eps * scale
 
 
 def unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,34 +199,13 @@ def window_pairs(lo: np.ndarray, hi: np.ndarray, keys: np.ndarray
 
 def window_reach(first, last, width) -> float:
     """The reach of window_pairs' windows for pairs within ``width`` among
-    values from ``first`` to ``last``: ``width`` plus the slack at
-    max(|first|, |last|) + width, rounded to float64, so the float64
-    rounding of values, targets and bounds drops no pair."""
+    values from ``first`` to ``last``: ``width`` plus rounding and
+    key_rounding of the scale max(|first|, |last|) + width, rounded to
+    float64, so neither the long-double rounding of the values nor the
+    float64 rounding of values, targets and bounds drops a pair."""
     width = LONG(width)
-    return float(width + _slack(max(abs(LONG(first)), abs(LONG(last))) + width))
-
-
-def _slack(scale):
-    """The rounding slack of a search among float64 keys of long-double
-    values, at ``scale``, the largest magnitude of a value plus the width
-    searched for: rounding(scale) for the long-double predicates that decide
-    the candidates, plus _KEY_ULPS float64 ulps of the scale for the
-    rounding to float64.
-
-    The float64 term.  A search compares a key fl64(v) with a bound
-    fl64(t +- r), t the target and r the reach, and each of the four
-    roundings to or in float64 moves that comparison by at most u = 2^-53,
-    half a float64 ulp, of its result: u |v| for the key, u |t| for the
-    target, u r for the reach and u |t +- r| for the bound.  In
-    count_tuples_fast the target is another key, every |v| and |t| is at
-    most 2 max P and r about gamma + delta, so these come to
-    u (3 (2 max P) + 2 (gamma + delta)): at most 3u, 1.5 float64 ulps, of
-    its scale 2 max P + gamma + delta.  Through window_reach the key lies
-    within r of the target and r is the width w, give or take the slack,
-    so they come to u (3 M + 4 w), M the largest |v|: at most
-    u (3 scale + w), under 2 float64 ulps of the scale M + w, and 1.5 once
-    w is small beside M.  _KEY_ULPS = 4 covers either twice over."""
-    return rounding(scale) + _KEY_ULPS * LONG(np.finfo(float).eps) * scale
+    scale = max(abs(LONG(first)), abs(LONG(last))) + width
+    return float(width + (rounding(scale) + key_rounding(scale)))
 
 
 def run_positions(lo: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -412,12 +416,12 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     [hi, hi + outer reach + slack), which holds every q a window of an
     owner can reach; a tail key equal to an owner key counts as after it.
     Only the owners p search their q after them in the band.  With s the
-    slack of window_reach (_SLACK_ULPS long-double and _KEY_ULPS float64
-    ulps of the largest magnitude involved), a q whose key lies more than s
-    from key[p] + gamma - delta, key[p] + gamma and key[p] + gamma + delta
-    has a sure verdict, whatever the rounding: a hit and not ambiguous
-    below the first, a hit and ambiguous between the first two, ambiguous
-    only between the last two, and neither past the last.  Each re-test zone
+    slack rounding + key_rounding of the largest magnitude involved, as in
+    window_reach, a q whose key lies more than s from key[p] + gamma - delta,
+    key[p] + gamma and key[p] + gamma + delta has a sure verdict, whatever
+    the rounding: a hit and not ambiguous below the first, a hit and
+    ambiguous between the first two, ambiguous only between the last two,
+    and neither past the last.  Each re-test zone
     starts no lower than the one before it ends, so that zones which overlap
     (delta within 2 s) merge and leave no sure zone between them.  The
     bounds past the first are searched only for the owners whose key at
@@ -441,13 +445,13 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
     scale = 2 * powers[-1] + gamma + delta   # 2 max P is the largest sum
-    slack = _slack(scale)
+    slack = rounding(scale) + key_rounding(scale)
     # the (lower, upper) reach of each re-test zone, and the verdicts
     # (hit, ambiguous) of the sure zone between two re-test zones
     zones = [(float(edge - slack), float(edge + slack))
              for edge in (gamma - delta, gamma, gamma + delta)]
     verdicts = ((1, 1), (0, 1))
-    # _slack covers the float64 rounding of keys and bounds, so a q with
+    # the slack covers the float64 rounding of keys and bounds, so a q with
     # key[q] <= key[p] + the outer reach lies below hi + tail_reach
     tail_reach = LONG(zones[-1][1]) + slack
     # row i forms the sums P_i + P_l, l >= i, which rounding keeps between

@@ -34,7 +34,12 @@ LONG_CHAIN_LAMBDA = Fraction(875691, 1244758)
 @dataclass(frozen=True)
 class HBParams:
     """X-exponents of the three cut parameters of the combinatorial
-    decomposition of sums over primes (U, V, Z as powers of X)."""
+    decomposition of sums over primes (U, V, Z as powers of X).
+
+    Nothing in the ledger pins v.  Its two checks hold with room to spare:
+    3v >= 1 by 37331833/49206980 and u <= v by 27997959/49206980.  Only
+    the informational closure v <= 1 - z is near, and it fails by
+    763725/9841396."""
 
     u: Fraction
     v: Fraction

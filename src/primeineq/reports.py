@@ -89,12 +89,12 @@ def rs_slope_report(c: float = 1.5, gamma: float = 1.0,
                     Ys: tuple[int, ...] = (64, 128, 256, 512, 1024),
                     workers: int = 1) -> str:
     """Log-log slope of the near-diagonal tuple count along a Y ladder of
-    at least 4 rungs: the least-squares line log(count) = slope log(Y) +
-    intercept against the cap max(4 - c, 2) + _SLOPE_ALLOWANCE.  A gamma so
-    large that the window swallows every tuple (each count Y^4, slope 4)
-    is out of regime and fails."""
-    if len(Ys) < 4:
-        raise ValueError("need a ladder of at least 4 Y values")
+    at least 4 distinct Y: the least-squares line log(count) =
+    slope log(Y) + intercept against the cap max(4 - c, 2) +
+    _SLOPE_ALLOWANCE.  A gamma so large that the window swallows every
+    tuple (each count Y^4, slope 4) is out of regime and fails."""
+    if len(set(Ys)) < 4:
+        raise ValueError(f"need a ladder of at least 4 distinct Y values, got {len(set(Ys))}")
     counts = det_map(partial(_ladder_count, c=c, gamma=gamma), list(Ys), workers)
     slope, intercept = map(float, np.polyfit(np.log(np.array(Ys, float)),
                                              np.log(np.array(counts, float)), 1))

@@ -11,6 +11,14 @@ in physical space as int phi(y - R) g_k(y) dy with g_k the density of
 t_1^c + ... + t_k^c over [X, 2X]^k.  For k = 6 a meet-in-the-middle search
 finds explicit sextuples.
 
+Every candidate search is one window search among float64 keys
+(count.window_pairs), at the width of the predicate it serves, widened only
+by count.window_reach: eps for the sextuple search and for _first_triples,
+max(eps, a + b) for the one triple pass that serves both B and B1.  Every
+candidate is then decided by the one hit rule, _solves, whose long-double
+band is count.rounding of the scale of the sums; the triple walk's float64
+screen pads by count.key_rounding.
+
 Regime note: triple experiments run at c < 2 (densities are desk-visible
 there), sextuple experiments at 2 < c < 26088036/12301745; for c > 2 prime
 triples are far too sparse at desk scale for direct counting.
@@ -25,7 +33,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .count import rounding, triple_band, unordered_pairs, window_pairs, window_reach
+from .count import (key_rounding, rounding, triple_band, unordered_pairs, window_pairs,
+                    window_reach)
 from .kernel import KernelParams, kernel_from_instance, phi_eval
 from .sums import (LONG, ConvergenceError, GuardError, PrimeTable,
                    ProblemInstance, leggauss, legvander, sieve_primes, sieve_range)
@@ -91,10 +100,12 @@ def _solves(gap, scale, R, eps, c: float, primes: np.ndarray, columns) -> np.nda
     right.  A triple sum, three powers and two roundings, lies within 2
     ulps of T of its exact power sum, and so the gap, two of those and the
     rounding of their sum and of the difference, within 5 ulps of T of the
-    exact gap, against the band's 8.  A solution's canonical sums lie
-    within eps + 4 ulps of N, inside the search's reach, a window of width
-    eps + band: every pair of triples the 40-digit test can accept is
-    listed.
+    exact gap, against the band's 8.  The canonical sums of a pair the
+    40-digit test can accept lie within eps + 4 ulps of N, and the target
+    N - v_t rounds by under one more: within eps + 5 ulps, inside the
+    search's reach, window_reach(bottom, top, eps), which widens eps by the
+    band (and by key_rounding for the float64 keys): every pair of triples
+    the 40-digit test can accept is listed.
     """
     size = np.abs(gap)
     hit = size < eps
@@ -197,10 +208,11 @@ def _candidate_walk(powers: np.ndarray, Rs, reach: float, stop: Optional[int] = 
     With M = max|fl(P)|, u = 2^-53 and e = 2^-64 the unit roundoffs of
     float64 and long double, |s - key| <= 6 u M + 2 e M + O(u^2 M) < 7 u M,
     and the padded bounds, clipped to the range [2 min fl(P), 2 max fl(P)]
-    of s, round by under u (2M + pad) < 3 u M; pad = 16 u M = 2^-49 M
-    covers both, so a pair whose key lies in a window always passes.  The
-    bucket of x is (x - base) / width rounded down, monotone in x, and a
-    bucket is at least 2 reach wide, so a window meets two or three.
+    of s, round by under u (2M + pad) < 3 u M: 10 u M in all, 2.5 float64
+    ulps of the sums' range 2M.  The pad is count.key_rounding(2M), 4 such
+    ulps, so a pair whose key lies in a window always passes.  The bucket
+    of x is (x - base) / width rounded down, monotone in x, and a bucket is
+    at least 2 reach wide, so a window meets two or three.
     """
     n = len(powers)
     if n * len(Rs) == 0:
@@ -212,7 +224,7 @@ def _candidate_walk(powers: np.ndarray, Rs, reach: float, stop: Optional[int] = 
     p64 = powers.astype(float)
     M = float(np.abs(p64).max())
     base, top = 2 * float(p64.min()), 2 * float(p64.max())
-    pad = 2.0 ** -49 * M + np.finfo(float).tiny
+    pad = key_rounding(2 * M) + np.finfo(float).tiny
     inv = 1.0 / max((top - base) / (_SCREEN_BUCKETS - 1), 2 * reach)
 
     def bucket(x):
@@ -298,13 +310,13 @@ def triple_counts(inst: ProblemInstance, Rs, table: Optional[PrimeTable] = None,
     """The sharp and smoothed triple counts of count_B and weighted_B1 at
     every R, from one candidate pass (_triple_candidates) for all of them.
 
-    The pass runs at the larger of the two counters' reaches, and each
-    counter takes the candidates of its own, eps or a + b, as a window
-    search of that width would: weighted_B1 sums its kernel weights over
-    them, zeros included, in the search's order, so its sum has the same
-    terms in the same order at any batch.  count_B counts the candidates
-    that solve |p1^c + p2^c + p3^c - R| < eps by the one rule of _solves:
-    the gap (P_i + P_j) - (R - P_l) in long double decides, except within
+    The pass is one window search, of width max(eps, a + b).  weighted_B1
+    sums its kernel weights over all of its candidates, zeros included, in
+    the search's order, so its sum has the same terms in the same order at
+    any batch; phi is exactly 0 past a + b, so a wider window adds only
+    zeros.  count_B counts the candidates that solve
+    |p1^c + p2^c + p3^c - R| < eps by the one rule of _solves: the gap
+    (P_i + P_j) - (R - P_l) in long double decides, except within
     rounding(|R| + eps) of the edge, where the 40-digit sum does.  Since
     fl(P_i + P_j) = fl(P_j + P_i), and the 40-digit sum does not depend on
     the order of its primes, a pair with i < j stands for both of its
@@ -321,19 +333,15 @@ def triple_counts(inst: ProblemInstance, Rs, table: Optional[PrimeTable] = None,
         raise GuardError("pair", _PAIR_GUARD, f"{n}^2 prime pairs")
     powers = tbl.powers(inst.c)
     kernel = kernel_from_instance(inst.eps, inst.X)
-    eps, support = LONG(inst.eps), LONG(kernel.a + kernel.b)
-    reach = _reach(powers, support)
-    candidates = _triple_candidates(powers, Rs, max(_reach(powers, eps), reach))
+    eps = LONG(inst.eps)
+    candidates = _triple_candidates(powers, Rs, _reach(powers, max(eps, kernel.a + kernel.b)))
     logs = tbl.logs
     out = []
     for R, (i, j, l, pair) in zip(Rs, candidates):
-        rest = LONG(R) - powers[l]
-        offset = pair - rest
-        t, key = rest.astype(float), pair.astype(float)
-        near = (key >= t - reach) & (key <= t + reach)
-        phi = phi_eval(kernel, offset[near].astype(float))
-        phi[(i < j)[near]] *= 2.0
-        b1 = float(np.sum(logs[i[near]] * logs[j[near]] * phi * logs[l[near]]))
+        offset = pair - (LONG(R) - powers[l])
+        phi = phi_eval(kernel, offset.astype(float))
+        phi[i < j] *= 2.0
+        b1 = float(np.sum(logs[i] * logs[j] * phi * logs[l]))
 
         hit = _solves(offset, abs(LONG(R)) + eps, R, eps, inst.c, tbl.primes, (i, j, l))
         twin = hit & (i < j)
@@ -650,16 +658,17 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     u that can solve with one of its t (4 ulps would do); both are built by
     count.triple_band, a search per power over the value-sorted pair sums
     of count.unordered_pairs.  count.window_pairs, from the keys fl(v_u)
-    into the windows around fl(N - v_t), both sorted, at width
-    eps + slack, lists every pair of triples with a solution among their
-    orderings, whose canonical sums lie within eps + 4 ulps of N; each is
-    expanded into its 6 x 6 ordered pairs and decided.  Once a solution
-    with ordered sum v_t is confirmed, bands starting above v_t + slack
-    cannot beat it.  Rounded addition commutes and the 40-digit sum does
-    not depend on the order of its primes, so (u, t) solves whenever
-    (t, u) does and the record has v_t <= v_u: no band starting above
-    (N + eps)/2 + 2 slack (nor above the largest sum) can hold its t, and
-    the sweep stops there when nothing is found.
+    into the windows around fl(N - v_t), both sorted, at
+    window_reach(bottom, top, eps), lists every pair of triples with a
+    solution among their orderings, whose canonical sums lie within
+    eps + 5 ulps of N (see _solves), inside the 8 that window_reach adds;
+    each is expanded into its 6 x 6 ordered pairs and decided.  Once a
+    solution with ordered sum v_t is confirmed, bands starting above
+    v_t + slack cannot beat it.  Rounded addition commutes and the 40-digit
+    sum does not depend on the order of its primes, so (u, t) solves
+    whenever (t, u) does and the record has v_t <= v_u: no band starting
+    above (N + eps)/2 + 2 slack (nor above the largest sum) can hold its t,
+    and the sweep stops there when nothing is found.
     """
     n = len(tbl)
     if n ** 3 > _PAIR_GUARD:
@@ -673,7 +682,7 @@ def _mitm_search(tbl: PrimeTable, c: float, N: float, eps_f: float
     top = (powers[-1] + powers[-1]) + powers[-1]     # and the largest
     scale = max(abs(bottom), abs(top)) + eps
     slack = rounding(scale)
-    reach = window_reach(bottom, top, eps + slack)
+    reach = window_reach(bottom, top, eps)
     stop = min(top, (target + eps) / 2 + 2 * slack)
     lo = max(bottom, target - top - eps - 2 * slack)
     width = max(_FIRST_BAND * (top - bottom), eps + slack)

@@ -75,7 +75,7 @@ class ProblemInstance:
     K: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("c", "X", "eps"):
+        for name in ("c", "X", "eps", "eta"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {name} = {value}")

@@ -42,9 +42,9 @@ def window_hits(values: np.ndarray, targets: np.ndarray, width: float):
     float64 (``np.asarray(values, float)`` is a no-op for the float64 keys
     of pair_index).  Pairs come in (t, pos) order and cover every pair with
     |values[pos] - targets[t]| < width in long double: the search reaches
-    _SLACK_ULPS long-double ulps plus _KEY_ULPS float64 ulps of
-    max|values| + width past the width (``count.window_reach``), so neither
-    the callers' rounding nor the float64 rounding of values, targets and
+    ``count.rounding`` plus ``count.key_rounding`` of max|values| + width
+    past the width (``count.window_reach``), so neither the callers'
+    long-double rounding nor the float64 rounding of values, targets and
     bounds drops a pair.  Near misses come along, so every caller re-tests
     its candidates with its own exact predicate.
     """

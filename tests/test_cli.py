@@ -334,6 +334,8 @@ def test_non_finite_R_is_a_usage_error(capsys, command, R):
      "X must be finite, got X = inf"),
     (("sums", "eval", "--X", "256", "--c", "nan", "--x", "0", "--eps", "0.1"),
      "c must be finite, got c = nan"),
+    (("sums", "moment", "--X", "256", "--eta", "inf"), "eta must be finite, got eta = inf"),
+    (("pairs", "search", "--c", "nan"), "c must be finite, got c = nan"),
 ])
 def test_non_finite_instance_is_a_usage_error(capsys, argv, message):
     # X = inf used to die in an OverflowError traceback (exit 1) when
@@ -361,6 +363,41 @@ def test_non_finite_x_and_kernel_input_is_a_usage_error(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"usage error: {message}\n"
+
+
+# a valid value for every required flag, so that a command gets as far as
+# the flag under test
+_VALID = {"word": "A", "X": "1024", "x": "1e-7", "Y": "32", "tau": "10", "c": "1.5",
+          "N": "1e5", "R": "150000"}
+
+
+@pytest.mark.parametrize("action, flag, value", [
+    (action, flag, value) for action, (_, flags) in cli._ACTIONS.items()
+    for flag in flags if cli._TYPES[flag] is float for value in ("nan", "inf", "-inf")])
+def test_every_float_flag_refuses_non_finite_values(capsys, action, flag, value):
+    # unchecked, pairs search --c nan and sums eval --eta inf printed NaN or
+    # Infinity, which is not JSON, and exited 0
+    argv = [*action.split(), f"--{flag.replace('_', '-')}={value}"]   # -inf is no flag
+    for other, default in cli._ACTIONS[action][1].items():
+        if default is cli._REQUIRED and other != flag:
+            argv += [f"--{other.replace('_', '-')}", _VALID[other]]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("Ys, distinct", [("64,64,64,64", 1), ("16,16,32,64", 3)])
+def test_count_ladder_needs_four_distinct_Y(capsys, Ys, distinct):
+    # a repeated Y made a singular fit: numpy's RankWarning and a slope of
+    # 1.24 from four rungs of one Y
+    code = run(["count", "ladder", "--Ys", Ys])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("usage error: need a ladder of at least 4 distinct Y values, "
+                            f"got {distinct}\n")
 
 
 @pytest.mark.parametrize("argv, flag", [

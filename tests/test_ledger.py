@@ -91,3 +91,12 @@ def test_c_threshold_report_is_the_first_of_run_all():
     assert rep.payload == ledger.run_all()[0].payload
     assert [c.name for c in rep.checks] == \
         ["derived threshold", "threshold > 2", "threshold beats 37/18"]
+
+
+def test_nothing_in_the_ledger_pins_v():
+    # HBParams' docstring: the two checks of v hold with room to spare, and
+    # only the informational closure v <= 1 - z is near, and it fails
+    slack = {check.name: check.slack for check in ledger.verify_heathbrown_params().checks}
+    assert slack["V^3 >= X    (3v >= 1)"] == Fraction(37331833, 49206980)
+    assert slack["U < V       (u <= v)"] == Fraction(27997959, 49206980)
+    assert slack["Type-II closure v <= 1-z (informational)"] == -Fraction(763725, 9841396)
