@@ -105,18 +105,8 @@ def _pairs_search(args) -> int:
     return 0
 
 
-_LEDGER_CHECKS = {
-    "threshold": ledger_mod.verify_c_threshold,
-    "heathbrown": ledger_mod.verify_heathbrown_params,
-    "typeI": ledger_mod.verify_typeI_thresholds,
-    "typeII": ledger_mod.verify_typeII_exponent,
-    "bilinear": ledger_mod.verify_bilinear_16th_terms,
-    "longchain": ledger_mod.verify_longchain_usage,
-}
-
-
 def _ledger(args) -> int:
-    reps = ledger_mod.run_all() if args.check == "all" else [_LEDGER_CHECKS[args.check]()]
+    reps = ledger_mod.run_all() if args.check == "all" else [ledger_mod.CHECKS[args.check]()]
     _emit("\n".join(render_report(r.payload, indent=2) for r in reps), args.out)
     return 0 if all(r.all_pass for r in reps) else 1
 
@@ -335,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument(option, type=kind)
         p.set_defaults(handler=handler, name=name, flags=flags)
-    commands.choices["ledger"].add_argument("check", choices=["all", *_LEDGER_CHECKS])
+    commands.choices["ledger"].add_argument("check", choices=["all", *ledger_mod.CHECKS])
     return top
 
 

@@ -286,13 +286,17 @@ def verify_c_threshold() -> LedgerReport:
     return rep
 
 
+# every ledger check by its name, the derived-threshold identity first
+CHECKS = {
+    "threshold": verify_c_threshold,
+    "heathbrown": verify_heathbrown_params,
+    "typeI": verify_typeI_thresholds,
+    "typeII": verify_typeII_exponent,
+    "bilinear": verify_bilinear_16th_terms,
+    "longchain": verify_longchain_usage,
+}
+
+
 def run_all() -> list[LedgerReport]:
-    """Every ledger report, the derived-threshold identity first."""
-    return [
-        verify_c_threshold(),
-        verify_heathbrown_params(),
-        verify_typeI_thresholds(),
-        verify_typeII_exponent(),
-        verify_bilinear_16th_terms(),
-        verify_longchain_usage(),
-    ]
+    """Every ledger report, in the order of CHECKS."""
+    return [check() for check in CHECKS.values()]

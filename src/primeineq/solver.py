@@ -134,16 +134,20 @@ class SextupleSearch:
         return self.record is not None
 
 
-def _instance_at(X: float, k: int, N: float, c: float, eps: Optional[float]) -> ProblemInstance:
-    """The k-prime experiment at scale X, eps defaulting to 1/log N;
-    ValueError if eps is left to default and N <= 1, or if (X, 2X] holds
-    fewer than 2 primes.  Only X < 5.5 is sieved for that: pi(x) - pi(x/2)
-    >= 2 for every real x >= 11, the second Ramanujan prime (S. Ramanujan,
-    J. Indian Math. Soc. 11 (1919))."""
+def _instance_at(k: int, N: float, c: float, eps: Optional[float],
+                 parts: float, scale: float) -> ProblemInstance:
+    """The k-prime experiment at scale X = scale * (N/parts)^(1/c), eps
+    defaulting to 1/log N; ValueError if eps is left to default and N <= 1,
+    if N <= 0, or if (X, 2X] holds fewer than 2 primes.  Only X < 5.5 is
+    sieved for that: pi(x) - pi(x/2) >= 2 for every real x >= 11, the
+    second Ramanujan prime (S. Ramanujan, J. Indian Math. Soc. 11 (1919))."""
     if eps is None:
         if not N > 1:
             raise ValueError(f"eps defaults to 1/log N, which needs N > 1, got N = {N}")
         eps = 1.0 / math.log(N)
+    if N <= 0:
+        raise ValueError(f"N must be positive, got N = {N}")
+    X = scale * (N / parts) ** (1.0 / c)
     inst = ProblemInstance(c=c, X=X, eps=eps, k=k)
     if X < 5.5 and len(sieve_primes(X)) < 2:
         raise ValueError(f"(X, 2X] = ({X}, {2 * X}] holds fewer than 2 primes")
@@ -154,14 +158,14 @@ def instance_for_theorem1(N: float, c: float, eps: Optional[float] = None
                           ) -> ProblemInstance:
     """Triple experiment at scale X = (N/3)^(1/c), by _instance_at: eps
     defaults to 1/log N, and (X, 2X] is sieved for two primes only at X < 5.5."""
-    return _instance_at((N / 3.0) ** (1.0 / c), 3, N, c, eps)
+    return _instance_at(3, N, c, eps, 3.0, 1.0)
 
 
 def instance_for_theorem2(N: float, c: float, eps: Optional[float] = None
                           ) -> ProblemInstance:
     """Sextuple experiment at scale X = (1/2)(N/5)^(1/c), by _instance_at:
     eps defaults to 1/log N, and (X, 2X] is sieved for two primes only at X < 5.5."""
-    return _instance_at(0.5 * (N / 5.0) ** (1.0 / c), 6, N, c, eps)
+    return _instance_at(6, N, c, eps, 5.0, 0.5)
 
 
 def sextuple_feasible(inst: ProblemInstance, N: float, table: PrimeTable) -> bool:
@@ -728,8 +732,7 @@ def full_prime_table(N: float, c: float) -> PrimeTable:
     P = math.floor(N ** (1.0 / c))
     while (P + 1) ** c <= N:
         P += 1
-    primes = sieve_range(2, P)
-    return PrimeTable(primes, np.log(primes.astype(float)))
+    return PrimeTable(sieve_range(2, P))
 
 
 def _first_triples(inst: ProblemInstance, Rs) -> list[Optional[SolutionRecord]]:

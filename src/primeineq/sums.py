@@ -41,7 +41,9 @@ import numpy as np
 LONG = np.longdouble
 TWO_PI = 2.0 * np.pi
 
-_MAX_SIEVE = 2 ** 40
+# the sieve's one limit: its flags take at most 2 GiB, and _are_prime is
+# exact up to it
+_MAX_SIEVE = 2 ** 31
 
 
 class GuardError(ValueError):
@@ -91,51 +93,26 @@ class ProblemInstance:
             raise ValueError(f"need tau < K, got tau={self.tau}, K={self.K}")
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_VECTOR_MR_LIMIT = 2 ** 31   # below it x * x mod n cannot overflow int64
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)   # trial divisors
 # bases 2, 3, 5, 7 decide every n < 3,215,031,751, the smallest strong
 # pseudoprime to all four (G. Jaeschke, Math. Comp. 61 (1993) 915-926),
-# and so every n below _VECTOR_MR_LIMIT
-_VECTOR_MR_WITNESSES = (2, 3, 5, 7)
-_VECTOR_MR_CHUNK = 1 << 14   # numbers tested at once by _are_prime
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+# and so every n up to _MAX_SIEVE
+_MR_WITNESSES = (2, 3, 5, 7)
+_MR_CHUNK = 1 << 14   # numbers tested at once by _are_prime
 
 
 def _are_prime(n: np.ndarray) -> np.ndarray:
-    """_is_prime of every entry of an int64 array with entries below
-    _VECTOR_MR_LIMIT: the same trial divisions, then Miller-Rabin to the
-    bases _VECTOR_MR_WITNESSES, in int64 numpy arithmetic, _VECTOR_MR_CHUNK
-    numbers at a time."""
+    """Whether each entry of an int64 array with entries up to _MAX_SIEVE
+    is prime: trial division by _SMALL_PRIMES, then Miller-Rabin to the
+    bases _MR_WITNESSES, which is exact there, in int64 numpy arithmetic,
+    where x * x mod n cannot overflow, _MR_CHUNK numbers at a time."""
     n = np.asarray(n, dtype=np.int64)
-    if len(n) > _VECTOR_MR_CHUNK:
-        return np.concatenate([_are_prime(n[k:k + _VECTOR_MR_CHUNK])
-                               for k in range(0, len(n), _VECTOR_MR_CHUNK)])
+    if len(n) > _MR_CHUNK:
+        return np.concatenate([_are_prime(n[k:k + _MR_CHUNK])
+                               for k in range(0, len(n), _MR_CHUNK)])
     prime = n >= 2
     undecided = prime.copy()   # not yet decided by trial division
-    for p in _MR_BASES:
+    for p in _SMALL_PRIMES:
         divides = undecided & (n % p == 0)
         prime[divides] = n[divides] == p
         undecided &= ~divides
@@ -150,8 +127,8 @@ def _are_prime(n: np.ndarray) -> np.ndarray:
         d[even] //= 2
         s[even] += 1
     # x = a^d mod m for every base a at once, by square and multiply
-    x = np.ones((len(_VECTOR_MR_WITNESSES), len(m)), dtype=np.int64)
-    base = np.array(_VECTOR_MR_WITNESSES, dtype=np.int64)[:, None] % m
+    x = np.ones((len(_MR_WITNESSES), len(m)), dtype=np.int64)
+    base = np.array(_MR_WITNESSES, dtype=np.int64)[:, None] % m
     e = d.copy()
     while e.any():
         odd = (e & 1) == 1
@@ -167,27 +144,24 @@ def _are_prime(n: np.ndarray) -> np.ndarray:
 
 
 def _verify_primes(primes: np.ndarray) -> None:
-    """Check every entry with deterministic Miller-Rabin; AssertionError
-    names the first composite.  Vectorised below _VECTOR_MR_LIMIT, one
-    number at a time above it."""
-    if len(primes) == 0:
-        return
-    if primes.max() < _VECTOR_MR_LIMIT:
-        ok = _are_prime(primes)
-    else:
-        ok = np.array([_is_prime(int(p)) for p in primes], dtype=bool)
-    bad = np.flatnonzero(~ok)
+    """Check every entry, each at most _MAX_SIEVE, by _are_prime;
+    AssertionError names the first composite."""
+    bad = np.flatnonzero(~_are_prime(primes))
     if len(bad):
         raise AssertionError(f"sieve produced composite {primes[bad[0]]}")
 
 
 @dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """Primes with natural logs precomputed, a new table per call: those in
-    (X, 2X] from sieve_primes, or all up to a bound from solver.full_prime_table."""
+    """Primes with their natural logs, a new table per call: those in
+    (X, 2X] from sieve_primes, or all up to a bound from
+    solver.full_prime_table.  The logs are derived from the primes."""
 
     primes: np.ndarray   # int64, strictly increasing
-    logs: np.ndarray     # float64, log of each prime
+    logs: np.ndarray = field(init=False)   # float64, log of each prime
+
+    def __post_init__(self):
+        object.__setattr__(self, "logs", np.log(self.primes.astype(float)))
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -200,14 +174,15 @@ class PrimeTable:
 def sieve_primes(X: float) -> PrimeTable:
     """The table of exactly the primes in (X, 2X], from sieve_range.  Each
     call sieves afresh; a caller that needs the table twice keeps it."""
-    primes = sieve_range(int(math.floor(X)) + 1, int(math.floor(2 * X)))
-    return PrimeTable(primes, np.log(primes.astype(float)))
+    return PrimeTable(sieve_range(int(math.floor(X)) + 1, int(math.floor(2 * X))))
 
 
 def sieve_range(lo: int, hi: int) -> np.ndarray:
-    """Exactly the primes p with lo <= p <= hi (int64, ascending), by a
-    segmented sieve; each entry is cross-checked against deterministic
-    Miller-Rabin."""
+    """Exactly the primes p with lo <= p <= hi (int64, ascending), by the
+    sieve of Eratosthenes: one flag for every number of [lo, hi], all
+    allocated at once, crossed off by the primes up to sqrt(hi).  Each
+    prime is checked by deterministic Miller-Rabin (_verify_primes).
+    GuardError past hi = _MAX_SIEVE."""
     if hi > _MAX_SIEVE:
         raise GuardError("sieve-range", _MAX_SIEVE, f"upper end {hi}")
     lo = max(lo, 2)
@@ -267,14 +242,23 @@ def _phase_sums(values: np.ndarray, weights: Optional[np.ndarray],
     return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
+# sum_T forms every integer of (X, 2X] and its long-double power at once:
+# 56 B a term at its peak (tracemalloc, at X = 1e6 and 4e6), so 2^25 terms
+# stay under 2 GiB
+_MAX_TERMS = 2 ** 25
+
+
 def sum_T(inst: ProblemInstance, x: float | np.ndarray) -> complex | np.ndarray:
     """T(x) = sum over integers n in (X, 2X] of e(n^c x), at a scalar x
     (complex) or at every entry of an array of x (complex array of the same
     shape), by _phase_sums: pairwise sums, within (ceil(log2 n) + 1) 2^-53 n
     of the correctly rounded sum in each part, and bitwise the same whichever
-    batch of x a value is computed in; ValueError if any x is not finite."""
-    n = np.arange(int(math.floor(inst.X)) + 1, int(math.floor(2 * inst.X)) + 1,
-                  dtype=np.int64)
+    batch of x a value is computed in; ValueError if any x is not finite,
+    GuardError past _MAX_TERMS terms."""
+    lo, hi = int(math.floor(inst.X)) + 1, int(math.floor(2 * inst.X))
+    if hi - lo + 1 > _MAX_TERMS:
+        raise GuardError("terms", _MAX_TERMS, f"{hi - lo + 1} integers in (X, 2X]")
+    n = np.arange(lo, hi + 1, dtype=np.int64)
     return _phase_sums(n.astype(LONG) ** LONG(inst.c), None, x)
 
 

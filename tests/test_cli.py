@@ -461,6 +461,22 @@ def test_N_at_most_1_with_default_eps_is_a_usage_error(capsys, argv, N):
         f"usage error: eps defaults to 1/log N, which needs N > 1, got N = {float(N)}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "triple", "--c", "1.5"),
+    ("solve", "sextuple", "--c", "2.05"),
+    ("scan", "--c", "1.5"),
+    ("mainterm", "--c", "1.5", "--R", "5"),
+])
+def test_negative_N_is_a_usage_error(capsys, argv):
+    # (N/3)^(1/c) of a negative N is complex, and ProblemInstance died on it
+    # in a TypeError traceback (exit 1)
+    code = run([*argv, "--N", "-5", "--eps", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "usage error: N must be positive, got N = -5.0\n"
+
+
 def test_resource_guard_has_its_own_exit_code(capsys):
     # Y^2 pair sums beyond the fast counter's guard; the guard fires before
     # any allocation
@@ -478,11 +494,30 @@ def test_resource_guard_has_its_own_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "sieve-range guard" in err
+    # tables past 2^31 whose sieve asked for 18.6 GiB and 448 GiB, and one
+    # of 4.8e7 primes whose check ran for minutes: the guard refuses each
+    for argv in (("solve", "sextuple", "--N", "1e6", "--c", "0.5"),
+                 ("solve", "triple", "--N", "1e18", "--c", "1.5"),
+                 ("solve", "triple", "--N", "1e5", "--c", "0.5")):
+        code = run(list(argv))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "sieve-range guard (limit 2147483648)" in err
     # the dyadic table at N = 1e9 has 618 primes, so 618^3 triple sums
     code = run(["solve", "sextuple", "--N", "1e9", "--c", "2.05"])
     err = capsys.readouterr().err
     assert code == 3
     assert "triple guard" in err and "618^3" in err
+
+
+def test_terms_guard_refuses_T_before_it_allocates(capsys):
+    # T(x) at X = 1.1e9 would form 1.1e9 terms at once, 56 B each, before
+    # S's sieve is reached
+    code = run(["sums", "eval", "--X", "1.1e9", "--c", "2.05", "--x", "0.001"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "terms guard (limit 33554432)" in captured.err
 
 
 def test_numerical_failure_has_its_own_exit_code(capsys, monkeypatch):

@@ -104,7 +104,7 @@ def test_count_B_table_permutation_invariant(inst_1e5):
     tbl = sieve_primes(inst_1e5.X)
     rng = np.random.default_rng(0)
     perm = rng.permutation(len(tbl))
-    shuffled = PrimeTable(tbl.primes[perm], tbl.logs[perm])
+    shuffled = PrimeTable(tbl.primes[perm])
     weighted, unweighted, _ = count_B(inst_1e5, R, table=shuffled)
     assert unweighted == base[1]
     assert weighted == pytest.approx(base[0], rel=1e-12)
@@ -148,7 +148,7 @@ def _check_against_brute_force(inst: ProblemInstance, tbl: PrimeTable, R: float)
 # Twelve primes from 60000 up: pair sums near 2.9e7 lie above 2^24, where the
 # float64 half-ulp (1.9e-9) of a window edge exceeds a 1e-9 margin.
 _EDGE_PRIMES = np.array([p for p in range(60000, 60200) if _is_prime(p)][:12])
-_EDGE_TABLE = PrimeTable(_EDGE_PRIMES, np.log(_EDGE_PRIMES.astype(float)))
+_EDGE_TABLE = PrimeTable(_EDGE_PRIMES)
 _EDGE_INST = ProblemInstance(c=1.5, X=60000.0, eps=0.1)
 
 
@@ -171,7 +171,7 @@ def test_count_B_powers_follow_the_table_object(inst_1e5):
     # two tables over the same (X, 2X] with different primes must not share
     # cached powers
     full = sieve_primes(inst_1e5.X)
-    half = PrimeTable(full.primes[::2], full.logs[::2])
+    half = PrimeTable(full.primes[::2])
     for R in (1.5e5, 2.1e5):
         for tbl in (full, half, full):
             _check_against_brute_force(inst_1e5, tbl, R)
@@ -243,7 +243,7 @@ def _pair_test_table(kind: str) -> tuple[PrimeTable, ProblemInstance]:
         rng = np.random.default_rng(int(kind))
         primes = rng.choice(sieve_range(5_000, 40_000), 160, replace=False)
         inst = ProblemInstance(c=1.5, X=5_000.0, eps=0.5)
-    return PrimeTable(primes, np.log(primes.astype(float))), inst
+    return PrimeTable(primes), inst
 
 
 def _test_Rs(tbl: PrimeTable, inst: ProblemInstance, kind: str) -> list[float]:
@@ -341,8 +341,7 @@ def test_powers_computed_once_per_table(inst_1e5, monkeypatch):
     powers = PrimeTable.powers
     monkeypatch.setattr(PrimeTable, "powers",
                         lambda self, c: calls.append(c) or powers(self, c))
-    full = sieve_primes(inst_1e5.X)
-    tbl = PrimeTable(full.primes, full.logs)
+    tbl = sieve_primes(inst_1e5.X)
     solver.triple_counts(inst_1e5, [1.5e5, 2.1e5], table=tbl, want_records=True)
     assert calls == [inst_1e5.c]
     assert solver.triple_solvable(inst_1e5, [1.5e5, 2.1e5], [0, 0]) == [True, True]
@@ -767,8 +766,7 @@ def _by_flat(sums: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _table(primes) -> PrimeTable:
     """A table of the given integers, prime or not."""
-    primes = np.array(primes, dtype=np.int64)
-    return PrimeTable(primes, np.log(primes.astype(float)))
+    return PrimeTable(np.array(primes, dtype=np.int64))
 
 
 @pytest.fixture

@@ -10,9 +10,9 @@ import pytest
 
 from oracles import levin_dense, phase_sum_fsum
 from primeineq import reports, sums
-from primeineq.sums import (LONG, ConvergenceError, ProblemInstance, integral_I,
-                            moment4, moment_grid, sieve_primes, sum_S, sum_T,
-                            weyl_differencing_check)
+from primeineq.sums import (LONG, ConvergenceError, GuardError, ProblemInstance,
+                            integral_I, moment4, moment_grid, sieve_primes, sum_S,
+                            sum_T, weyl_differencing_check)
 
 
 def inst_c1(X, eps=0.4):
@@ -36,29 +36,53 @@ def test_sieve_check_rejects_pseudoprimes(composite):
     # Carmichael numbers 561 and 41041, the strong pseudoprimes 2047
     # (base 2) and 1373653 (bases 2, 3), and every strong pseudoprime to
     # bases 2, 3 and 5 below 2^31, from 25326001 on, which only base 7
-    # exposes: the vectorised check, used below 2^31, raises on each as the
-    # scalar one does
-    assert not sums._is_prime(composite)
+    # exposes: the sieve's check raises on each
     assert not sums._are_prime(np.array([composite]))[0]
     with pytest.raises(AssertionError, match=f"composite {composite}"):
         sums._verify_primes(np.array([101, composite, 2 ** 31 - 1], dtype=np.int64))
 
 
-def test_scalar_check_rejects_the_strong_pseudoprime_to_bases_2_3_5_7():
-    # 3215031751 > 2^31 passes all four witnesses of the vectorised check,
-    # which therefore stops at 2^31; the scalar check's 12 bases reject it
+def test_sieve_stops_where_its_witnesses_stop_being_exact():
+    # 3215031751, the smallest strong pseudoprime to bases 2, 3, 5 and 7,
+    # passes all four witnesses of the check, so the sieve refuses to go
+    # that far: it stops at 2^31
     n = 3215031751
     d = (n - 1) // 2   # n - 1 = 2 d with d odd
-    assert all(pow(a, d, n) in (1, n - 1) for a in sums._VECTOR_MR_WITNESSES)
-    assert n > sums._VECTOR_MR_LIMIT
-    assert not sums._is_prime(n)
+    assert all(pow(a, d, n) in (1, n - 1) for a in sums._MR_WITNESSES)
+    assert sums._MAX_SIEVE < n
+    with pytest.raises(GuardError, match="sieve-range guard") as info:
+        sums.sieve_range(2 ** 31 + 1, 2 ** 31 + 100)
+    assert info.value.guard == "sieve-range"
 
 
-def test_vectorised_check_is_the_scalar_one():
+def _trial_division(n: np.ndarray) -> np.ndarray:
+    """Whether each entry of n below 2^31 is prime, by trial division by
+    every prime up to sqrt(2^31), taken from a plain sieve: a composite
+    n has a prime factor p with p^2 <= n."""
+    root = math.isqrt(2 ** 31)
+    flags = np.ones(root + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if flags[p]:
+            flags[p * p::p] = False
+    divisors = np.flatnonzero(flags)
+    assert len(divisors) == 4792
+    order = np.argsort(n)
+    m = n[order]
+    prime = m >= 2
+    for p in divisors:
+        start = np.searchsorted(m, p * p)   # only n >= p^2 can have p as a proper factor
+        prime[start:] &= m[start:] % p != 0
+    out = np.empty_like(prime)
+    out[order] = prime
+    return out
+
+
+def test_sieve_check_agrees_with_trial_division():
     rng = np.random.default_rng(0)
     n = np.concatenate([np.arange(0, 200_000), rng.integers(2 ** 30, 2 ** 31, 20_000),
                         [1373653, 25326001, 3215031751 - 2 ** 31, 2 ** 31 - 1]])
-    assert np.array_equal(sums._are_prime(n), [sums._is_prime(int(k)) for k in n])
+    assert np.array_equal(sums._are_prime(n), _trial_division(n))
 
 
 def test_instance_defaults():
