@@ -7,21 +7,24 @@ with the strict predicate |d| < gamma, and every tuple with
 
 The fast counter walks ascending value bands of the unordered pairs
 i <= j, each standing for m = 1 (i = j) or m = 2 (i < j) ordered pairs
-(``count_tuples_fast``); only one band is in memory at a time.  It sorts a
-band's float64 keys alone and counts pairs by position from window bounds
+(``count_tuples_fast``); only one band is in memory at a time.  A band
+holds float64 keys only, fl(fl(P_i) + fl(P_l)), the float64 sums of the
+powers rounded to float64, and long double serves only the re-test.  It
+sorts a band's keys alone and counts pairs by position from window bounds
 at gamma - delta, gamma and gamma + delta, every sum weighed m = 2 and the
 n diagonal sums 2 P_i corrected by searches of their own keys; only the
-pairs within the rounding slack of a bound are re-tested, and only a band
-with such a pair orders its flat indices by key to form their sums again.
-Each band comes from ``_pair_band``, which forms only the rows of pair sums
-that can reach it, each row's run from two searches on the powers, in order
-of flat index.  ``triple_band`` builds the bands of triple sums of the
+pairs within the rounding slack of a bound are re-tested, on long-double
+sums formed again from their flat indices, and only a band with such a
+pair orders its flat indices by key.  Each band comes from ``_pair_band``,
+which forms only the rows of keys that can reach it, each row's run from
+two searches on the float64 powers, in order of flat index.
+``triple_band`` builds the bands of long-double triple sums of the
 sextuple search (``solver._mitm_search``) instead, with one search per power
-over the pair sums sorted by value (``unordered_pairs``); both widen their
-bounds for rounding alike (``_band_reach``).  Every long-double margin of the
-package is ``rounding`` of the scale it covers, and every float64 margin
-``key_rounding`` of it.  The harmonic sum and the fast counter's band edges
-take the whole set of pair sums, in ascending order, from ``unordered_pairs``.
+over the pair sums sorted by value (``unordered_pairs``).  Every
+long-double margin of the package is ``rounding`` of the scale it covers,
+and every float64 margin ``key_rounding`` of it.  The harmonic sum takes
+the whole set of pair sums, in ascending order, from ``unordered_pairs``,
+and the fast counter's band edges the keys of a grid of the powers.
 
 The naive counter is the oracle (``count_tuples_naive``): exhaustive, in
 that it decides every pair of the Y(Y+1)/2 unordered pair sums, both
@@ -65,7 +68,7 @@ def rounding(scale):
     or an array: _SLACK_ULPS long-double ulps of it, 2^-60 scale, exactly.
     Every long-double margin of the package is this at the scale of the
     values it covers; each use derives that its rounding is a few such
-    ulps (_band_reach, window_reach, count_tuples_fast, harmonic_V,
+    ulps (triple_band, window_reach, count_tuples_fast, harmonic_V,
     solver._solves and solver._first_triples)."""
     return _SLACK_ULPS * np.finfo(LONG).eps * scale
 
@@ -75,16 +78,17 @@ def key_rounding(scale):
     rounding for the float64 keys that searches compare: _KEY_ULPS float64
     ulps of it, 2^-50 scale, exactly.  Every float64 margin of the package
     is this at the scale of the values it covers; each use derives that its
-    rounding is at most 2.5 float64 ulps (window_reach, count_tuples_fast
-    and solver._candidate_walk).
+    rounding is at most 2.5 float64 ulps (window_reach, _pair_band,
+    count_tuples_fast and solver._candidate_walk).
 
     A search compares a key fl64(v) with a bound fl64(t +- r), t the target
     and r the reach, and each of the four roundings to or in float64 moves
     that comparison by at most u = 2^-53, half a float64 ulp, of its result:
     u |v| for the key, u |t| for the target, u r for the reach and
-    u |t +- r| for the bound.  In count_tuples_fast the target is another
-    key, every |v| and |t| is at most 2 max P and r about gamma + delta, so
-    these come to u (3 (2 max P) + 2 (gamma + delta)): at most 3u, 1.5
+    u |t +- r| for the bound.  In count_tuples_fast the key and the target
+    are keys fl(fl(P_i) + fl(P_l)), each within 2u |v| of its long-double
+    sum v, every |v| and |t| is at most 2 max P and r about gamma + delta,
+    so these come to u (5 (2 max P) + 2 (gamma + delta)): at most 5u, 2.5
     float64 ulps, of its scale 2 max P + gamma + delta.  Through
     window_reach the key lies within r of the target and r is the width w,
     give or take the allowances, so they come to u (3 M + 4 w), M the
@@ -95,8 +99,8 @@ def key_rounding(scale):
 
 def unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The n(n+1)/2 unordered pairs i <= j, so the whole set of pair sums:
-    int32 flat index i n + j and long-double sum P_i + P_j, in ascending
-    order of sum (equal sums in flat order)."""
+    int32 flat index i n + j and sum P_i + P_j, formed in the dtype of
+    ``powers``, in ascending order of sum (equal sums in flat order)."""
     n = len(powers)
     i, j = np.triu_indices(n)
     sums = powers[i]
@@ -105,37 +109,33 @@ def unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (i * n + j).astype(np.int32)[order], sums[order]
 
 
-def _band_reach(powers: np.ndarray, lo, hi):
-    """The reaches (lo_reach, hi_reach) by which a band's searches widen its
-    bounds [lo, hi).  Each search is for a bound less one term of a sum,
-    rounded in long double.  A sum within rounding of a bound has both
-    terms, and so that difference, within |bound| + max|P| in magnitude:
-    the rounding of the sum and of the difference is under one long-double
-    ulp of |bound| + max|P| in all, and each bound is widened by
-    rounding(|bound| + max|P|) (an infinite bound needs none)."""
-    top = np.abs(powers).max(initial=0)
-    return rounding(abs(lo) + top), rounding(abs(hi) + top)
-
-
-def _pair_band(powers: np.ndarray, rows: range, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """The unordered pair sums P_i + P_l of the rows i in ``rows``, l >= i,
-    that lie in [lo, hi), with the int32 flat index i n + l, in order of
-    flat index; for count_tuples_fast.  ``powers`` ascend, so row i's sums
-    grow with l, and two searchsorted bounds on the powers, at lo - P_i and
-    hi - P_i widened by _band_reach, give the run of l to form."""
-    n = len(powers)
+def _pair_band(p64: np.ndarray, rows: range, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 keys fl(p_i + p_l) of the unordered pairs of the rows i
+    in ``rows``, l >= i, that lie in [lo, hi), with the int32 flat index
+    i n + l, in order of flat index; for count_tuples_fast.  ``p64`` are
+    the powers rounded to float64, p_i = fl(P_i), ascending, so row i's
+    keys grow with l, and two searchsorted bounds on them, at lo - p_i and
+    hi - p_i, give the run of l to form.  A key within rounding of a bound
+    has both terms, and so that difference, within |bound| + max|p| in
+    magnitude: the rounding of the key, of the difference and of the
+    widened difference moves each comparison by under 3u (|bound| + max|p|),
+    u = 2^-53, and each bound is widened by key_rounding(|bound| + max|p|),
+    8u of it (an infinite bound needs none).  Float64 sums and differences
+    of float64 values are exact below the normal range, so no term for
+    subnormals is needed."""
+    n = len(p64)
     i = np.arange(rows.start, rows.stop)
-    row = powers[i]
-    lo_reach, hi_reach = _band_reach(powers, lo, hi)
-    first = np.maximum(np.searchsorted(powers, lo - row - lo_reach), i)
-    lengths = np.maximum(np.searchsorted(powers, hi - row + hi_reach) - first, 0)
-    i = np.repeat(i, lengths)
-    l = run_positions(first, lengths)
-    sums = powers[i] + powers[l]
-    flat = i * n + l
-    del i, l
-    keep = (sums >= lo) & (sums < hi)
-    return sums[keep], flat[keep].astype(np.int32)
+    row = p64[i]
+    top = np.abs(p64).max(initial=0)
+    first = np.maximum(np.searchsorted(p64, lo - row - key_rounding(abs(lo) + top)), i)
+    lengths = np.maximum(np.searchsorted(p64, hi - row + key_rounding(abs(hi) + top))
+                         - first, 0)
+    flat = run_positions(first, lengths)   # l, then in place the flat index i n + l
+    keys = np.repeat(row, lengths)
+    keys += p64[flat]
+    flat += np.repeat(i * n, lengths)
+    keep = (keys >= lo) & (keys < hi)
+    return keys[keep], flat[keep].astype(np.int32)
 
 
 def triple_band(powers: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
@@ -147,17 +147,22 @@ def triple_band(powers: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
     2^31.
 
     The pair sums are searched once per power l: two searchsorted bounds,
-    at lo - P_l and hi - P_l widened by _band_reach, give the run of pair
-    sums to try, and at most 2 P_l, since a pair sum s = fl(P_i + P_j) with
-    i <= j <= l is at most fl(P_l + P_l) (a larger s has j > l).  Only the
-    pairs with j = flat % n <= l are formed, and the band comes in order of
-    l, then of pair sum.  The runs are taken a block of powers at a time,
-    with about _POWER_BLOCK candidate pair sums and int32 positions in
-    each, so the transient arrays stay bounded whatever the band; a band of
-    one block is one pass."""
+    at lo - P_l and hi - P_l, give the run of pair sums to try.  A sum
+    within rounding of a bound has both terms, and so that difference,
+    within |bound| + max|P| in magnitude: the rounding of the sum and of the
+    difference is under one long-double ulp of |bound| + max|P| in all, and
+    each bound is widened by rounding(|bound| + max|P|) (an infinite bound
+    needs none).  The run stops at 2 P_l, since a pair sum
+    s = fl(P_i + P_j) with i <= j <= l is at most fl(P_l + P_l) (a larger s
+    has j > l).  Only the pairs with j = flat % n <= l are formed, and the
+    band comes in order of l, then of pair sum.  The runs are taken a block
+    of powers at a time, with about _POWER_BLOCK candidate pair sums and
+    int32 positions in each, so the transient arrays stay bounded whatever
+    the band; a band of one block is one pass."""
     flat, pair_sums = pairs
     n = len(powers)
-    lo_reach, hi_reach = _band_reach(powers, lo, hi)
+    top = np.abs(powers).max(initial=0)
+    lo_reach, hi_reach = rounding(abs(lo) + top), rounding(abs(hi) + top)
     first = np.searchsorted(pair_sums, lo - powers - lo_reach)
     stop = np.minimum(np.searchsorted(pair_sums, hi - powers + hi_reach),
                       np.searchsorted(pair_sums, powers + powers, side="right"))
@@ -241,10 +246,10 @@ class CountResult:
 
 def _powers(s: CountSpec) -> np.ndarray:
     """The long-double powers n^c, n in (Y, 2Y], ascending in value (so n
-    descends for c < 0), as _pair_band needs.  The counters search the pair
-    sums by their float64 roundings, so ValueError if 2 (2Y)^c, the largest
-    sum for c >= 0, is not finite in float64 (for c < 0 every sum is below
-    2)."""
+    descends for c < 0), as _pair_band needs of their float64 roundings.
+    The counters search the pair sums by float64 keys, so ValueError if
+    2 (2Y)^c, the largest sum for c >= 0, is not finite in float64 (for
+    c < 0 every sum is below 2); then 2 fl((2Y)^c) is not either."""
     with np.errstate(over="ignore"):
         top = np.float64(2 * LONG(2 * s.Y) ** LONG(s.c))
     if not np.isfinite(top):
@@ -261,21 +266,21 @@ def _multiplicity(flat: np.ndarray, n: int) -> np.ndarray:
     return np.where(flat % (n + 1) == 0, 1, 2)
 
 
-def _band_edges(powers: np.ndarray) -> np.ndarray:
-    """The edges of ascending value bands [lo, hi) that split the unordered
-    pair sums of the ascending ``powers`` into about _FAST_BAND each: -inf,
-    every (_FAST_BAND / g^2)-th of the sorted pair sums of every g-th power,
-    each of which stands for about g^2 pair sums, and inf.  A band holds
-    whole runs of equal sums, so all equal sums make one band."""
-    n = len(powers)
-    inner = np.zeros(0, dtype=LONG)
+def _band_edges(p64: np.ndarray) -> np.ndarray:
+    """The float64 edges of ascending value bands [lo, hi) that split the
+    keys fl(p_i + p_j) of the unordered pairs of the ascending float64
+    powers ``p64`` into about _FAST_BAND each: -inf, every
+    (_FAST_BAND / g^2)-th of the sorted keys of every g-th power, each of
+    which stands for about g^2 keys, less repeats, and inf.  A band holds
+    whole runs of equal keys, so all equal keys make one band."""
+    n = len(p64)
+    inner = np.zeros(0)
     if n * (n + 1) // 2 > _FAST_BAND:
-        g = max(1, math.isqrt(_FAST_BAND // 16))   # about 16 sample sums per band
+        g = max(1, math.isqrt(_FAST_BAND // 16))   # about 16 sample keys per band
         step = _FAST_BAND // g ** 2
-        grid = powers[::g]
-        sample = unordered_pairs(grid)[1]
-        inner = np.unique(sample[step::step])
-    return np.concatenate([[-np.inf], inner, [np.inf]]).astype(LONG)
+        inner = unordered_pairs(p64[::g])[1][step::step]   # ascending
+        inner = inner[np.concatenate([[True], inner[1:] != inner[:-1]])]
+    return np.concatenate([[-np.inf], inner, [np.inf]])
 
 
 @np.errstate(over="ignore", invalid="ignore")   # inf and NaN go to the re-test
@@ -409,10 +414,11 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     when gamma < delta; so each pair p != q is searched once, from the p
     that comes first in the order of the bands below.
 
-    The sums are taken in ascending value bands [lo, hi) (_band_edges),
-    each from _pair_band over only the rows i whose sums can reach the band.
-    Only their float64 keys are sorted, with np.sort: first come the band's
-    owners, the sums in [lo, hi), then its tail, the sums in
+    The sums are taken in ascending value bands [lo, hi) of their float64
+    keys fl(fl(P_i) + fl(P_l)) (_band_edges), each from _pair_band over
+    only the rows i whose keys can reach the band; no long-double sum is
+    formed but in the re-test.  The keys are sorted, with np.sort: first
+    come the band's owners, the keys in [lo, hi), then its tail, the keys in
     [hi, hi + outer reach + slack), which holds every q a window of an
     owner can reach; a tail key equal to an owner key counts as after it.
     Only the owners p search their q after them in the band.  With s the
@@ -421,7 +427,13 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     key[p] + gamma and key[p] + gamma + delta has a sure verdict, whatever
     the rounding: a hit and not ambiguous below the first, a hit and
     ambiguous between the first two, ambiguous only between the last two,
-    and neither past the last.  Each re-test zone
+    and neither past the last.  A key lies within 2u |v| of its long-double
+    sum v, u = 2^-53, so the comparison is off by at most
+    u (5 (2 max P) + 2 (gamma + delta)) (key_rounding), and the long-double
+    sums by rounding of the scale.  Below the normal range each rounding of
+    a power to float64 is off by up to half the least subnormal, which no
+    multiple of the scale covers, so s also holds the smallest normal
+    float64.  Each re-test zone
     starts no lower than the one before it ends, so that zones which overlap
     (delta within 2 s) merge and leave no sure zone between them.  The
     bounds past the first are searched only for the owners whose key at
@@ -430,57 +442,55 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
 
     Every sure count is a count of pairs of positions, weighed as if every
     sum had m = 2 and corrected for the n diagonal sums 2 P_i
-    (_weighted_pairs), which are exact and ascending, so a search of their
-    keys places them in the band (_diagonal_positions).  Only the q in a
-    re-test zone are re-tested, _RETEST_CHUNK at a time, on their
-    long-double sums P_i + P_l, formed again from the flat index i n + l and
-    so bitwise those _pair_band formed, with the exact comparison the naive
-    counter uses; a band orders its flat indices by key (argsort) only when
-    it has such a q.
+    (_weighted_pairs), whose keys 2 fl(P_i) are exact and ascending, so a
+    search of them places them in the band (_diagonal_positions).  Only the
+    q in a re-test zone are re-tested, _RETEST_CHUNK at a time, on their
+    long-double sums P_i + P_l, formed from the flat index i n + l, with
+    the exact comparison the naive counter uses; a band orders its flat
+    indices by key (argsort) only when it has such a q.
     """
     if s.Y ** 2 > _FAST_GUARD:
         raise GuardError("fast", _FAST_GUARD, f"Y^2 = {s.Y ** 2} pair sums")
     powers = _powers(s)
+    p64 = powers.astype(float)
     n = len(powers)
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
     scale = 2 * powers[-1] + gamma + delta   # 2 max P is the largest sum
-    slack = rounding(scale) + key_rounding(scale)
+    slack = rounding(scale) + key_rounding(scale) + np.finfo(float).tiny
     # the (lower, upper) reach of each re-test zone, and the verdicts
     # (hit, ambiguous) of the sure zone between two re-test zones
     zones = [(float(edge - slack), float(edge + slack))
              for edge in (gamma - delta, gamma, gamma + delta)]
     verdicts = ((1, 1), (0, 1))
-    # the slack covers the float64 rounding of keys and bounds, so a q with
-    # key[q] <= key[p] + the outer reach lies below hi + tail_reach
-    tail_reach = LONG(zones[-1][1]) + slack
-    # row i forms the sums P_i + P_l, l >= i, which rounding keeps between
-    # 2 P_i (exact) and fl(P_i + max P), the sums _pair_band forms; so only
-    # the rows with 2 P_i < hi and P_i + max P >= lo can hold a sum of a
-    # band [lo, hi), and they are one run, since both bounds ascend with i.
-    # The diagonal sums 2 P_i of the band are those of its rows with
-    # 2 P_i >= lo, owners if 2 P_i < hi
-    row_min, row_max = 2 * powers, powers + powers[-1]
-    diagonal_keys = row_min.astype(float)
-    edges = _band_edges(powers)
+    # a q with key[q] <= fl(key[p] + the outer reach), key[p] < hi, lies at
+    # or below fl(hi + the outer reach), which the slack keeps below
+    # fl(hi + tail_reach), the band's top
+    tail_reach = float(LONG(zones[-1][1]) + slack)
+    # row i forms the keys fl(p_i + p_l), l >= i, which lie between
+    # fl(p_i + p_i) = 2 p_i and fl(p_i + max p), the rounding being monotone;
+    # so only the rows with 2 p_i < hi and fl(p_i + max p) >= lo can hold a
+    # key of a band [lo, hi), and they are one run, since both bounds ascend
+    # with i.  The diagonal keys 2 p_i of the band are those of its rows
+    # with 2 p_i >= lo, owners if 2 p_i < hi
+    row_min, row_max = p64 + p64, p64 + p64[-1]
+    edges = _band_edges(p64)
     tops = edges[1:] + tail_reach
     first_row = np.searchsorted(row_max, edges[:-1])
     diagonal_at, row_end = np.searchsorted(row_min, edges), np.searchsorted(row_min, tops)
     hits = 0        # ordered tuples of pairs p before q with |d| < gamma
     ambiguous = 0   # ordered tuples of pairs p before q with ||d| - gamma| < delta
     for band, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        sums, flat = _pair_band(powers, range(first_row[band], row_end[band]), lo, tops[band])
-        owns = sums < hi
+        keys, flat = _pair_band(p64, range(first_row[band], row_end[band]), lo, tops[band])
+        owns = keys < hi
         owners = int(np.count_nonzero(owns))
         if not owners:
             continue
-        keys = sums.astype(float)
-        del sums   # the re-test forms its candidates' sums again from flat
         ordered = np.sort(keys)
         block = ordered[:owners]
         owned = int(diagonal_at[band + 1] - diagonal_at[band])
         diagonal_pos = _diagonal_positions(
-            ordered, diagonal_keys[diagonal_at[band]:row_end[band]], owned, owners)
+            ordered, row_min[diagonal_at[band]:row_end[band]], owned, owners)
         x = np.searchsorted(ordered, block + zones[0][0])
         hits += _weighted_pairs(x, diagonal_pos, owned)
         # the other bounds are x unless the key at x is within the outer reach
@@ -516,7 +526,7 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
             run = np.searchsorted(ends, k, side="right")
             p = run_owner[run]
             q = first[run] + (k - (ends[run] - lengths[run]))
-            # P_i + P_l from flat index i n + l, bitwise the sum _pair_band formed
+            # the long-double sums P_i + P_l of the flat indices i n + l
             i, l = np.divmod(flat[np.stack([p, q])], n)
             pair = powers[i] + powers[l]
             d = np.abs(pair[1] - pair[0])

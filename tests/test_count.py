@@ -3,6 +3,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,8 +218,8 @@ def _check_fast_across_band_edges(monkeypatch, c):
     less than one band to past every band."""
     monkeypatch.setattr(count, "_FAST_BAND", 4)
     Y = 12
-    powers = count._powers(CountSpec(Y, c, 1.0))
-    assert len(count._band_edges(powers)) > (2 if c == 0 else 10)
+    p64 = count._powers(CountSpec(Y, c, 1.0)).astype(float)
+    assert len(count._band_edges(p64)) > (2 if c == 0 else 10)
     span = _sum_span(Y, c) or 1.0
     for share in (1e-3, 0.02, 0.3, 2.0):
         for delta in (1e-9, 1e-3 * share * span):
@@ -264,25 +268,55 @@ def test_fast_counter_forms_only_the_rows_of_each_band(monkeypatch, c):
 
 @pytest.mark.parametrize("c", [1.5, 1.0, 0.0])
 def test_pair_band_is_the_full_range_masked(c):
-    # k = 2: bands ending on sums (ties at both ends at integer c), one
-    # ulp off sums, below and above every sum, and an empty band
-    P = np.arange(20, 44, dtype=np.int64).astype(LONG) ** LONG(c)
-    n = len(P)
+    # k = 2: bands ending on keys (ties at both ends at integer c), one
+    # ulp off keys, below and above every key, and an empty band; the keys
+    # are the float64 sums of the float64 powers
+    p = (np.arange(20, 44, dtype=np.int64).astype(LONG) ** LONG(c)).astype(float)
+    n = len(p)
     i, j = np.triu_indices(n)
-    sums, flat = P[i] + P[j], i * n + j   # in order of flat index
-    s = np.sort(sums)
+    keys, flat = p[i] + p[j], i * n + j   # in order of flat index
+    s = np.sort(keys)
     m = len(s)
-    up, down = LONG(np.inf), LONG(-np.inf)
     for lo, hi in [(s[m // 5], s[m // 2]), (s[0], s[-1]),
-                   (np.nextafter(s[m // 4], up), np.nextafter(s[3 * m // 4], down)),
+                   (np.nextafter(s[m // 4], np.inf), np.nextafter(s[3 * m // 4], -np.inf)),
                    (-np.inf, s[m // 3]), (s[2 * m // 3], np.inf),
                    (-np.inf, np.inf), (s[0] - 1, s[0]), (s[m // 2], s[m // 2])]:
-        got_sums, got_flat = _pair_band(P, range(n), lo, hi)
+        got_keys, got_flat = _pair_band(p, range(n), lo, hi)
         by_flat = np.argsort(got_flat)
-        keep = (sums >= lo) & (sums < hi)
-        assert got_flat.dtype == np.int32
+        keep = (keys >= lo) & (keys < hi)
+        assert got_keys.dtype == np.float64 and got_flat.dtype == np.int32
         assert np.array_equal(got_flat[by_flat], flat[keep]), (lo, hi)
-        assert np.array_equal(got_sums[by_flat], sums[keep]), (lo, hi)
+        assert np.array_equal(got_keys[by_flat], keys[keep]), (lo, hi)
+
+
+@pytest.mark.parametrize("c", [-1.0, 0.0, 1.0, 1.5, 2.0])
+def test_band_edges_are_the_sorted_sample_less_repeats(c):
+    # the sampled keys come ascending from unordered_pairs, so dropping
+    # equal neighbours leaves the edges np.unique gives; at c = 0 every key
+    # is 2, so the whole sample is one edge
+    p64 = count._powers(CountSpec(1024, c, 1.0)).astype(float)
+    g = math.isqrt(count._FAST_BAND // 16)
+    step = count._FAST_BAND // g ** 2
+    sample = count.unordered_pairs(p64[::g])[1][step::step]
+    want = np.concatenate([[-np.inf], np.unique(sample), [np.inf]])
+    edges = count._band_edges(p64)
+    assert edges.dtype == np.float64 and np.array_equal(edges, want)
+    assert len(edges) == 3 if c == 0 else len(edges) > 30
+
+
+def test_fast_counter_imports_nothing_on_its_first_call():
+    # np.unique imports numpy.ma on its first call, about 10 ms cold; a
+    # banded count needs no module beyond those the import of count loads
+    code = ("import sys\n"
+            "from primeineq.count import CountSpec, count_tuples_fast\n"
+            "before = set(sys.modules)\n"
+            "count_tuples_fast(CountSpec(256, 1.5, 1.0))\n"
+            "print(sorted(set(sys.modules) - before), 'numpy.ma' in sys.modules)\n")
+    src = Path(count.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "False"]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -350,6 +384,72 @@ def test_fast_bounds_cover_float64_rounding():
     assert (n[0] + n[2]) - (n[0] + n[1]) < LONG(spec.gamma)
     assert float(n[0] + n[2]) > float(n[0] + n[1]) + spec.gamma
     assert count_tuples_fast(spec) == count_tuples_naive(spec) == CountResult(4514, 0)
+
+
+def _rounded_apart(Y: int, c: float, most: int = 3) -> list:
+    """Long-double differences d > 0 of two pair sums whose float64 keys
+    fl(fl(P_i) + fl(P_l)) are not the float64 roundings of the sums, the
+    ``most`` whose keys differ by farthest from d first."""
+    P = count._powers(CountSpec(Y, c, 1.0))
+    p64 = P.astype(float)
+    i, l = np.triu_indices(Y)
+    sums, keys = P[i] + P[l], p64[i] + p64[l]
+    off = np.flatnonzero(keys != sums.astype(float))
+    a, b = np.nonzero(sums[off, None] > sums[None, off])
+    a, b = off[a], off[b]
+    d = sums[a] - sums[b]
+    err = np.abs((keys[a] - keys[b]).astype(LONG) - d)
+    return list(d[np.argsort(-err, kind="stable")[:most]])
+
+
+def _ulps_off(x: float, k: int) -> float:
+    """x moved k float64 ulps, up for k > 0."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+def _check_fast_at_key_rounding_edges(Y: int, c: float) -> None:
+    """The fast counter equals the naive one with gamma, gamma + delta or
+    gamma - delta 1 to 3 float64 ulps from each difference of
+    _rounded_apart, where the keys' rounding is largest."""
+    found = _rounded_apart(Y, c)
+    assert found
+    for d in found:
+        delta = float(d) / 8
+        for k in (-3, -2, -1, 1, 2, 3):
+            for spec in (CountSpec(Y, c, _ulps_off(float(d), k), 0.0),
+                         CountSpec(Y, c, _ulps_off(float(d - LONG(delta)), k), delta),
+                         CountSpec(Y, c, _ulps_off(float(d + LONG(delta)), k), delta)):
+                assert count_tuples_fast(spec) == count_tuples_naive(spec), spec
+
+
+@pytest.mark.parametrize("Y, c", [(12, 1.5), (6, 2.252), (9, 1.955), (10, -1.0), (16, 0.5),
+                                  (8, 1.0633271415109362)])
+def test_fast_equals_naive_where_keys_round_twice(Y, c):
+    # a key fl(fl(P_i) + fl(P_l)) lies up to 2u |v| from its long-double
+    # sum v, u = 2^-53, twice as far as fl64(v): pairs whose two keys both
+    # round away, in opposite directions, put the comparison nearly two
+    # float64 ulps off, inside the re-test zones only through key_rounding
+    _check_fast_at_key_rounding_edges(Y, c)
+
+
+@pytest.mark.parametrize("Y, c", [(7, -350.0), (9, -320.0), (10, -300.0), (17, -249.1875)])
+def test_fast_equals_naive_where_float64_powers_are_subnormal(Y, c):
+    # the long-double powers are normal and their float64 roundings
+    # subnormal or 0: each rounding is off by up to half the least
+    # subnormal, whatever the scale, beyond any multiple of it.  At
+    # c = -249.1875 the powers of 18 to 24 are subnormal, and pairs of keys
+    # whose difference lies 1.94 least subnormals from the long-double one
+    # miss unless the slack holds the smallest normal float64
+    P = count._powers(CountSpec(Y, c, 1.0))
+    assert P.min() > np.finfo(LONG).tiny and P.astype(float).max() < np.finfo(float).tiny
+    if c == -249.1875:
+        _check_fast_at_key_rounding_edges(Y, c)
+    for gamma in (1e-320, 1e-315, 1e-310, 1e-300):
+        for delta in (0.0, gamma / 4):
+            spec = CountSpec(Y, c, gamma, delta)
+            assert count_tuples_fast(spec) == count_tuples_naive(spec), spec
 
 
 # every fixed spec of this module, plus sums that straddle the float64 range
