@@ -6,6 +6,11 @@ routine did not converge (the message names it and its last error).  Output is
 JSON (schema 1) or CSV with a header row.  A flat ``key = value`` config file can
 supply defaults; explicit flags win.  Rationals are always printed as p/q.
 
+Each handler returns its document and its exit code.  The document is a JSON
+payload, a list of them (``ledger``'s, joined by one newline), or finished
+CSV or text; ``run`` alone renders payloads, and alone writes the document to
+stdout or to ``--out``.
+
 One table (``_ACTIONS``) names each action's handler and the flags it reads,
 with their defaults; the parser accepts exactly those flags, and the config
 file fills in exactly those of them the command line left unset.  A flag
@@ -15,6 +20,7 @@ whose default is ``_REQUIRED`` that neither sets is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -59,14 +65,6 @@ def _read_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
-
-
 def _csv(rows: list[dict], fields: list[str]) -> str:
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=fields, quoting=csv.QUOTE_MINIMAL)
@@ -78,13 +76,12 @@ def _csv(rows: list[dict], fields: list[str]) -> str:
 
 # --------------------------------------------------------------- actions
 
-def _pairs_eval(args) -> int:
+def _pairs_eval(args) -> tuple[str, int]:
     p = apply_word(args.word)
-    _emit(f"{_frac(p.kappa)} {_frac(p.lam)}", args.out)
-    return 0
+    return f"{_frac(p.kappa)} {_frac(p.lam)}", 0
 
 
-def _pairs_search(args) -> int:
+def _pairs_search(args) -> tuple[dict, int]:
     c = args.c
     if not math.isfinite(c):
         raise UsageError(f"c must be finite, got c = {c}")
@@ -95,20 +92,18 @@ def _pairs_search(args) -> int:
     }
     objective = objectives[args.objective]
     pair, word = search_pairs(objective, args.depth)
-    _emit(render_report({
+    return {
         "config": {"objective": args.objective, "c": c, "depth": args.depth},
         "word": word,
         "kappa": _frac(pair.kappa),
         "lambda": _frac(pair.lam),
         "objective_value": objective(pair),
-    }, indent=2), args.out)
-    return 0
+    }, 0
 
 
-def _ledger(args) -> int:
+def _ledger(args) -> tuple[list[dict], int]:
     reps = ledger_mod.run_all() if args.check == "all" else [ledger_mod.CHECKS[args.check]()]
-    _emit("\n".join(render_report(r.payload, indent=2) for r in reps), args.out)
-    return 0 if all(r.all_pass for r in reps) else 1
+    return [r.payload for r in reps], 0 if all(r.all_pass for r in reps) else 1
 
 
 def _kernel_params(args) -> KernelParams:
@@ -118,7 +113,7 @@ def _kernel_params(args) -> KernelParams:
     return KernelParams(a=args.a, b=args.b, r=args.r)
 
 
-def _kernel_eval(args) -> int:
+def _kernel_eval(args) -> tuple[str, int]:
     p = _kernel_params(args)
     for flag in ("x_min", "x_max"):
         value = getattr(args, flag)
@@ -130,11 +125,10 @@ def _kernel_eval(args) -> int:
              "Phi": float(phi_fourier(p, float(x))),
              "bound": float(phi_fourier_bound(p, float(x)))}
             for x, phi in zip(xs, phi_eval(p, xs))]
-    _emit(_csv(rows, ["x", "phi", "Phi", "bound"]), args.out)
-    return 0
+    return _csv(rows, ["x", "phi", "Phi", "bound"]), 0
 
 
-def _kernel_check(args) -> int:
+def _kernel_check(args) -> tuple[dict, int]:
     """The bound holds on random x; the transform matches direct quadrature."""
     import random as _random
     p = _kernel_params(args)
@@ -150,117 +144,100 @@ def _kernel_check(args) -> int:
         closed = phi_fourier(p, x)
         quad_rel = max(quad_rel, abs(direct - closed) / max(1e-30, abs(closed)))
     ok = worst <= 1e-12 and quad_rel <= 1e-6
-    _emit(render_report({"config": {"a": p.a, "b": p.b, "r": p.r},
-                         "bound_excess": worst, "quadrature_rel_err": quad_rel,
-                         "pass": ok}, indent=2), args.out)
-    return 0 if ok else 1
+    return ({"config": {"a": p.a, "b": p.b, "r": p.r},
+             "bound_excess": worst, "quadrature_rel_err": quad_rel, "pass": ok},
+            0 if ok else 1)
 
 
 def _instance(args) -> ProblemInstance:
     return ProblemInstance(c=args.c, X=args.X, eps=args.eps, eta=args.eta)
 
 
-def _sums_eval(args) -> int:
+def _sums_eval(args) -> tuple[dict, int]:
     inst = _instance(args)
     x = args.x
     t, s, i = sum_T(inst, x), sum_S(inst, x), integral_I(inst, x)
-    _emit(render_report({"config": asdict(inst), "x": x,
-                         "T": [t.real, t.imag], "S": [s.real, s.imag],
-                         "I": [i.real, i.imag],
-                         "abs": {"T": abs(t), "S": abs(s), "I": abs(i)}},
-                        indent=2), args.out)
-    return 0
+    return {"config": asdict(inst), "x": x,
+            "T": [t.real, t.imag], "S": [s.real, s.imag], "I": [i.real, i.imag],
+            "abs": {"T": abs(t), "S": abs(s), "I": abs(i)}}, 0
 
 
-def _sums_moment(args) -> int:
+def _sums_moment(args) -> tuple[dict, int]:
     inst = _instance(args)
     value, err = moment4(inst, args.which)
-    _emit(render_report({"config": asdict(inst), "which": args.which,
-                         "moment4": value, "refine_err": err}, indent=2), args.out)
-    return 0
+    return {"config": asdict(inst), "which": args.which,
+            "moment4": value, "refine_err": err}, 0
 
 
-def _sums_profile(args) -> int:
+def _sums_profile(args) -> tuple[dict, int]:
     rep = json.loads(reports.s_vs_i_report(
         c=args.c, X=args.X, points=args.points, seed=args.seed))
-    _emit(render_report(rep, indent=2), args.out)
-    return 0 if rep["pass"] else 1
+    return rep, 0 if rep["pass"] else 1
 
 
-def _count_rs(args) -> int:
+def _count_rs(args) -> tuple[dict, int]:
     res = count_mod.count_tuples_fast(count_mod.CountSpec(args.Y, args.c, args.gamma))
-    _emit(render_report({"config": {"Y": args.Y, "c": args.c, "gamma": args.gamma},
-                         "count": res.count, "ambiguous": res.ambiguous},
-                        indent=2), args.out)
-    return 0
+    return {"config": {"Y": args.Y, "c": args.c, "gamma": args.gamma},
+            "count": res.count, "ambiguous": res.ambiguous}, 0
 
 
-def _count_ladder(args) -> int:
+def _count_ladder(args) -> tuple[dict | str, int]:
     Ys = [int(y) for y in args.Ys.split(",")]
     rep = json.loads(reports.rs_slope_report(args.c, args.gamma, Ys))
+    code = 0 if rep["pass"] else 1
     if args.format == "json":
-        _emit(render_report(rep, indent=2), args.out)
-    else:
-        rows = [{"Y": Y, "count": n, "slope": rep["slope"],
-                 "reference_slope": rep["reference_slope"]}
-                for Y, n in zip(Ys, rep["counts"])]
-        _emit(_csv(rows, ["Y", "count", "slope", "reference_slope"]), args.out)
-    return 0 if rep["pass"] else 1
+        return rep, code
+    rows = [{"Y": Y, "count": n, "slope": rep["slope"],
+             "reference_slope": rep["reference_slope"]}
+            for Y, n in zip(Ys, rep["counts"])]
+    return _csv(rows, ["Y", "count", "slope", "reference_slope"]), code
 
 
-def _count_V(args) -> int:
+def _count_V(args) -> tuple[dict, int]:
     # harmonic_V reads no gamma; CountSpec needs a valid one
     spec = count_mod.CountSpec(args.Y, args.c, 1.0)
     total, buckets = count_mod.harmonic_V(spec, args.tau)
-    _emit(render_report({"config": {"Y": args.Y, "c": args.c, "tau": args.tau},
-                         "total": total, "buckets": list(buckets)}, indent=2), args.out)
-    return 0
+    return {"config": {"Y": args.Y, "c": args.c, "tau": args.tau},
+            "total": total, "buckets": list(buckets)}, 0
 
 
-def _solve_triple(args) -> int:
+def _solve_triple(args) -> tuple[dict, int]:
     N = args.N
     inst = instance_for_theorem1(N, args.c, args.eps)
     R = 1.5 * N if args.R is None else args.R
     counts = triple_counts(inst, [R], want_records=True)[0]
-    payload = {"config": {**asdict(inst), "N": N},
-               "R": R, "count": counts.count, "weighted": counts.weighted,
-               "B1": counts.B1, "H": main_term_H(inst, R),
-               "records": [asdict(r) for r in counts.records]}
-    _emit(render_report(payload, indent=2), args.out)
-    return 0
+    return {"config": {**asdict(inst), "N": N},
+            "R": R, "count": counts.count, "weighted": counts.weighted,
+            "B1": counts.B1, "H": main_term_H(inst, R),
+            "records": [asdict(r) for r in counts.records]}, 0
 
 
-def _solve_sextuple(args) -> int:
+def _solve_sextuple(args) -> tuple[dict, int]:
     inst = instance_for_theorem2(args.N, args.c, args.eps)
     res = find_sextuple(inst, args.N)
-    payload = {"config": {**asdict(inst), "N": args.N},
-               "found": res.found, "feasible": res.feasible,
-               "range_used": res.range_used,
-               "records": [] if res.record is None else [asdict(res.record)]}
-    _emit(render_report(payload, indent=2), args.out)
-    return 0 if res.found else 1
+    return ({"config": {**asdict(inst), "N": args.N},
+             "found": res.found, "feasible": res.feasible,
+             "range_used": res.range_used,
+             "records": [] if res.record is None else [asdict(res.record)]},
+            0 if res.found else 1)
 
 
-def _scan(args) -> int:
+def _scan(args) -> tuple[dict | str, int]:
     inst = instance_for_theorem1(args.N, args.c, args.eps)
     rep = exceptional_scan(inst, samples=args.samples, seed=args.seed)
-    if args.format == "csv":
-        rows = [{"R": R, "count": n} for R, n in zip(rep["R_values"], rep["counts"])]
-        _emit(_csv(rows, ["R", "count"]), args.out)
-    else:
-        _emit(render_report(rep, indent=2), args.out)
-    return 0
+    if args.format == "json":
+        return rep, 0
+    rows = [{"R": R, "count": n} for R, n in zip(rep["R_values"], rep["counts"])]
+    return _csv(rows, ["R", "count"]), 0
 
 
-def _mainterm(args) -> int:
+def _mainterm(args) -> tuple[dict, int]:
     if args.k not in (3, 6):
         raise UsageError("k must be 3 or 6")
     theorem = instance_for_theorem1 if args.k == 3 else instance_for_theorem2
     inst = theorem(args.N, args.c, args.eps)
-    h = main_term_H(inst, args.R)
-    _emit(render_report({"config": {**asdict(inst), "N": args.N},
-                         "R": args.R, "H": h}, indent=2), args.out)
-    return 0
+    return {"config": {**asdict(inst), "N": args.N},
+            "R": args.R, "H": main_term_H(inst, args.R)}, 0
 
 
 # --------------------------------------------------------------- the table
@@ -361,7 +338,14 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _apply_config(args, _read_config(args.config))
-        return args.handler(args)
+        document, code = args.handler(args)
+        if isinstance(document, dict):
+            document = [document]
+        if isinstance(document, list):   # JSON payloads, one document each
+            document = "\n".join(render_report(payload, indent=2) for payload in document)
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            print(document, file=fh)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,8 @@ two searches on the float64 powers, in order of flat index.
 sextuple search (``solver._mitm_search``) instead, with one search per power
 over the pair sums sorted by value (``unordered_pairs``).  Every
 long-double margin of the package is ``rounding`` of the scale it covers,
-and every float64 margin ``key_rounding`` of it.  The harmonic sum takes
+and every float64 margin ``key_rounding`` of it, its floor for subnormals
+included.  The harmonic sum takes
 the whole set of pair sums, in ascending order, from ``unordered_pairs``,
 and the fast counter's band edges the keys of a grid of the powers.
 
@@ -76,10 +77,11 @@ def rounding(scale):
 def key_rounding(scale):
     """The float64 rounding allowance at magnitude ``scale``, the twin of
     rounding for the float64 keys that searches compare: _KEY_ULPS float64
-    ulps of it, 2^-50 scale, exactly.  Every float64 margin of the package
-    is this at the scale of the values it covers; each use derives that its
-    rounding is at most 2.5 float64 ulps (window_reach, _pair_band,
-    count_tuples_fast and solver._candidate_walk).
+    ulps of it, 2^-50 scale, exactly, and never less than the smallest
+    normal float64.  Every float64 margin of the package is this at the
+    scale of the values it covers; each use derives that its rounding is at
+    most 2.5 float64 ulps (window_reach, _pair_band, count_tuples_fast and
+    solver._candidate_walk).
 
     A search compares a key fl64(v) with a bound fl64(t +- r), t the target
     and r the reach, and each of the four roundings to or in float64 moves
@@ -93,8 +95,14 @@ def key_rounding(scale):
     window_reach the key lies within r of the target and r is the width w,
     give or take the allowances, so they come to u (3 M + 4 w), M the
     largest |v|: at most u (3 scale + w), under 2 float64 ulps of the scale
-    M + w, and 1.5 once w is small beside M."""
-    return _KEY_ULPS * np.finfo(float).eps * scale
+    M + w, and 1.5 once w is small beside M.
+
+    Below the normal range a rounding to float64 is off by up to half the
+    least subnormal, an absolute error that no multiple of the scale
+    covers, so the allowance is at least the smallest normal float64,
+    2^-1022: then it exceeds 2.5 ulps of the scale by at least 3/8 of that,
+    far more than the few half subnormals the roundings of a use add."""
+    return max(_KEY_ULPS * np.finfo(float).eps * scale, np.finfo(float).tiny)
 
 
 def unordered_pairs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,8 +129,8 @@ def _pair_band(p64: np.ndarray, rows: range, lo, hi) -> tuple[np.ndarray, np.nda
     widened difference moves each comparison by under 3u (|bound| + max|p|),
     u = 2^-53, and each bound is widened by key_rounding(|bound| + max|p|),
     8u of it (an infinite bound needs none).  Float64 sums and differences
-    of float64 values are exact below the normal range, so no term for
-    subnormals is needed."""
+    of float64 values are exact below the normal range, so this needs none
+    of the smallest normal float64 that key_rounding also holds."""
     n = len(p64)
     i = np.arange(rows.start, rows.stop)
     row = p64[i]
@@ -362,17 +370,11 @@ def count_tuples_naive(s: CountSpec) -> CountResult:
     return CountResult(count, ambiguous)
 
 
-def _diagonal_positions(keys: np.ndarray, diagonal: np.ndarray, owned: int,
-                        owners: int) -> np.ndarray:
+def _diagonal_positions(keys: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     """Ascending positions in the sorted band keys ``keys`` for its
-    diagonal sums, whose float64 keys ``diagonal`` ascend: the first
-    ``owned`` are owners, the rest tail sums.  A diagonal sum takes the
-    first free position of its run of equal keys among the owners
-    (positions below ``owners``) or among the tail, as the case may be: a
-    tail sum comes after every owner, even one of equal key."""
+    diagonal sums, whose float64 keys ``diagonal`` ascend: each takes the
+    first free position of its run of equal keys."""
     at = np.searchsorted(keys, diagonal)
-    if owned < len(at):
-        np.maximum(at[owned:], owners, out=at[owned:])
     return at + (np.arange(len(at)) - np.searchsorted(at, at))
 
 
@@ -395,14 +397,6 @@ def _weighted_pairs(x: np.ndarray, diagonal: np.ndarray, owned: int) -> int:
     return 4 * pairs - 2 * (diagonal_p + diagonal_q) + both
 
 
-def _sorted_flat(keys: np.ndarray, flat: np.ndarray, owns: np.ndarray) -> np.ndarray:
-    """The flat indices of a band in the order of its sorted keys, owners
-    first, then the tail."""
-    owners, tail = np.flatnonzero(owns), np.flatnonzero(~owns)
-    return flat[np.concatenate([owners[np.argsort(keys[owners])],
-                                tail[np.argsort(keys[tail])]])]
-
-
 def count_tuples_fast(s: CountSpec) -> CountResult:
     """Count from window bounds per unordered pair sum, band by band; same
     predicate and same result as the naive count.
@@ -420,22 +414,21 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     formed but in the re-test.  The keys are sorted, with np.sort: first
     come the band's owners, the keys in [lo, hi), then its tail, the keys in
     [hi, hi + outer reach + slack), which holds every q a window of an
-    owner can reach; a tail key equal to an owner key counts as after it.
-    Only the owners p search their q after them in the band.  With s the
-    slack rounding + key_rounding of the largest magnitude involved, as in
-    window_reach, a q whose key lies more than s from key[p] + gamma - delta,
-    key[p] + gamma and key[p] + gamma + delta has a sure verdict, whatever
-    the rounding: a hit and not ambiguous below the first, a hit and
-    ambiguous between the first two, ambiguous only between the last two,
-    and neither past the last.  A key lies within 2u |v| of its long-double
-    sum v, u = 2^-53, so the comparison is off by at most
-    u (5 (2 max P) + 2 (gamma + delta)) (key_rounding), and the long-double
-    sums by rounding of the scale.  Below the normal range each rounding of
-    a power to float64 is off by up to half the least subnormal, which no
-    multiple of the scale covers, so s also holds the smallest normal
-    float64.  Each re-test zone
-    starts no lower than the one before it ends, so that zones which overlap
-    (delta within 2 s) merge and leave no sure zone between them.  The
+    owner can reach.  Only the owners p search their q after them in the
+    band.  With s the slack rounding + key_rounding of the largest
+    magnitude involved, as in window_reach, a q whose key lies more than s
+    from key[p] + gamma - delta, key[p] + gamma and key[p] + gamma + delta
+    has a sure verdict, whatever the rounding: a hit and not ambiguous
+    below the first, a hit and ambiguous between the first two, ambiguous
+    only between the last two, and neither past the last.  A key lies
+    within 2u |v| of its long-double sum v, u = 2^-53, so the comparison is
+    off by at most u (5 (2 max P) + 2 (gamma + delta)) (key_rounding), and
+    the long-double sums by rounding of the scale.  Below the normal range
+    each rounding of a power to float64 is off by up to half the least
+    subnormal, which no multiple of the scale covers; key_rounding's floor,
+    the smallest normal float64, covers it.  Each re-test zone starts no
+    lower than the one before it ends, so that zones which overlap (delta
+    within 2 s) merge and leave no sure zone between them.  The
     bounds past the first are searched only for the owners whose key at
     the first bound lies within the outer reach, which is seldom at small
     delta.
@@ -457,7 +450,7 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     gamma = LONG(s.gamma)
     delta = LONG(s.delta)
     scale = 2 * powers[-1] + gamma + delta   # 2 max P is the largest sum
-    slack = rounding(scale) + key_rounding(scale) + np.finfo(float).tiny
+    slack = rounding(scale) + key_rounding(scale)
     # the (lower, upper) reach of each re-test zone, and the verdicts
     # (hit, ambiguous) of the sure zone between two re-test zones
     zones = [(float(edge - slack), float(edge + slack))
@@ -482,15 +475,13 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     ambiguous = 0   # ordered tuples of pairs p before q with ||d| - gamma| < delta
     for band, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         keys, flat = _pair_band(p64, range(first_row[band], row_end[band]), lo, tops[band])
-        owns = keys < hi
-        owners = int(np.count_nonzero(owns))
+        owners = int(np.count_nonzero(keys < hi))
         if not owners:
             continue
         ordered = np.sort(keys)
         block = ordered[:owners]
         owned = int(diagonal_at[band + 1] - diagonal_at[band])
-        diagonal_pos = _diagonal_positions(
-            ordered, row_min[diagonal_at[band]:row_end[band]], owned, owners)
+        diagonal_pos = _diagonal_positions(ordered, row_min[diagonal_at[band]:row_end[band]])
         x = np.searchsorted(ordered, block + zones[0][0])
         hits += _weighted_pairs(x, diagonal_pos, owned)
         # the other bounds are x unless the key at x is within the outer reach
@@ -518,7 +509,7 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
         ends = np.cumsum(lengths)
         if not ends[-1]:
             continue
-        flat = _sorted_flat(keys, flat, owns)
+        flat = flat[np.argsort(keys)]
         m = _multiplicity(flat, n)
         run_owner = np.tile(near, len(zones))
         for start in range(0, int(ends[-1]), _RETEST_CHUNK):

@@ -138,16 +138,23 @@ def _instance_at(k: int, N: float, c: float, eps: Optional[float],
                  parts: float, scale: float) -> ProblemInstance:
     """The k-prime experiment at scale X = scale * (N/parts)^(1/c), eps
     defaulting to 1/log N; ValueError if eps is left to default and N <= 1,
-    if N <= 0, or if (X, 2X] holds fewer than 2 primes.  Only X < 5.5 is
-    sieved for that: pi(x) - pi(x/2) >= 2 for every real x >= 11, the
-    second Ramanujan prime (S. Ramanujan, J. Indian Math. Soc. 11 (1919))."""
+    if N <= 0, if c = 0 or (N/parts)^(1/c) overflows, or if (X, 2X] holds
+    fewer than 2 primes.  Only X < 5.5 is sieved for that:
+    pi(x) - pi(x/2) >= 2 for every real x >= 11, the second Ramanujan prime
+    (S. Ramanujan, J. Indian Math. Soc. 11 (1919))."""
     if eps is None:
         if not N > 1:
             raise ValueError(f"eps defaults to 1/log N, which needs N > 1, got N = {N}")
         eps = 1.0 / math.log(N)
     if N <= 0:
         raise ValueError(f"N must be positive, got N = {N}")
-    X = scale * (N / parts) ** (1.0 / c)
+    if c == 0:
+        raise ValueError(f"c must be nonzero, got c = {c}")
+    try:
+        X = scale * (N / parts) ** (1.0 / c)
+    except OverflowError:
+        raise ValueError(f"X = {scale} ({N}/{parts})^(1/c) overflows float64 at "
+                         f"c = {c}") from None
     inst = ProblemInstance(c=c, X=X, eps=eps, k=k)
     if X < 5.5 and len(sieve_primes(X)) < 2:
         raise ValueError(f"(X, 2X] = ({X}, {2 * X}] holds fewer than 2 primes")
@@ -214,7 +221,10 @@ def _candidate_walk(powers: np.ndarray, Rs, reach: float, stop: Optional[int] = 
     and the padded bounds, clipped to the range [2 min fl(P), 2 max fl(P)]
     of s, round by under u (2M + pad) < 3 u M: 10 u M in all, 2.5 float64
     ulps of the sums' range 2M.  The pad is count.key_rounding(2M), 4 such
-    ulps, so a pair whose key lies in a window always passes.  The bucket
+    ulps, so a pair whose key lies in a window always passes; below the
+    normal range, where a power rounded to float64 is off by up to half the
+    least subnormal, key_rounding's floor, the smallest normal float64,
+    covers that too.  The bucket
     of x is (x - base) / width rounded down, monotone in x, and a bucket is
     at least 2 reach wide, so a window meets two or three.
     """
@@ -228,7 +238,7 @@ def _candidate_walk(powers: np.ndarray, Rs, reach: float, stop: Optional[int] = 
     p64 = powers.astype(float)
     M = float(np.abs(p64).max())
     base, top = 2 * float(p64.min()), 2 * float(p64.max())
-    pad = key_rounding(2 * M) + np.finfo(float).tiny
+    pad = key_rounding(2 * M)
     inv = 1.0 / max((top - base) / (_SCREEN_BUCKETS - 1), 2 * reach)
 
     def bucket(x):

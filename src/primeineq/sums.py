@@ -65,8 +65,9 @@ class ConvergenceError(ArithmeticError):
 @dataclass(frozen=True)
 class ProblemInstance:
     """One Diophantine experiment: |p_1^c + ... + p_k^c - R| < eps near scale
-    X; eps defaults to 1/log X.  The arc cuts tau = X^(1 - c - eta) and
-    K = (log X)^10 are computed, not set, and must have tau < K."""
+    X, with c finite and nonzero; eps defaults to 1/log X.  The arc cuts
+    tau = X^(1 - c - eta) and K = (log X)^10 are computed, not set, and must
+    have tau < K."""
 
     c: float
     X: float
@@ -81,6 +82,8 @@ class ProblemInstance:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {name} = {value}")
+        if self.c == 0:   # t^c has density s^(1/c - 1)/c
+            raise ValueError(f"c must be nonzero, got c = {self.c}")
         if self.X < 3:
             raise ValueError("X must be >= 3")
         if self.eps is None:

@@ -70,8 +70,15 @@ EDGE_MARGIN = 2.0 ** -40
 
 
 def solves(primes, R: float, eps: float, c: float) -> bool:
-    """|p_1^c + ... + p_k^c - R| < eps at 40 digits, with R, eps and c at
-    their exact binary values."""
+    """|p_1^c + ... + p_k^c - R| < eps, with R, eps and c at their exact
+    binary values: exactly in integers for an integer c >= 0, where R =
+    nR/dR and eps = ne/de make it |value dR - nR| de < ne dR, else at 40
+    digits."""
+    if float(c).is_integer() and c >= 0:
+        nR, dR = float(R).as_integer_ratio()
+        ne, de = float(eps).as_integer_ratio()
+        value = sum(int(p) ** int(c) for p in primes)
+        return abs(value * dR - nR) * de < ne * dR
     with mpmath.workdps(40):
         value = mpmath.fsum(mpmath.mpf(int(p)) ** mpmath.mpf(float(c)) for p in primes)
         return bool(abs(value - mpmath.mpf(float(R))) < mpmath.mpf(float(eps)))

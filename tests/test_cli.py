@@ -477,6 +477,37 @@ def test_negative_N_is_a_usage_error(capsys, argv):
     assert captured.err == "usage error: N must be positive, got N = -5.0\n"
 
 
+_C_ZERO = "c must be nonzero, got c = 0.0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "triple", "--N", "1e5", "--c", "0"), _C_ZERO),
+    (("solve", "sextuple", "--N", "1e6", "--c", "0"), _C_ZERO),
+    (("scan", "--N", "1e5", "--c", "0"), _C_ZERO),
+    (("mainterm", "--N", "1e5", "--c", "0", "--R", "1.5e5"), _C_ZERO),
+    (("solve", "triple", "--N", "1e5", "--c", "1e-300"),
+     "X = 1.0 (100000.0/3.0)^(1/c) overflows float64 at c = 1e-300"),
+    (("solve", "sextuple", "--N", "1e6", "--c", "1e-300"),
+     "X = 0.5 (1000000.0/5.0)^(1/c) overflows float64 at c = 1e-300"),
+    (("scan", "--N", "1e5", "--c", "1e-300"),
+     "X = 1.0 (100000.0/3.0)^(1/c) overflows float64 at c = 1e-300"),
+    (("mainterm", "--N", "1e5", "--c", "1e-300", "--R", "1.5e5"),
+     "X = 1.0 (100000.0/3.0)^(1/c) overflows float64 at c = 1e-300"),
+    (("sums", "eval", "--X", "64", "--c", "0", "--x", "0.1"), _C_ZERO),
+    (("sums", "moment", "--X", "64", "--c", "0", "--which", "I"), _C_ZERO),
+    (("sums", "profile", "--X", "64", "--c", "0"), _C_ZERO),
+])
+def test_c_zero_or_an_overflowing_scale_is_a_usage_error(capsys, argv, message):
+    # X = (N/3)^(1/c) died in a ZeroDivisionError traceback (exit 1) at
+    # c = 0 and in an OverflowError one at c = 1e-300, and so did the
+    # density s^(1/c - 1)/c of the singular integral at c = 0
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
 def test_resource_guard_has_its_own_exit_code(capsys):
     # Y^2 pair sums beyond the fast counter's guard; the guard fires before
     # any allocation
@@ -605,6 +636,36 @@ def test_out_file_and_rerun_byte_identical(capsys, tmp_path):
                           "--c", "1", "--samples", "5", "--seed", "3")
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# a small command of each action, after its name
+_SMALL = {
+    "pairs eval": ("--word", "A^2B"),
+    "pairs search": ("--objective", "sum", "--depth", "4"),
+    "ledger": ("all",),
+    "kernel eval": ("--points", "11"),
+    "kernel check": ("--points", "500", "--seed", "1"),
+    "sums eval": ("--X", "64", "--c", "2.05", "--x", "0.0"),
+    "sums moment": ("--X", "64", "--c", "2.05", "--which", "S"),
+    "sums profile": ("--X", "64", "--c", "2.05", "--points", "4"),
+    "count rs": ("--Y", "8", "--c", "1.5"),
+    "count ladder": ("--Ys", "16,32,64,128"),
+    "count V": ("--Y", "6", "--tau", "10", "--c", "1.5"),
+    "solve triple": ("--N", "90", "--c", "1"),
+    "solve sextuple": ("--N", "42", "--c", "1"),
+    "scan": ("--N", "90", "--c", "1", "--samples", "5", "--seed", "3", "--format", "csv"),
+    "mainterm": ("--N", "1e4", "--c", "1.5", "--R", "1.5e4"),
+}
+
+
+@pytest.mark.parametrize("action", list(cli._ACTIONS))
+def test_out_file_is_what_stdout_shows(capsys, tmp_path, action):
+    # one writer for every action: JSON, ledger's six documents, CSV and text
+    argv = [*action.split(), *_SMALL[action]]
+    code, out = run_cli(capsys, *argv)
+    path = tmp_path / "out"
+    assert run_cli(capsys, "--out", str(path), *argv) == (code, "")
+    assert path.read_bytes() == out.encode()
 
 
 def test_module_runs_as_script():

@@ -159,8 +159,7 @@ def test_fast_counter_retests_in_chunks(monkeypatch):
 @pytest.mark.parametrize("Y, band", [(200, None), (100, 4)])
 def test_fast_counts_every_tuple_in_a_window_past_every_difference(monkeypatch, Y, band):
     # at c = -1 diagonal sums 2/m tie off-diagonal sums 1/a + 1/b in
-    # float64 across band edges: such a tail sum comes after every owner of
-    # its key, or the owners before it miss it
+    # float64 across band edges
     if band:
         monkeypatch.setattr(count, "_FAST_BAND", band)
     spec = CountSpec(Y, -1.0, 1.0)
@@ -169,15 +168,16 @@ def test_fast_counts_every_tuple_in_a_window_past_every_difference(monkeypatch, 
 
 def test_fast_counter_orders_flat_indices_only_to_retest(monkeypatch):
     # at the rs-slope specs no pair sum lies within the slack of gamma from
-    # another, so no band needs the flat indices of its sorted keys
+    # another, so no band needs the flat indices of its sorted keys, nor
+    # the multiplicities read from them
     ordered = []
-    sorted_flat = count._sorted_flat
+    multiplicity = count._multiplicity
 
     def recorded(*args):
         ordered.append(args)
-        return sorted_flat(*args)
+        return multiplicity(*args)
 
-    monkeypatch.setattr(count, "_sorted_flat", recorded)
+    monkeypatch.setattr(count, "_multiplicity", recorded)
     assert count_tuples_fast(CountSpec(1024, 1.5, 1.0)).count == 26177836
     assert not ordered
     count_tuples_fast(CountSpec(40, 0.5, 1.0, 0.5))   # re-tests 40 candidates

@@ -4,7 +4,10 @@ referenced only in the hit rule solver._solves, which every solver calls;
 the long double's machine epsilon, finfo(LONG).eps, is read only in
 count.rounding, the allowance every long-double margin is taken from; and
 float64's, finfo(float).eps, only in count.key_rounding, its float64 twin,
-with no literal 2.0 ** -49 pad left in solver."""
+with no literal 2.0 ** -49 pad left in solver.  The smallest normal
+float64, finfo(float).tiny, the floor of that twin, is read only there and
+in the oracle count.count_tuples_naive, which shares no code with the fast
+counter."""
 
 import ast
 import pathlib
@@ -42,11 +45,11 @@ def _mpmath(node) -> bool:
             or (isinstance(node, ast.Constant) and node.value == "mpmath"))
 
 
-def _finfo_eps(node, kinds: set[str]) -> bool:
-    """A read of .eps from finfo of a type named in ``kinds``, bare (LONG)
-    or as an attribute (np.longdouble), finfo called bare or as an
+def _finfo(node, attr: str, kinds: set[str]) -> bool:
+    """A read of ``attr`` from finfo of a type named in ``kinds``, bare
+    (LONG) or as an attribute (np.longdouble), finfo called bare or as an
     attribute."""
-    if not (isinstance(node, ast.Attribute) and node.attr == "eps"
+    if not (isinstance(node, ast.Attribute) and node.attr == attr
             and isinstance(node.value, ast.Call) and node.value.args):
         return False
     call, kind = node.value.func, node.value.args[0]
@@ -56,12 +59,18 @@ def _finfo_eps(node, kinds: set[str]) -> bool:
 
 def _long_double_eps(node) -> bool:
     """A read of the long double's eps: finfo(LONG) or finfo(np.longdouble)."""
-    return _finfo_eps(node, {"LONG", "longdouble"})
+    return _finfo(node, "eps", {"LONG", "longdouble"})
 
 
 def _float64_eps(node) -> bool:
     """A read of float64's eps: finfo(float) or finfo(np.float64)."""
-    return _finfo_eps(node, {"float", "float64"})
+    return _finfo(node, "eps", {"float", "float64"})
+
+
+def _float64_tiny(node) -> bool:
+    """A read of the smallest normal float64: finfo(float).tiny or
+    finfo(np.float64).tiny."""
+    return _finfo(node, "tiny", {"float", "float64"})
 
 
 def _pad_literal(node) -> bool:
@@ -130,6 +139,17 @@ def test_scanner_finds_every_read_of_the_float64_eps():
     assert _references(source, _float64_eps) == [(1, ""), (3, "key_rounding"), (5, "other")]
 
 
+def test_scanner_finds_every_read_of_the_float64_tiny():
+    # float64's eps and the long double's tiny are other values
+    source = ("floor = np.finfo(float).tiny\n"
+              "def key_rounding(x):\n"
+              "    return max(4 * finfo(float).eps * x, finfo(float).tiny)\n"
+              "def other(x):\n"
+              "    return x + np.finfo(np.float64).tiny\n"
+              "small = np.finfo(LONG).tiny\n")
+    assert _references(source, _float64_tiny) == [(1, ""), (3, "key_rounding"), (5, "other")]
+
+
 def test_scanner_finds_the_pad_literal():
     source = ("pad = 2.0 ** -49 * M\n"
               "def walk(M):\n"
@@ -139,6 +159,12 @@ def test_scanner_finds_the_pad_literal():
 
 def test_float64_eps_only_in_the_key_rounding_allowance():
     assert _uses(_float64_eps) == {("count.py", "key_rounding")}
+
+
+def test_float64_tiny_only_in_the_key_rounding_allowance_and_the_oracle():
+    # every float64 margin takes its subnormal floor from key_rounding
+    assert _uses(_float64_tiny) == {("count.py", "key_rounding"),
+                                    ("count.py", "count_tuples_naive")}
 
 
 def test_no_literal_screen_pad_in_solver():
