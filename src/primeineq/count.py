@@ -12,7 +12,10 @@ holds float64 keys only, fl(fl(P_i) + fl(P_l)), the float64 sums of the
 powers rounded to float64, and long double serves only the re-test.  It
 sorts a band's keys alone and counts pairs by position from window bounds
 at gamma - delta, gamma and gamma + delta, every sum weighed m = 2 and the
-n diagonal sums 2 P_i corrected by searches of their own keys; only the
+n diagonal sums 2 P_i corrected by searches of their own keys.  Each
+owner's first bound is placed by a forward scan of the sorted band
+(``_window_ends``), as deep as a binary search, and searchsorted places it
+only for the owners whose windows pass that depth.  Only the
 pairs within the rounding slack of a bound are re-tested, on long-double
 sums formed again from their flat indices, and only a band with such a
 pair orders its flat indices by key.  Each band comes from ``_pair_band``,
@@ -378,6 +381,39 @@ def _diagonal_positions(keys: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     return at + (np.arange(len(at)) - np.searchsorted(at, at))
 
 
+def _window_ends(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.searchsorted(ordered, q), the number x_p of keys below q_p, for
+    q = fl(ordered[:m] + reach), m = len(q), the owners' window bounds in
+    the ascending band keys ``ordered`` (o); for count_tuples_fast.
+
+    If every q_p > o_p, then every o_k with k <= p is below q_p, and the
+    test [o_{p+k} < q_p] can only go from true to false as k grows, so
+    x_p = p + 1 + sum over k >= 1 of [o_{p+k} < q_p].  Step k compares the
+    slices o[k:k+m] and q whole and adds the result into a uint8 count, and
+    the scan stops at the first step where no comparison holds, since none
+    holds at a later one.  Its reach is the depth of the binary search it
+    stands in for, len(o).bit_length() steps: the owners still open there
+    are searched alone.  Where some q_p <= o_p (a reach below half an ulp of
+    a key, or below zero), or where more than half of the owners are open
+    at the reach (wide windows), every owner is searched."""
+    m, reach = len(q), len(ordered).bit_length()
+    tail = ordered[reach:reach + m]
+    late = tail < q[:len(tail)]   # o_{p+reach} < q_p: open past the scan
+    if 2 * np.count_nonzero(late) > m or not np.all(q > ordered[:m]):
+        return np.searchsorted(ordered, q)
+    below = np.zeros(m, dtype=np.uint8)
+    for k in range(1, reach):
+        tail = ordered[k:k + m]
+        step = tail < q[:len(tail)]
+        if not np.count_nonzero(step):
+            break
+        below[:len(tail)] += step
+    x = np.arange(1, m + 1) + below
+    late = np.flatnonzero(late)
+    x[late] = np.searchsorted(ordered, q[late])
+    return x
+
+
 def _weighted_pairs(x: np.ndarray, diagonal: np.ndarray, owned: int) -> int:
     """The sum of m_p m_q over the owners p and the positions q with
     p < q < x[p], for x ascending, where m is 1 at the ``diagonal``
@@ -433,6 +469,13 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
     the first bound lies within the outer reach, which is seldom at small
     delta.
 
+    The first bound of every owner p, fl(key[p] + the lower reach of the
+    first zone), is placed by _window_ends: a forward scan of the sorted
+    band by whole-slice comparisons, in near-linear time where windows are
+    narrow, with searchsorted only for the owners still open past the
+    scan's reach, len(band).bit_length() keys, or for every owner where
+    more than half are, or where a bound does not lie above its own key.
+
     Every sure count is a count of pairs of positions, weighed as if every
     sum had m = 2 and corrected for the n diagonal sums 2 P_i
     (_weighted_pairs), whose keys 2 fl(P_i) are exact and ascending, so a
@@ -482,7 +525,7 @@ def count_tuples_fast(s: CountSpec) -> CountResult:
         block = ordered[:owners]
         owned = int(diagonal_at[band + 1] - diagonal_at[band])
         diagonal_pos = _diagonal_positions(ordered, row_min[diagonal_at[band]:row_end[band]])
-        x = np.searchsorted(ordered, block + zones[0][0])
+        x = _window_ends(ordered, block + zones[0][0])
         hits += _weighted_pairs(x, diagonal_pos, owned)
         # the other bounds are x unless the key at x is within the outer reach
         close = ordered.take(x, mode="clip") <= block + zones[-1][1]

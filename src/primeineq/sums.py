@@ -341,15 +341,17 @@ def _e(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * np.mod(values * x, LONG(1)).astype(float))
 
 
+def _amplitude(s: np.ndarray, c: float) -> np.ndarray:
+    """f(s) = s^(1/c-1)/c, the amplitude of I(x) in s = t^c, at float64 s."""
+    return s ** (1.0 / c - 1.0) / c
+
+
 def _integral_s(x: np.ndarray, A, B, c: float, n: int) -> np.ndarray:
     """One n-node estimate of int_A^B f(s) e(sx) ds, f(s) = s^(1/c-1)/c,
     at every nonzero x (float64 array).  Every operation on the x is
     elementwise, so a value does not depend on the batch it came in."""
     u, C, g, w = _rules(n)
     half, mid = (B - A) / 2, (A + B) / 2
-
-    def f(s: np.ndarray) -> np.ndarray:
-        return s ** (1.0 / c - 1.0) / c
 
     xl = x.astype(LONG)
     out = np.empty(len(x), dtype=complex)
@@ -368,7 +370,7 @@ def _integral_s(x: np.ndarray, A, B, c: float, n: int) -> np.ndarray:
     levin = np.abs(kappa) >= n / 2       # 2 pi |x| (B - A) >= n
     idx = np.nonzero(levin)[0]
     if len(idx):
-        r = C @ (float(half) * f((mid + half * u.astype(LONG)).astype(float)))
+        r = C @ (float(half) * _amplitude((mid + half * u.astype(LONG)).astype(float), c))
         z = 1.0 / (1j * kappa[idx])
         beta = beta_up = np.zeros(len(idx), dtype=complex)   # beta_k and beta_{k+1}
         t_sums = [np.zeros(len(idx), dtype=complex) for _ in range(2)]   # even, odd k
@@ -386,12 +388,20 @@ def _integral_s(x: np.ndarray, A, B, c: float, n: int) -> np.ndarray:
     idx = np.nonzero(~levin)[0]
     if len(idx):
         s = mid + half * g.astype(LONG)
-        amp = float(half) * w * f(s.astype(float))
+        amp = float(half) * w * _amplitude(s.astype(float), c)
         total = np.zeros(len(idx), dtype=complex)
         for sj, aj in zip(s, amp):
             total += aj * _e(sj, xl[idx])
         out[idx] = total
     return out
+
+
+def _length(A, B, c: float, n: int) -> float:
+    """The n-point Gauss-Legendre value of int_A^B f(s) ds, X for A = X^c
+    and B = (2X)^c, with f taken at the float64 nodes _integral_s takes it at."""
+    g, w = leggauss(n)
+    s = ((A + B) / 2 + (B - A) / 2 * g.astype(LONG)).astype(float)
+    return float((B - A) / 2) * float(np.dot(w, _amplitude(s, c)))
 
 
 def integral_I(inst: ProblemInstance, x: float | np.ndarray) -> complex | np.ndarray:
@@ -409,6 +419,14 @@ def integral_I(inst: ProblemInstance, x: float | np.ndarray) -> complex | np.nda
     the two differ anywhere by more than _I_ABS_TOL * X, else the
     48-node values.  x = 0 gives exactly X.  A value is bitwise the same
     whichever batch of x it is computed in.
+
+    Where c is so near 0 that s = t^c lies within a few ulps of 1, rounding
+    s loses [X, 2X], and both estimates can agree on a wrong value (0 at
+    c = 1e-300).  So, for any nonzero x, the n-point Gauss-Legendre rules
+    at the float64 nodes the estimates use must give int_A^B f(s) ds = X
+    within _I_ABS_TOL * X plus their own difference (_length), the part
+    that is not rounding but quadrature error, as at large c; else
+    ConvergenceError.
     """
     X, c = inst.X, inst.c
     xs = np.asarray(x, dtype=float)
@@ -417,6 +435,13 @@ def integral_I(inst: ProblemInstance, x: float | np.ndarray) -> complex | np.nda
     flat = xs.reshape(-1)
     nonzero = flat != 0.0
     A, B = LONG(X) ** LONG(c), LONG(2 * X) ** LONG(c)
+    if nonzero.any():
+        # f(s) ds = dt, so each rule gives X, give or take its own error: two
+        # rules that agree on another length have lost [X, 2X] in rounding
+        coarse, fine = (_length(A, B, c, n) for n in _LEVELS)
+        lost = abs(fine - X)
+        if not lost <= _I_ABS_TOL * X + abs(fine - coarse):
+            raise ConvergenceError("integral_I", lost)
     coarse, fine = (_integral_s(flat[nonzero], A, B, c, n) for n in _LEVELS)
     error = float(np.max(np.abs(fine - coarse), initial=0.0))
     if error > _I_ABS_TOL * X:

@@ -560,6 +560,21 @@ def test_numerical_failure_has_its_own_exit_code(capsys, monkeypatch):
     assert err.startswith("numerical: main_term_H did not converge")
 
 
+@pytest.mark.parametrize("c, code", [("1e-300", 4), ("1e-17", 4), ("1e-12", 4), ("1e-8", 0)])
+def test_sums_eval_refuses_an_integral_that_lost_its_interval(capsys, c, code):
+    # unchecked, c = 1e-300 printed "I": [0.0, 0.0] and c = 1e-17 an |I| of
+    # 0.694, each with exit 0, where |T| = 64 and |I| is about 64
+    got = run(["sums", "eval", "--X", "64", "--c", c, "--x", "0.1"])
+    captured = capsys.readouterr()
+    assert got == code
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("numerical: integral_I did not converge")
+        assert "Traceback" not in captured.err
+    else:
+        assert json.loads(captured.out)["abs"]["I"] == pytest.approx(64.0, abs=64e-9)
+
+
 def test_scan_json_reports_solvability(capsys):
     code, out = run_cli(capsys, "scan", "--N", "1e5", "--c", "1.5",
                         "--samples", "50", "--seed", "3")

@@ -244,6 +244,79 @@ def test_fast_equals_naive_across_band_and_retest_chunk_edges(monkeypatch, c):
     _check_fast_across_band_edges(monkeypatch, c)
 
 
+def _open_past_reach(ordered: np.ndarray, q: np.ndarray) -> int:
+    """The number of owners p whose window reaches past the scan of
+    _window_ends: those with more than len(ordered).bit_length() - 1 keys
+    after p below q_p, by searchsorted."""
+    lengths = np.searchsorted(ordered, q) - np.arange(1, len(q) + 1)
+    return int(np.count_nonzero(lengths >= len(ordered).bit_length()))
+
+
+def _check_window_ends(ordered: np.ndarray, owners: int, reach: float) -> np.ndarray:
+    q = ordered[:owners] + reach
+    got, want = count._window_ends(ordered, q), np.searchsorted(ordered, q)
+    assert got.dtype == want.dtype and np.array_equal(got, want), (ordered, owners, reach)
+    return q
+
+
+def test_window_ends_is_searchsorted_on_adversarial_bands():
+    # runs of equal keys, with windows ending on, inside and past a run
+    runs = np.repeat([0.0, 1.0, 2.0, 5.0], [7, 1, 30, 4])
+    for owners, reach in itertools.product((1, 8, 38, 42), (0.5, 1.0, 1.5, 3.0, 5.0)):
+        _check_window_ends(runs, owners, reach)
+    # a reach below half an ulp of every key: q_p == o_p
+    keys = np.linspace(1.0, 2.0, 50)
+    assert np.all(_check_window_ends(keys, 50, 1e-17) == keys)
+    # 13 owners in a cluster of 20 keys see past the scan's 7 keys, and the
+    # owners among the sparse keys see none: the late owners alone are searched
+    cluster = np.concatenate([np.arange(20) * 1e-3, 10.0 * np.arange(1, 61)])
+    for owners in (30, 50, 80):
+        q = _check_window_ends(cluster, owners, 0.5)
+        assert 0 < _open_past_reach(cluster, q) <= owners // 2
+    # every window past the reach: every owner is searched
+    keys = np.arange(100.0)
+    q = _check_window_ends(keys, 100, 60.0)
+    assert 2 * _open_past_reach(keys, q) > 100
+    # a reach below zero, one owner, one key
+    _check_window_ends(keys, 100, -2.5)
+    _check_window_ends(keys, 1, 3.0)
+    _check_window_ends(np.array([4.0]), 1, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(keys=st.lists(st.integers(0, 30), min_size=1, max_size=90),
+       share=st.floats(0.0, 1.0),
+       reach=st.sampled_from([0.0, 1e-17, -1.0, 0.5, 1.0]) | st.floats(-3.0, 40.0))
+def test_window_ends_is_searchsorted(keys, share, reach):
+    # integer keys with repeats; a reach of 1e-17 leaves every key but 0
+    # where it is, and a long one opens more than half of the owners
+    ordered = np.sort(np.array(keys, dtype=float))
+    _check_window_ends(ordered, max(1, round(share * len(ordered))), reach)
+
+
+def test_fast_equals_naive_on_every_way_to_window_ends(monkeypatch):
+    # bands of about 4 pair sums at Y = 20: a narrow gamma scans, and some
+    # owners' windows pass the scan's reach; a wide one opens most owners;
+    # delta above gamma puts each window's lower bound below its own key
+    monkeypatch.setattr(count, "_FAST_BAND", 4)
+    window_ends, seen = count._window_ends, set()
+
+    def recorded(ordered, q):
+        late = _open_past_reach(ordered, q)
+        seen.add("wide" if 2 * late > len(q) else "searched" if np.any(q <= ordered[:len(q)])
+                 else "late" if late else "scan")
+        return window_ends(ordered, q)
+
+    monkeypatch.setattr(count, "_window_ends", recorded)
+    Y = 20
+    for c in _BAND_EDGE_CS:
+        span = _sum_span(Y, c) or 1.0
+        for share, delta in itertools.product((0.02, 0.3), (1e-9, 2.0)):
+            spec = CountSpec(Y, c, share * span, delta * share * span)
+            assert count_tuples_fast(spec) == count_tuples_naive(spec), spec
+    assert seen == {"searched", "wide", "late", "scan"}
+
+
 @pytest.mark.parametrize("c", [-1.0, 0.5, 1.0, 1.5, 3.0])
 def test_fast_counter_forms_only_the_rows_of_each_band(monkeypatch, c):
     # each band gets the run of rows that can hold one of its sums, and the

@@ -199,6 +199,21 @@ def test_integral_raises_when_unconverged(monkeypatch):
     assert info.value.routine == "integral_I" and info.value.error > 0
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-17, 1e-12, 1e-8])
+def test_integral_raises_where_t_to_the_c_loses_the_interval(c):
+    # s = t^c lies within c log(2X) of 1 on [X, 2X], and rounding s to
+    # float64 loses that interval: unchecked, |I(0.1)| read 0 at c = 1e-300
+    # and 0.694 at c = 1e-17, where it is about X = 64; at c = 1e-12 the
+    # rules differ, and at c = 1e-8 they hold.  x = 0 gives X exactly
+    inst = ProblemInstance(c=c, X=64.0)
+    assert integral_I(inst, 0.0) == complex(64.0, 0.0)
+    if c > 1e-12:
+        assert abs(abs(integral_I(inst, 0.1)) - 64.0) <= sums._I_ABS_TOL * 64.0
+    else:
+        with pytest.raises(ConvergenceError, match="integral_I"):
+            integral_I(inst, np.array([0.0, 0.1]))
+
+
 def test_integral_first_derivative_bound():
     inst = ProblemInstance(c=2.05, X=1024.0, eps=0.1)
     for x in (inst.tau, inst.tau / 5, -inst.tau / 2, 1e-5):
